@@ -21,15 +21,22 @@ however long the chain is, and conservation is exact at the quantum level.
 Use binary-representable quanta (0.25, 0.0625, ...) when bitwise float
 conservation matters as well.
 
+Transition table: the open channels out of a transition state
+(r, cq_left, cj_left) depend only on the integer counts, so each state's
+channels, raw log-weights, log-sum-exp and CDF are built once per
+(state, policy) and looked up afterwards. The per-sample sampler, the batch
+sampler and the enumeration oracle all read that one table.
+
 Randomness: each sample owns a generator derived by mixing (seed,
-sample_index), so ensembles are reproducible and order-independent under
-parallel execution. The batch sampler used for very large energy-only
-ensembles draws from one (seed, n_samples)-deterministic stream instead;
-both are exact samplers of the same per-step distributions.
+sample_index), so a sample is reproducible on its own and an ensemble does
+not depend on the order its samples are drawn in. The batch sampler used for
+very large energy-only ensembles draws from one (seed, n_samples)-deterministic
+stream instead; both are exact samplers of the same per-step distributions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -242,17 +249,66 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     return r2, cq2, cj2, m2, q2, j2, logw, _logsumexp(logw)
 
 
+# (state, policy) transition tables kept alive at once. Checks that draw random
+# chains visit a few hundred pairs; a table holds only the rows its chains reach.
+_TABLE_CACHE_SIZE = 1024
+
+
+@dataclass(frozen=True, eq=False)
+class _Row:
+    """Open channels out of one transition state, in _step_channels order."""
+
+    r2: np.ndarray      # remaining energy / charge / spin quanta after each channel
+    cq2: np.ndarray
+    cj2: np.ndarray
+    m2: np.ndarray      # remnant hairs after each channel
+    q2: np.ndarray
+    j2: np.ndarray
+    logw: np.ndarray    # raw log-weights
+    log_z: float        # their log-sum-exp (nan when no channel is open)
+    cdf: np.ndarray     # unit-sum CDF, last entry pinned to 1.0; empty when stuck
+
+
+class _TransitionTable(dict):
+    """Rows of one (state, policy) cascade keyed by (r, cq_left, cj_left),
+    each built on its first lookup."""
+
+    def __init__(self, state: BlackHoleState, policy: CascadePolicy) -> None:
+        super().__init__()
+        self.state = state
+        self.policy = policy
+        self.plan = _plan(state, policy)
+
+    def __missing__(self, key: tuple[int, int, int]) -> _Row:
+        *channels, logw, log_z = _step_channels(self.state, self.policy, self.plan, *key)
+        cdf = np.cumsum(np.exp(logw - log_z))
+        if cdf.size:
+            cdf[-1] = 1.0
+        for a in (*channels, logw, cdf):
+            a.flags.writeable = False  # shared by every caller of the cached table
+        row = self[key] = _Row(*channels, logw, log_z, cdf)
+        return row
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _transition_table(state: BlackHoleState, policy: CascadePolicy) -> _TransitionTable:
+    return _TransitionTable(state, policy)
+
+
 def sample_cascade(
     state: BlackHoleState, policy: CascadePolicy, seed: int, sample_index: int = 0
 ) -> EmissionChain:
     """Sample one complete evaporation chain.
 
     Deterministic for fixed (seed, sample_index); the per-sample generator is
-    derived by mixing the two, so ensembles can fan out across workers.
+    derived by mixing the two. Each step draws from the (state, policy)
+    transition table, so a state's channels are built once however many
+    chains pass through it.
     """
     if sample_index < 0 or seed < 0:
         raise UsageError("seed and sample_index must be non-negative")
-    plan = _plan(state, policy)
+    table = _transition_table(state, policy)
+    plan = table.plan
     rng = np.random.default_rng(np.random.SeedSequence((seed, sample_index)))
     steps: list[CascadeStep] = []
     current = state
@@ -261,26 +317,23 @@ def sample_cascade(
     while r > 0:
         if len(steps) >= plan.max_steps:
             return EmissionChain(state, tuple(steps), Termination.MAX_STEPS)
-        r2, cq2, cj2, m2, q2, j2, logw, log_z = _step_channels(state, policy, plan, r, cql, cjl)
-        if r2.size == 0:
+        row = table[r, cql, cjl]
+        if row.cdf.size == 0:
             stuck = True
             break
-        cum = np.cumsum(np.exp(logw - log_z))
-        cum[-1] = 1.0
-        pick = min(int(np.searchsorted(cum, rng.random(), side="right")), r2.size - 1)
+        pick = min(int(np.searchsorted(row.cdf, rng.random(), side="right")), row.cdf.size - 1)
         after = BlackHoleState(
-            state.family, float(m2[pick]), float(q2[pick]), float(j2[pick]), state.alpha
+            state.family, float(row.m2[pick]), float(row.q2[pick]), float(row.j2[pick]),
+            state.alpha,
         )
         emission = Emission(
             current.m - after.m, current.q - after.q, current.j - after.j
         )
-        steps.append(CascadeStep(emission, after, float(logw[pick]), float(logw[pick] - log_z)))
+        logw = float(row.logw[pick])
+        steps.append(CascadeStep(emission, after, logw, logw - row.log_z))
         current = after
-        r, cql, cjl = int(r2[pick]), int(cq2[pick]), int(cj2[pick])
-    if stuck:
-        terminated = Termination.STOP_MASS
-    else:
-        terminated = Termination.EXHAUSTED if policy.stop_mass == 0.0 else Termination.STOP_MASS
+        r, cql, cjl = int(row.r2[pick]), int(row.cq2[pick]), int(row.cj2[pick])
+    terminated = Termination.STOP_MASS if stuck else _terminal(policy)
     return EmissionChain(state, tuple(steps), terminated, stuck)
 
 
@@ -300,6 +353,11 @@ def chain_identity(chain: EmissionChain, policy: CascadePolicy) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# Largest quantum count with an identity census: enumeration lists all
+# 2^(n-1) compositions, and ensembles count chain identities, only up to it.
+_CENSUS_MAX_QUANTA = 20
+
+
 def enumerate_chains(
     state: BlackHoleState, policy: CascadePolicy
 ) -> list[tuple[EmissionChain, float, float]]:
@@ -311,21 +369,12 @@ def enumerate_chains(
     """
     if not policy.energy_only:
         raise UsageError("enumeration covers energy-only cascades")
-    plan = _plan(state, policy)
-    n = plan.n_quanta
-    if n > 20:
-        raise UsageError(f"enumeration capped at 20 quanta, got {n}")
+    table = _transition_table(state, policy)
+    n = table.plan.n_quanta
+    if n > _CENSUS_MAX_QUANTA:
+        raise UsageError(f"enumeration capped at {_CENSUS_MAX_QUANTA} quanta, got {n}")
     if n == 0:
         return [(EmissionChain(state, (), _terminal(policy)), 0.0, 0.0)]
-
-    # Channel data only depends on the remaining quantum count.
-    table: dict[int, tuple] = {}
-
-    def channels(r: int):
-        if r not in table:
-            out = _step_channels(state, policy, plan, r, 0, 0)
-            table[r] = (out[0], out[3], out[6], out[7])  # r2, m2, logw, log_z
-        return table[r]
 
     results: list[tuple[EmissionChain, float, float]] = []
 
@@ -333,13 +382,14 @@ def enumerate_chains(
         if r == 0:
             results.append((EmissionChain(state, tuple(steps), _terminal(policy)), raw, norm))
             return
-        r2, m2, logw, log_z = channels(r)
-        for i in range(r2.size):
-            after = BlackHoleState(state.family, float(m2[i]), current.q, current.j, state.alpha)
+        row = table[r, 0, 0]
+        for i in range(row.r2.size):
+            after = BlackHoleState(state.family, float(row.m2[i]), current.q, current.j, state.alpha)
             emission = Emission(current.m - after.m)
-            step = CascadeStep(emission, after, float(logw[i]), float(logw[i] - log_z))
+            logw = float(row.logw[i])
+            step = CascadeStep(emission, after, logw, logw - row.log_z)
             steps.append(step)
-            walk(after, int(r2[i]), steps, raw + step.log_weight, norm + step.log_prob)
+            walk(after, int(row.r2[i]), steps, raw + step.log_weight, norm + step.log_prob)
             steps.pop()
 
     walk(state, n, [], 0.0, 0.0)
@@ -398,25 +448,15 @@ class CascadeEnsembleStats:
 
 def _batch_energy_sample(state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int):
     """Vectorized energy-only sampler. One stream, deterministic per
-    (seed, n_samples); identical per-step distributions to sample_cascade."""
-    plan = _plan(state, policy)
-    n = plan.n_quanta
-    cums: dict[int, np.ndarray] = {}
-    logws: dict[int, np.ndarray] = {}
-    logzs: dict[int, float] = {}
-    kmaps: dict[int, np.ndarray] = {}
-    for r in range(n, 0, -1):
-        r2, _, _, _, _, _, logw, log_z = _step_channels(state, policy, plan, r, 0, 0)
-        if r2.size == 0:
-            cums[r] = np.empty(0)
-        else:
-            c = np.cumsum(np.exp(logw - log_z))
-            c[-1] = 1.0
-            cums[r] = c
-        kmaps[r] = r - r2  # quanta carried by each channel
-        logws[r] = logw
-        logzs[r] = log_z
+    (seed, n_samples); identical per-step distributions to sample_cascade.
 
+    Up to the census cap, each chain's identity is kept as its cut mask: bit
+    b is set when a step leaves n - b quanta, so the parts of the composition
+    are the gaps between 0, the set bits and n. Above the cap, the identity
+    census is None.
+    """
+    table = _transition_table(state, policy)
+    n = table.plan.n_quanta
     rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
     remaining = np.full(n_samples, n, dtype=np.int64)
     stuck = np.zeros(n_samples, dtype=bool)
@@ -424,36 +464,71 @@ def _batch_energy_sample(state: BlackHoleState, policy: CascadePolicy, n_samples
     first_k = np.zeros(n_samples, dtype=np.int64)
     raw_tot = np.zeros(n_samples)
     norm_tot = np.zeros(n_samples)
-    codes = np.zeros(n_samples, dtype=np.int64)  # base-(n+1) encoded identity
+    cuts = np.zeros(n_samples, dtype=np.int64) if n <= _CENSUS_MAX_QUANTA else None
     for _ in range(n):
         active = (remaining > 0) & ~stuck
         if not active.any():
             break
         for r in np.unique(remaining[active]):
             r = int(r)
-            mask = active & (remaining == r)
-            idx = np.nonzero(mask)[0]
-            if cums[r].size == 0:
+            idx = np.nonzero(active & (remaining == r))[0]
+            row = table[r, 0, 0]
+            if row.cdf.size == 0:
                 stuck[idx] = True
                 continue
             u = rng.random(idx.size)
-            pick = np.minimum(np.searchsorted(cums[r], u, side="right"), cums[r].size - 1)
-            k = kmaps[r][pick]
-            raw_tot[idx] += logws[r][pick]
-            norm_tot[idx] += logws[r][pick] - logzs[r]
+            pick = np.minimum(np.searchsorted(row.cdf, u, side="right"), row.cdf.size - 1)
+            k = r - row.r2[pick]  # quanta carried by the picked channels
+            raw_tot[idx] += row.logw[pick]
+            norm_tot[idx] += row.logw[pick] - row.log_z
             first_k[idx] = np.where(lengths[idx] == 0, k, first_k[idx])
-            codes[idx] = codes[idx] * (n + 1) + k
             lengths[idx] += 1
             remaining[idx] -= k
-    return remaining, stuck, lengths, first_k, raw_tot, norm_tot, codes
+            if cuts is not None:
+                left = remaining[idx]
+                cuts[idx] |= np.where(left > 0, np.left_shift(1, n - left), 0)
+    identity_counts = None
+    if cuts is not None:
+        masks, counts = np.unique(cuts[~stuck], return_counts=True)
+        census = {_composition(m, n): c for m, c in zip(masks.tolist(), counts.tolist())}
+        # Fewest parts first, then lexicographic: this order fixes the
+        # summation order of identity_entropy, so it is part of the output.
+        identity_counts = dict(sorted(census.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    return stuck, lengths, first_k, raw_tot, norm_tot, identity_counts
 
 
-def _decode_identity(code: int, length: int, n: int) -> tuple:
-    ks = []
-    for _ in range(length):
-        ks.append(int(code % (n + 1)))
-        code //= n + 1
-    return tuple(reversed(ks))
+def _composition(cuts: int, n: int) -> tuple[int, ...]:
+    """Parts of n between the set bits of a cut mask; () when n is 0."""
+    bounds = [0] + [b for b in range(1, n) if cuts >> b & 1] + [n]
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
+
+
+def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
+                    identity_counts, terminated_counts) -> CascadeEnsembleStats:
+    """The one summary of an ensemble, from per-sample arrays (lengths, first
+    move in quanta, raw and normalized chain log-probs, stuck flags) plus the
+    identity census and termination counts. first_k is ignored where lengths
+    is 0."""
+    first_counts = {
+        int(k): int(c) for k, c in zip(*np.unique(first_k[lengths > 0], return_counts=True))
+    }
+    identity_entropy = None
+    if identity_counts:
+        freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
+        identity_entropy = float(-np.sum(freqs * np.log(freqs)))
+    return CascadeEnsembleStats(
+        n_samples=n_samples,
+        seed=seed,
+        method=method,
+        lengths=lengths,
+        first_emission_counts=first_counts,
+        identity_counts=identity_counts,
+        identity_entropy=identity_entropy,
+        mean_raw_log_prob=float(np.mean(raw_tot)),
+        mean_norm_log_prob=float(np.mean(norm_tot)),
+        n_stuck=int(np.count_nonzero(stuck)),
+        terminated_counts=terminated_counts,
+    )
 
 
 def cascade_ensemble_stats(
@@ -475,49 +550,21 @@ def cascade_ensemble_stats(
         method = "batch" if (policy.energy_only and n_samples >= 10_000) else "per-sample"
     if method == "batch" and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
-
-    plan = _plan(state, policy)
-    n = plan.n_quanta
-    small = n <= 20
-
-    if method == "batch":
-        remaining, stuck, lengths, first_k, raw_tot, norm_tot, codes = _batch_energy_sample(
-            state, policy, n_samples, seed
-        )
-        first_counts: dict[int, int] = {}
-        for k, c in zip(*np.unique(first_k[lengths > 0], return_counts=True)):
-            first_counts[int(k)] = int(c)
-        identity_counts = None
-        if small:
-            identity_counts = {}
-            for code, length, c in zip(*_grouped_codes(codes[~stuck], lengths[~stuck])):
-                identity_counts[_decode_identity(int(code), int(length), n)] = int(c)
-        n_stuck = int(np.count_nonzero(stuck))
-        term_counts = {_terminal(policy).value: int(np.count_nonzero(~stuck))}
-        if n_stuck:
-            term_counts[Termination.STOP_MASS.value] = (
-                term_counts.get(Termination.STOP_MASS.value, 0) + n_stuck
-            )
-    else:
+    if method != "batch":
         chains = (sample_cascade(state, policy, seed, i) for i in range(n_samples))
         return ensemble_stats_from_chains(chains, policy, n_samples, seed, method="per-sample")
 
-    identity_entropy = None
-    if identity_counts:
-        freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
-        identity_entropy = float(-np.sum(freqs * np.log(freqs)))
-    return CascadeEnsembleStats(
-        n_samples=n_samples,
-        seed=seed,
-        method=method,
-        lengths=lengths,
-        first_emission_counts=first_counts,
-        identity_counts=identity_counts,
-        identity_entropy=identity_entropy,
-        mean_raw_log_prob=float(np.mean(raw_tot)),
-        mean_norm_log_prob=float(np.mean(norm_tot)),
-        n_stuck=n_stuck,
-        terminated_counts=term_counts,
+    stuck, lengths, first_k, raw_tot, norm_tot, identity_counts = _batch_energy_sample(
+        state, policy, n_samples, seed
+    )
+    n_stuck = int(np.count_nonzero(stuck))
+    term_counts = {_terminal(policy).value: n_samples - n_stuck}
+    if n_stuck:  # a stuck chain ends at a floor, as a stop-mass chain
+        stop = Termination.STOP_MASS.value
+        term_counts[stop] = term_counts.get(stop, 0) + n_stuck
+    return _ensemble_stats(
+        n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
+        identity_counts, term_counts,
     )
 
 
@@ -529,50 +576,26 @@ def ensemble_stats_from_chains(
     method: str = "per-sample",
 ) -> CascadeEnsembleStats:
     """Aggregate an iterable of already-sampled chains into ensemble stats."""
-    first_counts: dict[int, int] = {}
     identity_counts: dict[tuple, int] | None = {}
     lengths = np.zeros(n_samples, dtype=np.int64)
+    first_k = np.zeros(n_samples, dtype=np.int64)
     raw_tot = np.zeros(n_samples)
     norm_tot = np.zeros(n_samples)
-    n_stuck = 0
+    stuck = np.zeros(n_samples, dtype=bool)
     term_counts: dict[str, int] = {}
-    n_quanta = None
     for i, chain in enumerate(chains):
-        if n_quanta is None:
-            n_quanta = _plan(chain.initial, policy).n_quanta
-            if n_quanta > 20:
-                identity_counts = None  # identity census only at small n
+        if i == 0 and _plan(chain.initial, policy).n_quanta > _CENSUS_MAX_QUANTA:
+            identity_counts = None
         lengths[i] = chain.n_steps
         raw_tot[i], norm_tot[i] = chain_log_probability(chain)
         if chain.steps:
-            k0 = round(chain.steps[0].emission.omega / policy.energy_quantum)
-            first_counts[k0] = first_counts.get(k0, 0) + 1
+            first_k[i] = round(chain.steps[0].emission.omega / policy.energy_quantum)
         if identity_counts is not None and not chain.stuck:
             ident = chain_identity(chain, policy)
             identity_counts[ident] = identity_counts.get(ident, 0) + 1
-        n_stuck += int(chain.stuck)
+        stuck[i] = chain.stuck
         term_counts[chain.terminated.value] = term_counts.get(chain.terminated.value, 0) + 1
-    identity_entropy = None
-    if identity_counts:
-        freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
-        identity_entropy = float(-np.sum(freqs * np.log(freqs)))
-    return CascadeEnsembleStats(
-        n_samples=n_samples,
-        seed=seed,
-        method=method,
-        lengths=lengths,
-        first_emission_counts=first_counts,
-        identity_counts=identity_counts,
-        identity_entropy=identity_entropy,
-        mean_raw_log_prob=float(np.mean(raw_tot)),
-        mean_norm_log_prob=float(np.mean(norm_tot)),
-        n_stuck=n_stuck,
-        terminated_counts=term_counts,
+    return _ensemble_stats(
+        n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
+        identity_counts, term_counts,
     )
-
-
-def _grouped_codes(codes: np.ndarray, lengths: np.ndarray):
-    """Unique (code, length) pairs with counts."""
-    pairs = np.stack([codes, lengths], axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    return uniq[:, 0], uniq[:, 1], counts

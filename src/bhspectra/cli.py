@@ -19,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,12 +26,7 @@ import numpy as np
 
 from . import __version__
 from .blackholes import BlackHoleState, state_from_record, state_to_record
-from .cascade import (
-    CascadePolicy,
-    EmissionChain,
-    ensemble_stats_from_chains,
-    sample_cascade,
-)
+from .cascade import CascadePolicy, ensemble_stats_from_chains, sample_cascade
 from .errors import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -283,19 +277,6 @@ _CASCADE_DEFAULTS = {
 }
 
 
-def _cascade_worker(payload) -> list[EmissionChain]:
-    state_record, policy_record, seed, start, stop = payload
-    state = state_from_record(state_record)
-    policy = CascadePolicy(
-        energy_quantum=policy_record["energy_quantum"],
-        stop_mass=policy_record["stop_mass"],
-        max_steps=policy_record["max_steps"],
-        charge_quantum=policy_record["charge_quantum"],
-        spin_quantum=policy_record["spin_quantum"],
-    )
-    return [sample_cascade(state, policy, seed, i) for i in range(start, stop)]
-
-
 def cmd_cascade(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args, _CASCADE_DEFAULTS)
@@ -311,23 +292,9 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
     seed = int(cfg["seed"])
-    workers = int(cfg["workers"])
-
-    # Per-sample streams are derived from (seed, index), so the chain set is
-    # identical however the indices are partitioned across workers.
-    if workers <= 1:
-        chains = [sample_cascade(state, policy, seed, i) for i in range(n_samples)]
-    else:
-        bounds = np.linspace(0, n_samples, workers + 1, dtype=int)
-        payloads = [
-            (state_to_record(state), policy.to_record(), seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        chains = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_cascade_worker, payloads):
-                chains.extend(part)
+    # "workers" is only echoed: sampling runs in this process, and each
+    # chain's stream is derived from (seed, index) alone.
+    chains = [sample_cascade(state, policy, seed, i) for i in range(n_samples)]
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -493,7 +460,8 @@ def build_parser() -> _Parser:
     ca.add_argument("--spin-quantum", type=float, dest="spin_quantum")
     ca.add_argument("--n-samples", type=int, dest="n_samples")
     ca.add_argument("--seed", type=int)
-    ca.add_argument("--workers", type=int, help="parallel workers; output is worker-count independent")
+    ca.add_argument("--workers", type=int,
+                    help="accepted for compatibility and echoed; changes neither output nor execution")
     ca.add_argument("--output-dir", dest="output_dir")
     ca.set_defaults(func=cmd_cascade)
 

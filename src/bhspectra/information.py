@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid
 from .cascade import EmissionChain
-from .errors import DomainError, UsageError
+from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
 from .spectrum import emission_log_weight, emission_log_weights
 
@@ -215,7 +215,10 @@ class ChainInformationLedger:
     The total self-information equals the entropy drop S(initial) - S(final)
     exactly (telescoping), which is the checkable statement that no
     information is lost in a complete evaporation. correlation_with_prior[i]
-    is the correlation of emission i with the aggregate of all earlier ones.
+    is the correlation of emission i with the aggregate of all earlier ones,
+    taken from the initial state; it is 0 for the first emission and nan where
+    emission i alone would leave a forbidden remnant, since log p(e_i) is then
+    undefined.
     """
 
     self_information: np.ndarray
@@ -247,7 +250,10 @@ def chain_information_ledger(chain: EmissionChain) -> ChainInformationLedger:
     prior = Emission(0.0)
     for i, step in enumerate(chain.steps):
         if i > 0:
-            corr[i] = pairwise_correlation(chain.initial, prior, step.emission)
+            try:
+                corr[i] = pairwise_correlation(chain.initial, prior, step.emission)
+            except RemnantInvalid:
+                corr[i] = np.nan
         prior = prior + step.emission
     s_init = bh_entropy(chain.initial)
     s_final = bh_entropy(chain.final_state)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
-from scipy.stats import chisquare
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius
 from .cascade import (
@@ -287,6 +286,8 @@ def suite_typicality(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
 
 
 def suite_cascade(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
+    from scipy.stats import chisquare  # slow to import; only this suite needs it
+
     t0 = time.perf_counter()
     report = SuiteReport("cascade")
     # Binary quantum: float conservation is exact, not merely close.

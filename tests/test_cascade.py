@@ -269,6 +269,27 @@ class TestEnsembles:
         assert a.identity_counts == b.identity_counts
         assert a.mean_norm_log_prob == b.mean_norm_log_prob
 
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_batch_identities_are_compositions(self, n):
+        # Every batch identity is an ordered composition of the n quanta,
+        # up to the census cap of 20, with one part per step.
+        s = BlackHoleState(Family.SCHWARZSCHILD, n * 0.125)
+        stats = cascade_ensemble_stats(
+            s, CascadePolicy(energy_quantum=0.125), 20_000, seed=0, method="batch"
+        )
+        assert sum(stats.identity_counts.values()) == stats.n_samples
+        by_length: dict[int, int] = {}
+        for ident, count in stats.identity_counts.items():
+            assert sum(ident) == n and min(ident) >= 1
+            by_length[len(ident)] = by_length.get(len(ident), 0) + count
+        assert by_length == stats.length_counts()
+
+    def test_batch_zero_quanta_identity_is_empty(self):
+        s = BlackHoleState(Family.SCHWARZSCHILD, 0.25)
+        policy = CascadePolicy(energy_quantum=0.25, stop_mass=0.25)
+        stats = cascade_ensemble_stats(s, policy, 10, seed=0, method="batch")
+        assert stats.identity_counts == {(): 10}
+
     def test_batch_requires_energy_only(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 0.5, 0.125)
         policy = CascadePolicy(0.125, charge_quantum=0.125)

@@ -213,6 +213,12 @@ class TestVerifyCommand:
         names = {c["name"] for s in report["suites"] for c in s["checks"]}
         assert "enumeration_raw_equal" in names
 
+    def test_info_suite_passes_on_seed_2(self, tmp_path):
+        # Seed 2 draws charged chains whose later emissions, taken alone from
+        # the initial state, are closed channels.
+        code = run_cli("verify", "--suite", "info", "--seed", "2", "--output-dir", str(tmp_path))
+        assert code == 0
+
     def test_corrupted_alpha_exits_2(self, tmp_path):
         proc = run_subprocess("verify", "--suite", "cascade", "--alpha", "nan",
                               "--output-dir", str(tmp_path))
@@ -240,6 +246,16 @@ class TestUsage:
 
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("spectrum", "--nope", "1") == 1
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # A fresh interpreter, so that other tests' imports cannot mask it.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bhspectra.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_help_exits_zero(self):
         proc = run_subprocess("--help")

@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 from bhspectra import (
     BlackHoleState,
     CascadePolicy,
+    CascadeStep,
     Emission,
+    EmissionChain,
     Family,
     GridSpec,
     Normalization,
     SpectrumGrid,
+    Termination,
     UsageError,
+    apply_emission,
     bh_entropy,
     build_info_report,
     build_spectrum,
     chain_information_ledger,
     conditional_entropy,
+    emission_log_weight,
     enumerate_chains,
     mutual_information,
     pairwise_correlation,
@@ -258,6 +263,23 @@ class TestChainLedger:
                 assert ledger.correlation_with_prior[i] == pytest.approx(expect, abs=1e-10)
             prior += step.emission.omega
         assert ledger.correlation_with_prior[0] == 0.0
+
+    def test_closed_single_emission_gives_nan_correlation(self):
+        # The second emission taken alone from the initial state would leave
+        # (0.5, 0.75), a super-extremal remnant: its correlation is undefined,
+        # while the ledger itself still telescopes.
+        s = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.75)
+        steps, current = [], s
+        for e in (Emission(0.125, 0.5), Emission(0.5, 0.0)):
+            after = apply_emission(current, e)
+            logw = emission_log_weight(current, e)
+            steps.append(CascadeStep(e, after, logw, logw))
+            current = after
+        chain = EmissionChain(s, tuple(steps), Termination.STOP_MASS)
+        ledger = chain_information_ledger(chain)
+        assert abs(ledger.residual) <= 1e-9
+        assert ledger.correlation_with_prior[0] == 0.0
+        assert math.isnan(ledger.correlation_with_prior[1])
 
     def test_incomplete_chain_rejected(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.875)
