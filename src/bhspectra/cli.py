@@ -47,9 +47,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    """Fixed scientific notation, 17 significant digits (round-trip exact)."""
-    return "%.16e" % x
+# Rows formatted and written per string: bounds the memory a writer holds.
+_ROW_CHUNK = 16384
+
+
+def _format_column(values: np.ndarray, fmt) -> list[str]:
+    """fmt of every entry of a 1-D column, calling fmt once per distinct value.
+
+    Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
+    payloads) stay apart and each entry gets exactly the string fmt gives it.
+    """
+    keys = values.view(np.int64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    strings = list(map(fmt, distinct.view(values.dtype).tolist()))
+    return list(map(strings.__getitem__, inverse.tolist()))
+
+
+def _format_rows(columns, join):
+    """Rows of (values, fmt) columns, joined by `join`, _ROW_CHUNK rows per string."""
+    n_rows = len(columns[0][0])
+    for start in range(0, n_rows, _ROW_CHUNK):
+        stop = start + _ROW_CHUNK
+        cells = [_format_column(values[start:stop], fmt) for values, fmt in columns]
+        yield "".join(map(join, zip(*cells)))
 
 
 def _utc_now() -> str:
@@ -69,24 +89,38 @@ def _write_json(path: Path, payload: dict) -> None:
 _UNHASHED_KEYS = ("output_dir", "workers")
 
 
-def write_manifest(outdir: Path, command: str, config: dict, wall_time_s: float) -> str:
-    """Write manifest.json; returns the hash over the run's configuration."""
+_ARTIFACT = {"name": "bhspectra", "version": __version__}
+
+
+def _manifest_hash(command: str, config: dict) -> str:
+    """sha256 over the artifact, the command and the hashed configuration."""
     hashed_config = {k: v for k, v in config.items() if k not in _UNHASHED_KEYS}
-    payload = {
-        "artifact": {"name": "bhspectra", "version": __version__},
-        "command": command,
-        "config": hashed_config,
-    }
-    manifest_hash = hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    payload = {"artifact": _ARTIFACT, "command": command, "config": hashed_config}
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+
+
+def write_manifest(
+    outdir: Path, command: str, config: dict, manifest_hash: str, t0: float, compute_s: float
+) -> None:
+    """Write manifest.json, after the data files, so its timing covers them.
+
+    t0 is the run's perf_counter() start; compute_s the part of the run spent
+    before serialization began.
+    """
+    wall_time_s = time.perf_counter() - t0
     manifest = {
-        "artifact": payload["artifact"],
+        "artifact": _ARTIFACT,
         "command": command,
         "config": config,
         "manifest_hash": manifest_hash,
-        "timing": {"timestamp_utc": _utc_now(), "wall_time_s": wall_time_s},
+        "timing": {
+            "timestamp_utc": _utc_now(),
+            "wall_time_s": wall_time_s,
+            "compute_s": compute_s,
+            "serialize_s": wall_time_s - compute_s,
+        },
     }
     _write_json(outdir / "manifest.json", manifest)
-    return manifest_hash
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +142,22 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _file_value(args: argparse.Namespace, key: str, value, default):
+    """A config-file value converted by its flag's type=, as argparse converts flags.
+
+    null is kept where the default itself is null (an unset optional value).
+    """
+    convert = args.flag_types.get(key)
+    if convert is None or (value is None and default is None):
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(
+            f"config key {key!r}: invalid {convert.__name__} value: {value!r}"
+        ) from exc
+
+
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     """Resolve option values: explicit flag > config file > default."""
     file_cfg = _load_config_file(getattr(args, "config", None))
@@ -120,7 +170,7 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
         if flag_value is not None:
             merged[key] = flag_value
         elif key in file_cfg:
-            merged[key] = file_cfg[key]
+            merged[key] = _file_value(args, key, file_cfg[key], default)
         else:
             merged[key] = default
     return merged
@@ -177,25 +227,44 @@ def _spectrum_rows(grid: SpectrumGrid, thermal: SpectrumGrid | None):
         }
 
 
+def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
+    """The output columns of _spectrum_rows, as whole arrays, in CSV order."""
+    thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
+    return {
+        "omega": grid.omega,
+        "q": grid.q,
+        "j": grid.j,
+        "log_weight": grid.log_weight,
+        "weight": grid.weights(),
+        "thermal_log_weight": thermal_lw,
+        "valid": grid.valid,
+    }
+
+
+def _jsonl_rows(columns: dict):
+    """Canonical JSON rows (compact, keys sorted, one per line) of named columns."""
+    keys = sorted(columns)
+    template = "{" + ",".join(f"{json.dumps(k)}:%s" for k in keys) + "}\n"
+    return _format_rows([(columns[k], json.dumps) for k in keys], template.__mod__)
+
+
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
+    columns = _spectrum_columns(grid, thermal)
+    header = ",".join(columns)
+    valid = columns.pop("valid")
+    # Fixed scientific notation, 17 significant digits (round-trip exact).
+    cells = [(values, "%.16e".__mod__) for values in columns.values()]
+    cells.append((valid, ("false\n", "true\n").__getitem__))
     with path.open("w", encoding="utf-8") as f:
         f.write(f"# manifest_hash={manifest_hash}\n")
-        f.write("omega,q,j,log_weight,weight,thermal_log_weight,valid\n")
-        for row in _spectrum_rows(grid, thermal):
-            f.write(
-                ",".join(
-                    [
-                        _fmt(row["omega"]),
-                        _fmt(row["q"]),
-                        _fmt(row["j"]),
-                        _fmt(row["log_weight"]),
-                        _fmt(row["weight"]),
-                        _fmt(row["thermal_log_weight"]),
-                        "true" if row["valid"] else "false",
-                    ]
-                )
-                + "\n"
-            )
+        f.write(header + "\n")
+        f.writelines(_format_rows(cells, ",".join))
+
+
+def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
+    with path.open("w", encoding="utf-8") as f:
+        f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
+        f.writelines(_jsonl_rows(_spectrum_columns(grid, thermal)))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -205,35 +274,38 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if cfg["omega_max"] is None:
         cfg["omega_max"] = state.m
     spec = GridSpec(
-        omega_max=float(cfg["omega_max"]),
-        n_omega=int(cfg["bins"]),
-        omega_min=float(cfg["omega_min"]),
-        q_step=float(cfg["q_step"]),
-        n_q=int(cfg["n_q"]),
-        j_step=float(cfg["j_step"]),
-        n_j=int(cfg["n_j"]),
+        omega_max=cfg["omega_max"],
+        n_omega=cfg["bins"],
+        omega_min=cfg["omega_min"],
+        q_step=cfg["q_step"],
+        n_q=cfg["n_q"],
+        j_step=cfg["j_step"],
+        n_j=cfg["n_j"],
     )
-    normalization = Normalization(str(cfg["normalization"]).lower())
+    fmt = str(cfg["format"]).lower()
+    if fmt not in ("csv", "jsonl", "json"):
+        raise UsageError(f"unknown format {fmt!r}; choose csv, jsonl or json")
+    try:
+        normalization = Normalization(str(cfg["normalization"]).lower())
+    except ValueError as exc:
+        raise UsageError(f"unknown normalization {cfg['normalization']!r}") from exc
     grid = build_spectrum(state, spec, normalization)
     try:
         thermal = build_thermal_spectrum(state, spec, normalization)
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
+    report = build_info_report(state, spec) if cfg["report"] else None
+    compute_s = time.perf_counter() - t0
+
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_cfg = dict(cfg, state=state_to_record(state), grid_spec=spec.to_record())
-    manifest_hash = write_manifest(outdir, "spectrum", manifest_cfg, time.perf_counter() - t0)
-
-    fmt = str(cfg["format"]).lower()
+    manifest_hash = _manifest_hash("spectrum", manifest_cfg)
     if fmt == "csv":
         write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
     elif fmt == "jsonl":
-        with (outdir / "spectrum.jsonl").open("w", encoding="utf-8") as f:
-            header = {"type": "header", "manifest_hash": manifest_hash}
-            f.write(_canonical_json(header) + "\n")
-            for row in _spectrum_rows(grid, thermal):
-                f.write(_canonical_json(row) + "\n")
-    elif fmt == "json":
+        _write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
+    else:
         _write_json(
             outdir / "spectrum.json",
             {
@@ -245,13 +317,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "bins": list(_spectrum_rows(grid, thermal)),
             },
         )
-    else:
-        raise UsageError(f"unknown format {fmt!r}; choose csv, jsonl or json")
-
-    if cfg["report"]:
-        report = build_info_report(state, spec)
+    if report is not None:
         payload = dict(report.to_json_dict(), manifest_hash=manifest_hash)
         _write_json(outdir / "info_report.json", payload)
+    write_manifest(outdir, "spectrum", manifest_cfg, manifest_hash, t0, compute_s)
     return EXIT_OK
 
 
@@ -277,63 +346,57 @@ _CASCADE_DEFAULTS = {
 }
 
 
+def _write_chains_jsonl(path: Path, chains, manifest_hash: str, n_samples: int, seed: int) -> None:
+    """One row per step, its fields collected into columns before formatting."""
+    floats, ints = [], []
+    for index, chain in enumerate(chains):
+        mass_before = chain.initial.m
+        for step_no, step in enumerate(chain.steps):
+            e = step.emission
+            floats.append((e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob))
+            ints.append((index, step_no))
+            mass_before = step.state_after.m
+    float_names = ("omega", "q", "j", "mass_before", "log_weight_raw", "log_prob_norm")
+    columns = dict(zip(float_names, np.array(floats, dtype=np.float64).reshape(-1, 6).T.copy()))
+    int_columns = np.array(ints, dtype=np.int64).reshape(-1, 2).T.copy()
+    columns.update(zip(("sample_index", "step"), int_columns))
+    header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
+    with path.open("w", encoding="utf-8") as f:
+        f.write(_canonical_json(header) + "\n")
+        f.writelines(_jsonl_rows(columns))
+
+
 def cmd_cascade(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args, _CASCADE_DEFAULTS)
     state = _state_from_config(cfg)
     policy = CascadePolicy(
-        energy_quantum=float(cfg["energy_quantum"]),
-        stop_mass=float(cfg["stop_mass"]),
-        max_steps=int(cfg["max_steps"]) if cfg["max_steps"] is not None else None,
-        charge_quantum=float(cfg["charge_quantum"]) if cfg["charge_quantum"] is not None else None,
-        spin_quantum=float(cfg["spin_quantum"]) if cfg["spin_quantum"] is not None else None,
+        energy_quantum=cfg["energy_quantum"],
+        stop_mass=cfg["stop_mass"],
+        max_steps=cfg["max_steps"],
+        charge_quantum=cfg["charge_quantum"],
+        spin_quantum=cfg["spin_quantum"],
     )
-    n_samples = int(cfg["n_samples"])
+    n_samples = cfg["n_samples"]
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone.
     chains = [sample_cascade(state, policy, seed, i) for i in range(n_samples)]
+    stats = ensemble_stats_from_chains(chains, policy, n_samples, seed)
+    compute_s = time.perf_counter() - t0
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_cfg = dict(cfg, state=state_to_record(state), policy=policy.to_record())
-    manifest_hash = write_manifest(outdir, "cascade", manifest_cfg, time.perf_counter() - t0)
-
-    with (outdir / "chains.jsonl").open("w", encoding="utf-8") as f:
-        header = {
-            "type": "header",
-            "manifest_hash": manifest_hash,
-            "n_samples": n_samples,
-            "seed": seed,
-        }
-        f.write(_canonical_json(header) + "\n")
-        for index, chain in enumerate(chains):
-            mass_before = chain.initial.m
-            for step_no, step in enumerate(chain.steps):
-                f.write(
-                    _canonical_json(
-                        {
-                            "sample_index": index,
-                            "step": step_no,
-                            "omega": step.emission.omega,
-                            "q": step.emission.q,
-                            "j": step.emission.j,
-                            "mass_before": mass_before,
-                            "log_weight_raw": step.log_weight,
-                            "log_prob_norm": step.log_prob,
-                        }
-                    )
-                    + "\n"
-                )
-                mass_before = step.state_after.m
-
-    stats = ensemble_stats_from_chains(chains, policy, n_samples, seed)
+    manifest_hash = _manifest_hash("cascade", manifest_cfg)
+    _write_chains_jsonl(outdir / "chains.jsonl", chains, manifest_hash, n_samples, seed)
     _write_json(
         outdir / "ensemble.json",
         dict(stats.to_json_dict(), manifest_hash=manifest_hash),
     )
+    write_manifest(outdir, "cascade", manifest_cfg, manifest_hash, t0, compute_s)
     return EXIT_OK
 
 
@@ -352,10 +415,11 @@ _VERIFY_DEFAULTS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args, _VERIFY_DEFAULTS)
-    reports = run_suites(str(cfg["suite"]), seed=int(cfg["seed"]), alpha=float(cfg["alpha"]))
+    reports = run_suites(str(cfg["suite"]), seed=cfg["seed"], alpha=cfg["alpha"])
+    compute_s = time.perf_counter() - t0
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_hash = write_manifest(outdir, "verify", dict(cfg), time.perf_counter() - t0)
+    manifest_hash = _manifest_hash("verify", cfg)
     all_passed = all(r.all_passed for r in reports)
     _write_json(
         outdir / "report.json",
@@ -365,6 +429,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "suites": [r.to_json_dict() for r in reports],
         },
     )
+    write_manifest(outdir, "verify", cfg, manifest_hash, t0, compute_s)
     for r in reports:
         for check in r.checks:
             status = "pass" if check.passed else "FAIL"
@@ -394,16 +459,18 @@ def cmd_typicality(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args, _TYPICALITY_DEFAULTS)
     lab = typicality_lab(
-        dim_b=int(cfg["dim_b"]),
-        dim_o=int(cfg["dim_o"]),
-        n_seeds=int(cfg["seeds"]),
-        seed=int(cfg["seed"]),
-        scale_factor=int(cfg["scale_factor"]),
+        dim_b=cfg["dim_b"],
+        dim_o=cfg["dim_o"],
+        n_seeds=cfg["seeds"],
+        seed=cfg["seed"],
+        scale_factor=cfg["scale_factor"],
     )
+    compute_s = time.perf_counter() - t0
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_hash = write_manifest(outdir, "typicality", dict(cfg), time.perf_counter() - t0)
+    manifest_hash = _manifest_hash("typicality", cfg)
     _write_json(outdir / "typicality.json", dict(lab.to_json_dict(), manifest_hash=manifest_hash))
+    write_manifest(outdir, "typicality", cfg, manifest_hash, t0, compute_s)
     print(
         f"typicality: L1(diag, weights) = {lab.mean_l1_weights:.4f}, "
         f"off-diagonal RMS {lab.offdiag_rms:.2e} -> {lab.offdiag_rms_scaled:.2e} "
@@ -483,6 +550,9 @@ def build_parser() -> _Parser:
     ty.add_argument("--output-dir", dest="output_dir")
     ty.set_defaults(func=cmd_typicality)
 
+    # Config-file values go through the same type= as their flags.
+    for p in (sp, ca, ve, ty):
+        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
     return parser
 
 

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid
 from .cascade import EmissionChain
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import emission_log_weight, emission_log_weights
+from .spectrum import emission_log_weight, emission_log_weights, logsumexp
 
 _8PI = 8.0 * np.pi
 

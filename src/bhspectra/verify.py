@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius
 from .cascade import (
@@ -36,6 +35,7 @@ from .spectrum import (
     build_spectrum,
     emission_log_weight,
     emission_log_weights_bulk,
+    logsumexp,
     thermal_log_weight,
 )
 from .typicality import typicality_lab

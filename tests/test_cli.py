@@ -88,6 +88,16 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").read_bytes() == first_csv
         assert stable_manifest(tmp_path / "manifest.json") == first_manifest
 
+    def test_manifest_timing_covers_the_whole_run(self, tmp_path):
+        run_cli("spectrum", "--mass", "2", "--bins", "64", "--report", "--output-dir", str(tmp_path))
+        timing = json.loads((tmp_path / "manifest.json").read_text())["timing"]
+        assert timing["compute_s"] > 0.0 and timing["serialize_s"] > 0.0
+        assert timing["compute_s"] + timing["serialize_s"] == pytest.approx(timing["wall_time_s"])
+        # Written last: no data file is newer than the manifest.
+        newest = max((tmp_path / name).stat().st_mtime_ns
+                     for name in ("spectrum.csv", "info_report.json"))
+        assert (tmp_path / "manifest.json").stat().st_mtime_ns >= newest
+
     def test_data_bytes_independent_of_output_dir(self, tmp_path):
         args = ("spectrum", "--mass", "2", "--omega-max", "2", "--bins", "8")
         run_cli(*args, "--output-dir", str(tmp_path / "a"))
@@ -256,6 +266,42 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, bhspectra.cli; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize(
+        "command,bad",
+        [
+            ("spectrum", {"bins": "x"}),
+            ("spectrum", {"mass": "two"}),
+            ("cascade", {"n_samples": "abc"}),
+            ("verify", {"seed": "abc"}),
+            ("typicality", {"dim_o": "many"}),
+        ],
+        ids=["spectrum-bins", "spectrum-mass", "cascade", "verify", "typicality"],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, command, bad):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        proc = run_subprocess(command, "--config", str(cfg), "--output-dir", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: config key")
+        assert "Traceback" not in proc.stderr
+
+    def test_config_null_keeps_optional_default(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"mass": 2, "omega_max": None, "bins": 4}))
+        assert run_cli("spectrum", "--config", str(cfg), "--output-dir", str(tmp_path)) == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        assert config["mass"] == 2.0 and isinstance(config["mass"], float)
+        assert config["omega_max"] == 2.0
 
     def test_help_exits_zero(self):
         proc = run_subprocess("--help")

@@ -23,7 +23,7 @@ from bhspectra import (
     emission_log_weights,
     thermal_log_weight,
 )
-from bhspectra.spectrum import emission_log_weights_bulk, entropy_function_for
+from bhspectra.spectrum import emission_log_weights_bulk, entropy_function_for, logsumexp
 from bhspectra.typicality import MacroState, spectrum_from_entropy
 
 
@@ -292,3 +292,50 @@ class TestCompareThermal:
         b = build_spectrum(s, GridSpec(omega_max=1.0, n_omega=8))
         with pytest.raises(UsageError):
             compare_thermal(a, b)
+
+
+class TestLogSumExp:
+    """spectrum.logsumexp against scipy's, bit for bit, on 1-D real arrays."""
+
+    @staticmethod
+    def assert_same(a: np.ndarray) -> None:
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        ours, ref = logsumexp(a), float(scipy_logsumexp(a))
+        if math.isnan(ref):
+            assert math.isnan(ours)
+        else:
+            assert np.float64(ours).view(np.int64) == np.float64(ref).view(np.int64), (ours, ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 128, 1000, 65_537, 200_000])
+    def test_random_arrays(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 50.0, 1e4):
+            for shift in (0.0, -700.0):
+                a = rng.normal(scale=scale, size=n) + shift
+                self.assert_same(a)
+                self.assert_same(np.round(a, 1))  # rounded: many exact repeats
+
+    @pytest.mark.parametrize("n", [2, 9, 1000, 200_000])
+    def test_ties_at_the_maximum(self, n):
+        rng = np.random.default_rng(n + 1)
+        a = rng.normal(scale=0.1, size=n)
+        a[rng.integers(0, n, size=max(2, n // 3))] = 0.5
+        a[0] = 0.5
+        self.assert_same(a)
+        self.assert_same(np.full(n, -12.25))
+
+    @pytest.mark.parametrize("special", [-np.inf, np.inf, np.nan])
+    def test_non_finite_entries(self, special):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 50, 10_000):
+            a = rng.normal(size=n)
+            a[rng.integers(0, n, size=max(1, n // 10))] = special
+            self.assert_same(a)
+            self.assert_same(np.full(n, special))
+
+    def test_mixed_infinities_and_empty(self):
+        self.assert_same(np.array([np.inf, -np.inf, 1.0]))
+        self.assert_same(np.array([-np.inf, -np.inf, 0.5]))
+        self.assert_same(np.array([np.nan, np.inf]))
+        self.assert_same(np.array([]))

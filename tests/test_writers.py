@@ -1,0 +1,161 @@
+"""Column-formatting row writers against the per-row code they replaced.
+
+The oracles below are the old writers, one `%`/`json.dumps` call per value
+per row. The new writers format each distinct value of a column once, so
+the grids here are full of the values that could trip that up: repeats,
+-0.0 next to 0.0, nan, +-inf, and columns longer than one write chunk.
+"""
+
+import json
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
+from bhspectra import cli
+from bhspectra.grids import Normalization, SpectrumGrid
+
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 1.7976931348623157e308])
+
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _oracle_rows(grid, thermal):
+    weights = grid.weights()
+    for i in range(grid.n_bins):
+        yield {
+            "omega": float(grid.omega[i]),
+            "q": float(grid.q[i]),
+            "j": float(grid.j[i]),
+            "log_weight": float(grid.log_weight[i]),
+            "weight": float(weights[i]),
+            "thermal_log_weight": float(thermal.log_weight[i]) if thermal else float("nan"),
+            "valid": bool(grid.valid[i]),
+        }
+
+
+def _oracle_csv(grid, thermal, manifest_hash) -> str:
+    out = [f"# manifest_hash={manifest_hash}\n", "omega,q,j,log_weight,weight,thermal_log_weight,valid\n"]
+    for row in _oracle_rows(grid, thermal):
+        cells = [
+            "%.16e" % row[k]
+            for k in ("omega", "q", "j", "log_weight", "weight", "thermal_log_weight")
+        ]
+        out.append(",".join([*cells, "true" if row["valid"] else "false"]) + "\n")
+    return "".join(out)
+
+
+def _oracle_spectrum_jsonl(grid, thermal, manifest_hash) -> str:
+    out = [_canonical({"type": "header", "manifest_hash": manifest_hash}) + "\n"]
+    out.extend(_canonical(row) + "\n" for row in _oracle_rows(grid, thermal))
+    return "".join(out)
+
+
+def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
+    header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
+    out = [_canonical(header) + "\n"]
+    for index, chain in enumerate(chains):
+        mass_before = chain.initial.m
+        for step_no, step in enumerate(chain.steps):
+            out.append(
+                _canonical(
+                    {
+                        "sample_index": index,
+                        "step": step_no,
+                        "omega": step.emission.omega,
+                        "q": step.emission.q,
+                        "j": step.emission.j,
+                        "mass_before": mass_before,
+                        "log_weight_raw": step.log_weight,
+                        "log_prob_norm": step.log_prob,
+                    }
+                )
+                + "\n"
+            )
+            mass_before = step.state_after.m
+    return "".join(out)
+
+
+def _column(rng, n: int) -> np.ndarray:
+    """Random floats drawn from a small pool, so values repeat, plus specials."""
+    pool = np.concatenate([SPECIAL, rng.normal(scale=100.0, size=50), rng.normal(size=n)])
+    return pool[rng.integers(0, pool.size, size=n)]
+
+
+def _grid(rng, n: int) -> SpectrumGrid:
+    return SpectrumGrid(
+        omega=_column(rng, n),
+        q=_column(rng, n),
+        j=_column(rng, n),
+        log_weight=_column(rng, n),
+        valid=rng.random(n) < 0.7,
+        normalization=Normalization.RAW,
+    )
+
+
+# exp of the huge log-weights drawn here overflows to inf, as it should.
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 7, 1000, cli._ROW_CHUNK + 3])
+@pytest.mark.parametrize("with_thermal", [True, False])
+def test_spectrum_writers_match_per_row_oracle(tmp_path, n, with_thermal):
+    rng = np.random.default_rng(n)
+    grid = _grid(rng, n)
+    thermal = _grid(rng, n) if with_thermal else None
+    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
+    cli._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
+    assert (tmp_path / "s.jsonl").read_text() == _oracle_spectrum_jsonl(grid, thermal, "abc")
+
+
+def _fake_chain(rng, n_steps: int):
+    values = _column(rng, 6 * n_steps + 1)
+    steps = [
+        SimpleNamespace(
+            emission=SimpleNamespace(omega=values[6 * k], q=values[6 * k + 1], j=values[6 * k + 2]),
+            state_after=SimpleNamespace(m=values[6 * k + 3]),
+            log_weight=values[6 * k + 4],
+            log_prob=values[6 * k + 5],
+        )
+        for k in range(n_steps)
+    ]
+    return SimpleNamespace(initial=SimpleNamespace(m=values[-1]), steps=steps)
+
+
+def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
+    rng = np.random.default_rng(1)
+    chains = [_fake_chain(rng, int(k)) for k in rng.integers(0, 40, size=900)]
+    assert sum(len(c.steps) for c in chains) > cli._ROW_CHUNK
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", len(chains), 7)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", len(chains), 7)
+
+
+@pytest.mark.parametrize(
+    "state,policy",
+    [
+        (BlackHoleState(Family.SCHWARZSCHILD, 2.0), CascadePolicy(energy_quantum=0.125)),
+        (
+            BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0),
+            CascadePolicy(energy_quantum=0.125, charge_quantum=0.125),
+        ),
+    ],
+    ids=["schw", "rn"],
+)
+def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state, policy):
+    chains = [sample_cascade(state, policy, 3, i) for i in range(30)]
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", 30, 3)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
+
+
+def test_chains_writer_with_no_steps(tmp_path):
+    chains = [SimpleNamespace(initial=SimpleNamespace(m=1.0), steps=[])]
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", 1, 0)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1, 0)
+
+
+def test_format_column_keeps_signed_zero_and_order():
+    values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
+    assert cli._format_column(values, "%.16e".__mod__) == ["%.16e" % v for v in values.tolist()]
+    assert cli._format_column(values, json.dumps) == [json.dumps(v) for v in values.tolist()]
