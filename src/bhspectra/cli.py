@@ -145,13 +145,15 @@ def _load_config_file(path: str | None) -> dict:
 def _file_value(args: argparse.Namespace, key: str, value, default):
     """A config-file value converted by its flag's type=, as argparse converts flags.
 
-    null is kept where the default itself is null (an unset optional value).
+    A non-string value is converted from its JSON text, as a flag is from its
+    own text: 2.7 or true is not an int, and 2 is the float 2.0. null is kept
+    where the default itself is null (an unset optional value).
     """
     convert = args.flag_types.get(key)
     if convert is None or (value is None and default is None):
         return value
     try:
-        return convert(value)
+        return convert(value if isinstance(value, str) else json.dumps(value))
     except (TypeError, ValueError) as exc:
         raise UsageError(
             f"config key {key!r}: invalid {convert.__name__} value: {value!r}"
@@ -213,22 +215,11 @@ _SPECTRUM_DEFAULTS = {
 }
 
 
-def _spectrum_rows(grid: SpectrumGrid, thermal: SpectrumGrid | None):
-    weights = grid.weights()
-    for i in range(grid.n_bins):
-        yield {
-            "omega": float(grid.omega[i]),
-            "q": float(grid.q[i]),
-            "j": float(grid.j[i]),
-            "log_weight": float(grid.log_weight[i]),
-            "weight": float(weights[i]),
-            "thermal_log_weight": float(thermal.log_weight[i]) if thermal else float("nan"),
-            "valid": bool(grid.valid[i]),
-        }
-
-
 def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
-    """The output columns of _spectrum_rows, as whole arrays, in CSV order."""
+    """The output columns of a spectrum, as whole arrays, in CSV order.
+
+    thermal_log_weight is nan throughout when there is no thermal baseline.
+    """
     thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
     return {
         "omega": grid.omega,
@@ -306,6 +297,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     elif fmt == "jsonl":
         _write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
     else:
+        columns = _spectrum_columns(grid, thermal)
+        bins = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
         _write_json(
             outdir / "spectrum.json",
             {
@@ -314,7 +307,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 "grid_spec": spec.to_record(),
                 "normalization": normalization.value,
                 "log_norm": grid.log_norm,
-                "bins": list(_spectrum_rows(grid, thermal)),
+                "bins": bins,
             },
         )
     if report is not None:
@@ -346,24 +339,47 @@ _CASCADE_DEFAULTS = {
 }
 
 
-def _write_chains_jsonl(path: Path, chains, manifest_hash: str, n_samples: int, seed: int) -> None:
-    """One row per step, its fields collected into columns before formatting."""
-    floats, ints = [], []
+_STEP_COLUMNS = {
+    "sample_index": np.int64,
+    "step": np.int64,
+    "omega": np.float64,
+    "q": np.float64,
+    "j": np.float64,
+    "mass_before": np.float64,
+    "log_weight_raw": np.float64,
+    "log_prob_norm": np.float64,
+}
+
+
+def _step_batches(chains):
+    """_STEP_COLUMNS rows of consecutive chains, at least _ROW_CHUNK per batch but the last."""
+    batch = []
     for index, chain in enumerate(chains):
         mass_before = chain.initial.m
         for step_no, step in enumerate(chain.steps):
             e = step.emission
-            floats.append((e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob))
-            ints.append((index, step_no))
+            batch.append(
+                (index, step_no, e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob)
+            )
             mass_before = step.state_after.m
-    float_names = ("omega", "q", "j", "mass_before", "log_weight_raw", "log_prob_norm")
-    columns = dict(zip(float_names, np.array(floats, dtype=np.float64).reshape(-1, 6).T.copy()))
-    int_columns = np.array(ints, dtype=np.int64).reshape(-1, 2).T.copy()
-    columns.update(zip(("sample_index", "step"), int_columns))
+        if len(batch) >= _ROW_CHUNK:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
+
+
+def _write_chains_jsonl(path: Path, chains, manifest_hash: str, n_samples: int, seed: int) -> None:
+    """One row per step; each batch of steps is turned into columns and written in turn."""
     header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
     with path.open("w", encoding="utf-8") as f:
         f.write(_canonical_json(header) + "\n")
-        f.writelines(_jsonl_rows(columns))
+        for batch in _step_batches(chains):
+            columns = {
+                name: np.array(values, dtype=dtype)
+                for (name, dtype), values in zip(_STEP_COLUMNS.items(), zip(*batch))
+            }
+            f.writelines(_jsonl_rows(columns))
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:

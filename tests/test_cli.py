@@ -284,8 +284,14 @@ class TestUsage:
             ("cascade", {"n_samples": "abc"}),
             ("verify", {"seed": "abc"}),
             ("typicality", {"dim_o": "many"}),
+            # Non-string values are converted from their JSON text, as a flag
+            # is from its text: no silent truncation or bool-to-number.
+            ("spectrum", {"bins": 2.7}),
+            ("cascade", {"n_samples": True}),
+            ("spectrum", {"mass": True}),
         ],
-        ids=["spectrum-bins", "spectrum-mass", "cascade", "verify", "typicality"],
+        ids=["spectrum-bins", "spectrum-mass", "cascade", "verify", "typicality",
+             "spectrum-bins-fraction", "cascade-n-samples-bool", "spectrum-mass-bool"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, command, bad):
         cfg = tmp_path / "bad.json"
