@@ -18,10 +18,13 @@ with the horizon radius per family
 For rotating holes R_H is the area radius sqrt(A_H / 4 pi), so S = pi R_H^2
 stays a single formula for all three families.
 
-Entropy is evaluated internally in numpy longdouble: consumers take
-*differences* of entropies between nearby macro-states, and those differences
-must stay accurate to ~1e-10 nats even when S itself is ~1e7 nats, which
-float64 intermediate values cannot provide.
+Consumers mostly need *differences* of entropies between nearby macro-states,
+accurate to ~1e-10 nats even when S itself is ~1e7 nats. Subtracting two
+float64 entropies cannot deliver that, so entropy_drop computes the difference
+algebraically from the state and the emission (the Parikh-Wilczek form
+-4 pi omega (2M - omega) when uncharged, a difference of discriminants
+otherwise), with error a few ulp of max(|dS|, S). Everything is float64; no
+extended precision is needed.
 
 A fully evaporated hole (M = Q = J = 0) is a legal terminal state with zero
 entropy when alpha = 0: complete evaporation cascades end on it.
@@ -36,9 +39,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, RemnantInvalid
-
-_PI = np.longdouble(math.pi)
-
 
 class Family(str, Enum):
     SCHWARZSCHILD = "schwarzschild"
@@ -132,117 +132,105 @@ class Emission:
         return Emission(self.omega + other.omega, self.q + other.q, self.j + other.j)
 
 
-def _area_sq_ld(family: Family, m: float, q: float, j: float) -> np.longdouble:
-    """Scalar R_H^2 in longdouble. No validation; nan where no horizon exists.
+def _pick(cond, a, b):
+    return a if cond else b
 
-    The q == 0, j == 0 case always routes through 4 M^2 so that the family
-    reductions RN(Q=0) -> Schwarzschild and KN(J=0) -> RN are bit-exact.
+
+# (sqrt, log, log1p, maximum, where) on Python floats and on numpy arrays: the
+# kernels below are written once against these and run on either.
+_FLOAT_OPS = (math.sqrt, math.log, math.log1p, max, _pick)
+_ARRAY_OPS = (np.sqrt, np.log, np.log1p, np.maximum, np.where)
+
+
+def _disc(m, q, j):
+    """D = M^2 (M - Q)(M + Q) - J^2 = M^2 (M^2 - Q^2 - a^2), so that
+    R_H^2 = 2 M^2 + 2 sqrt(D) - Q^2 for every family."""
+    return m * m * (m - q) * (m + q) - j * j
+
+
+def _area_sq(m, q, j, ops):
+    """R_H^2 of valid hairs. q = j = 0 always routes through 4 M^2, so the
+    family reductions RN(Q=0) -> Schwarzschild and KN(J=0) -> RN are
+    bit-exact."""
+    sqrt, _, _, maximum, where = ops
+    return where(
+        (q == 0.0) & (j == 0.0),
+        4.0 * m * m,
+        2.0 * m * m + 2.0 * sqrt(maximum(_disc(m, q, j), 0.0)) - q * q,
+    )
+
+
+def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
+    """S(m - omega, q - qe, j - je) - S(m, q, j) in nats, float64.
+
+    The one entropy-difference kernel: it never subtracts two entropies, so
+    its error stays a few ulp of max(|dS|, S) however large S is.
+      uncharged:  dA/pi = -4 omega (2m - omega)  (Parikh-Wilczek)
+      charged:    dA/pi = -2 omega (2m - omega) + 2 (sqrt(D') - sqrt(D))
+                          + qe (2q - qe),
+    with sqrt(D') - sqrt(D) = (D' - D) / (sqrt(D') + sqrt(D)) and D' - D
+    expanded through M'^2 - M^2 = -omega (2m - omega),
+    M'Q' - MQ = -M' qe - q omega and J'^2 - J^2 = -je (2j - je); where the
+    two roots differ by a factor of 2 or more they are subtracted directly.
+    The alpha term is alpha log1p(dA/A), or alpha log(A'/A) from the remnant
+    area once dA/A <= -1/2.
+
+    Floats in, float out (math functions); any of m or omega an array, and
+    the arguments broadcast in numpy. Unvalidated: the caller screens closed
+    channels, whose values are meaningless.
     """
-    ml = np.longdouble(m)
-    if q == 0.0 and j == 0.0:
-        return 4.0 * ml * ml
-    ql = np.longdouble(q)
-    if j == 0.0:
-        d = ml * ml - ql * ql
-        if d < 0.0 or m <= 0.0:
-            return np.longdouble("nan")
-        rp = ml + np.sqrt(d)
-        return rp * rp + np.longdouble(0.0)
-    if m <= 0.0:
-        return np.longdouble("nan")
-    al = np.longdouble(j) / ml
-    d = ml * ml - ql * ql - al * al
-    if d < 0.0:
-        return np.longdouble("nan")
-    rp = ml + np.sqrt(d)
-    return rp * rp + al * al
-
-
-def _entropy_ld(family: Family, m: float, q: float, j: float, alpha: float) -> np.longdouble:
-    """Scalar corrected entropy in longdouble; nan where undefined."""
-    s = _PI * _area_sq_ld(family, m, q, j)
+    vector = isinstance(m, np.ndarray) or isinstance(omega, np.ndarray)
+    ops = _ARRAY_OPS if vector else _FLOAT_OPS
+    sqrt, log, log1p, maximum, where = ops
+    m2, q2, j2 = m - omega, q - qe, j - je
+    shrink = omega * (2.0 * m - omega)  # M^2 - M'^2
+    darea = -4.0 * shrink
+    if (np.any(q) or np.any(j) or np.any(qe) or np.any(je)) if vector else (q or j or qe or je):
+        charged = (q != 0.0) | (j != 0.0) | (qe != 0.0) | (je != 0.0)
+        root = sqrt(maximum(_disc(m, q, j), 0.0))
+        root2 = sqrt(maximum(_disc(m2, q2, j2), 0.0))
+        ddisc = (m2 * qe + q * omega) * (m2 * q2 + m * q) - shrink * (m2 * m2 + m * m) + je * (
+            2.0 * j - je
+        )
+        apart = (2.0 * root2 <= root) | (2.0 * root <= root2)
+        droot = where(apart, root2 - root, ddisc / where(apart, 1.0, root + root2))
+        darea = where(charged, 2.0 * droot - 2.0 * shrink + qe * (2.0 * q - qe), darea)
+    ds = math.pi * darea
     if alpha != 0.0:
-        if not s > 0.0:
-            return np.longdouble("nan")
-        s = s + np.longdouble(alpha) * np.log(s)
-    return s
+        area = _area_sq(m, q, j, ops)
+        ratio = darea / area
+        ds = ds + alpha * where(
+            ratio <= -0.5, log(_area_sq(m2, q2, j2, ops) / area), log1p(maximum(ratio, -0.5))
+        )
+    return ds
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-
-
-def _square_exact(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dekker exact square: (hi, lo) float64 arrays with hi + lo == x*x."""
-    hi = x * x
-    c = _SPLIT * x
-    xh = c - (c - x)
-    xl = x - xh
-    lo = ((xh * xh - hi) + 2.0 * (xh * xl)) + xl * xl
-    return hi, lo
-
-
-def _two_diff(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Knuth exact difference: (s, e) with s + e == a - b."""
-    s = a - b
-    v = s - a
-    e = (a - (s - v)) - (b + v)
-    return s, e
-
-
-def entropy_drop_uncharged(m, omega) -> np.ndarray:
-    """S(m - omega) - S(m) for uncharged, uncorrected states, elementwise.
-
-    Both entropies are pi (2m)^2. The remnant mass and both squares are
-    carried as exact double-doubles, so the result keeps ~2 ulp *relative*
-    accuracy even when the entropies themselves are ~1e7 nats; in particular
-    the rounding of m - omega never gets amplified by dS/dM ~ 8 pi M. This is
-    the fast float64 counterpart of the scalar longdouble path.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    h1, l1 = _square_exact(2.0 * m)
-    rs, re = _two_diff(m, omega)  # remnant mass, exactly
-    h2, l2 = _square_exact(2.0 * rs)
-    l2 = l2 + 2.0 * (2.0 * rs) * (2.0 * re) + (2.0 * re) * (2.0 * re)
-    d, derr = _two_diff(h2, h1)
-    return math.pi * (d + (derr + (l2 - l1)))
+def entropy_drop_uncharged(m, omega):
+    """S(m - omega) - S(m) for uncharged, uncorrected states:
+    -4 pi omega (2m - omega), elementwise."""
+    return entropy_drop(m, 0.0, 0.0, 0.0, omega)
 
 
 def area_radius_sq(family: Family, m, q=0.0, j=0.0) -> np.ndarray:
-    """Elementwise R_H^2 over arrays of hairs, in longdouble.
+    """Elementwise R_H^2 over arrays of hairs, in float64.
 
-    Unvalidated kernel: entries without a horizon (negative mass,
-    super-extremal, nonzero hairs at M = 0) come back nan. Shares the
-    q = 0, j = 0 -> 4 M^2 routing with the scalar path, so grid values and
-    scalar values agree bitwise.
+    Unvalidated kernel: entries that are no macro-state of `family`
+    (negative mass, super-extremal, nonzero hairs at M = 0) come back nan.
+    Same arithmetic as the scalar path, so grid values and scalar values
+    agree bitwise.
     """
-    m = np.asarray(m, dtype=np.longdouble)
-    q = np.asarray(q, dtype=np.longdouble)
-    j = np.asarray(j, dtype=np.longdouble)
-    m, q, j = np.broadcast_arrays(m, q, j)
-    schw = 4.0 * m * m
-    if family is Family.SCHWARZSCHILD:
-        return np.where(m < 0.0, np.longdouble("nan"), schw)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        pos = m > 0.0
-        a = np.where(pos, j / np.where(pos, m, 1.0), np.where(j == 0.0, 0.0, np.nan))
-        d = m * m - q * q - a * a
-        root = np.sqrt(d)  # nan where super-extremal
-        rp = m + root
-        area = rp * rp + a * a
-        area = np.where((q == 0.0) & (a == 0.0), schw, area)
-        area = np.where(m < 0.0, np.longdouble("nan"), area)
-        area = np.where((m == 0.0) & ((q != 0.0) | (j != 0.0)), np.longdouble("nan"), area)
-    return area
+    m, q, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (m, q, j)))
+    ok = hairs_valid(family, m, q, j, 0.0)
+    return np.where(ok, _area_sq(m, q, j, _ARRAY_OPS), np.nan)
 
 
 def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
-    """Elementwise corrected entropy over arrays of hairs (longdouble, nan
+    """Elementwise corrected entropy over arrays of hairs (float64, nan
     where undefined). Same unvalidated semantics as area_radius_sq."""
-    s = _PI * area_radius_sq(family, m, q, j)
+    s = math.pi * area_radius_sq(family, m, q, j)
     if alpha != 0.0:
         with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(s > 0.0, s + np.longdouble(alpha) * np.log(s), np.longdouble("nan"))
+            s = np.where(s > 0.0, s + alpha * np.log(s), np.nan)
     return s
 
 
@@ -274,16 +262,18 @@ def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:
 
 def horizon_radius(state: BlackHoleState) -> float:
     """Horizon (area) radius R_H of a valid macro-state, in Planck lengths."""
-    return float(np.sqrt(_area_sq_ld(state.family, state.m, state.q, state.j)))
+    return math.sqrt(_area_sq(state.m, state.q, state.j, _FLOAT_OPS))
 
 
 def bh_entropy(state: BlackHoleState) -> float:
     """Corrected horizon entropy pi R_H^2 + alpha ln(pi R_H^2), in nats."""
-    s = _entropy_ld(state.family, state.m, state.q, state.j, state.alpha)
-    if not np.isfinite(s):
-        raise DomainError(
-            "log-corrected entropy is undefined at zero horizon area (alpha != 0)"
-        )
+    s = math.pi * _area_sq(state.m, state.q, state.j, _FLOAT_OPS)
+    if state.alpha != 0.0:
+        if not s > 0.0:
+            raise DomainError(
+                "log-corrected entropy is undefined at zero horizon area (alpha != 0)"
+            )
+        s = s + state.alpha * math.log(s)
     return float(s)
 
 
@@ -324,19 +314,18 @@ def hawking_temperature(state: BlackHoleState) -> float:
     """Surface-gravity temperature kappa / 2pi.
 
     One formula covers all families:  T = (r_+ - r_-) / (4 pi (r_+^2 + a^2))
-    with r_+- = M +- sqrt(M^2 - Q^2 - a^2) and a = J/M.  For Schwarzschild
-    this reduces to T = 1 / (8 pi M), which is returned directly so the
-    uncharged value is exact.
+    with r_+- = M +- sqrt(M^2 - Q^2 - a^2) and a = J/M, i.e.
+    T = sqrt(D) / (2 pi M R_H^2) with D = M^2 (M^2 - Q^2 - a^2).  For
+    Schwarzschild this reduces to T = 1 / (8 pi M), which is returned
+    directly so the uncharged value is exact.
     """
     if is_extremal(state):
         raise DomainError("extremal state has zero temperature")
-    if state.q == 0.0 and state.j == 0.0:
-        return 1.0 / (8.0 * math.pi * state.m)
-    ml = np.longdouble(state.m)
-    a = np.longdouble(state.j) / ml
-    d = ml * ml - np.longdouble(state.q) ** 2 - a * a
-    area = _area_sq_ld(state.family, state.m, state.q, state.j)
-    return float(2.0 * np.sqrt(d) / (4.0 * _PI * area))
+    m, q, j = state.m, state.q, state.j
+    if q == 0.0 and j == 0.0:
+        return 1.0 / (8.0 * math.pi * m)
+    area = _area_sq(m, q, j, _FLOAT_OPS)
+    return math.sqrt(max(_disc(m, q, j), 0.0)) / (2.0 * math.pi * m * area)
 
 
 def state_to_record(state: BlackHoleState) -> dict:

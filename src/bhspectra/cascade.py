@@ -43,13 +43,9 @@ from enum import Enum
 
 import numpy as np
 
-from .blackholes import (
-    BlackHoleState,
-    Emission,
-    _entropy_ld,
-    entropy_grid,
-    hairs_valid,
-)
+from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid
+# Not called here; kept importable because perfbench/tracer.py wraps it here.
+from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError
 
 
@@ -244,8 +240,7 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     if r2.size == 0:
         return r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
     m1, q1, j1 = _hairs_at(state, policy, plan, r, cq_left, cj_left)
-    s1 = _entropy_ld(state.family, m1, q1, j1, state.alpha)
-    logw = np.asarray(entropy_grid(state.family, m2, q2, j2, state.alpha) - s1, dtype=np.float64)
+    logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
     return r2, cq2, cj2, m2, q2, j2, logw, _logsumexp(logw)
 
 

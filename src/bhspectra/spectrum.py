@@ -11,12 +11,14 @@ term collapses the prefactor into the entropy difference.
 
 Everything is kept in log-space: e^(-8 pi omega M) underflows already for
 modest masses, so weights are stored and combined in nats and exponentiated
-only at output. Grid evaluation is vectorized and chunked, and unit-sum
-normalization goes through a stable log-sum-exp.
+only at output. Scalar and grid evaluation share one float64 kernel,
+blackholes.entropy_drop, and unit-sum normalization goes through a stable
+log-sum-exp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,24 +27,18 @@ from .blackholes import (
     BlackHoleState,
     Emission,
     Family,
-    _entropy_ld,
     _remnant_hairs,
     apply_emission,
     bh_entropy,
-    entropy_drop_uncharged,
-    entropy_grid,
+    entropy_drop,
     hairs_valid,
     hawking_temperature,
 )
+# Not called here; kept importable because perfbench/tracer.py wraps them here.
+from .blackholes import entropy_drop_uncharged, entropy_grid  # noqa: F401
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
 from .typicality import EntropyFunction, MacroState
-
-_CHUNK = 1 << 20
-_PI_LD = np.longdouble(np.pi)
-
-
-_4PI_LD = np.longdouble(4.0) * np.longdouble(np.pi)
 
 
 def logsumexp(a) -> float:
@@ -73,25 +69,12 @@ def logsumexp(a) -> float:
 
 
 def emission_log_weight(state: BlackHoleState, e: Emission) -> float:
-    """log weight of one emission: corrected-entropy difference in nats.
-
-    The remnant hairs are formed in extended precision: dS/dM ~ 8 pi M would
-    otherwise amplify the float64 rounding of M - omega far above the
-    accuracy the entropy difference itself carries.
-    """
-    q2f, j2f = _remnant_hairs(state, e)[1:]  # validity gate
-    ml = np.longdouble(state.m)
-    m2 = ml - np.longdouble(e.omega)
-    if q2f == 0.0 and j2f == 0.0 and state.q == 0.0 and state.j == 0.0 and state.alpha == 0.0:
-        # Uncharged, uncorrected: S' - S = 4 pi (m'^2 - m^2), fused.
-        return float(_4PI_LD * (m2 * m2 - ml * ml))
-    q2 = np.longdouble(state.q) - np.longdouble(e.q)
-    j2 = np.longdouble(state.j) - np.longdouble(e.j)
-    s2 = _entropy_ld(state.family, m2, q2, j2, state.alpha)
-    if not np.isfinite(s2):
+    """log weight of one emission: corrected-entropy difference in nats,
+    from the kernel blackholes.entropy_drop."""
+    m2 = _remnant_hairs(state, e)[0]  # validity gate
+    if m2 == 0.0 and state.alpha != 0.0:
         raise RemnantInvalid("remnant entropy undefined (zero horizon area with alpha != 0)")
-    s1 = _entropy_ld(state.family, state.m, state.q, state.j, state.alpha)
-    return float(s2 - s1)
+    return float(entropy_drop(state.m, state.q, state.j, state.alpha, e.omega, e.q, e.j))
 
 
 def emission_log_weights(
@@ -100,36 +83,16 @@ def emission_log_weights(
     """Vectorized emission log-weights over arrays of emission hairs.
 
     Returns (log_weight, valid); closed channels have valid False and
-    log_weight nan. Bit-consistent with the scalar emission_log_weight.
+    log_weight nan. Same kernel and arithmetic as the scalar
+    emission_log_weight, so the two agree bitwise for alpha = 0.
     """
-    omega = np.asarray(omega, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    j = np.asarray(j, dtype=np.float64)
-    omega, q, j = np.broadcast_arrays(omega, q, j)
-    m2 = state.m - omega
-    q2 = state.q - q
-    j2 = state.j - j
-    valid = hairs_valid(state.family, m2, q2, j2, state.alpha) & (omega >= 0.0)
-    if (
-        state.alpha == 0.0
-        and state.q == 0.0
-        and state.j == 0.0
-        and not (q.any() or j.any())
-    ):
-        logw = np.where(valid, entropy_drop_uncharged(state.m, omega), np.nan)
-        return logw, valid
-    s1 = _entropy_ld(state.family, state.m, state.q, state.j, state.alpha)
-    logw = np.full(omega.shape, np.nan)
-    flat_m2, flat_q2, flat_j2 = m2.ravel(), q2.ravel(), j2.ravel()
-    flat_valid = valid.ravel()
-    flat_logw = logw.ravel()
-    for start in range(0, flat_m2.size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        s2 = entropy_grid(state.family, flat_m2[sl], flat_q2[sl], flat_j2[sl], state.alpha)
-        chunk = np.asarray(s2 - s1, dtype=np.float64)
-        chunk[~flat_valid[sl]] = np.nan
-        flat_logw[sl] = chunk
-    return logw, valid
+    omega, q, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (omega, q, j)))
+    valid = hairs_valid(
+        state.family, state.m - omega, state.q - q, state.j - j, state.alpha
+    ) & (omega >= 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logw = entropy_drop(state.m, state.q, state.j, state.alpha, omega, q, j)
+    return np.where(valid, logw, np.nan), valid
 
 
 def emission_log_weights_bulk(
@@ -141,47 +104,33 @@ def emission_log_weights_bulk(
     states (m, q, j) sharing one family and alpha, for ensemble-scale scans.
     Entries with an invalid state or a closed channel come back nan/False.
     """
-    m = np.asarray(m, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    j = np.asarray(j, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    q_e = np.asarray(q_e, dtype=np.float64)
-    j_e = np.asarray(j_e, dtype=np.float64)
-    m, q, j, omega, q_e, j_e = np.broadcast_arrays(m, q, j, omega, q_e, j_e)
-    m2 = m - omega
-    q2 = q - q_e
-    j2 = j - j_e
+    m, q, j, omega, q_e, j_e = np.broadcast_arrays(
+        *(np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
+    )
     valid = (
         hairs_valid(family, m, q, j, alpha)
-        & hairs_valid(family, m2, q2, j2, alpha)
+        & hairs_valid(family, m - omega, q - q_e, j - j_e, alpha)
         & (omega >= 0.0)
     )
-    if alpha == 0.0 and not (q.any() or j.any() or q_e.any() or j_e.any()):
-        logw = np.where(valid, entropy_drop_uncharged(m, omega), np.nan)
-        return logw, valid
-    logw = np.full(m.shape, np.nan)
-    flat = [x.ravel() for x in (m, q, j, m2, q2, j2)]
-    flat_valid = valid.ravel()
-    flat_logw = logw.ravel()
-    for start in range(0, flat[0].size, _CHUNK):
-        sl = slice(start, start + _CHUNK)
-        s1 = entropy_grid(family, flat[0][sl], flat[1][sl], flat[2][sl], alpha)
-        s2 = entropy_grid(family, flat[3][sl], flat[4][sl], flat[5][sl], alpha)
-        chunk = np.asarray(s2 - s1, dtype=np.float64)
-        chunk[~flat_valid[sl]] = np.nan
-        flat_logw[sl] = chunk
-    return logw, valid
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logw = entropy_drop(m, q, j, alpha, omega, q_e, j_e)
+    return np.where(valid, logw, np.nan), valid
+
+
+def _thermal(state: BlackHoleState, omega):
+    """-omega / T_H over a float or an array; -8 pi M omega when uncharged."""
+    if state.q == 0.0 and state.j == 0.0:
+        if state.m == 0.0:
+            raise DomainError("extremal state has zero temperature")
+        return -8.0 * math.pi * state.m * omega
+    return -omega / hawking_temperature(state)
 
 
 def thermal_log_weight(state: BlackHoleState, omega: float) -> float:
     """Boltzmann baseline -omega / T_H; -8 pi M omega for Schwarzschild."""
     if omega < 0.0:
         raise DomainError("emitted energy must be non-negative")
-    if state.q == 0.0 and state.j == 0.0:
-        if state.m == 0.0:
-            raise DomainError("extremal state has zero temperature")
-        return float(-8.0 * _PI_LD * np.longdouble(state.m) * np.longdouble(omega))
-    return float(-np.longdouble(omega) / np.longdouble(hawking_temperature(state)))
+    return float(_thermal(state, omega))
 
 
 def _grid_axes(state: BlackHoleState, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,16 +197,7 @@ def build_thermal_spectrum(
     to quantify how far the entropy-difference spectrum departs from thermal.
     """
     omega, q, j = _grid_axes(state, spec)
-    if state.q == 0.0 and state.j == 0.0:
-        if state.m == 0.0:
-            raise DomainError("extremal state has zero temperature")
-        logw = np.asarray(
-            -8.0 * _PI_LD * np.longdouble(state.m) * omega.astype(np.longdouble),
-            dtype=np.float64,
-        )
-    else:
-        temp = hawking_temperature(state)
-        logw = np.asarray(-omega.astype(np.longdouble) / np.longdouble(temp), dtype=np.float64)
+    logw = _thermal(state, omega)
     valid = np.ones(omega.shape, dtype=bool)
     logw, log_norm = _normalize(logw, valid, normalization)
     return SpectrumGrid(

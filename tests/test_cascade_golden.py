@@ -21,14 +21,14 @@ GOLDEN = [
     (
         ("--family", "rn", "--mass", "2.0", "--charge", "1.0", "--energy-quantum", "0.125",
          "--charge-quantum", "0.125", "--n-samples", "200", "--seed", "3"),
-        "0e31d4a7ae6e19eb41b139fe7a727d1b1e23e709277ff5495e5afb3d1f369ffc",
-        "0c21e45cc8da1a0bf3a9a495b35fa3ab8af5ec7996d49348210b74cb03fbbc1d",
+        "ca4aafa185769709940aa24613329ffc6edf6138f60e7edbfa1f051d4ec901f2",
+        "670558ed5e2094b45acece49830341b0e00d82feaab02ee2a61d596aae0fe320",
     ),
     (
         ("--family", "kn", "--mass", "2.0", "--charge", "0.5", "--angular-momentum", "0.5",
          "--energy-quantum", "0.125", "--charge-quantum", "0.125", "--spin-quantum", "0.125",
          "--n-samples", "100", "--seed", "5"),
-        "a0ce328990f9544765bb6ed5a707428130446bbbc88ca3403d174b9ef971b29e",
+        "b678b2a7b579c8894168f2650138bc45718970377e54bf37e97c9119f966d047",
         "e99e0bf425731ee1dd6182a4e8630def4e290d460877ca556160ce6502168e3f",
     ),
 ]

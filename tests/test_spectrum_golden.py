@@ -21,47 +21,47 @@ GOLDEN = {
     "rn_csv": (
         (*BENCH, "--format", "csv"),
         {
-            "spectrum.csv": "9ff38d59a6edfcccf85c051f06043246c6a5c30e13780d7551719eb191181535",
-            "info_report.json": "7fc22856ad27a0627702db0b331ff45d3d1b04fb168fdee5808bcff695a77df1",
+            "spectrum.csv": "0c0f59d02ff651ec0ced41ab15eca7238ba1aa105c7e2084d494919ae7681f01",
+            "info_report.json": "620e2ff7df7175073d6459e4717d36819a8068467aba45d96337fb1747d69b8a",
         },
     ),
     "rn_jsonl": (
         (*BENCH, "--format", "jsonl"),
         {
-            "spectrum.jsonl": "0a2776bf12b57ce66b20a3b1855c6f7626cd344dba7432b5433d90455aa1ee83",
-            "info_report.json": "084fae18b5bbce35cd8c4bb18465201d27abae49fec6ef1ef2944ef0cada9665",
+            "spectrum.jsonl": "8bcadf45e3308ed496af05fad374556c42b6d38979f4826558b76b0bd2feb530",
+            "info_report.json": "8e45643b7862f6f970b8f8a79bff1130066955b5bc94c4f9f1e11707e7a7a557",
         },
     ),
     "rn_json": (
         (*BENCH, "--format", "json"),
         {
-            "spectrum.json": "0078d26ed1a964fcc6a610ca8a45f7344cf1076d67dfccb7c9c7def3db7755bc",
-            "info_report.json": "25ee766dbd6dacfc7a9447d6f1d1780d81900118ba24d2c90b124ff493994f0c",
+            "spectrum.json": "a970147ac45dedef88cb2f12813a2437b3c892bfe84a7c2df6562a494d3a5f5a",
+            "info_report.json": "707de9f20abcd3c3c454ab4098a7eed8e8e227261336f9b09de4696268e19c97",
         },
     ),
     "rn_extremal": (
         ("--family", "rn", "--mass", "2", "--charge", "2", "--bins", "500", "--q-step", "0.25",
          "--n-q", "5", "--report"),
         {
-            "spectrum.csv": "5da8adad0e099fa2e8f7d52961a7eadcd331f881a9ed7f8c24a5d35dadd4a004",
-            "info_report.json": "0ce8c79c557f323f128fd0e2e311263ed47c91d061f837dd417be6e818353b72",
+            "spectrum.csv": "d20f2a902c8945cfe183cbe16c398d8670650f92b38f24ea093c9bc4f834b059",
+            "info_report.json": "f00c0ad24847aa8c985e77275982e974a8d29bedd515755de76d712ad1e019de",
         },
     ),
     "schw_underflow": (
         ("--mass", "700", "--bins", "2000", "--normalization", "unitsum"),
-        {"spectrum.csv": "5eddc4f46f2416d413b6195a22153c25f4a8839c6249b4ef176f5ce1b7935601"},
+        {"spectrum.csv": "83c9f1bbb7a36f1df27e7ebdd88cd7dff60d2b07dc4610960d244b6575f11b45"},
     ),
     "schw_alpha_raw": (
         ("--mass", "3", "--bins", "2000", "--alpha", "-1.5"),
-        {"spectrum.csv": "542bea2157aa3a8f85f2cb44108b2d2bf5fe9da0bcda47d3d54f0a0dd4bc4f17"},
+        {"spectrum.csv": "0ca26da8f68a00ca76a9b8b9b04f1e375cf5d49c2033b6969f917a3b6095d736"},
     ),
     "kn_spin_axis": (
         ("--family", "kn", "--mass", "2", "--charge", "0.5", "--angular-momentum", "0.5",
          "--bins", "300", "--q-step", "0.125", "--n-q", "3", "--j-step", "0.125", "--n-j", "3",
          "--normalization", "unitsum", "--report"),
         {
-            "spectrum.csv": "f229357d06b3d1ee9cc6337b156c09b1f6e599e4fbb482f748eb9acf813ed090",
-            "info_report.json": "b5d9358a82ef201a6abb9ac43e6c77180da4349a4f6e70d798d948a81f520fc0",
+            "spectrum.csv": "e4584ce23e4b9906b7ca3e72f9ffc011a0ea5f5bbbb2a4025e30e168feaf757f",
+            "info_report.json": "e97b345a258738da99f75d421fc76332c0330e1412d68fc7a128122c21198c9f",
         },
     ),
 }
