@@ -47,6 +47,7 @@ from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError
+from .spectrum import logsumexp
 
 
 class SamplingScheme(str, Enum):
@@ -195,11 +196,6 @@ def _hairs_at(state, policy, plan, r, cq_left, cj_left):
     return m, q, j
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    hi = float(np.max(a))
-    return hi + float(np.log(np.sum(np.exp(a - hi))))
-
-
 def _sign_range(left: int) -> np.ndarray:
     """Move counts 0..|left| carrying the sign of the remaining quanta."""
     return np.arange(0, abs(left) + 1) * (1 if left >= 0 else -1)
@@ -241,7 +237,7 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
         return r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
     m1, q1, j1 = _hairs_at(state, policy, plan, r, cq_left, cj_left)
     logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
-    return r2, cq2, cj2, m2, q2, j2, logw, _logsumexp(logw)
+    return r2, cq2, cj2, m2, q2, j2, logw, logsumexp(logw)
 
 
 # (state, policy) transition tables kept alive at once. Checks that draw random

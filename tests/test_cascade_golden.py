@@ -15,20 +15,20 @@ from bhspectra.cli import main
 GOLDEN = [
     (
         ("--mass", "4.0", "--energy-quantum", "0.0625", "--n-samples", "250", "--seed", "0"),
-        "3855719700cf4a7e404d177d4d672f34132163334cef315355c708f396eef62c",
-        "876dd70cc59f64e75c58cacdb640a002a86cac9fcc987ee8c8b99a774eda8833",
+        "fc9df9cc5c494bfd518dc100accb56fd4cd5c90a687b3ee5ba0d4f4d395675df",
+        "d026c9b6239ed77fbdfcd454ba595520561a64d04ca1b0155ac23c3790c7a148",
     ),
     (
         ("--family", "rn", "--mass", "2.0", "--charge", "1.0", "--energy-quantum", "0.125",
          "--charge-quantum", "0.125", "--n-samples", "200", "--seed", "3"),
-        "ca4aafa185769709940aa24613329ffc6edf6138f60e7edbfa1f051d4ec901f2",
+        "83bfd57b5665ceb6bfdd6f34748054a356943872c2833d299a505f79ccaa6d96",
         "670558ed5e2094b45acece49830341b0e00d82feaab02ee2a61d596aae0fe320",
     ),
     (
         ("--family", "kn", "--mass", "2.0", "--charge", "0.5", "--angular-momentum", "0.5",
          "--energy-quantum", "0.125", "--charge-quantum", "0.125", "--spin-quantum", "0.125",
          "--n-samples", "100", "--seed", "5"),
-        "b678b2a7b579c8894168f2650138bc45718970377e54bf37e97c9119f966d047",
+        "fd38a46e7aa4b2554f8e7912961578bb17191908ed9befe69aea5abd38899bb2",
         "e99e0bf425731ee1dd6182a4e8630def4e290d460877ca556160ce6502168e3f",
     ),
 ]
