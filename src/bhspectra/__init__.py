@@ -20,7 +20,6 @@ from .cascade import (
     CascadePolicy,
     CascadeStep,
     EmissionChain,
-    SamplingScheme,
     Termination,
     cascade_ensemble_stats,
     chain_identity,
@@ -36,7 +35,7 @@ from .errors import (
     UsageError,
     VerificationFailure,
 )
-from .grids import GridSpec, Normalization, SpectrumBin, SpectrumGrid
+from .grids import GridSpec, Normalization, SpectrumGrid
 from .information import (
     ChainInformationLedger,
     ConditionalEntropyResult,

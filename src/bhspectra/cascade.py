@@ -50,10 +50,6 @@ from .errors import UsageError
 from .spectrum import logsumexp
 
 
-class SamplingScheme(str, Enum):
-    UNIT_SUM_PER_STEP = "unitsum-per-step"
-
-
 class Termination(str, Enum):
     EXHAUSTED = "exhausted"    # fully evaporated (stop_mass = 0 reached)
     STOP_MASS = "stop-mass"    # reached a positive stop mass, or stuck at a floor
@@ -75,7 +71,6 @@ class CascadePolicy:
     max_steps: int | None = None
     charge_quantum: float | None = None
     spin_quantum: float | None = None
-    sampling: SamplingScheme = SamplingScheme.UNIT_SUM_PER_STEP
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.energy_quantum) and self.energy_quantum > 0.0):
@@ -100,7 +95,6 @@ class CascadePolicy:
             "max_steps": self.max_steps,
             "charge_quantum": self.charge_quantum,
             "spin_quantum": self.spin_quantum,
-            "sampling": self.sampling.value,
         }
 
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
-from .blackholes import Emission
 from .errors import UsageError
 
 
@@ -96,15 +94,6 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class SpectrumBin:
-    """One grid bin: the emission it labels, its log-weight, validity."""
-
-    emission: Emission
-    log_weight: float
-    valid: bool
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumGrid:
     """Diagonal radiation density matrix over an emission grid.
@@ -141,11 +130,3 @@ class SpectrumGrid:
         with np.errstate(under="ignore"):
             out[v] = np.exp(self.log_weight[v])
         return out
-
-    def bins(self) -> Iterator[SpectrumBin]:
-        for i in range(self.n_bins):
-            yield SpectrumBin(
-                Emission(float(self.omega[i]), float(self.q[i]), float(self.j[i])),
-                float(self.log_weight[i]),
-                bool(self.valid[i]),
-            )

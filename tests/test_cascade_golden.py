@@ -15,21 +15,21 @@ from bhspectra.cli import main
 GOLDEN = [
     (
         ("--mass", "4.0", "--energy-quantum", "0.0625", "--n-samples", "250", "--seed", "0"),
-        "fc9df9cc5c494bfd518dc100accb56fd4cd5c90a687b3ee5ba0d4f4d395675df",
-        "d026c9b6239ed77fbdfcd454ba595520561a64d04ca1b0155ac23c3790c7a148",
+        "f57e5ad03f3669f2fd5a26174feaa0174f951124a73bcee003d416bd7a647f3e",
+        "f8396a3c3d7adbf86ad33dda04f2aa3e9c90734713f02e8b5c05952ca6e4785b",
     ),
     (
         ("--family", "rn", "--mass", "2.0", "--charge", "1.0", "--energy-quantum", "0.125",
          "--charge-quantum", "0.125", "--n-samples", "200", "--seed", "3"),
-        "83bfd57b5665ceb6bfdd6f34748054a356943872c2833d299a505f79ccaa6d96",
-        "670558ed5e2094b45acece49830341b0e00d82feaab02ee2a61d596aae0fe320",
+        "8920ee416634ddf79974f3cd6238a956ede5f8e821fce9e2adb477fd0e0b1fd5",
+        "6149b5ae1632b34808871919984a3afbba091d092c6bbe457a7b42720f4068d0",
     ),
     (
         ("--family", "kn", "--mass", "2.0", "--charge", "0.5", "--angular-momentum", "0.5",
          "--energy-quantum", "0.125", "--charge-quantum", "0.125", "--spin-quantum", "0.125",
          "--n-samples", "100", "--seed", "5"),
-        "fd38a46e7aa4b2554f8e7912961578bb17191908ed9befe69aea5abd38899bb2",
-        "e99e0bf425731ee1dd6182a4e8630def4e290d460877ca556160ce6502168e3f",
+        "d03e26d4525b569bb1cb50e3dcf679e8c418ca1dfacac77b35e6ae4a49347143",
+        "d44c0fe25e67818e0383ffac3b9c9488355f4a2d349580ad19d3fdf9c957feb4",
     ),
 ]
 

@@ -218,12 +218,6 @@ class TestBuildSpectrum:
             emission_log_weight(s, Emission(grid.omega[i], 0.5)), abs=1e-11
         )
 
-    def test_bins_iterator(self):
-        s = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
-        grid = build_spectrum(s, GridSpec(omega_max=1.0, n_omega=4))
-        bins = list(grid.bins())
-        assert len(bins) == 4 and bins[0].emission.omega == 0.25
-
 
 class TestThermal:
     def test_schwarzschild_values(self):
