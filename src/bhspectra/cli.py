@@ -285,7 +285,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         thermal = build_thermal_spectrum(state, spec, normalization)
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
-    report = build_info_report(state, spec) if cfg["report"] else None
+    report = None
+    if cfg["report"]:
+        if normalization is not Normalization.UNIT_SUM:
+            unit_grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
+        else:
+            unit_grid = grid
+        report = build_info_report(state, unit_grid)
     compute_s = time.perf_counter() - t0
 
     outdir = Path(cfg["output_dir"])

@@ -29,6 +29,9 @@ from .spectrum import emission_log_weight, emission_log_weights, logsumexp
 
 _8PI = 8.0 * np.pi
 
+# Omega nodes the info report's pairwise-correlation summary keeps, at most.
+_MAX_CORR_NODES = 128
+
 
 def radiation_entropy(spectrum: SpectrumGrid) -> float:
     """Shannon entropy -sum p ln p of a unit-sum spectrum's valid bins."""
@@ -290,36 +293,30 @@ class InfoReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def build_info_report(
-    state: BlackHoleState, spec: GridSpec, max_corr_nodes: int = 128
-) -> InfoReport:
+def build_info_report(state: BlackHoleState, spectrum: SpectrumGrid) -> InfoReport:
     """Radiation entropy, conditional entropies, pairwise-correlation summary,
-    and (for Schwarzschild) the three mutual-information forms.
+    and (for Schwarzschild) the three mutual-information forms, from the
+    unit-sum spectrum of `state` on its grid.
 
-    The correlation summary runs over energy-only emission pairs on the omega
-    axis (subsampled to at most max_corr_nodes nodes); pairs whose combined
-    emission is a closed channel are skipped.
+    The correlation summary runs over energy-only emission pairs (w_i, w_k),
+    i <= k, on the grid's omega axis (subsampled to at most _MAX_CORR_NODES
+    nodes); pairs with a closed single or combined channel are skipped.
     """
-    from .spectrum import build_spectrum  # local import to avoid a cycle at module load
-
-    spectrum = build_spectrum(state, spec, Normalization.UNIT_SUM)
+    spec = spectrum.grid_spec
+    if spec is None:
+        raise UsageError("the info report needs a spectrum built on a grid")
     s_r = radiation_entropy(spectrum)
     cond = conditional_entropy(state, spectrum)
 
     nodes = spec.omega_nodes()
-    if nodes.size > max_corr_nodes:
-        nodes = nodes[:: max(1, nodes.size // max_corr_nodes)]
-    corrs = []
+    if nodes.size > _MAX_CORR_NODES:
+        nodes = nodes[:: max(1, nodes.size // _MAX_CORR_NODES)]
     lw_single, v_single = emission_log_weights(state, nodes)
-    sums = nodes[:, None] + nodes[None, :]
-    lw_pair, v_pair = emission_log_weights(state, sums)
-    for i in range(nodes.size):
-        if not v_single[i]:
-            continue
-        for k in range(i, nodes.size):
-            if v_single[k] and v_pair[i, k]:
-                corrs.append(lw_pair[i, k] - lw_single[i] - lw_single[k])
-    corr_arr = np.array(corrs) if corrs else np.zeros(1)
+    lw_pair, v_pair = emission_log_weights(state, nodes[:, None] + nodes[None, :])
+    open_pairs = np.triu(v_pair & v_single[:, None] & v_single[None, :])
+    corr_arr = (lw_pair - lw_single[:, None] - lw_single[None, :])[open_pairs]
+    if not corr_arr.size:
+        corr_arr = np.zeros(1)
 
     mi = None
     if state.family is Family.SCHWARZSCHILD and spec.n_omega >= 2:

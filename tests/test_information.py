@@ -290,7 +290,8 @@ class TestChainLedger:
 
 class TestInfoReport:
     def test_schwarzschild_report_fields(self):
-        report = build_info_report(SCHW1, GridSpec(omega_max=0.5, n_omega=16))
+        spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=16), Normalization.UNIT_SUM)
+        report = build_info_report(SCHW1, spectrum)
         assert report.e_bprime == pytest.approx(1.0 - report.e_r)
         assert report.s_r > 0.0
         assert report.s_cond < bh_entropy(SCHW1)
@@ -299,19 +300,22 @@ class TestInfoReport:
         assert report.excluded_mass == 0.0 and not report.excluded_warning
 
     def test_correlation_max_matches_top_pair(self):
-        report = build_info_report(SCHW1, GridSpec(omega_max=0.25, n_omega=8))
+        spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.25, n_omega=8), Normalization.UNIT_SUM)
+        report = build_info_report(SCHW1, spectrum)
         # top pair: both emissions at the largest node
         assert report.correlation_max == pytest.approx(8.0 * math.pi * 0.25 * 0.25, abs=1e-9)
 
     def test_charged_report_has_no_mi(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
-        report = build_info_report(s, GridSpec(omega_max=0.5, n_omega=8))
+        spectrum = build_spectrum(s, GridSpec(omega_max=0.5, n_omega=8), Normalization.UNIT_SUM)
+        report = build_info_report(s, spectrum)
         assert report.mi_numeric is None
         assert report.s_r > 0.0
 
     def test_json_round_trip(self):
         import json
 
-        report = build_info_report(SCHW1, GridSpec(omega_max=0.5, n_omega=8))
+        spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=8), Normalization.UNIT_SUM)
+        report = build_info_report(SCHW1, spectrum)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["e_r"] == report.e_r
