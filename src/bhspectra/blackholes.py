@@ -23,8 +23,11 @@ accurate to ~1e-10 nats even when S itself is ~1e7 nats. Subtracting two
 float64 entropies cannot deliver that, so entropy_drop computes the difference
 algebraically from the state and the emission (the Parikh-Wilczek form
 -4 pi omega (2M - omega) when uncharged, a difference of discriminants
-otherwise), with error a few ulp of max(|dS|, S). Everything is float64; no
-extended precision is needed.
+otherwise), with error a few ulp of max(|dS|, S). The exception is a nearly
+extremal spinning hole: its discriminant M^2 (M^2 - Q^2) - J^2 cancels, and
+its float64 rounding grows by J^2 / (sqrt(D) R_H^2). Everything is float64,
+with the same arithmetic on Python floats and on numpy arrays; no extended
+precision is used.
 
 A fully evaporated hole (M = Q = J = 0) is a legal terminal state with zero
 entropy when alpha = 0: complete evaporation cascades end on it.
@@ -163,21 +166,23 @@ def _area_sq(m, q, j, ops):
 def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
     """S(m - omega, q - qe, j - je) - S(m, q, j) in nats, float64.
 
-    The one entropy-difference kernel: it never subtracts two entropies, so
-    its error stays a few ulp of max(|dS|, S) however large S is.
-      uncharged:  dA/pi = -4 omega (2m - omega)  (Parikh-Wilczek)
-      charged:    dA/pi = -2 omega (2m - omega) + 2 (sqrt(D') - sqrt(D))
-                          + qe (2q - qe),
-    with sqrt(D') - sqrt(D) = (D' - D) / (sqrt(D') + sqrt(D)) and D' - D
+    The one entropy-difference kernel. It never subtracts two entropies:
+    dS = pi dR^2 (R = R_H), with
+      uncharged:  dR^2 = -4 omega (2m - omega)  (Parikh-Wilczek)
+      charged:    dR^2 = -2 omega (2m - omega) + 2 (sqrt(D') - sqrt(D))
+                         + qe (2q - qe),
+    where sqrt(D') - sqrt(D) = (D' - D) / (sqrt(D') + sqrt(D)) and D' - D is
     expanded through M'^2 - M^2 = -omega (2m - omega),
     M'Q' - MQ = -M' qe - q omega and J'^2 - J^2 = -je (2j - je); where the
     two roots differ by a factor of 2 or more they are subtracted directly.
-    The alpha term is alpha log1p(dA/A), or alpha log(A'/A) from the remnant
-    area once dA/A <= -1/2.
+    The alpha term is alpha log1p(dR^2 / R^2), or alpha log(R'^2 / R^2) from
+    the remnant once dR^2 / R^2 <= -1/2. The error stays a few ulp of
+    max(|dS|, S) however large S is, except where D itself cancels (nearly
+    extremal spinning holes; see the module docstring).
 
-    Floats in, float out (math functions); any of m or omega an array, and
-    the arguments broadcast in numpy. Unvalidated: the caller screens closed
-    channels, whose values are meaningless.
+    Floats in, float out (math functions); m or omega an array, and the
+    arguments broadcast in numpy, with the same arithmetic. Unvalidated: the
+    caller screens closed channels, whose values are meaningless.
     """
     vector = isinstance(m, np.ndarray) or isinstance(omega, np.ndarray)
     ops = _ARRAY_OPS if vector else _FLOAT_OPS
@@ -185,12 +190,15 @@ def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
     m2, q2, j2 = m - omega, q - qe, j - je
     shrink = omega * (2.0 * m - omega)  # M^2 - M'^2
     darea = -4.0 * shrink
+    # The charged route runs only when some entry carries charge or spin.
     if (np.any(q) or np.any(j) or np.any(qe) or np.any(je)) if vector else (q or j or qe or je):
         charged = (q != 0.0) | (j != 0.0) | (qe != 0.0) | (je != 0.0)
         root = sqrt(maximum(_disc(m, q, j), 0.0))
         root2 = sqrt(maximum(_disc(m2, q2, j2), 0.0))
-        ddisc = (m2 * qe + q * omega) * (m2 * q2 + m * q) - shrink * (m2 * m2 + m * m) + je * (
-            2.0 * j - je
+        ddisc = (  # D' - D
+            (m2 * qe + q * omega) * (m2 * q2 + m * q)
+            - shrink * (m2 * m2 + m * m)
+            + je * (2.0 * j - je)
         )
         apart = (2.0 * root2 <= root) | (2.0 * root <= root2)
         droot = where(apart, root2 - root, ddisc / where(apart, 1.0, root + root2))
@@ -214,8 +222,8 @@ def entropy_drop_uncharged(m, omega):
 def area_radius_sq(family: Family, m, q=0.0, j=0.0) -> np.ndarray:
     """Elementwise R_H^2 over arrays of hairs, in float64.
 
-    Unvalidated kernel: entries that are no macro-state of `family`
-    (negative mass, super-extremal, nonzero hairs at M = 0) come back nan.
+    Entries that are no macro-state of `family` (negative mass,
+    super-extremal, nonzero hairs at M = 0) come back nan.
     Same arithmetic as the scalar path, so grid values and scalar values
     agree bitwise.
     """
