@@ -22,12 +22,13 @@ Consumers mostly need *differences* of entropies between nearby macro-states,
 accurate to ~1e-10 nats even when S itself is ~1e7 nats. Subtracting two
 float64 entropies cannot deliver that, so entropy_drop computes the difference
 algebraically from the state and the emission (the Parikh-Wilczek form
--4 pi omega (2M - omega) when uncharged, a difference of discriminants
-otherwise), with error a few ulp of max(|dS|, S). The exception is a nearly
-extremal spinning hole: its discriminant M^2 (M^2 - Q^2) - J^2 cancels, and
-its float64 rounding grows by J^2 / (sqrt(D) R_H^2). Everything is float64,
-with the same arithmetic on Python floats and on numpy arrays; no extended
-precision is used.
+-4 pi omega (2M - omega) when uncharged, a difference of the square roots of
+the horizon discriminants D = M^2 (M^2 - Q^2) - J^2 otherwise), with error a
+few ulp of max(|dS|, S). Near extremality D cancels, so it is evaluated with
+exact float64 products (Dekker's two-product) and, for the remnant, at the
+exact hairs (M - omega, Q - q, J - j); that keeps the error a few ulp at any
+margin. Everything is float64, with the same arithmetic on Python floats and
+on numpy arrays; no extended precision type is used.
 
 A fully evaporated hole (M = Q = J = 0) is a legal terminal state with zero
 entropy when alpha = 0: complete evaporation cascades end on it.
@@ -145,22 +146,70 @@ _FLOAT_OPS = (math.sqrt, math.log, math.log1p, max, _pick)
 _ARRAY_OPS = (np.sqrt, np.log, np.log1p, np.maximum, np.where)
 
 
+# Veltkamp's splitter 2^27 + 1: cuts a float64 into two halves whose
+# products are exact.
+_SPLITTER = 134217729.0
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker)."""
+    p = a * b
+    c = _SPLITTER * a
+    ah = c - (c - a)
+    al = a - ah
+    c = _SPLITTER * b
+    bh = c - (c - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def _disc(m, q, j):
-    """D = M^2 (M - Q)(M + Q) - J^2 = M^2 (M^2 - Q^2 - a^2), so that
-    R_H^2 = 2 M^2 + 2 sqrt(D) - Q^2 for every family."""
-    return m * m * (m - q) * (m + q) - j * j
+    """D = M^4 - (M Q)^2 - J^2 = M^2 (M^2 - Q^2 - a^2), so that
+    R_H^2 = 2 M^2 + 2 sqrt(D) - Q^2 for every family.
+
+    Near extremality the three terms cancel, and a float64 rounding of each
+    (~eps M^4) would reach sqrt(D) as eps M^4 / sqrt(D). So the products are
+    carried as exact float pairs and the leading terms summed exactly: the
+    error is ~eps |D| + eps^2 M^4, below eps M^2 in sqrt(D) at any margin.
+    """
+    a, a_lo = _two_prod(m, m)  # M^2
+    b, b_lo = _two_prod(m, q)  # M Q
+    a2, a2_lo = _two_prod(a, a)
+    b2, b2_lo = _two_prod(b, b)
+    c, c_lo = _two_prod(j, j)
+    s, s_lo = _two_sum(a2, -b2)
+    # s - c is exact (Sterbenz) wherever it cancels.
+    return (s - c) + (s_lo + a2_lo - b2_lo - c_lo + 2.0 * (a * a_lo - b * b_lo))
 
 
-def _area_sq(m, q, j, ops):
-    """R_H^2 of valid hairs. q = j = 0 always routes through 4 M^2, so the
-    family reductions RN(Q=0) -> Schwarzschild and KN(J=0) -> RN are
-    bit-exact."""
+def _remnant_disc(m, q, j, omega, qe, je):
+    """(M', Q', J', D'): the remnant hairs rounded to float64, and D at the
+    exact hairs (m - omega, q - qe, j - je), i.e. D of the rounded hairs plus
+    its first-order change under their rounding errors."""
+    m2, dm = _two_sum(m, -omega)
+    q2, dq = _two_sum(q, -qe)
+    j2, dj = _two_sum(j, -je)
+    ddisc = 2.0 * m2 * (2.0 * m2 * m2 - q2 * q2) * dm - 2.0 * m2 * m2 * q2 * dq - 2.0 * j2 * dj
+    return m2, q2, j2, _disc(m2, q2, j2) + ddisc
+
+
+def _area_sq(m, q, j, ops, root=None):
+    """R_H^2 of valid hairs, from root = sqrt(D) when it is at hand. q = j = 0
+    always routes through 4 M^2, so the family reductions RN(Q=0) ->
+    Schwarzschild and KN(J=0) -> RN are bit-exact."""
     sqrt, _, _, maximum, where = ops
-    return where(
-        (q == 0.0) & (j == 0.0),
-        4.0 * m * m,
-        2.0 * m * m + 2.0 * sqrt(maximum(_disc(m, q, j), 0.0)) - q * q,
-    )
+    if ops is _FLOAT_OPS and q == 0.0 and j == 0.0:
+        return 4.0 * m * m
+    if root is None:
+        root = sqrt(maximum(_disc(m, q, j), 0.0))
+    return where((q == 0.0) & (j == 0.0), 4.0 * m * m, 2.0 * m * m + 2.0 * root - q * q)
 
 
 def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
@@ -169,16 +218,13 @@ def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
     The one entropy-difference kernel. It never subtracts two entropies:
     dS = pi dR^2 (R = R_H), with
       uncharged:  dR^2 = -4 omega (2m - omega)  (Parikh-Wilczek)
-      charged:    dR^2 = -2 omega (2m - omega) + 2 (sqrt(D') - sqrt(D))
+      charged:    dR^2 = 2 (sqrt(D') - sqrt(D)) - 2 omega (2m - omega)
                          + qe (2q - qe),
-    where sqrt(D') - sqrt(D) = (D' - D) / (sqrt(D') + sqrt(D)) and D' - D is
-    expanded through M'^2 - M^2 = -omega (2m - omega),
-    M'Q' - MQ = -M' qe - q omega and J'^2 - J^2 = -je (2j - je); where the
-    two roots differ by a factor of 2 or more they are subtracted directly.
-    The alpha term is alpha log1p(dR^2 / R^2), or alpha log(R'^2 / R^2) from
-    the remnant once dR^2 / R^2 <= -1/2. The error stays a few ulp of
-    max(|dS|, S) however large S is, except where D itself cancels (nearly
-    extremal spinning holes; see the module docstring).
+    where D and D' (taken at the exact remnant hairs) each carry a relative
+    error of a few eps (see _disc), so every term is within a few ulp of
+    R_H^2. The alpha term is alpha log1p(dR^2 / R^2), or alpha log(R'^2 / R^2)
+    from the remnant once dR^2 / R^2 <= -1/2. The error stays a few ulp of
+    max(|dS|, S) however large S is and however close to extremality.
 
     Floats in, float out (math functions); m or omega an array, and the
     arguments broadcast in numpy, with the same arithmetic. Unvalidated: the
@@ -187,28 +233,26 @@ def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
     vector = isinstance(m, np.ndarray) or isinstance(omega, np.ndarray)
     ops = _ARRAY_OPS if vector else _FLOAT_OPS
     sqrt, log, log1p, maximum, where = ops
-    m2, q2, j2 = m - omega, q - qe, j - je
     shrink = omega * (2.0 * m - omega)  # M^2 - M'^2
     darea = -4.0 * shrink
     # The charged route runs only when some entry carries charge or spin.
     if (np.any(q) or np.any(j) or np.any(qe) or np.any(je)) if vector else (q or j or qe or je):
         charged = (q != 0.0) | (j != 0.0) | (qe != 0.0) | (je != 0.0)
         root = sqrt(maximum(_disc(m, q, j), 0.0))
-        root2 = sqrt(maximum(_disc(m2, q2, j2), 0.0))
-        ddisc = (  # D' - D
-            (m2 * qe + q * omega) * (m2 * q2 + m * q)
-            - shrink * (m2 * m2 + m * m)
-            + je * (2.0 * j - je)
-        )
-        apart = (2.0 * root2 <= root) | (2.0 * root <= root2)
-        droot = where(apart, root2 - root, ddisc / where(apart, 1.0, root + root2))
-        darea = where(charged, 2.0 * droot - 2.0 * shrink + qe * (2.0 * q - qe), darea)
+        m2, q2, j2, disc2 = _remnant_disc(m, q, j, omega, qe, je)
+        root2 = sqrt(maximum(disc2, 0.0))
+        darea = where(charged, 2.0 * (root2 - root) - 2.0 * shrink + qe * (2.0 * q - qe), darea)
+    else:
+        m2, q2, j2 = m - omega, q, j
+        root = root2 = 0.0
     ds = math.pi * darea
     if alpha != 0.0:
-        area = _area_sq(m, q, j, ops)
+        area = _area_sq(m, q, j, ops, root)
         ratio = darea / area
         ds = ds + alpha * where(
-            ratio <= -0.5, log(_area_sq(m2, q2, j2, ops) / area), log1p(maximum(ratio, -0.5))
+            ratio <= -0.5,
+            log(_area_sq(m2, q2, j2, ops, root2) / area),
+            log1p(maximum(ratio, -0.5)),
         )
     return ds
 
@@ -332,8 +376,8 @@ def hawking_temperature(state: BlackHoleState) -> float:
     m, q, j = state.m, state.q, state.j
     if q == 0.0 and j == 0.0:
         return 1.0 / (8.0 * math.pi * m)
-    area = _area_sq(m, q, j, _FLOAT_OPS)
-    return math.sqrt(max(_disc(m, q, j), 0.0)) / (2.0 * math.pi * m * area)
+    root = math.sqrt(max(_disc(m, q, j), 0.0))
+    return root / (2.0 * math.pi * m * _area_sq(m, q, j, _FLOAT_OPS, root))
 
 
 def state_to_record(state: BlackHoleState) -> dict:

@@ -21,15 +21,15 @@ GOLDEN = [
     (
         ("--family", "rn", "--mass", "2.0", "--charge", "1.0", "--energy-quantum", "0.125",
          "--charge-quantum", "0.125", "--n-samples", "200", "--seed", "3"),
-        "8920ee416634ddf79974f3cd6238a956ede5f8e821fce9e2adb477fd0e0b1fd5",
-        "6149b5ae1632b34808871919984a3afbba091d092c6bbe457a7b42720f4068d0",
+        "e2ae7296193b44638a1f280a1c67292e0a4232b84b5bde410e3d97d613c52795",
+        "f18ddbc9a8567ca3d3eabd5debfc368f88ccb49917c9a170ad4134b7093281b6",
     ),
     (
         ("--family", "kn", "--mass", "2.0", "--charge", "0.5", "--angular-momentum", "0.5",
          "--energy-quantum", "0.125", "--charge-quantum", "0.125", "--spin-quantum", "0.125",
          "--n-samples", "100", "--seed", "5"),
-        "d03e26d4525b569bb1cb50e3dcf679e8c418ca1dfacac77b35e6ae4a49347143",
-        "d44c0fe25e67818e0383ffac3b9c9488355f4a2d349580ad19d3fdf9c957feb4",
+        "578ee43af3ef1a0419fefdaab613eb3885053d22eb89589eb5eaf0097403b6e5",
+        "55043c67556056e960db15c3fe13863d8c2ffa885e018a89fc63a930572035b9",
     ),
 ]
 

@@ -8,12 +8,9 @@ through build_spectrum) and the bulk route (emission_log_weights_bulk).
 
 The bound is |error| <= 4 eps max(|dS|, pi R_H^2), with R_H the source
 horizon radius: a few roundings of the entropy scale, however small dS is.
-Spinning holes get one exception. Their discriminant
-D = M^2 (M^2 - Q^2) - J^2 is a difference of two terms near J^2, so its
-float64 rounding (~eps J^2) reaches S amplified by J^2 / (sqrt(D) R_H^2),
-taken at the state and at the remnant. No float64 evaluation from
-(M, Q, J) avoids that factor, so where it exceeds 1 the bound is scaled by it.
-Without charge or spin the factor is 1.
+It holds near extremality too, where the horizon discriminant cancels; the
+nearly extremal draws put charged and spinning states and remnants down to
+a margin of 1e-9 M^2.
 """
 
 import math
@@ -34,20 +31,13 @@ from bhspectra import (
 from bhspectra.spectrum import emission_log_weights_bulk
 
 EPS = np.finfo(np.float64).eps
-BOUND = 4.0  # in units of eps times the error scale of `oracle`
+BOUND = 4.0  # in units of eps * max(|dS|, pi R_H^2)
 ALPHAS = (0.0, 1.5, -1.5)
 N_DRAWS = 200  # per (family, alpha)
 MARGIN = 1e-3  # sub-extremality margin of drawn states and remnants, in units of M^2
+NEAR_MARGINS = (1e-9, 1e-3)  # margin range of the nearly extremal draws, in units of M^2
 
 mpmath.mp.dps = 50
-
-
-def _spin_conditioning(m, q, j, area) -> mpmath.mpf:
-    """J^2 / (sqrt(D) R_H^2), with R_H^2 = area the source's; 0 when J = 0."""
-    if j == 0:
-        return mpmath.mpf(0)
-    disc = m * m * (m - q) * (m + q) - j * j
-    return j * j / (mpmath.sqrt(disc) * area) if disc > 0 else mpmath.inf
 
 
 def _mp_entropy(m, q, j, alpha):
@@ -63,21 +53,17 @@ def _mp_entropy(m, q, j, alpha):
 
 
 def oracle(m, q, j, alpha, omega, qe=0.0, je=0.0) -> tuple[float, float]:
-    """(dS, its error scale) for float64 inputs, exactly. The scale is
-    max(|dS|, pi R_H^2), times the spin conditioning where that exceeds 1."""
+    """(dS, the error scale max(|dS|, pi R_H^2)) for float64 inputs, exactly."""
     m, q, j, omega, qe, je = (mpmath.mpf(float(x)) for x in (m, q, j, omega, qe, je))
     alpha = mpmath.mpf(float(alpha))
     s1, area_s = _mp_entropy(m, q, j, alpha)
     s2, _ = _mp_entropy(m - omega, q - qe, j - je, alpha)
     ds = s2 - s1
-    area = area_s / mpmath.pi
-    spin = max(1, _spin_conditioning(m, q, j, area),
-               _spin_conditioning(m - omega, q - qe, j - je, area))
-    return float(ds), float(max(abs(ds), area_s) * spin)
+    return float(ds), float(max(abs(ds), area_s))
 
 
 def _ulps(got, m, q, j, alpha, omega, qe, je) -> float:
-    """|got - dS| in units of eps times the error scale."""
+    """|got - dS| in units of eps * max(|dS|, pi R_H^2)."""
     exact, scale = oracle(m, q, j, alpha, omega, qe, je)
     return abs(got - exact) / (EPS * scale)
 
@@ -139,18 +125,35 @@ def _unit_disk(rng, radius, spin: bool) -> tuple[float, float]:
             return x, y
 
 
-def draw_emissions(family: Family, seed: int, n: int):
+def _near_edge(rng, spin: bool) -> tuple[float, float]:
+    """(Q/M, a/M) at a margin 1 - (Q/M)^2 - (a/M)^2 log-uniform in
+    NEAR_MARGINS, in a uniform direction; a = 0 without spin."""
+    r = math.sqrt(1.0 - 10.0 ** rng.uniform(*np.log10(NEAR_MARGINS)))
+    if not spin:
+        return (r if rng.uniform() < 0.5 else -r), 0.0
+    theta = rng.uniform(0.0, 2.0 * math.pi)
+    return r * math.cos(theta), r * math.sin(theta)
+
+
+def draw_emissions(family: Family, seed: int, n: int, near: bool = False):
     """n seeded (M, Q, J, omega, q, j) with valid state and remnant.
 
     M is log-uniform on [0.5, 1000]. Every fourth draw leaves a remnant of
     1e-6 to 1e-1 of M (log-uniform), near total evaporation; the others emit
     1e-6 to 0.9 of M. States and remnants keep M^2 - Q^2 - a^2 >= 1e-3 M^2,
-    checked on the exact remnant hairs.
+    checked on the exact remnant hairs. With `near`, states and remnants of
+    charged families are drawn nearly extremal instead (_near_edge), and the
+    remnant keeps a margin >= 1e-9 M^2.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, list(Family).index(family))))
     charged = family is not Family.SCHWARZSCHILD
     spin = family is Family.KERR_NEWMAN
     radius = math.sqrt(1.0 - MARGIN)
+    floor = NEAR_MARGINS[0] if near else MARGIN
+
+    def ratios() -> tuple[float, float]:
+        return _near_edge(rng, spin) if near else _unit_disk(rng, radius, spin)
+
     rows = []
     while len(rows) < n:
         m = math.exp(rng.uniform(math.log(0.5), math.log(1000.0)))
@@ -161,22 +164,21 @@ def draw_emissions(family: Family, seed: int, n: int):
         omega = m - m2
         q = j = qe = je = 0.0
         if charged:
-            x, y = _unit_disk(rng, radius, spin)
+            x, y = ratios()
             q, j = x * m, y * m * m
-            x2, y2 = _unit_disk(rng, radius, spin)
+            x2, y2 = ratios()
             qe, je = q - x2 * m2, j - y2 * m2 * m2
         mm, qq, jj = (mpmath.mpf(m) - mpmath.mpf(omega), mpmath.mpf(q) - mpmath.mpf(qe),
                       mpmath.mpf(j) - mpmath.mpf(je))
-        if mm <= 0 or mm * mm - qq * qq - (jj / mm) ** 2 < MARGIN * mm * mm:
+        if mm <= 0 or mm * mm - qq * qq - (jj / mm) ** 2 < floor * mm * mm:
             continue
         rows.append((m, q, j, omega, qe, je))
     return np.array(rows).T
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-def test_random_draws_match_oracle(family, alpha):
-    m, q, j, omega, qe, je = draw_emissions(family, seed=7, n=N_DRAWS)
+def _worst_error(family: Family, alpha: float, draws) -> float:
+    """Largest _ulps over the scalar, grid and bulk routes on the draws."""
+    m, q, j, omega, qe, je = draws
     bulk, bulk_valid = emission_log_weights_bulk(family, m, q, j, alpha, omega, qe, je)
     assert bulk_valid.all()
     worst = 0.0
@@ -188,7 +190,22 @@ def test_random_draws_match_oracle(family, alpha):
         args = (m[i], q[i], j[i], alpha, omega[i], qe[i], je[i])
         for got in (scalar, grid[0], bulk[i]):
             worst = max(worst, _ulps(got, *args))
-    assert worst <= BOUND
+    return worst
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_random_draws_match_oracle(family, alpha):
+    assert _worst_error(family, alpha, draw_emissions(family, seed=7, n=N_DRAWS)) <= BOUND
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize(
+    "family", [Family.REISSNER_NORDSTROM, Family.KERR_NEWMAN], ids=lambda f: f.value
+)
+def test_nearly_extremal_draws_match_oracle(family, alpha):
+    draws = draw_emissions(family, seed=8, n=N_DRAWS, near=True)
+    assert _worst_error(family, alpha, draws) <= BOUND
 
 
 def test_oracle_matches_closed_forms():

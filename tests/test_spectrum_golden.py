@@ -21,30 +21,30 @@ GOLDEN = {
     "rn_csv": (
         (*BENCH, "--format", "csv"),
         {
-            "spectrum.csv": "0c0f59d02ff651ec0ced41ab15eca7238ba1aa105c7e2084d494919ae7681f01",
-            "info_report.json": "620e2ff7df7175073d6459e4717d36819a8068467aba45d96337fb1747d69b8a",
+            "spectrum.csv": "22362f31dcc128a0cdddb345a77ca647beae069e6bd18006aabed3f133b1618a",
+            "info_report.json": "150fb84bc630404e3231f7d4c02a65420648a85566f478c39cbb573e2decb655",
         },
     ),
     "rn_jsonl": (
         (*BENCH, "--format", "jsonl"),
         {
-            "spectrum.jsonl": "8bcadf45e3308ed496af05fad374556c42b6d38979f4826558b76b0bd2feb530",
-            "info_report.json": "8e45643b7862f6f970b8f8a79bff1130066955b5bc94c4f9f1e11707e7a7a557",
+            "spectrum.jsonl": "037eb9d499ea0b9c1c6aca6559ef9b6002e8378c4ba17aeac7af684fa09433f2",
+            "info_report.json": "6b7fba6a99ff790b3062df5fae920271a52f3162a2dcca64f94363cb622fb68a",
         },
     ),
     "rn_json": (
         (*BENCH, "--format", "json"),
         {
-            "spectrum.json": "a970147ac45dedef88cb2f12813a2437b3c892bfe84a7c2df6562a494d3a5f5a",
-            "info_report.json": "707de9f20abcd3c3c454ab4098a7eed8e8e227261336f9b09de4696268e19c97",
+            "spectrum.json": "74779952f2ff9ce258b9343f0d363f9fb2318b49bf7c1b05a459759acd208b74",
+            "info_report.json": "08acf74d338053c4952933fc593c6fbb8facd58b012669ff87d64fe7189e6cb0",
         },
     ),
     "rn_extremal": (
         ("--family", "rn", "--mass", "2", "--charge", "2", "--bins", "500", "--q-step", "0.25",
          "--n-q", "5", "--report"),
         {
-            "spectrum.csv": "d20f2a902c8945cfe183cbe16c398d8670650f92b38f24ea093c9bc4f834b059",
-            "info_report.json": "f00c0ad24847aa8c985e77275982e974a8d29bedd515755de76d712ad1e019de",
+            "spectrum.csv": "cb67bd835ab159b733de6acb2c6f387f1bc16a8f3a5b644e0ddf9d970633f691",
+            "info_report.json": "0d04f9da52e7fd777fb9e65ef9420a3f441356dfdcd7739505f0e25252b73a00",
         },
     ),
     "schw_underflow": (
@@ -60,8 +60,8 @@ GOLDEN = {
          "--bins", "300", "--q-step", "0.125", "--n-q", "3", "--j-step", "0.125", "--n-j", "3",
          "--normalization", "unitsum", "--report"),
         {
-            "spectrum.csv": "e4584ce23e4b9906b7ca3e72f9ffc011a0ea5f5bbbb2a4025e30e168feaf757f",
-            "info_report.json": "e97b345a258738da99f75d421fc76332c0330e1412d68fc7a128122c21198c9f",
+            "spectrum.csv": "1367fe820d67501de2d71112d104dcd6116b99f443dda5dc8aa065dddb6112bc",
+            "info_report.json": "97efe76f954972cd153373c85a73ac3eb9578485aed689fe6cd42b0230701912",
         },
     ),
 }
