@@ -176,9 +176,20 @@ def draw_emissions(family: Family, seed: int, n: int, near: bool = False):
     return np.array(rows).T
 
 
-def _worst_error(family: Family, alpha: float, draws) -> float:
-    """Largest _ulps over the scalar, grid and bulk routes on the draws."""
-    m, q, j, omega, qe, je = draws
+# (family, near) of each set of draws, by test id.
+DRAW_SETS = {
+    "schwarzschild": (Family.SCHWARZSCHILD, False),
+    "reissner-nordstrom": (Family.REISSNER_NORDSTROM, False),
+    "kerr-newman": (Family.KERR_NEWMAN, False),
+    "reissner-nordstrom-near": (Family.REISSNER_NORDSTROM, True),
+    "kerr-newman-near": (Family.KERR_NEWMAN, True),
+}
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("family,near", DRAW_SETS.values(), ids=list(DRAW_SETS))
+def test_random_draws_match_oracle(family, near, alpha):
+    m, q, j, omega, qe, je = draw_emissions(family, seed=7, n=N_DRAWS, near=near)
     bulk, bulk_valid = emission_log_weights_bulk(family, m, q, j, alpha, omega, qe, je)
     assert bulk_valid.all()
     worst = 0.0
@@ -190,22 +201,7 @@ def _worst_error(family: Family, alpha: float, draws) -> float:
         args = (m[i], q[i], j[i], alpha, omega[i], qe[i], je[i])
         for got in (scalar, grid[0], bulk[i]):
             worst = max(worst, _ulps(got, *args))
-    return worst
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-def test_random_draws_match_oracle(family, alpha):
-    assert _worst_error(family, alpha, draw_emissions(family, seed=7, n=N_DRAWS)) <= BOUND
-
-
-@pytest.mark.parametrize("alpha", ALPHAS)
-@pytest.mark.parametrize(
-    "family", [Family.REISSNER_NORDSTROM, Family.KERR_NEWMAN], ids=lambda f: f.value
-)
-def test_nearly_extremal_draws_match_oracle(family, alpha):
-    draws = draw_emissions(family, seed=8, n=N_DRAWS, near=True)
-    assert _worst_error(family, alpha, draws) <= BOUND
+    assert worst <= BOUND
 
 
 def test_oracle_matches_closed_forms():
