@@ -23,19 +23,21 @@ conservation matters as well.
 
 Transition table: the open channels out of a transition state
 (r, cq_left, cj_left) depend only on the integer counts, so each state's
-channels, raw log-weights, log-sum-exp and CDF are built once per
-(state, policy) and looked up afterwards. The per-sample sampler, the batch
-sampler and the enumeration oracle all read that one table.
+channels, raw log-weights, log-probabilities and CDF are built once per
+(state, policy) and looked up afterwards. The one sampler, a lockstep walk
+over all live chains of an ensemble, and the enumeration oracle read it.
 
-Randomness: each sample owns a generator derived by mixing (seed,
-sample_index), so a sample is reproducible on its own and an ensemble does
-not depend on the order its samples are drawn in. The batch sampler used for
-very large energy-only ensembles draws from one (seed, n_samples)-deterministic
-stream instead; both are exact samplers of the same per-step distributions.
+Randomness: each per-sample chain draws from its own generator, derived by
+mixing (seed, sample_index), so a sample is reproducible on its own and
+does not depend on the chains walked beside it. The batch method for very
+large energy-only ensembles draws every chain from one
+(seed, n_samples)-deterministic stream instead; both are exact samplers of
+the same per-step distributions.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -53,7 +55,6 @@ from .spectrum import logsumexp
 class Termination(str, Enum):
     EXHAUSTED = "exhausted"    # fully evaporated (stop_mass = 0 reached)
     STOP_MASS = "stop-mass"    # reached a positive stop mass, or stuck at a floor
-    MAX_STEPS = "max-steps"
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class CascadePolicy:
     stop_mass must be > 0 whenever the state carries alpha != 0: the
     log-corrected entropy diverges as the horizon area goes to zero, so a
     corrected cascade needs a floor. Setting charge_quantum / spin_quantum
-    opens charge / angular-momentum channels.
+    opens charge / angular-momentum channels. A chain takes at most
+    (M - stop_mass) / energy_quantum steps; max_steps below that is an error.
     """
 
     energy_quantum: float
@@ -89,13 +91,7 @@ class CascadePolicy:
         return self.charge_quantum is None and self.spin_quantum is None
 
     def to_record(self) -> dict:
-        return {
-            "energy_quantum": self.energy_quantum,
-            "stop_mass": self.stop_mass,
-            "max_steps": self.max_steps,
-            "charge_quantum": self.charge_quantum,
-            "spin_quantum": self.spin_quantum,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,10 @@ class EmissionChain:
 
     @property
     def is_complete(self) -> bool:
-        return self.terminated is not Termination.MAX_STEPS and not self.stuck
+        return not self.stuck
 
     def total_emission(self) -> Emission:
-        total = Emission(0.0)
-        for step in self.steps:
-            total = total + step.emission
-        return total
+        return sum((step.emission for step in self.steps), Emission(0.0))
 
 
 def chain_log_probability(chain: EmissionChain) -> tuple[float, float]:
@@ -156,7 +149,6 @@ class _Plan:
     n_quanta: int
     n_charge: int   # signed
     n_spin: int     # signed
-    max_steps: int
 
 
 def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
@@ -167,26 +159,26 @@ def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
     n = _count_quanta(state.m - policy.stop_mass, policy.energy_quantum, "M - stop_mass")
     nq = _count_quanta(state.q, policy.charge_quantum, "Q") if policy.charge_quantum else 0
     nj = _count_quanta(state.j, policy.spin_quantum, "J") if policy.spin_quantum else 0
-    max_steps = policy.max_steps if policy.max_steps is not None else max(n, 1)
-    if max_steps < n:
-        raise UsageError(f"max_steps={max_steps} < {n} = (M - stop_mass)/energy_quantum")
-    return _Plan(n, nq, nj, max_steps)
+    if policy.max_steps is not None and policy.max_steps < n:
+        raise UsageError(f"max_steps={policy.max_steps} < {n} = (M - stop_mass)/energy_quantum")
+    return _Plan(n, nq, nj)
 
 
 def _hairs_at(state, policy, plan, r, cq_left, cj_left):
-    """Canonical hairs at integer remaining counts, anchored at the initial
-    state (single product each, so no cumulative drift along a chain). The
-    endpoints are pinned exactly: r = 0 is the stop mass, a fully shed charge
-    or spin is exactly zero. A disabled channel leaves its hair untouched."""
-    m = policy.stop_mass if r == 0 else state.m - (plan.n_quanta - r) * policy.energy_quantum
+    """Canonical hairs at integer remaining counts (ints, or int arrays of one
+    shape) as float64 arrays, anchored at the initial state (a single product
+    each, so no cumulative drift along a chain). The endpoints are pinned
+    exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
+    zero. A disabled channel leaves its hair untouched."""
+    m = np.where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
     if policy.charge_quantum is None:
-        q = state.q
+        q = np.full(np.shape(r), state.q)
     else:
-        q = 0.0 if cq_left == 0 else state.q - (plan.n_charge - cq_left) * policy.charge_quantum
+        q = np.where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
     if policy.spin_quantum is None:
-        j = state.j
+        j = np.full(np.shape(r), state.j)
     else:
-        j = 0.0 if cj_left == 0 else state.j - (plan.n_spin - cj_left) * policy.spin_quantum
+        j = np.where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
     return m, q, j
 
 
@@ -199,10 +191,10 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     """Open emission channels with r energy quanta (and cq_left / cj_left
     charge / spin quanta) remaining.
 
-    Returns the candidate remaining-count arrays (r2, cq2, cj2), the raw
-    log-weights, and the step's log-sum-exp total, all filtered to channels
-    whose remnant is a valid macro-state. Empty arrays mean the cascade is
-    stuck.
+    Returns the candidate remaining-count arrays (r2, cq2, cj2), the remnant
+    hairs (m2, q2, j2), the raw log-weights, and the step's log-sum-exp total,
+    all filtered to channels whose remnant is a valid macro-state. Empty
+    arrays mean the cascade is stuck.
     """
     ks = np.arange(1, r + 1)
     if cq_left == 0 and cj_left == 0:
@@ -214,22 +206,13 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
         mj = _sign_range(cj_left)
         k, cq, cj = (x.ravel() for x in np.meshgrid(ks, mq, mj, indexing="ij"))
         r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
-    eps = policy.energy_quantum
-    m2 = np.where(r2 == 0, policy.stop_mass, state.m - (plan.n_quanta - r2) * eps)
-    if policy.charge_quantum is None:
-        q2 = np.full(r2.shape, state.q)
-    else:
-        q2 = np.where(cq2 == 0, 0.0, state.q - (plan.n_charge - cq2) * policy.charge_quantum)
-    if policy.spin_quantum is None:
-        j2 = np.full(r2.shape, state.j)
-    else:
-        j2 = np.where(cj2 == 0, 0.0, state.j - (plan.n_spin - cj2) * policy.spin_quantum)
+    m2, q2, j2 = _hairs_at(state, policy, plan, r2, cq2, cj2)
     ok = hairs_valid(state.family, m2, q2, j2, state.alpha)
     if not ok.all():
         r2, cq2, cj2, m2, q2, j2 = (x[ok] for x in (r2, cq2, cj2, m2, q2, j2))
     if r2.size == 0:
         return r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
-    m1, q1, j1 = _hairs_at(state, policy, plan, r, cq_left, cj_left)
+    m1, q1, j1 = map(float, _hairs_at(state, policy, plan, r, cq_left, cj_left))
     logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
     return r2, cq2, cj2, m2, q2, j2, logw, logsumexp(logw)
 
@@ -250,7 +233,7 @@ class _Row:
     q2: np.ndarray
     j2: np.ndarray
     logw: np.ndarray    # raw log-weights
-    log_z: float        # their log-sum-exp (nan when no channel is open)
+    logp: np.ndarray    # the same minus their log-sum-exp: the unit-sum log-probabilities
     cdf: np.ndarray     # unit-sum CDF, last entry pinned to 1.0; empty when stuck
 
 
@@ -266,12 +249,13 @@ class _TransitionTable(dict):
 
     def __missing__(self, key: tuple[int, int, int]) -> _Row:
         *channels, logw, log_z = _step_channels(self.state, self.policy, self.plan, *key)
-        cdf = np.cumsum(np.exp(logw - log_z))
+        logp = logw - log_z
+        cdf = np.cumsum(np.exp(logp))
         if cdf.size:
             cdf[-1] = 1.0
-        for a in (*channels, logw, cdf):
+        for a in (*channels, logw, logp, cdf):
             a.flags.writeable = False  # shared by every caller of the cached table
-        row = self[key] = _Row(*channels, logw, log_z, cdf)
+        row = self[key] = _Row(*channels, logw, logp, cdf)
         return row
 
 
@@ -280,44 +264,141 @@ def _transition_table(state: BlackHoleState, policy: CascadePolicy) -> _Transiti
     return _TransitionTable(state, policy)
 
 
+# ---------------------------------------------------------------------------
+# Sampling: one lockstep walk
+# ---------------------------------------------------------------------------
+
+
+def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
+    """Walk n_chains chains from the table's initial state; round t takes
+    step t of every live chain, grouped by transition state in ascending
+    order. draw(t, idx) gives group idx its uniforms and on_step(idx, row,
+    pick) sees its step; a stuck group draws nothing. Returns per-chain
+    lengths, first moves in quanta (where the length is > 0), raw and
+    normalized log-probabilities (summed in step order) and stuck flags."""
+    plan = table.plan
+    r, cq, cj = np.array([[plan.n_quanta], [plan.n_charge], [plan.n_spin]]).repeat(n_chains, 1)
+    lengths, first_k = np.zeros(n_chains, dtype=np.int64), np.zeros(n_chains, dtype=np.int64)
+    raw, norm, stuck = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, dtype=bool)
+    charged = not table.policy.energy_only
+    # Counts lie between 0 and their plan values: keys ascend with (r, cq_left, cj_left).
+    span_q, span_j = 2 * abs(plan.n_charge) + 1, 2 * abs(plan.n_spin) + 1
+    live, t = np.flatnonzero(r), 0
+    while live.size:
+        groups = (live,)
+        if live.size > 1:
+            key = (r[live] * span_q + cq[live]) * span_j + cj[live]
+            order = np.argsort(key, kind="stable")
+            groups = np.split(live[order], np.flatnonzero(np.diff(key[order])) + 1)
+        for idx in groups:
+            c = idx[0]
+            row = table[int(r[c]), int(cq[c]), int(cj[c])]
+            if row.cdf.size == 0:
+                stuck[idx], r[idx] = True, 0  # r = 0 ends the chain
+                continue
+            # The uniforms are < 1.0 = cdf[-1], so every pick is a channel.
+            pick = row.cdf.searchsorted(draw(t, idx), side="right")
+            raw[idx] += row.logw[pick]
+            norm[idx] += row.logp[pick]
+            r[idx] = row.r2[pick]
+            if charged:
+                cq[idx], cj[idx] = row.cq2[pick], row.cj2[pick]
+            lengths[idx] = t + 1
+            if on_step is not None:
+                on_step(idx, row, pick)
+        if t == 0:
+            first_k = plan.n_quanta - r
+        live, t = live[r[live] > 0], t + 1
+    return lengths, first_k, raw, norm, stuck
+
+
+_DRAW_BLOCK = 16  # steps drawn at a time per stream: a walk holds n_chains x 16 uniforms
+
+
+def _per_sample_draw(seed: int, sample_indices):
+    """draw for _walk: value t of the (seed, sample_indices[c]) stream at step t
+    of chain c. Drawn in blocks, a stream gives the values of one draw per step;
+    the values a chain does not reach are drawn from its own stream only."""
+    gens = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in sample_indices]
+    block = np.empty((len(gens), _DRAW_BLOCK))
+
+    def draw(t: int, idx: np.ndarray) -> np.ndarray:
+        if t % _DRAW_BLOCK == 0:
+            for c in idx.tolist():
+                block[c] = gens[c].random(_DRAW_BLOCK)
+        return block[idx, t % _DRAW_BLOCK]
+
+    return draw
+
+
+class _Steps(list):
+    """on_step for _walk that keeps every step's (idx, row, pick); ordered()
+    then sorts the steps by chain, then by step."""
+
+    def __call__(self, idx: np.ndarray, row: _Row, pick: np.ndarray) -> None:
+        self.append((idx, row, pick))
+
+    def ordered(self, lengths: np.ndarray) -> "_Steps":
+        chain = np.concatenate([idx for idx, _, _ in self] or [np.zeros(0, dtype=np.int64)])
+        self.order = np.argsort(chain, kind="stable")
+        self.chain = chain[self.order]
+        self.step = np.arange(chain.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return self
+
+    def moved(self, field: str, initial=0) -> tuple[np.ndarray, np.ndarray]:
+        """(before, after) each step of a _Row field (m2, r2, ...), before
+        being initial at a chain's first step."""
+        after = np.concatenate([getattr(row, field)[pick] for _, row, pick in self] or [[]])
+        after = after[self.order]
+        return np.where(self.step == 0, initial, np.roll(after, 1)), after
+
+    def columns(self, state: BlackHoleState) -> dict[str, np.ndarray]:
+        """The chains.jsonl columns. The emitted hairs are differences of
+        consecutive remnant hairs, from the state's own on."""
+        (mass_before, m), (q0, q), (j0, j) = (
+            self.moved(f, x) for f, x in (("m2", state.m), ("q2", state.q), ("j2", state.j))
+        )
+        return {"sample_index": self.chain, "step": self.step, "omega": mass_before - m,
+                "q": q0 - q, "j": j0 - j, "mass_before": mass_before,
+                "log_weight_raw": self.moved("logw")[1], "log_prob_norm": self.moved("logp")[1]}
+
+    def census(self, table: _TransitionTable, lengths, stuck) -> dict[tuple, int]:
+        """Identity counts (see chain_identity) of unstuck chains, first seen first."""
+        plan = table.plan
+        fields = (("r2", plan.n_quanta), ("cq2", plan.n_charge), ("cj2", plan.n_spin))
+        moves = [(before - after).tolist() for before, after in (self.moved(*f) for f in fields)]
+        moves = moves[0] if table.policy.energy_only else list(zip(*moves))
+        census: dict[tuple, int] = {}
+        ends = np.cumsum(lengths).tolist()
+        for end, length, is_stuck in zip(ends, lengths.tolist(), stuck.tolist()):
+            if not is_stuck:
+                ident = tuple(moves[end - length:end])
+                census[ident] = census.get(ident, 0) + 1
+        return census
+
+
 def sample_cascade(
     state: BlackHoleState, policy: CascadePolicy, seed: int, sample_index: int = 0
 ) -> EmissionChain:
     """Sample one complete evaporation chain.
 
-    Deterministic for fixed (seed, sample_index); the per-sample generator is
-    derived by mixing the two. Each step draws from the (state, policy)
-    transition table, so a state's channels are built once however many
-    chains pass through it.
+    Deterministic for fixed (seed, sample_index): it is the lockstep walk of
+    one chain on the (seed, sample_index) stream, so it is sample
+    sample_index of every per-sample ensemble with that seed.
     """
     if sample_index < 0 or seed < 0:
         raise UsageError("seed and sample_index must be non-negative")
     table = _transition_table(state, policy)
-    plan = table.plan
-    rng = np.random.default_rng(np.random.SeedSequence((seed, sample_index)))
     steps: list[CascadeStep] = []
-    current = state
-    r, cql, cjl = plan.n_quanta, plan.n_charge, plan.n_spin
-    stuck = False
-    while r > 0:
-        if len(steps) >= plan.max_steps:
-            return EmissionChain(state, tuple(steps), Termination.MAX_STEPS)
-        row = table[r, cql, cjl]
-        if row.cdf.size == 0:
-            stuck = True
-            break
-        pick = min(int(np.searchsorted(row.cdf, rng.random(), side="right")), row.cdf.size - 1)
-        after = BlackHoleState(
-            state.family, float(row.m2[pick]), float(row.q2[pick]), float(row.j2[pick]),
-            state.alpha,
-        )
-        emission = Emission(
-            current.m - after.m, current.q - after.q, current.j - after.j
-        )
-        logw = float(row.logw[pick])
-        steps.append(CascadeStep(emission, after, logw, logw - row.log_z))
-        current = after
-        r, cql, cjl = int(row.r2[pick]), int(row.cq2[pick]), int(row.cj2[pick])
+
+    def take(idx, row, pick):
+        i = int(pick[0])
+        before = steps[-1].state_after if steps else state
+        after = state.with_hairs(float(row.m2[i]), float(row.q2[i]), float(row.j2[i]))
+        emission = Emission(before.m - after.m, before.q - after.q, before.j - after.j)
+        steps.append(CascadeStep(emission, after, float(row.logw[i]), float(row.logp[i])))
+
+    stuck = bool(_walk(table, 1, _per_sample_draw(seed, [sample_index]), take)[4][0])
     terminated = Termination.STOP_MASS if stuck else _terminal(policy)
     return EmissionChain(state, tuple(steps), terminated, stuck)
 
@@ -358,26 +439,20 @@ def enumerate_chains(
     n = table.plan.n_quanta
     if n > _CENSUS_MAX_QUANTA:
         raise UsageError(f"enumeration capped at {_CENSUS_MAX_QUANTA} quanta, got {n}")
-    if n == 0:
-        return [(EmissionChain(state, (), _terminal(policy)), 0.0, 0.0)]
-
     results: list[tuple[EmissionChain, float, float]] = []
 
-    def walk(current: BlackHoleState, r: int, steps: list[CascadeStep], raw: float, norm: float):
+    def walk(current: BlackHoleState, r: int, steps: tuple, raw: float, norm: float):
         if r == 0:
-            results.append((EmissionChain(state, tuple(steps), _terminal(policy)), raw, norm))
+            results.append((EmissionChain(state, steps, _terminal(policy)), raw, norm))
             return
         row = table[r, 0, 0]
         for i in range(row.r2.size):
-            after = BlackHoleState(state.family, float(row.m2[i]), current.q, current.j, state.alpha)
-            emission = Emission(current.m - after.m)
-            logw = float(row.logw[i])
-            step = CascadeStep(emission, after, logw, logw - row.log_z)
-            steps.append(step)
-            walk(after, int(row.r2[i]), steps, raw + step.log_weight, norm + step.log_prob)
-            steps.pop()
+            after = state.with_hairs(float(row.m2[i]), current.q, current.j)
+            step = CascadeStep(Emission(current.m - after.m), after, float(row.logw[i]),
+                               float(row.logp[i]))
+            walk(after, int(row.r2[i]), (*steps, step), raw + step.log_weight, norm + step.log_prob)
 
-    walk(state, n, [], 0.0, 0.0)
+    walk(state, n, (), 0.0, 0.0)
     return results
 
 
@@ -431,57 +506,6 @@ class CascadeEnsembleStats:
         }
 
 
-def _batch_energy_sample(state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int):
-    """Vectorized energy-only sampler. One stream, deterministic per
-    (seed, n_samples); identical per-step distributions to sample_cascade.
-
-    Up to the census cap, each chain's identity is kept as its cut mask: bit
-    b is set when a step leaves n - b quanta, so the parts of the composition
-    are the gaps between 0, the set bits and n. Above the cap, the identity
-    census is None.
-    """
-    table = _transition_table(state, policy)
-    n = table.plan.n_quanta
-    rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
-    remaining = np.full(n_samples, n, dtype=np.int64)
-    stuck = np.zeros(n_samples, dtype=bool)
-    lengths = np.zeros(n_samples, dtype=np.int64)
-    first_k = np.zeros(n_samples, dtype=np.int64)
-    raw_tot = np.zeros(n_samples)
-    norm_tot = np.zeros(n_samples)
-    cuts = np.zeros(n_samples, dtype=np.int64) if n <= _CENSUS_MAX_QUANTA else None
-    for _ in range(n):
-        active = (remaining > 0) & ~stuck
-        if not active.any():
-            break
-        for r in np.unique(remaining[active]):
-            r = int(r)
-            idx = np.nonzero(active & (remaining == r))[0]
-            row = table[r, 0, 0]
-            if row.cdf.size == 0:
-                stuck[idx] = True
-                continue
-            u = rng.random(idx.size)
-            pick = np.minimum(np.searchsorted(row.cdf, u, side="right"), row.cdf.size - 1)
-            k = r - row.r2[pick]  # quanta carried by the picked channels
-            raw_tot[idx] += row.logw[pick]
-            norm_tot[idx] += row.logw[pick] - row.log_z
-            first_k[idx] = np.where(lengths[idx] == 0, k, first_k[idx])
-            lengths[idx] += 1
-            remaining[idx] -= k
-            if cuts is not None:
-                left = remaining[idx]
-                cuts[idx] |= np.where(left > 0, np.left_shift(1, n - left), 0)
-    identity_counts = None
-    if cuts is not None:
-        masks, counts = np.unique(cuts[~stuck], return_counts=True)
-        census = {_composition(m, n): c for m, c in zip(masks.tolist(), counts.tolist())}
-        # Fewest parts first, then lexicographic: this order fixes the
-        # summation order of identity_entropy, so it is part of the output.
-        identity_counts = dict(sorted(census.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return stuck, lengths, first_k, raw_tot, norm_tot, identity_counts
-
-
 def _composition(cuts: int, n: int) -> tuple[int, ...]:
     """Parts of n between the set bits of a cut mask; () when n is 0."""
     bounds = [0] + [b for b in range(1, n) if cuts >> b & 1] + [n]
@@ -502,18 +526,58 @@ def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot
         freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
         identity_entropy = float(-np.sum(freqs * np.log(freqs)))
     return CascadeEnsembleStats(
-        n_samples=n_samples,
-        seed=seed,
-        method=method,
-        lengths=lengths,
-        first_emission_counts=first_counts,
-        identity_counts=identity_counts,
-        identity_entropy=identity_entropy,
-        mean_raw_log_prob=float(np.mean(raw_tot)),
-        mean_norm_log_prob=float(np.mean(norm_tot)),
-        n_stuck=int(np.count_nonzero(stuck)),
+        n_samples=n_samples, seed=seed, method=method, lengths=lengths,
+        first_emission_counts=first_counts, identity_counts=identity_counts,
+        identity_entropy=identity_entropy, mean_raw_log_prob=float(np.mean(raw_tot)),
+        mean_norm_log_prob=float(np.mean(norm_tot)), n_stuck=int(np.count_nonzero(stuck)),
         terminated_counts=terminated_counts,
     )
+
+
+def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, record: bool = False):
+    """Walk n_samples chains on the batch or the per-sample streams; return
+    their summary, and with record (per-sample only) their ordered _Steps.
+
+    The census order fixes how identity_entropy is summed, so it is output:
+    per-sample identities first seen first, batch ones fewest parts first,
+    then lexicographically. A batch identity is kept as a cut mask, with bit
+    b set when a step leaves n - b quanta."""
+    if n_samples < 1:
+        raise UsageError("n_samples must be >= 1")
+    if not batch and seed < 0:
+        raise UsageError("seed and sample_index must be non-negative")
+    table = _transition_table(state, policy)
+    n = table.plan.n_quanta
+    census = n <= _CENSUS_MAX_QUANTA
+    steps = identity_counts = None
+    if batch:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
+        cuts = np.zeros(n_samples, dtype=np.int64)
+
+        def cut(idx, row, pick):  # bit n, set by a chain's last step, is not a cut
+            cuts[idx] |= np.left_shift(1, n - row.r2[pick])
+
+        walked = _walk(table, n_samples, lambda t, idx: rng.random(idx.size),
+                       cut if census else None)
+        if census:
+            masks, counts = np.unique(cuts[~walked[4]], return_counts=True)
+            found = {_composition(m, n): c for m, c in zip(masks.tolist(), counts.tolist())}
+            identity_counts = dict(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    else:
+        steps = _Steps() if record or census else None
+        walked = _walk(table, n_samples, _per_sample_draw(seed, range(n_samples)), steps)
+        if steps is not None:
+            steps.ordered(walked[0])
+        if census:
+            identity_counts = steps.census(table, walked[0], walked[4])
+    n_stuck = int(np.count_nonzero(walked[4]))
+    # A stuck chain ends at a floor, as a stop-mass chain. Only the batch
+    # summary lists its terminal ending when no chain has it.
+    end, stop = _terminal(policy).value, Termination.STOP_MASS.value
+    term_counts = {end: n_samples - n_stuck, stop: n_stuck} if end != stop else {end: n_samples}
+    term_counts = {k: v for k, v in term_counts.items() if v or (batch and k == end)}
+    method = "batch" if batch else "per-sample"
+    return _ensemble_stats(n_samples, seed, method, *walked, identity_counts, term_counts), steps
 
 
 def cascade_ensemble_stats(
@@ -526,31 +590,24 @@ def cascade_ensemble_stats(
     """Sample an ensemble of cascades and summarize it.
 
     method "per-sample" draws each chain from its own (seed, index) stream;
-    "batch" uses the vectorized energy-only sampler (required for very large
-    ensembles); "auto" picks batch for energy-only ensembles >= 10^4 samples.
+    "batch" draws every chain from one (seed, n_samples) stream, for
+    energy-only cascades only; "auto" picks batch for energy-only ensembles
+    >= 10^4 samples. Both are the one lockstep walk.
     """
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
     if method == "auto":
         method = "batch" if (policy.energy_only and n_samples >= 10_000) else "per-sample"
     if method == "batch" and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
-    if method != "batch":
-        chains = (sample_cascade(state, policy, seed, i) for i in range(n_samples))
-        return ensemble_stats_from_chains(chains, policy, n_samples, seed, method="per-sample")
+    return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")[0]
 
-    stuck, lengths, first_k, raw_tot, norm_tot, identity_counts = _batch_energy_sample(
-        state, policy, n_samples, seed
-    )
-    n_stuck = int(np.count_nonzero(stuck))
-    term_counts = {_terminal(policy).value: n_samples - n_stuck}
-    if n_stuck:  # a stuck chain ends at a floor, as a stop-mass chain
-        stop = Termination.STOP_MASS.value
-        term_counts[stop] = term_counts.get(stop, 0) + n_stuck
-    return _ensemble_stats(
-        n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
-        identity_counts, term_counts,
-    )
+
+def sample_ensemble(
+    state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int
+) -> tuple[CascadeEnsembleStats, dict[str, np.ndarray]]:
+    """A per-sample ensemble's summary and its steps as chains.jsonl columns,
+    by sample, then step: sample i's rows are sample_cascade(..., seed, i)'s."""
+    stats, steps = _walk_ensemble(state, policy, n_samples, seed, batch=False, record=True)
+    return stats, steps.columns(state)
 
 
 def ensemble_stats_from_chains(
@@ -562,11 +619,8 @@ def ensemble_stats_from_chains(
 ) -> CascadeEnsembleStats:
     """Aggregate an iterable of already-sampled chains into ensemble stats."""
     identity_counts: dict[tuple, int] | None = {}
-    lengths = np.zeros(n_samples, dtype=np.int64)
-    first_k = np.zeros(n_samples, dtype=np.int64)
-    raw_tot = np.zeros(n_samples)
-    norm_tot = np.zeros(n_samples)
-    stuck = np.zeros(n_samples, dtype=bool)
+    lengths, first_k = np.zeros(n_samples, dtype=np.int64), np.zeros(n_samples, dtype=np.int64)
+    raw_tot, norm_tot, stuck = np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, bool)
     term_counts: dict[str, int] = {}
     for i, chain in enumerate(chains):
         if i == 0 and _plan(chain.initial, policy).n_quanta > _CENSUS_MAX_QUANTA:

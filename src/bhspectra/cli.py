@@ -26,7 +26,9 @@ import numpy as np
 
 from . import __version__
 from .blackholes import BlackHoleState, state_from_record, state_to_record
-from .cascade import CascadePolicy, ensemble_stats_from_chains, sample_cascade
+from .cascade import CascadePolicy, sample_ensemble
+# Not called here; kept importable because perfbench/tracer.py wraps them here.
+from .cascade import ensemble_stats_from_chains, sample_cascade  # noqa: F401
 from .errors import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -345,47 +347,12 @@ _CASCADE_DEFAULTS = {
 }
 
 
-_STEP_COLUMNS = {
-    "sample_index": np.int64,
-    "step": np.int64,
-    "omega": np.float64,
-    "q": np.float64,
-    "j": np.float64,
-    "mass_before": np.float64,
-    "log_weight_raw": np.float64,
-    "log_prob_norm": np.float64,
-}
-
-
-def _step_batches(chains):
-    """_STEP_COLUMNS rows of consecutive chains, at least _ROW_CHUNK per batch but the last."""
-    batch = []
-    for index, chain in enumerate(chains):
-        mass_before = chain.initial.m
-        for step_no, step in enumerate(chain.steps):
-            e = step.emission
-            batch.append(
-                (index, step_no, e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob)
-            )
-            mass_before = step.state_after.m
-        if len(batch) >= _ROW_CHUNK:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def _write_chains_jsonl(path: Path, chains, manifest_hash: str, n_samples: int, seed: int) -> None:
-    """One row per step; each batch of steps is turned into columns and written in turn."""
+def _write_chains_jsonl(path: Path, columns, manifest_hash: str, n_samples: int, seed: int) -> None:
+    """One row per step, from the step columns of cascade.sample_ensemble."""
     header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
     with path.open("w", encoding="utf-8") as f:
         f.write(_canonical_json(header) + "\n")
-        for batch in _step_batches(chains):
-            columns = {
-                name: np.array(values, dtype=dtype)
-                for (name, dtype), values in zip(_STEP_COLUMNS.items(), zip(*batch))
-            }
-            f.writelines(_jsonl_rows(columns))
+        f.writelines(_jsonl_rows(columns))
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:
@@ -399,21 +366,17 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         charge_quantum=cfg["charge_quantum"],
         spin_quantum=cfg["spin_quantum"],
     )
-    n_samples = cfg["n_samples"]
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
-    seed = cfg["seed"]
+    n_samples, seed = cfg["n_samples"], cfg["seed"]
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone.
-    chains = [sample_cascade(state, policy, seed, i) for i in range(n_samples)]
-    stats = ensemble_stats_from_chains(chains, policy, n_samples, seed)
+    stats, steps = sample_ensemble(state, policy, n_samples, seed)
     compute_s = time.perf_counter() - t0
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_cfg = dict(cfg, state=state_to_record(state), policy=policy.to_record())
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
-    _write_chains_jsonl(outdir / "chains.jsonl", chains, manifest_hash, n_samples, seed)
+    _write_chains_jsonl(outdir / "chains.jsonl", steps, manifest_hash, n_samples, seed)
     _write_json(
         outdir / "ensemble.json",
         dict(stats.to_json_dict(), manifest_hash=manifest_hash),

@@ -14,6 +14,7 @@ which keeps conservation checks exact.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -71,27 +72,7 @@ class GridSpec:
         return self.j_step * np.arange(self.n_j, dtype=np.float64)
 
     def to_record(self) -> dict:
-        return {
-            "omega_min": self.omega_min,
-            "omega_max": self.omega_max,
-            "n_omega": self.n_omega,
-            "q_step": self.q_step,
-            "n_q": self.n_q,
-            "j_step": self.j_step,
-            "n_j": self.n_j,
-        }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "GridSpec":
-        return cls(
-            omega_max=float(record["omega_max"]),
-            n_omega=int(record["n_omega"]),
-            omega_min=float(record.get("omega_min", 0.0)),
-            q_step=float(record.get("q_step", 1.0)),
-            n_q=int(record.get("n_q", 1)),
-            j_step=float(record.get("j_step", 1.0)),
-            n_j=int(record.get("n_j", 1)),
-        )
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

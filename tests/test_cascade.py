@@ -263,11 +263,31 @@ class TestEnsembles:
         assert stats.mean_raw_log_prob == pytest.approx(-math.pi, abs=1e-10)
 
     def test_stats_from_chains_matches_direct(self):
-        chains = [sample_cascade(SCHW_HALF, POLICY_5, 33, i) for i in range(200)]
-        a = ensemble_stats_from_chains(chains, POLICY_5, 200, 33)
-        b = cascade_ensemble_stats(SCHW_HALF, POLICY_5, 200, 33, method="per-sample")
-        assert a.identity_counts == b.identity_counts
-        assert a.mean_norm_log_prob == b.mean_norm_log_prob
+        # The per-sample walk against ensemble_stats_from_chains over single
+        # chains; the last config makes partial progress, then sticks.
+        configs = [
+            (SCHW_HALF, POLICY_5),
+            (BlackHoleState(Family.SCHWARZSCHILD, 2.0), CascadePolicy(energy_quantum=0.125)),
+            (
+                BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0),
+                CascadePolicy(energy_quantum=0.125, charge_quantum=0.125),
+            ),
+            (
+                BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5, alpha=1.5),
+                CascadePolicy(energy_quantum=0.125, stop_mass=0.5, charge_quantum=0.125,
+                              spin_quantum=0.125),
+            ),
+            (
+                BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875),
+                CascadePolicy(energy_quantum=0.25),
+            ),
+        ]
+        for state, policy in configs:
+            chains = [sample_cascade(state, policy, 33, i) for i in range(200)]
+            a = ensemble_stats_from_chains(chains, policy, 200, 33)
+            b = cascade_ensemble_stats(state, policy, 200, 33, method="per-sample")
+            assert a.identity_counts == b.identity_counts
+            assert a.to_json_dict() == b.to_json_dict()
 
     @pytest.mark.parametrize("n", [18, 20])
     def test_batch_identities_are_compositions(self, n):

@@ -1,0 +1,27 @@
+"""The experiment scripts under scripts/ run end to end on the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [
+        ("nonthermal_scan.py", ["--masses", "0.5", "1", "--bins", "16"]),
+        ("typicality_sweep.py", ["--dim-b", "4", "--seeds", "2"]),
+    ],
+    ids=["nonthermal_scan", "typicality_sweep"],
+)
+def test_script_exits_cleanly(tmp_path, script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

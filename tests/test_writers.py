@@ -14,6 +14,7 @@ import pytest
 
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
 from bhspectra import cli
+from bhspectra.cascade import sample_ensemble
 from bhspectra.grids import Normalization, SpectrumGrid
 
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 1.7976931348623157e308])
@@ -79,6 +80,25 @@ def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
     return "".join(out)
 
 
+def _chain_columns(chains) -> dict:
+    """The writer's step columns, flattened from chain objects step by step."""
+    rows = []
+    for index, chain in enumerate(chains):
+        mass_before = chain.initial.m
+        for step_no, step in enumerate(chain.steps):
+            e = step.emission
+            rows.append(
+                (index, step_no, e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob)
+            )
+            mass_before = step.state_after.m
+    names = (
+        "sample_index", "step", "omega", "q", "j", "mass_before", "log_weight_raw", "log_prob_norm"
+    )
+    dtypes = (np.int64, np.int64) + (np.float64,) * 6
+    values = list(zip(*rows)) or [()] * len(names)
+    return {name: np.array(v, dtype=dtype) for name, dtype, v in zip(names, dtypes, values)}
+
+
 def _column(rng, n: int) -> np.ndarray:
     """Random floats drawn from a small pool, so values repeat, plus specials."""
     pool = np.concatenate([SPECIAL, rng.normal(scale=100.0, size=50), rng.normal(size=n)])
@@ -128,7 +148,7 @@ def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
     rng = np.random.default_rng(1)
     chains = [_fake_chain(rng, int(k)) for k in rng.integers(0, 40, size=900)]
     assert sum(len(c.steps) for c in chains) > cli._ROW_CHUNK
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", len(chains), 7)
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", _chain_columns(chains), "abc", len(chains), 7)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", len(chains), 7)
 
 
@@ -140,18 +160,27 @@ def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
             BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0),
             CascadePolicy(energy_quantum=0.125, charge_quantum=0.125),
         ),
+        (
+            BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5, alpha=1.5),
+            CascadePolicy(energy_quantum=0.125, stop_mass=0.5, charge_quantum=0.125,
+                          spin_quantum=0.125),
+        ),
+        # No charge channel: chains make partial progress, then stick.
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875), CascadePolicy(energy_quantum=0.25)),
     ],
-    ids=["schw", "rn"],
+    ids=["schw", "rn", "kn-alpha", "rn-stuck"],
 )
 def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state, policy):
+    # The CLI's many-chain walk against 30 one-chain walks, row by row.
     chains = [sample_cascade(state, policy, 3, i) for i in range(30)]
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", 30, 3)
+    _, columns = sample_ensemble(state, policy, 30, 3)
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", columns, "abc", 30, 3)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
 
 
 def test_chains_writer_with_no_steps(tmp_path):
     chains = [SimpleNamespace(initial=SimpleNamespace(m=1.0), steps=[])]
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", 1, 0)
+    cli._write_chains_jsonl(tmp_path / "c.jsonl", _chain_columns(chains), "abc", 1, 0)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1, 0)
 
 
