@@ -544,7 +544,7 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, record
     b set when a step leaves n - b quanta."""
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
-    if not batch and seed < 0:
+    if seed < 0:
         raise UsageError("seed and sample_index must be non-negative")
     table = _transition_table(state, policy)
     n = table.plan.n_quanta
@@ -596,6 +596,8 @@ def cascade_ensemble_stats(
     """
     if method == "auto":
         method = "batch" if (policy.energy_only and n_samples >= 10_000) else "per-sample"
+    if method not in ("batch", "per-sample"):
+        raise UsageError(f"unknown method {method!r}; choose auto, batch or per-sample")
     if method == "batch" and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
     return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")[0]

@@ -15,6 +15,7 @@ Planck units. An optional flat JSON config file mirrors the flags one-to-one
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blackholes import BlackHoleState, state_from_record, state_to_record
+from .blackholes import BlackHoleState, _two_prod, state_from_record, state_to_record
 from .cascade import CascadePolicy, sample_ensemble
 # Not called here; kept importable because perfbench/tracer.py wraps them here.
 from .cascade import ensemble_stats_from_chains, sample_cascade  # noqa: F401
@@ -49,12 +50,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# Rows formatted and written per string: bounds the memory a writer holds.
+# Rows formatted and written at a time: bounds the memory a writer holds.
 _ROW_CHUNK = 16384
 
 
 def _format_column(values: np.ndarray, fmt) -> list[str]:
-    """fmt of every entry of a 1-D column, calling fmt once per distinct value.
+    """fmt of every entry of a 1-D column, calling fmt once per distinct value
+    (the JSONL writers; spectrum.csv goes through _format_e16).
 
     Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
     payloads) stay apart and each entry gets exactly the string fmt gives it.
@@ -72,6 +74,120 @@ def _format_rows(columns, join):
         stop = start + _ROW_CHUNK
         cells = [_format_column(values[start:stop], fmt) for values, fmt in columns]
         yield "".join(map(join, zip(*cells)))
+
+
+# ---------------------------------------------------------------------------
+# "%.16e" as bytes
+# ---------------------------------------------------------------------------
+
+# A cell is "-d.dddddddddddddddde-ddd" (24 bytes at most) and a comma.
+_E16_WIDTH = 25
+# Magnitudes whose double-double products stay normal; the rest, subnormals
+# included, are formatted by `%`.
+_E16_MIN, _E16_MAX = 1e-280, 1e280
+# Powers of ten 10^s in the table: s = 16 - floor(log10 |x|) over that range.
+_POW_MIN, _POW_MAX = -270, 300
+# Kept (start, end) byte spans of a cell, by kind. Byte 0 is the sign, 21:24
+# the 3-digit exponent (its leading 0 dropped below 100), 24 the comma.
+_E16_SPANS = (
+    ((1, 21), (22, 25)),  # 0: positive, 2-digit exponent
+    ((0, 21), (22, 25)),  # 1: negative, 2-digit exponent
+    ((1, 25),),  # 2: positive, 3-digit exponent
+    ((0, 25),),  # 3: negative, 3-digit exponent
+    ((0, 3), (24, 25)),  # 4: nan
+    ((0, 3), (24, 25)),  # 5: inf
+    ((0, 4), (24, 25)),  # 6: -inf
+)
+_E16_SPECIAL = (b"nan", b"inf", b"-inf")
+
+
+@functools.cache
+def _e16_tables():
+    """(hi, lo) of 10^s for s in [_POW_MIN, _POW_MAX], with hi + lo = 10^s to
+    ~2^-106 relative, from exact integers; the 4-digit text of 0..9999, one
+    uint32 of 4 bytes each; the kept-byte mask of each cell kind. Built on
+    the first CSV write."""
+    hi, lo = [], []
+    for s in range(_POW_MIN, _POW_MAX + 1):
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        h = num / den  # int / int rounds correctly
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
+    keep = np.zeros((len(_E16_SPANS), _E16_WIDTH), dtype=bool)
+    for kind, spans in enumerate(_E16_SPANS):
+        for start, end in spans:
+            keep[kind, start:end] = True
+    return np.array(hi), np.array(lo), digits, keep
+
+
+def _format_e16(values: np.ndarray):
+    """Byte cells of ("%.16e" % x) + "," for every x of a float64 array.
+
+    Returns (cells, keep, fallback): cells is uint8 of shape values.shape +
+    (_E16_WIDTH,), keep marks the bytes of each cell's text, so that
+    cells[keep] is the texts in order; fallback marks the values formatted
+    by `%` (see below).
+
+    x = N 10^(e-16) with N the 17-digit rounding of |x| 10^(16-e) and
+    e = floor(log10 |x|). The product is a double-double, exact to ~1e-14
+    in N's units, so N is the correctly rounded value unless its fraction
+    is within 1e-9 of one half (a possible tie) or the guess of e misses
+    (|x| 10^(16-e) below 10^16, or N = 10^17). Those values and magnitudes
+    outside [_E16_MIN, _E16_MAX] take `%`; 0.0, nan and inf are written here.
+    """
+    pow_hi, pow_lo, digits, keep_by_kind = _e16_tables()
+    x = np.asarray(values, dtype=np.float64)
+    neg = np.signbit(x)
+    a = np.abs(x)
+    normal = (a >= _E16_MIN) & (a <= _E16_MAX)
+    a = np.where(normal, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = 16 - _POW_MIN - e
+    p, p_err = _two_prod(a, pow_hi[s])
+    t = p_err + a * pow_lo[s]
+    t_int = np.floor(t)
+    frac = t - t_int
+    # p >= 2^53 is an integer, so N = p + t rounded. The guess of e missed
+    # when N has 16 digits before rounding, or 18 after it.
+    n_floor = p.astype(np.int64) + t_int.astype(np.int64)
+    n = n_floor + (frac > 0.5)
+    miss = (p < 2.0**53) | (n_floor < 10**16) | (n >= 10**17) | (np.abs(frac - 0.5) < 1e-9)
+    fallback = np.where(normal, miss, np.isfinite(x) & (x != 0))
+    plain = normal & ~fallback
+    n = np.where(plain, n, 0)
+    e = np.where(plain, e, 0)
+
+    lead, rest = np.divmod(n, 10**16)
+    upper, lower = np.divmod(rest, 10**8)
+    groups = np.empty(x.shape + (4,), dtype=np.uint32)
+    groups[..., 0], groups[..., 1] = np.divmod(upper, 10**4)
+    groups[..., 2], groups[..., 3] = np.divmod(lower, 10**4)
+    abs_e = np.abs(e)
+    cells = np.empty(x.shape + (_E16_WIDTH,), dtype=np.uint8)
+    cells[..., 0] = ord("-")
+    cells[..., 1] = lead + ord("0")
+    cells[..., 2] = ord(".")
+    cells[..., 3:19] = digits[groups].view(np.uint8)
+    cells[..., 19] = ord("e")
+    cells[..., 20] = np.where(e < 0, ord("-"), ord("+"))
+    cells[..., 21:24] = digits[abs_e][..., None].view(np.uint8)[..., 1:]
+    cells[..., 24] = ord(",")
+
+    kind = neg + 2 * (abs_e >= 100)
+    kind = np.where(np.isnan(x), 4, np.where(np.isinf(x), 5 + neg, kind))
+    keep = keep_by_kind[kind]
+    special = kind >= 4
+    if special.any():
+        texts = np.array(_E16_SPECIAL, dtype="S4").view(np.uint8).reshape(-1, 4)
+        cells[special, :4] = texts[kind[special] - 4]
+    if fallback.any():
+        texts = ["%.16e" % v for v in x[fallback].tolist()]
+        lengths = np.array(list(map(len, texts)))
+        cells[fallback, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+        keep[fallback, :24] = np.arange(24) < lengths[:, None]
+    return cells, keep, fallback
 
 
 def _utc_now() -> str:
@@ -102,12 +218,19 @@ def _manifest_hash(command: str, config: dict) -> str:
 
 
 def write_manifest(
-    outdir: Path, command: str, config: dict, manifest_hash: str, t0: float, compute_s: float
+    outdir: Path,
+    command: str,
+    config: dict,
+    manifest_hash: str,
+    t0: float,
+    compute_s: float,
+    health: dict | None = None,
 ) -> None:
     """Write manifest.json, after the data files, so its timing covers them.
 
     t0 is the run's perf_counter() start; compute_s the part of the run spent
-    before serialization began.
+    before serialization began. health, when given, is written unhashed next
+    to timing.
     """
     wall_time_s = time.perf_counter() - t0
     manifest = {
@@ -122,6 +245,8 @@ def write_manifest(
             "serialize_s": wall_time_s - compute_s,
         },
     }
+    if health is not None:
+        manifest["health"] = health
     _write_json(outdir / "manifest.json", manifest)
 
 
@@ -242,16 +367,26 @@ def _jsonl_rows(columns: dict):
 
 
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
+    """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
+    exact), assembled as bytes, _ROW_CHUNK rows at a time."""
     columns = _spectrum_columns(grid, thermal)
     header = ",".join(columns)
     valid = columns.pop("valid")
-    # Fixed scientific notation, 17 significant digits (round-trip exact).
-    cells = [(values, "%.16e".__mod__) for values in columns.values()]
-    cells.append((valid, ("false\n", "true\n").__getitem__))
-    with path.open("w", encoding="utf-8") as f:
-        f.write(f"# manifest_hash={manifest_hash}\n")
-        f.write(header + "\n")
-        f.writelines(_format_rows(cells, ",".join))
+    floats = list(columns.values())
+    flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
+    with path.open("wb") as f:
+        f.write(f"# manifest_hash={manifest_hash}\n{header}\n".encode())
+        for start in range(0, len(valid), _ROW_CHUNK):
+            flag = flag_text[valid[start : start + _ROW_CHUNK].astype(np.intp)]
+            # One row of cells per row of the file: the floats, then the flag.
+            rows = np.empty((len(flag), len(floats) * _E16_WIDTH + 6), dtype=np.uint8)
+            kept = np.empty(rows.shape, dtype=bool)
+            for k, column in enumerate(floats):
+                cell = slice(k * _E16_WIDTH, (k + 1) * _E16_WIDTH)
+                chunk = column[start : start + len(flag)]
+                rows[:, cell], kept[:, cell], _ = _format_e16(chunk)
+            rows[:, -6:], kept[:, -6:] = flag, flag != 0
+            f.write(rows[kept].tobytes())
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
@@ -283,6 +418,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(f"unknown normalization {cfg['normalization']!r}") from exc
     grid = build_spectrum(state, spec, normalization)
+    n_nonfinite = np.count_nonzero(~np.isfinite(grid.log_weight[grid.valid]))
+    if n_nonfinite or (grid.log_norm is not None and not np.isfinite(grid.log_norm)):
+        raise FloatingPointError(
+            f"{n_nonfinite} of {grid.n_valid} valid bins have a non-finite log_weight "
+            f"(log_norm {grid.log_norm!r}): the entropy arithmetic left float64 range"
+        )
+    health = {
+        "n_bins": grid.n_bins,
+        "n_invalid": grid.n_bins - grid.n_valid,
+        "n_underflow": int(np.count_nonzero(grid.valid & (grid.weights() == 0.0))),
+        "log_norm": grid.log_norm,
+    }
     try:
         thermal = build_thermal_spectrum(state, spec, normalization)
     except DomainError:
@@ -321,7 +468,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if report is not None:
         payload = dict(report.to_json_dict(), manifest_hash=manifest_hash)
         _write_json(outdir / "info_report.json", payload)
-    write_manifest(outdir, "spectrum", manifest_cfg, manifest_hash, t0, compute_s)
+    write_manifest(outdir, "spectrum", manifest_cfg, manifest_hash, t0, compute_s, health)
     return EXIT_OK
 
 

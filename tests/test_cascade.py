@@ -315,3 +315,14 @@ class TestEnsembles:
         policy = CascadePolicy(0.125, charge_quantum=0.125)
         with pytest.raises(UsageError):
             cascade_ensemble_stats(s, policy, 100, 0, method="batch")
+
+    @pytest.mark.parametrize("method,n_samples", [("batch", 10), ("auto", 10_000),
+                                                  ("per-sample", 10)])
+    def test_negative_seed_is_usage_error(self, method, n_samples):
+        with pytest.raises(UsageError, match="non-negative"):
+            cascade_ensemble_stats(SCHW_HALF, POLICY_5, n_samples, -1, method=method)
+
+    @pytest.mark.parametrize("method", ["bogus", "per_sample", "Batch"])
+    def test_unknown_method_is_usage_error(self, method):
+        with pytest.raises(UsageError, match="unknown method"):
+            cascade_ensemble_stats(SCHW_HALF, POLICY_5, 10, 0, method=method)

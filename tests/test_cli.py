@@ -160,6 +160,51 @@ class TestSpectrumCommand:
         assert any(r[6] == "true" for r in rows)   # q >= omega channels open
         assert any(r[6] == "false" for r in rows)  # pure-energy channels closed
 
+    # The entropy arithmetic overflows: M^4 in the charged discriminant above
+    # M ~ 1.16e77, and 4 pi M^2 above M ~ 1e154.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--family", "rn", "--mass", "1e78", "--charge", "5e77", "--bins", "4"),
+            ("--mass", "1e200", "--bins", "4", "--normalization", "unitsum"),
+        ],
+        ids=["rn_disc", "schw_unitsum"],
+    )
+    def test_non_finite_spectrum_exits_3_writing_nothing(self, tmp_path, capsys, args):
+        assert run_cli("spectrum", *args, "--output-dir", str(tmp_path / "out")) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--mass", "700", "--bins", "500", "--normalization", "unitsum"),
+            ("--family", "rn", "--mass", "1", "--charge", "1", "--omega-max", "0.2",
+             "--bins", "3", "--q-step", "0.1", "--n-q", "3"),
+        ],
+        ids=["underflow", "closed_channels"],
+    )
+    def test_manifest_health_matches_the_csv(self, tmp_path, args):
+        assert run_cli("spectrum", *args, "--output-dir", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        valid = [r for r in rows if r[6] == "true"]
+        assert manifest["health"] == {
+            "n_bins": len(rows),
+            "n_invalid": len(rows) - len(valid),
+            "n_underflow": sum(float(r[4]) == 0.0 for r in valid),
+            "log_norm": manifest["health"]["log_norm"],
+        }
+        if "unitsum" in args:
+            # log_weight + log_norm is the raw weight -4 pi omega (2 M - omega).
+            for r in valid:
+                omega = float(r[0])
+                raw = -4.0 * math.pi * omega * (1400.0 - omega)
+                assert float(r[3]) + manifest["health"]["log_norm"] == pytest.approx(raw, rel=1e-12)
+        else:
+            assert manifest["health"]["log_norm"] is None
+
 
 class TestCascadeCommand:
     def test_jsonl_schema_and_report(self, tmp_path):

@@ -8,9 +8,11 @@ weights that underflow to 0.0, a log-corrected raw spectrum and a spin axis.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from bhspectra import cli
 from bhspectra.cli import main
 
 BENCH = ("--family", "rn", "--mass", "1.5", "--charge", "0.75", "--omega-max", "1.125",
@@ -78,3 +80,34 @@ def test_spectrum_output_bytes(tmp_path, args, digests):
     assert written == sorted(digests)
     for name, sha in digests.items():
         assert _sha256(tmp_path / name) == sha, name
+
+
+CSV_CONFIGS = {name: args for name, (args, digests) in GOLDEN.items() if "spectrum.csv" in digests}
+
+
+@pytest.mark.parametrize("args", CSV_CONFIGS.values(), ids=CSV_CONFIGS.keys())
+def test_csv_floats_take_the_vector_path(tmp_path, monkeypatch, args):
+    # The bytes alone cannot show a formatter that sends every value to the
+    # per-value `%` fallback: count the fallbacks.
+    seen = {"cells": 0, "fallback": 0}
+    format_e16 = cli._format_e16
+
+    def counted(values):
+        cells, keep, fallback = format_e16(values)
+        seen["cells"] += fallback.size
+        seen["fallback"] += int(fallback.sum())
+        return cells, keep, fallback
+
+    monkeypatch.setattr(cli, "_format_e16", counted)
+    assert main(["spectrum", *args, "--output-dir", str(tmp_path)]) == 0
+    rows = len((tmp_path / "spectrum.csv").read_text().splitlines()) - 2
+    assert seen["cells"] == 6 * rows
+    assert seen["fallback"] <= 0.01 * seen["cells"]
+
+
+def test_underflow_config_reports_underflow(tmp_path):
+    args, _ = GOLDEN["schw_underflow"]
+    assert main(["spectrum", *args, "--output-dir", str(tmp_path)]) == 0
+    health = json.loads((tmp_path / "manifest.json").read_text())["health"]
+    assert health["n_bins"] == 2000 and health["n_invalid"] == 0
+    assert health["n_underflow"] > 0

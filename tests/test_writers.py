@@ -188,3 +188,54 @@ def test_format_column_keeps_signed_zero_and_order():
     values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
     assert cli._format_column(values, "%.16e".__mod__) == ["%.16e" % v for v in values.tolist()]
     assert cli._format_column(values, json.dumps) == [json.dumps(v) for v in values.tolist()]
+
+
+def _e16_edge_cases() -> np.ndarray:
+    """Values where a "%.16e" formatter can go wrong, both signs."""
+    from decimal import Decimal
+
+    rng = np.random.default_rng(6)
+    # Exact ties at the 18th significant digit: m / 2^(17 - e), m odd, in
+    # [10^e, 10^(e + 1)) is (k + 1/2) 10^(e - 16) for an integer k.
+    ties = []
+    for e in range(-7, 16):
+        for f in rng.uniform(1.0, 10.0, size=40):
+            m = int(f * 10.0**e * 2.0 ** (17 - e)) | 1
+            x = m / 2 ** (17 - e)
+            digits = Decimal(x).as_tuple().digits
+            if m < 2**53 and len(digits) == 18 and digits[-1] == 5:
+                ties.append(x)
+    assert len(ties) > 500
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    bounds = np.array([1e-280, 1e280, 2.2250738585072014e-308, 5e-324, 1.7976931348623157e308])
+    near = np.concatenate([powers, bounds])
+    exps = [m * 10.0**k for k in (-101, -100, -99, -98, 98, 99, 100, 101)
+            for m in (1.0, 1.5, 9.999999999999999, *rng.uniform(1, 10, size=20))]
+    with np.errstate(over="ignore"):  # the largest double's upper neighbour is inf
+        up = np.nextafter(near, np.inf)
+    values = np.concatenate([
+        ties, near, np.nextafter(near, 0.0), up, exps,
+        [0.0, np.inf, np.nan, np.finfo(np.float64).tiny],
+    ])
+    nan_payloads = np.array([0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000],
+                            dtype=np.uint64).view(np.float64)
+    return np.concatenate([values, -values, nan_payloads])
+
+
+def test_format_e16_matches_percent_formatting():
+    rng = np.random.default_rng(2017)
+    # Random bit patterns: every exponent, both signs, nan payloads, subnormals.
+    bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([bits.view(np.float64), _e16_edge_cases()])
+    cells, keep, fallback = cli._format_e16(values)
+    got = cells[keep].tobytes()
+    want = ("%.16e," * len(values) % tuple(values.tolist())).encode()
+    if got != want:
+        got, want = got.split(b","), want.split(b",")
+        bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        pytest.fail(f"{values[bad]!r}: {got[bad]!r} != {want[bad]!r}")
+    # Only out-of-range magnitudes and a sliver of the rest take `%`.
+    magnitude = np.abs(values)
+    in_range = (magnitude >= cli._E16_MIN) & (magnitude <= cli._E16_MAX)
+    assert np.count_nonzero(fallback & in_range) < 0.01 * np.count_nonzero(in_range)
+    assert not fallback[~np.isfinite(values) | (values == 0)].any()
