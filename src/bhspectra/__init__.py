@@ -1,77 +1,103 @@
 """Non-thermal black-hole radiation spectra derived from entropy functions,
-with evaporation cascades, typicality experiments, and information ledgers."""
+with evaporation cascades, typicality experiments, and information ledgers.
+
+The public names below are resolved on first access (PEP 562), so
+`import bhspectra` loads no submodule and no numpy; `bhspectra.X` imports the
+submodule that defines X and caches X here.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .blackholes import (
-    BlackHoleState,
-    Emission,
-    Family,
-    apply_emission,
-    bh_entropy,
-    hawking_temperature,
-    horizon_radius,
-    is_extremal,
-    state_from_record,
-    state_to_record,
-)
-from .cascade import (
-    CascadeEnsembleStats,
-    CascadePolicy,
-    CascadeStep,
-    EmissionChain,
-    Termination,
-    cascade_ensemble_stats,
-    chain_identity,
-    chain_log_probability,
-    ensemble_stats_from_chains,
-    enumerate_chains,
-    sample_cascade,
-)
-from .errors import (
-    BhspectraError,
-    DomainError,
-    RemnantInvalid,
-    UsageError,
-    VerificationFailure,
-)
-from .grids import GridSpec, Normalization, SpectrumGrid
-from .information import (
-    ChainInformationLedger,
-    ConditionalEntropyResult,
-    InfoReport,
-    MutualInformationResult,
-    build_info_report,
-    chain_information_ledger,
-    conditional_entropy,
-    mutual_information,
-    pairwise_correlation,
-    radiation_entropy,
-    sequential_joint,
-)
-from .spectrum import (
-    SpectrumComparison,
-    build_spectrum,
-    build_thermal_spectrum,
-    compare_thermal,
-    emission_log_weight,
-    emission_log_weights,
-    entropy_function_for,
-    thermal_log_weight,
-)
-from .typicality import (
-    EnergyLedger,
-    EntropyFunction,
-    MacroState,
-    PureStateSample,
-    ReducedDensity,
-    TypicalityLabReport,
-    lab_ledger,
-    level_diagonal,
-    microcanonical_weights,
-    offdiagonal_rms,
-    reduce_to_system,
-    sample_universe_state,
-    spectrum_from_entropy,
-    typicality_lab,
-)
+_EXPORTS = {
+    "blackholes": (
+        "BlackHoleState",
+        "Emission",
+        "Family",
+        "apply_emission",
+        "bh_entropy",
+        "hawking_temperature",
+        "horizon_radius",
+        "is_extremal",
+        "state_from_record",
+        "state_to_record",
+    ),
+    "cascade": (
+        "CascadeEnsembleStats",
+        "CascadePolicy",
+        "CascadeStep",
+        "EmissionChain",
+        "Termination",
+        "cascade_ensemble_stats",
+        "chain_identity",
+        "chain_log_probability",
+        "ensemble_stats_from_chains",
+        "enumerate_chains",
+        "sample_cascade",
+    ),
+    "errors": (
+        "BhspectraError",
+        "DomainError",
+        "RemnantInvalid",
+        "UsageError",
+        "VerificationFailure",
+    ),
+    "grids": ("GridSpec", "Normalization", "SpectrumGrid"),
+    "information": (
+        "ChainInformationLedger",
+        "ConditionalEntropyResult",
+        "InfoReport",
+        "MutualInformationResult",
+        "build_info_report",
+        "chain_information_ledger",
+        "conditional_entropy",
+        "mutual_information",
+        "pairwise_correlation",
+        "radiation_entropy",
+        "sequential_joint",
+    ),
+    "spectrum": (
+        "SpectrumComparison",
+        "build_spectrum",
+        "build_thermal_spectrum",
+        "compare_thermal",
+        "emission_log_weight",
+        "emission_log_weights",
+        "entropy_function_for",
+        "thermal_log_weight",
+    ),
+    "typicality": (
+        "EnergyLedger",
+        "EntropyFunction",
+        "MacroState",
+        "PureStateSample",
+        "ReducedDensity",
+        "TypicalityLabReport",
+        "lab_ledger",
+        "level_diagonal",
+        "microcanonical_weights",
+        "offdiagonal_rms",
+        "reduce_to_system",
+        "sample_universe_state",
+        "spectrum_from_entropy",
+        "typicality_lab",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

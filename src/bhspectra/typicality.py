@@ -133,7 +133,10 @@ def sample_universe_state(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     raw = (rng.standard_normal(dim_u) + 1j * rng.standard_normal(dim_u)) / math.sqrt(2.0)
     raw_mean_sq = float(np.mean(np.abs(raw) ** 2))
-    raw /= np.linalg.norm(raw)
+    # A plain numpy reduction, not np.linalg.norm: BLAS splits that dot
+    # product across threads at large dim_u, so its rounding would depend on
+    # the BLAS thread count.
+    raw /= math.sqrt(float(np.sum(raw.real * raw.real + raw.imag * raw.imag)))
     blocks = []
     offset = 0
     for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
@@ -326,6 +329,8 @@ def typicality_lab(
     """
     if n_seeds < 1:
         raise UsageError("n_seeds must be >= 1")
+    if seed < 0:
+        raise UsageError("seed must be a non-negative integer")
 
     def run(dim_o_run: int) -> tuple[float, float, float]:
         ledger = lab_ledger(dim_b, dim_o_run)

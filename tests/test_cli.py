@@ -294,6 +294,16 @@ class TestTypicalityCommand:
         assert lab["dim_o"] == 256 and lab["n_seeds"] == 20
         assert 0.2 < lab["rms_ratio"] < 0.9
 
+    @pytest.mark.parametrize("command,args", [
+        ("typicality", ("--dim-o", "16", "--seeds", "1")),
+        ("cascade", ("--mass", "1", "--n-samples", "2")),
+    ])
+    def test_negative_seed_exits_1(self, tmp_path, command, args):
+        proc = run_subprocess(command, *args, "--seed", "-1", "--output-dir", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:") and "seed" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsage:
     def test_missing_command_is_usage_error(self):

@@ -1,0 +1,126 @@
+"""Package entry points: the lazy `import bhspectra`, `python -m bhspectra`
+and the `bhspectra` console script, and the CLI's one-BLAS-thread default."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bhspectra
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Runs the package as __main__ (what `python -m bhspectra --help` does) and
+# reports what the process looked like afterwards, as its last stdout line.
+RUN_AS_MAIN = """
+import json, os, runpy, sys
+sys.argv = ["bhspectra", "--help"]
+try:
+    runpy.run_module("bhspectra", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+task = "/proc/self/task"
+print(json.dumps({
+    "code": code,
+    "blas_threads_var": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy_loaded": "numpy" in sys.modules,
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+}))
+"""
+
+# Replaces bhspectra.cli.main with a recorder, imports bhspectra.__main__,
+# then calls the console-script target (argv[1], "module:function") and runs
+# the package as __main__, each with OPENBLAS_NUM_THREADS unset.
+BOTH_ENTRIES = """
+import importlib, json, os, runpy, sys
+import bhspectra.cli
+seen = []
+def recorder(argv=None):
+    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+    return 7
+bhspectra.cli.main = recorder
+import bhspectra.__main__
+calls_on_import = len(seen)
+module_name, _, attr = sys.argv[1].partition(":")
+entry = getattr(importlib.import_module(module_name), attr)
+sys.argv = ["bhspectra"]
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+script_code = entry()
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+try:
+    runpy.run_module("bhspectra", run_name="__main__", alter_sys=True)
+    module_code = None
+except SystemExit as exc:
+    module_code = exc.code
+print(json.dumps({"calls_on_import": calls_on_import, "script_code": script_code,
+                  "module_code": module_code, "seen": seen}))
+"""
+
+
+def run_child(code: str, *args: str, blas_threads: str | None = None) -> dict:
+    env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy_and_no_submodule(self):
+        code = ("import json, sys, bhspectra; print(json.dumps(sorted("
+                "m for m in sys.modules if m == 'numpy' or m.startswith('bhspectra.'))))")
+        assert run_child(code) == []
+
+    def test_every_public_name_resolves_to_its_submodule(self):
+        assert len(bhspectra.__all__) == len(set(bhspectra.__all__)) == 62
+        for name in bhspectra.__all__:
+            submodule = importlib.import_module(f"bhspectra.{bhspectra._MODULE_OF[name]}")
+            assert getattr(bhspectra, name) is getattr(submodule, name)
+            assert name in vars(bhspectra)  # cached after the first access
+        assert set(bhspectra.__all__) <= set(dir(bhspectra))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            bhspectra.no_such_name  # noqa: B018
+        assert not hasattr(bhspectra, "main")
+
+    def test_from_import_still_loads_a_submodule(self):
+        code = ("import json; from bhspectra import cli, verify; "
+                "print(json.dumps([cli.__name__, verify.__name__]))")
+        assert run_child(code) == ["bhspectra.cli", "bhspectra.verify"]
+
+
+class TestModuleEntry:
+    def test_defaults_to_one_blas_thread(self):
+        result = run_child(RUN_AS_MAIN)
+        assert result["code"] == 0
+        assert result["numpy_loaded"]
+        assert result["blas_threads_var"] == "1"
+        if sys.platform.startswith("linux"):
+            assert result["threads"] == 1
+
+    def test_caller_setting_wins(self):
+        result = run_child(RUN_AS_MAIN, blas_threads="2")
+        assert result["code"] == 0
+        assert result["blas_threads_var"] == "2"
+
+
+def test_console_script_is_the_module_entry_function():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    target = pyproject["project"]["scripts"]["bhspectra"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    assert entry is sys.modules["bhspectra.__main__"].main
+
+    result = run_child(BOTH_ENTRIES, target)
+    assert result["calls_on_import"] == 0
+    assert result["script_code"] == result["module_code"] == 7
+    assert result["seen"] == ["1", "1"]

@@ -1,7 +1,11 @@
 """Random pure states, partial traces, microcanonical weights, and the
 generic entropy-difference spectrum builder."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +197,28 @@ class TestTypicalityScaling:
             lab_ledger(0, 16)
         with pytest.raises(UsageError):
             lab_ledger(4, 15)  # needs a multiple of 2
+
+    def test_negative_seed_is_usage_error(self):
+        with pytest.raises(UsageError):
+            typicality_lab(dim_b=4, dim_o=16, n_seeds=1, seed=-1)
+
+    def test_lab_is_independent_of_blas_thread_count(self):
+        # At dim_o = 4096 the 4x run draws states of dim_U >= 16384, where a
+        # BLAS dot product is split across threads; the lab must not use one.
+        code = (
+            "import json; from bhspectra import typicality_lab; "
+            "lab = typicality_lab(dim_b=4, dim_o=4096, n_seeds=4, seed=0); "
+            "print(json.dumps({k: v.hex() for k, v in lab.to_json_dict().items() "
+            "if isinstance(v, float)}))"
+        )
+        results = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                  text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            results.append(json.loads(proc.stdout))
+        assert results[0] == results[1]
 
 
 class TestSpectrumFromEntropy:
