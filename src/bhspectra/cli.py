@@ -15,9 +15,11 @@ Planck units. An optional flat JSON config file mirrors the flags one-to-one
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .blackholes import BlackHoleState, _two_prod, state_from_record, state_to_record
-from .cascade import CascadePolicy, sample_ensemble
+from .cascade import CascadePolicy, _transition_table, sample_ensemble
 # Not called here; kept importable because perfbench/tracer.py wraps them here.
 from .cascade import ensemble_stats_from_chains, sample_cascade  # noqa: F401
 from .errors import (
@@ -40,7 +42,7 @@ from .errors import (
 )
 from .grids import GridSpec, Normalization, SpectrumGrid
 from .information import build_info_report
-from .spectrum import build_spectrum, build_thermal_spectrum
+from .spectrum import _normalize, build_spectrum, build_thermal_spectrum
 from .typicality import typicality_lab
 from .verify import run_suites
 
@@ -87,26 +89,15 @@ _E16_WIDTH = 25
 _E16_MIN, _E16_MAX = 1e-280, 1e280
 # Powers of ten 10^s in the table: s = 16 - floor(log10 |x|) over that range.
 _POW_MIN, _POW_MAX = -270, 300
-# Kept (start, end) byte spans of a cell, by kind. Byte 0 is the sign, 21:24
-# the 3-digit exponent (its leading 0 dropped below 100), 24 the comma.
-_E16_SPANS = (
-    ((1, 21), (22, 25)),  # 0: positive, 2-digit exponent
-    ((0, 21), (22, 25)),  # 1: negative, 2-digit exponent
-    ((1, 25),),  # 2: positive, 3-digit exponent
-    ((0, 25),),  # 3: negative, 3-digit exponent
-    ((0, 3), (24, 25)),  # 4: nan
-    ((0, 3), (24, 25)),  # 5: inf
-    ((0, 4), (24, 25)),  # 6: -inf
-)
-_E16_SPECIAL = (b"nan", b"inf", b"-inf")
+# The cells of nan, inf and -inf, by kind 0, 1, 2.
+_E16_SPECIAL = (b"nan,", b"inf,", b"-inf,")
 
 
 @functools.cache
 def _e16_tables():
     """(hi, lo) of 10^s for s in [_POW_MIN, _POW_MAX], with hi + lo = 10^s to
-    ~2^-106 relative, from exact integers; the 4-digit text of 0..9999, one
-    uint32 of 4 bytes each; the kept-byte mask of each cell kind. Built on
-    the first CSV write."""
+    ~2^-106 relative, from exact integers, and the 4-digit text of 0..9999,
+    one uint32 of 4 bytes each. Built on the first CSV write."""
     hi, lo = [], []
     for s in range(_POW_MIN, _POW_MAX + 1):
         num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
@@ -115,20 +106,18 @@ def _e16_tables():
         hi.append(h)
         lo.append((num * h_den - h_num * den) / (den * h_den))
     digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
-    keep = np.zeros((len(_E16_SPANS), _E16_WIDTH), dtype=bool)
-    for kind, spans in enumerate(_E16_SPANS):
-        for start, end in spans:
-            keep[kind, start:end] = True
-    return np.array(hi), np.array(lo), digits, keep
+    return np.array(hi), np.array(lo), digits
 
 
 def _format_e16(values: np.ndarray):
     """Byte cells of ("%.16e" % x) + "," for every x of a float64 array.
 
-    Returns (cells, keep, fallback): cells is uint8 of shape values.shape +
-    (_E16_WIDTH,), keep marks the bytes of each cell's text, so that
-    cells[keep] is the texts in order; fallback marks the values formatted
-    by `%` (see below).
+    Returns (cells, fallback): cells is uint8 of shape values.shape +
+    (_E16_WIDTH,) and holds each cell's text with NUL bytes where it is
+    shorter than the widest cell (the sign of a positive value, the
+    hundreds digit of a 2-digit exponent, the tail of nan), so that
+    cells[cells != 0] is the texts in order; fallback marks the values
+    formatted by `%` (see below).
 
     x = N 10^(e-16) with N the 17-digit rounding of |x| 10^(16-e) and
     e = floor(log10 |x|). The product is a double-double, exact to ~1e-14
@@ -137,7 +126,7 @@ def _format_e16(values: np.ndarray):
     (|x| 10^(16-e) below 10^16, or N = 10^17). Those values and magnitudes
     outside [_E16_MIN, _E16_MAX] take `%`; 0.0, nan and inf are written here.
     """
-    pow_hi, pow_lo, digits, keep_by_kind = _e16_tables()
+    pow_hi, pow_lo, digits = _e16_tables()
     x = np.asarray(values, dtype=np.float64)
     neg = np.signbit(x)
     a = np.abs(x)
@@ -166,28 +155,25 @@ def _format_e16(values: np.ndarray):
     groups[..., 2], groups[..., 3] = np.divmod(lower, 10**4)
     abs_e = np.abs(e)
     cells = np.empty(x.shape + (_E16_WIDTH,), dtype=np.uint8)
-    cells[..., 0] = ord("-")
+    cells[..., 0] = neg * ord("-")
     cells[..., 1] = lead + ord("0")
     cells[..., 2] = ord(".")
     cells[..., 3:19] = digits[groups].view(np.uint8)
     cells[..., 19] = ord("e")
     cells[..., 20] = np.where(e < 0, ord("-"), ord("+"))
     cells[..., 21:24] = digits[abs_e][..., None].view(np.uint8)[..., 1:]
+    cells[..., 21] *= abs_e >= 100
     cells[..., 24] = ord(",")
 
-    kind = neg + 2 * (abs_e >= 100)
-    kind = np.where(np.isnan(x), 4, np.where(np.isinf(x), 5 + neg, kind))
-    keep = keep_by_kind[kind]
-    special = kind >= 4
+    inf = np.isinf(x)
+    special = inf | np.isnan(x)
     if special.any():
-        texts = np.array(_E16_SPECIAL, dtype="S4").view(np.uint8).reshape(-1, 4)
-        cells[special, :4] = texts[kind[special] - 4]
+        texts = np.array(_E16_SPECIAL, dtype=f"S{_E16_WIDTH}").view(np.uint8)
+        cells[special] = texts.reshape(-1, _E16_WIDTH)[np.where(inf, 1 + neg, 0)[special]]
     if fallback.any():
-        texts = ["%.16e" % v for v in x[fallback].tolist()]
-        lengths = np.array(list(map(len, texts)))
-        cells[fallback, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
-        keep[fallback, :24] = np.arange(24) < lengths[:, None]
-    return cells, keep, fallback
+        texts = np.array(["%.16e," % v for v in x[fallback].tolist()], dtype=f"S{_E16_WIDTH}")
+        cells[fallback] = texts.view(np.uint8).reshape(-1, _E16_WIDTH)
+    return cells, fallback
 
 
 def _utc_now() -> str:
@@ -366,27 +352,47 @@ def _jsonl_rows(columns: dict):
     return _format_rows([(columns[k], json.dumps) for k in keys], template.__mod__)
 
 
+def _csv_cells(values: np.ndarray, shape: tuple[int, int, int] | None, axis: int | None):
+    """cells(start, stop): the _format_e16 cells of values[start:stop].
+
+    A column that is, bit for bit, one axis of a grid of `shape` repeated over
+    the other two is formatted once per axis value and its cells gathered;
+    any other column is formatted chunk by chunk."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if axis is not None and shape is not None and values.size == math.prod(shape):
+        bits = values.view(np.int64).reshape(shape)
+        along = bits[tuple(slice(None) if k == axis else slice(1) for k in range(3))]
+        if (bits == along).all():
+            cells = _format_e16(along.ravel().view(np.float64))[0]
+            stride, n = math.prod(shape[axis + 1 :]), shape[axis]
+            return lambda start, stop: cells[np.arange(start, stop) // stride % n]
+    return lambda start, stop: _format_e16(values[start:stop])[0]
+
+
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
     """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
     exact), assembled as bytes, _ROW_CHUNK rows at a time."""
     columns = _spectrum_columns(grid, thermal)
     header = ",".join(columns)
     valid = columns.pop("valid")
-    floats = list(columns.values())
+    spec = grid.grid_spec
+    shape = None if spec is None else (spec.n_omega, spec.n_q, spec.n_j)
+    # omega, q and j each vary along their grid axis; the thermal baseline along omega's.
+    axis = {"omega": 0, "q": 1, "j": 2, "thermal_log_weight": 0}
+    cells = [_csv_cells(values, shape, axis.get(name)) for name, values in columns.items()]
     flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
     with path.open("wb") as f:
         f.write(f"# manifest_hash={manifest_hash}\n{header}\n".encode())
         for start in range(0, len(valid), _ROW_CHUNK):
             flag = flag_text[valid[start : start + _ROW_CHUNK].astype(np.intp)]
-            # One row of cells per row of the file: the floats, then the flag.
-            rows = np.empty((len(flag), len(floats) * _E16_WIDTH + 6), dtype=np.uint8)
-            kept = np.empty(rows.shape, dtype=bool)
-            for k, column in enumerate(floats):
-                cell = slice(k * _E16_WIDTH, (k + 1) * _E16_WIDTH)
-                chunk = column[start : start + len(flag)]
-                rows[:, cell], kept[:, cell], _ = _format_e16(chunk)
-            rows[:, -6:], kept[:, -6:] = flag, flag != 0
-            f.write(rows[kept].tobytes())
+            stop = start + len(flag)
+            # One row of cells per row of the file, the floats then the flag,
+            # NUL where a text is shorter than its cell.
+            rows = np.empty((len(flag), len(cells) * _E16_WIDTH + 6), dtype=np.uint8)
+            for k, column_cells in enumerate(cells):
+                rows[:, k * _E16_WIDTH : (k + 1) * _E16_WIDTH] = column_cells(start, stop)
+            rows[:, -6:] = flag
+            f.write(rows[rows != 0].tobytes())
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
@@ -436,10 +442,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         thermal = None  # extremal source: no thermal baseline
     report = None
     if cfg["report"]:
+        unit_grid = grid
         if normalization is not Normalization.UNIT_SUM:
-            unit_grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
-        else:
-            unit_grid = grid
+            logw, log_norm = _normalize(grid.log_weight, grid.valid, Normalization.UNIT_SUM)
+            unit_grid = dataclasses.replace(
+                grid, log_weight=logw, normalization=Normalization.UNIT_SUM, log_norm=log_norm
+            )
         report = build_info_report(state, unit_grid)
     compute_s = time.perf_counter() - t0
 
@@ -528,7 +536,9 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         outdir / "ensemble.json",
         dict(stats.to_json_dict(), manifest_hash=manifest_hash),
     )
-    write_manifest(outdir, "cascade", manifest_cfg, manifest_hash, t0, compute_s)
+    # The walk's table is cached: this looks it up, with every state it reached.
+    health = {"n_stuck": stats.n_stuck, "n_states": len(_transition_table(state, policy))}
+    write_manifest(outdir, "cascade", manifest_cfg, manifest_hash, t0, compute_s, health)
     return EXIT_OK
 
 

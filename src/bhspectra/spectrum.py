@@ -82,11 +82,14 @@ def emission_log_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized emission log-weights over arrays of emission hairs.
 
-    Returns (log_weight, valid); closed channels have valid False and
-    log_weight nan. Same kernel and arithmetic as the scalar
-    emission_log_weight, so the two agree bitwise for alpha = 0.
+    Returns (log_weight, valid), both of the broadcast shape of the hairs;
+    closed channels have valid False and log_weight nan. Same kernel and
+    arithmetic as the scalar emission_log_weight, so the two agree bitwise
+    for alpha = 0. The hairs reach the kernel unbroadcast, so hairs given
+    as grid axes, e.g. of shapes (n, 1, 1), (1, m, 1) and (1, 1, l), have
+    their one-axis terms computed once per axis value.
     """
-    omega, q, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (omega, q, j)))
+    omega, q, j = (np.asarray(x, dtype=np.float64) for x in (omega, q, j))
     valid = hairs_valid(
         state.family, state.m - omega, state.q - q, state.j - j, state.alpha
     ) & (omega >= 0.0)
@@ -134,18 +137,22 @@ def thermal_log_weight(state: BlackHoleState, omega: float) -> float:
 
 
 def _grid_axes(state: BlackHoleState, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The omega, q and j axis values of a grid, checked against the state."""
     if spec.n_q > 1 and state.family is Family.SCHWARZSCHILD:
         raise UsageError("charge axis requires a charged family")
     if spec.n_j > 1 and state.family is not Family.KERR_NEWMAN:
         raise UsageError("angular-momentum axis requires Kerr-Newman")
     if spec.omega_max > state.m:
         raise UsageError(f"omega_max={spec.omega_max} exceeds the hole mass {state.m}")
-    w = spec.omega_nodes()
-    qv = spec.q_values()
-    jv = spec.j_values()
-    omega = np.repeat(w, spec.n_q * spec.n_j)
-    q = np.tile(np.repeat(qv, spec.n_j), spec.n_omega)
-    j = np.tile(jv, spec.n_omega * spec.n_q)
+    return spec.omega_nodes(), spec.q_values(), spec.j_values()
+
+
+def _flatten(w: np.ndarray, qv: np.ndarray, jv: np.ndarray):
+    """The bins of the grid with axes (w, qv, jv) as flat (omega, q, j)
+    arrays, omega-major, then q, then j."""
+    omega = np.repeat(w, qv.size * jv.size)
+    q = np.tile(np.repeat(qv, jv.size), w.size)
+    j = np.tile(jv, w.size * qv.size)
     return omega, q, j
 
 
@@ -167,9 +174,15 @@ def build_spectrum(
 
     Bins whose emission leaves no valid remnant are flagged invalid (the grid
     stays rectangular). Raises DomainError when every bin is invalid.
+    The kernel runs on the three axes broadcast against each other, so its
+    terms in omega alone (or q, or j alone) cost one evaluation per node.
     """
-    omega, q, j = _grid_axes(state, spec)
-    logw, valid = emission_log_weights(state, omega, q, j)
+    w, qv, jv = _grid_axes(state, spec)
+    logw, valid = emission_log_weights(
+        state, w[:, None, None], qv[None, :, None], jv[None, None, :]
+    )
+    logw, valid = logw.ravel(), valid.ravel()
+    omega, q, j = _flatten(w, qv, jv)
     if not valid.any():
         raise DomainError("every grid bin is a closed emission channel")
     logw, log_norm = _normalize(logw, valid, normalization)
@@ -196,7 +209,7 @@ def build_thermal_spectrum(
     The baseline has no remnant bookkeeping, so every bin is valid; it exists
     to quantify how far the entropy-difference spectrum departs from thermal.
     """
-    omega, q, j = _grid_axes(state, spec)
+    omega, q, j = _flatten(*_grid_axes(state, spec))
     logw = _thermal(state, omega)
     valid = np.ones(omega.shape, dtype=bool)
     logw, log_norm = _normalize(logw, valid, normalization)

@@ -120,6 +120,33 @@ def _min_check(name: str, measured: float, bound: float, detail: str = "") -> Ch
     return Check(name, bool(measured >= bound), float(measured), float(bound), detail)
 
 
+def chi2_sf(x: float, k: int) -> float:
+    """P(X >= x) for X chi-square distributed with k >= 1 integer degrees of
+    freedom: the upper regularized gamma function Q(k/2, h), h = x/2, as the
+    finite series
+        even k:  e^-h sum_{i=0}^{k/2-1} h^i / i!
+        odd k:   erfc(sqrt h) + e^-h sum_{i=1}^{(k-1)/2} h^(i-1/2) / Gamma(i+1/2).
+    Every term is positive and each is the one before times h / i (or
+    h / (i + 1/2)), starting from the e^-h factor, so nothing cancels or
+    overflows.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    if k % 2 == 0:
+        term = total = math.exp(-h)
+        for i in range(1, k // 2):
+            term *= h / i
+            total += term
+        return total
+    term = math.exp(-h) * 2.0 * math.sqrt(h / math.pi)  # i = 1: h^(1/2) / Gamma(3/2)
+    total = math.erfc(math.sqrt(h))
+    for i in range(1, (k + 1) // 2):
+        total += term
+        term *= h / (i + 0.5)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # identities
 # ---------------------------------------------------------------------------
@@ -286,8 +313,6 @@ def suite_typicality(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
 
 
 def suite_cascade(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
-    from scipy.stats import chisquare  # slow to import; only this suite needs it
-
     t0 = time.perf_counter()
     report = SuiteReport("cascade")
     # Binary quantum: float conservation is exact, not merely close.
@@ -314,9 +339,12 @@ def suite_cascade(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
         [stats.identity_counts.get(chain_identity(chain, policy), 0) for chain, _, _ in chains],
         dtype=np.float64,
     )
-    chi2 = chisquare(observed, expected * (observed.sum() / expected.sum()))
+    # Pearson's statistic, summed as scipy.stats.chisquare sums it.
+    expected *= observed.sum() / expected.sum()
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
     report.checks.append(
-        _min_check("sampler_chisquare_p", float(chi2.pvalue), 0.01, "2e5 batch samples vs enumeration")
+        _min_check("sampler_chisquare_p", chi2_sf(chi2, observed.size - 1), 0.01,
+                   "2e5 batch samples vs enumeration")
     )
 
     worst = 0.0

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bhspectra import cascade, cli
 from bhspectra.cli import main
 
 
@@ -206,7 +207,41 @@ class TestSpectrumCommand:
             assert manifest["health"]["log_norm"] is None
 
 
+    def test_raw_report_equals_the_unitsum_report(self, tmp_path, monkeypatch):
+        # --report on a raw spectrum normalizes the raw grid, with no second kernel pass.
+        calls = []
+        build = cli.build_spectrum
+        monkeypatch.setattr(cli, "build_spectrum", lambda *a: calls.append(a) or build(*a))
+        args = ("spectrum", "--family", "kn", "--mass", "2", "--charge", "0.5",
+                "--angular-momentum", "0.5", "--alpha", "0.5", "--bins", "50",
+                "--q-step", "0.125", "--n-q", "3", "--j-step", "0.125", "--n-j", "2", "--report")
+        reports = {}
+        for norm in ("raw", "unitsum"):
+            calls.clear()
+            out = tmp_path / norm
+            assert run_cli(*args, "--normalization", norm, "--output-dir", str(out)) == 0
+            assert len(calls) == 1
+            reports[norm] = json.loads((out / "info_report.json").read_text())
+            reports[norm].pop("manifest_hash")
+        assert reports["raw"] == reports["unitsum"]
+
+
 class TestCascadeCommand:
+    def test_manifest_health_matches_the_chains(self, tmp_path):
+        # No channel carries charge, so chains stick once M' would drop below Q.
+        cascade._transition_table.cache_clear()
+        assert run_cli("cascade", "--family", "rn", "--mass", "2", "--charge", "0.875",
+                       "--energy-quantum", "0.25", "--n-samples", "40",
+                       "--output-dir", str(tmp_path)) == 0
+        health = json.loads((tmp_path / "manifest.json").read_text())["health"]
+        ensemble = json.loads((tmp_path / "ensemble.json").read_text())
+        assert health["n_stuck"] == ensemble["n_stuck"] > 0
+        # The walk looks up every state a chain steps from, and each stuck end.
+        rows = [json.loads(x) for x in (tmp_path / "chains.jsonl").read_text().splitlines()[1:]]
+        states = {r["mass_before"] for r in rows}
+        ends = {r["mass_before"] - r["omega"] for r in rows}
+        assert health["n_states"] == len(states | (ends - {0.0}))
+
     def test_jsonl_schema_and_report(self, tmp_path):
         code = run_cli(
             "cascade", "--mass", "0.5", "--energy-quantum", "0.125",

@@ -23,7 +23,13 @@ from bhspectra import (
     emission_log_weights,
     thermal_log_weight,
 )
-from bhspectra.spectrum import emission_log_weights_bulk, entropy_function_for, logsumexp
+from bhspectra.spectrum import (
+    _flatten,
+    _grid_axes,
+    emission_log_weights_bulk,
+    entropy_function_for,
+    logsumexp,
+)
 from bhspectra.typicality import MacroState, spectrum_from_entropy
 
 
@@ -217,6 +223,44 @@ class TestBuildSpectrum:
         assert grid.log_weight[i] == pytest.approx(
             emission_log_weight(s, Emission(grid.omega[i], 0.5)), abs=1e-11
         )
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+# (state, grid): every family, alpha != 0 of both signs, omega_min > 0, spin
+# axes, and a Reissner-Nordstrom state 1e-6 from extremality.
+AXIS_CASES = {
+    "schw": (BlackHoleState(Family.SCHWARZSCHILD, 3.0),
+             GridSpec(omega_max=3.0, n_omega=257)),
+    "schw-alpha": (BlackHoleState(Family.SCHWARZSCHILD, 3.0, alpha=-0.5),
+                   GridSpec(omega_max=2.5, n_omega=200, omega_min=0.25)),
+    "rn": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0),
+           GridSpec(omega_max=1.5, n_omega=301, q_step=0.25, n_q=4)),
+    "rn-alpha": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0, alpha=0.7),
+                 GridSpec(omega_max=1.5, n_omega=301, omega_min=0.1, q_step=-0.125, n_q=5)),
+    "rn-near-extremal": (BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.999999, alpha=0.25),
+                         GridSpec(omega_max=0.5, n_omega=400, q_step=1e-3, n_q=3)),
+    "kn": (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5),
+           GridSpec(omega_max=1.0, n_omega=150, q_step=0.125, n_q=3, j_step=0.125, n_j=4)),
+    "kn-alpha": (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5, alpha=1.5),
+                 GridSpec(omega_max=1.0, n_omega=150, omega_min=0.2, q_step=0.125, n_q=2,
+                          j_step=-0.25, n_j=4)),
+}
+
+
+@pytest.mark.parametrize("state,spec", AXIS_CASES.values(), ids=AXIS_CASES.keys())
+def test_build_spectrum_on_axes_equals_flat_kernel(state, spec):
+    # build_spectrum feeds the kernel the three axes; the flat product grid
+    # through emission_log_weights must give the same bits, bin for bin.
+    omega, q, j = _flatten(*_grid_axes(state, spec))
+    logw, valid = emission_log_weights(state, omega, q, j)
+    grid = build_spectrum(state, spec, Normalization.RAW)
+    for got, want in ((grid.omega, omega), (grid.q, q), (grid.j, j), (grid.log_weight, logw)):
+        assert got.shape == (spec.n_bins,)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+    np.testing.assert_array_equal(grid.valid, valid)
 
 
 class TestThermal:

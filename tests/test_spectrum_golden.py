@@ -93,15 +93,19 @@ def test_csv_floats_take_the_vector_path(tmp_path, monkeypatch, args):
     format_e16 = cli._format_e16
 
     def counted(values):
-        cells, keep, fallback = format_e16(values)
+        cells, fallback = format_e16(values)
         seen["cells"] += fallback.size
         seen["fallback"] += int(fallback.sum())
-        return cells, keep, fallback
+        return cells, fallback
 
     monkeypatch.setattr(cli, "_format_e16", counted)
     assert main(["spectrum", *args, "--output-dir", str(tmp_path)]) == 0
     rows = len((tmp_path / "spectrum.csv").read_text().splitlines()) - 2
-    assert seen["cells"] == 6 * rows
+    spec = json.loads((tmp_path / "manifest.json").read_text())["config"]["grid_spec"]
+    assert rows == spec["n_omega"] * spec["n_q"] * spec["n_j"]
+    # log_weight and weight are formatted row by row; omega, q, j and the
+    # thermal column (a function of omega) once per value of their axis.
+    assert seen["cells"] == 2 * rows + 2 * spec["n_omega"] + spec["n_q"] + spec["n_j"]
     assert seen["fallback"] <= 0.01 * seen["cells"]
 
 

@@ -6,6 +6,7 @@ the grids here are full of the values that could trip that up: repeats,
 -0.0 next to 0.0, nan, +-inf, and columns longer than one write chunk.
 """
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ import pytest
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
 from bhspectra import cli
 from bhspectra.cascade import sample_ensemble
-from bhspectra.grids import Normalization, SpectrumGrid
+from bhspectra.grids import GridSpec, Normalization, SpectrumGrid
+from bhspectra.spectrum import build_spectrum, build_thermal_spectrum
 
 SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 5e-324, 1.7976931348623157e308])
 
@@ -130,6 +132,74 @@ def test_spectrum_writers_match_per_row_oracle(tmp_path, n, with_thermal):
     assert (tmp_path / "s.jsonl").read_text() == _oracle_spectrum_jsonl(grid, thermal, "abc")
 
 
+def _kn_grids():
+    """A Kerr-Newman spectrum and its thermal baseline, more rows than a chunk."""
+    state = BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5)
+    spec = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
+    assert spec.n_bins > cli._ROW_CHUNK
+    return (build_spectrum(state, spec, Normalization.UNIT_SUM),
+            build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
+
+
+PER_BIN = ("omega", "q", "j", "log_weight", "valid")
+
+
+def _permuted(grid, order):
+    return dataclasses.replace(grid, **{k: getattr(grid, k)[order] for k in PER_BIN})
+
+
+def _set(grid, field, index, value):
+    column = getattr(grid, field).copy()
+    column[index] = value
+    return dataclasses.replace(grid, **{field: column})
+
+
+# Rows 0 and 1 differ only in j. Each case breaks one column's axis pattern
+# by one bit, or drops the grid_spec that the pattern is read from.
+BROKEN = {
+    "no-grid-spec": lambda g, t: (dataclasses.replace(g, grid_spec=None), t),
+    "permuted": lambda g, t: (
+        _permuted(g, np.random.default_rng(5).permutation(g.n_bins)),
+        _permuted(t, np.random.default_rng(5).permutation(g.n_bins)),
+    ),
+    "rows-swapped": lambda g, t: (_permuted(g, [1, 0, *range(2, g.n_bins)]), t),
+    "signed-zero-q": lambda g, t: (_set(g, "q", 10, -0.0), t),
+    "nan-omega": lambda g, t: (_set(g, "omega", g.n_bins - 1, np.nan), t),
+    "thermal-ulp": lambda g, t: (g, _set(t, "log_weight", 1, np.nextafter(t.log_weight[1], 0))),
+}
+
+
+def _count_formatted(monkeypatch):
+    seen = []
+    format_e16 = cli._format_e16
+
+    def counted(values):
+        seen.append(np.size(values))
+        return format_e16(values)
+
+    monkeypatch.setattr(cli, "_format_e16", counted)
+    return seen
+
+
+def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
+    grid, thermal = _kn_grids()
+    seen = _count_formatted(monkeypatch)
+    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
+    spec = grid.grid_spec
+    assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
+
+
+@pytest.mark.parametrize("break_axes", BROKEN.values(), ids=BROKEN.keys())
+def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_axes):
+    grid, thermal = break_axes(*_kn_grids())
+    seen = _count_formatted(monkeypatch)
+    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
+    # At least one column went through the formatter row by row.
+    assert sum(seen) >= 3 * grid.n_bins
+
+
 def _fake_chain(rng, n_steps: int):
     values = _column(rng, 6 * n_steps + 1)
     steps = [
@@ -227,8 +297,8 @@ def test_format_e16_matches_percent_formatting():
     # Random bit patterns: every exponent, both signs, nan payloads, subnormals.
     bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False)
     values = np.concatenate([bits.view(np.float64), _e16_edge_cases()])
-    cells, keep, fallback = cli._format_e16(values)
-    got = cells[keep].tobytes()
+    cells, fallback = cli._format_e16(values)
+    got = cells[cells != 0].tobytes()
     want = ("%.16e," * len(values) % tuple(values.tolist())).encode()
     if got != want:
         got, want = got.split(b","), want.split(b",")
