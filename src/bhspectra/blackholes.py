@@ -287,15 +287,16 @@ def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
 
 
 def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:
-    """Elementwise validity of (m, q, j) as a macro-state (bool array).
+    """Elementwise validity of (m, q, j) as a macro-state (bool array of
+    their broadcast shape).
 
     A zero state (all hairs 0) counts as valid only for alpha = 0, where the
-    corrected entropy is still defined (S = 0).
+    corrected entropy is still defined (S = 0). Hairs given as grid axes are
+    tested per axis; only the combined tests take the broadcast shape.
     """
     m = np.asarray(m, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     j = np.asarray(j, dtype=np.float64)
-    m, q, j = np.broadcast_arrays(m, q, j)
     zero = (m == 0.0) & (q == 0.0) & (j == 0.0)
     pos = m > 0.0
     if family is Family.SCHWARZSCHILD:

@@ -312,23 +312,15 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
     return lengths, first_k, raw, norm, stuck
 
 
-_DRAW_BLOCK = 16  # steps drawn at a time per stream: a walk holds n_chains x 16 uniforms
-
-
-def _per_sample_draw(seed: int, sample_indices):
+def _per_sample_draw(seed: int, sample_indices, n_steps: int):
     """draw for _walk: value t of the (seed, sample_indices[c]) stream at step t
-    of chain c. Drawn in blocks, a stream gives the values of one draw per step;
-    the values a chain does not reach are drawn from its own stream only."""
-    gens = [np.random.default_rng(np.random.SeedSequence((seed, i))) for i in sample_indices]
-    block = np.empty((len(gens), _DRAW_BLOCK))
-
-    def draw(t: int, idx: np.ndarray) -> np.ndarray:
-        if t % _DRAW_BLOCK == 0:
-            for c in idx.tolist():
-                block[c] = gens[c].random(_DRAW_BLOCK)
-        return block[idx, t % _DRAW_BLOCK]
-
-    return draw
+    of chain c. Each stream's first n_steps values, one per step a chain can
+    take, are drawn up front, so no generator outlives this call; the values
+    a chain does not reach are drawn from its own stream only."""
+    uniforms = np.empty((len(sample_indices), n_steps))
+    for c, i in enumerate(sample_indices):
+        uniforms[c] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(n_steps)
+    return lambda t, idx: uniforms[idx, t]
 
 
 class _Steps(list):
@@ -339,28 +331,49 @@ class _Steps(list):
         self.append((idx, row, pick))
 
     def ordered(self, lengths: np.ndarray) -> "_Steps":
-        chain = np.concatenate([idx for idx, _, _ in self] or [np.zeros(0, dtype=np.int64)])
-        self.order = np.argsort(chain, kind="stable")
-        self.chain = chain[self.order]
-        self.step = np.arange(chain.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        """Sort the steps, keeping per step only its chain, its step number and
+        its channel: an index into the fields of the rows laid end to end."""
+        offsets: dict[_Row, int] = {}
+        size = 0
+        for _, row, _ in self:
+            if row not in offsets:
+                offsets[row], size = size, size + row.r2.size
+        empty = [np.zeros(0, dtype=np.int64)]
+        chain = np.concatenate([idx for idx, _, _ in self] or empty)
+        order = np.argsort(chain, kind="stable")
+        self.chain = chain[order]
+        self.channel = np.concatenate([offsets[row] + pick for _, row, pick in self] or empty)[order]
+        self.rows = list(offsets)
+        starts = np.cumsum(lengths) - lengths
+        self.starts = starts[lengths > 0]
+        self.step = np.arange(chain.size) - np.repeat(starts, lengths)
+        self.clear()
         return self
 
-    def moved(self, field: str, initial=0) -> tuple[np.ndarray, np.ndarray]:
-        """(before, after) each step of a _Row field (m2, r2, ...), before
-        being initial at a chain's first step."""
-        after = np.concatenate([getattr(row, field)[pick] for _, row, pick in self] or [[]])
-        after = after[self.order]
-        return np.where(self.step == 0, initial, np.roll(after, 1)), after
+    def field(self, name: str) -> np.ndarray:
+        """A _Row field (m2, r2, logw, ...) at each step's channel."""
+        return np.concatenate([getattr(row, name) for row in self.rows] or [[]])[self.channel]
 
-    def columns(self, state: BlackHoleState) -> dict[str, np.ndarray]:
-        """The chains.jsonl columns. The emitted hairs are differences of
-        consecutive remnant hairs, from the state's own on."""
-        (mass_before, m), (q0, q), (j0, j) = (
-            self.moved(f, x) for f, x in (("m2", state.m), ("q2", state.q), ("j2", state.j))
-        )
-        return {"sample_index": self.chain, "step": self.step, "omega": mass_before - m,
-                "q": q0 - q, "j": j0 - j, "mass_before": mass_before,
-                "log_weight_raw": self.moved("logw")[1], "log_prob_norm": self.moved("logp")[1]}
+    def moved(self, name: str, initial) -> tuple[np.ndarray, np.ndarray]:
+        """(before, after) each step of a _Row field, before being initial at
+        a chain's first step."""
+        after = self.field(name)
+        before = np.empty_like(after)
+        before[1:] = after[:-1]
+        before[self.starts] = initial
+        return before, after
+
+    def columns(self, state: BlackHoleState, first: int) -> dict[str, np.ndarray]:
+        """The chains.jsonl columns, chain c being sample first + c. The
+        emitted hairs are differences of consecutive remnant hairs, from the
+        state's own on; each is computed in place of an operand it frees."""
+        mass_before, omega = self.moved("m2", state.m)
+        np.subtract(mass_before, omega, out=omega)
+        q, j = (np.subtract(*self.moved(f, x)) for f, x in (("q2", state.q), ("j2", state.j)))
+        self.chain += first
+        return {"sample_index": self.chain, "step": self.step, "omega": omega, "q": q, "j": j,
+                "mass_before": mass_before, "log_weight_raw": self.field("logw"),
+                "log_prob_norm": self.field("logp")}
 
     def census(self, table: _TransitionTable, lengths, stuck) -> dict[tuple, int]:
         """Identity counts (see chain_identity) of unstuck chains, first seen first."""
@@ -398,7 +411,8 @@ def sample_cascade(
         emission = Emission(before.m - after.m, before.q - after.q, before.j - after.j)
         steps.append(CascadeStep(emission, after, float(row.logw[i]), float(row.logp[i])))
 
-    stuck = bool(_walk(table, 1, _per_sample_draw(seed, [sample_index]), take)[4][0])
+    draw = _per_sample_draw(seed, [sample_index], table.plan.n_quanta)
+    stuck = bool(_walk(table, 1, draw, take)[4][0])
     terminated = Termination.STOP_MASS if stuck else _terminal(policy)
     return EmissionChain(state, tuple(steps), terminated, stuck)
 
@@ -534,22 +548,39 @@ def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot
     )
 
 
-def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, record: bool = False):
-    """Walk n_samples chains on the batch or the per-sample streams; return
-    their summary, and with record (per-sample only) their ordered _Steps.
+# Steps one chunk of a per-sample walk holds at most: a chunk walks
+# max(1, _CHUNK_STEPS // n_quanta) samples, and no chain takes more than
+# n_quanta steps. At 64 quanta that is 1024 samples; much smaller chunks walk slower.
+_CHUNK_STEPS = 1 << 16
+
+
+def _ensemble_table(state, policy, n_samples: int, seed: int) -> _TransitionTable:
+    """The transition table of an ensemble, after its checks: every usage
+    error an ensemble walk can raise is raised here, before it starts."""
+    if n_samples < 1:
+        raise UsageError("n_samples must be >= 1")
+    if seed < 0:
+        raise UsageError("seed and sample_index must be non-negative")
+    return _transition_table(state, policy)
+
+
+def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, on_chunk=None):
+    """Walk n_samples chains on the batch or the per-sample streams and
+    return their summary.
+
+    The per-sample walk goes in chunks of consecutive samples (see
+    _CHUNK_STEPS), and on_chunk, when given, gets each chunk's chains.jsonl
+    columns as soon as the chunk is walked; only the per-chain arrays and the
+    census outlive a chunk. The batch walk shares one stream, so it is one chunk.
 
     The census order fixes how identity_entropy is summed, so it is output:
     per-sample identities first seen first, batch ones fewest parts first,
     then lexicographically. A batch identity is kept as a cut mask, with bit
     b set when a step leaves n - b quanta."""
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
-    if seed < 0:
-        raise UsageError("seed and sample_index must be non-negative")
-    table = _transition_table(state, policy)
+    table = _ensemble_table(state, policy, n_samples, seed)
     n = table.plan.n_quanta
     census = n <= _CENSUS_MAX_QUANTA
-    steps = identity_counts = None
+    identity_counts = None
     if batch:
         rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
         cuts = np.zeros(n_samples, dtype=np.int64)
@@ -564,12 +595,26 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, record
             found = {_composition(m, n): c for m, c in zip(masks.tolist(), counts.tolist())}
             identity_counts = dict(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
     else:
-        steps = _Steps() if record or census else None
-        walked = _walk(table, n_samples, _per_sample_draw(seed, range(n_samples)), steps)
-        if steps is not None:
-            steps.ordered(walked[0])
-        if census:
-            identity_counts = steps.census(table, walked[0], walked[4])
+        walked = (np.zeros(n_samples, dtype=np.int64), np.zeros(n_samples, dtype=np.int64),
+                  np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, dtype=bool))
+        identity_counts = {} if census else None
+        size = max(1, _CHUNK_STEPS // max(1, n))
+        for first in range(0, n_samples, size):
+            last = min(first + size, n_samples)
+            steps = _Steps() if census or on_chunk is not None else None
+            draw = _per_sample_draw(seed, range(first, last), n)
+            chunk = _walk(table, last - first, draw, steps)
+            for whole, part in zip(walked, chunk):
+                whole[first:last] = part
+            if steps is None:
+                continue
+            steps.ordered(chunk[0])
+            if census:  # chunks come in sample order, so this keeps first seen first
+                for ident, count in steps.census(table, chunk[0], chunk[4]).items():
+                    identity_counts[ident] = identity_counts.get(ident, 0) + count
+            if on_chunk is not None:
+                columns, steps = steps.columns(state, first), None  # drop the step index first
+                on_chunk(columns)
     n_stuck = int(np.count_nonzero(walked[4]))
     # A stuck chain ends at a floor, as a stop-mass chain. Only the batch
     # summary lists its terminal ending when no chain has it.
@@ -577,7 +622,7 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, record
     term_counts = {end: n_samples - n_stuck, stop: n_stuck} if end != stop else {end: n_samples}
     term_counts = {k: v for k, v in term_counts.items() if v or (batch and k == end)}
     method = "batch" if batch else "per-sample"
-    return _ensemble_stats(n_samples, seed, method, *walked, identity_counts, term_counts), steps
+    return _ensemble_stats(n_samples, seed, method, *walked, identity_counts, term_counts)
 
 
 def cascade_ensemble_stats(
@@ -600,16 +645,16 @@ def cascade_ensemble_stats(
         raise UsageError(f"unknown method {method!r}; choose auto, batch or per-sample")
     if method == "batch" and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
-    return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")[0]
+    return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")
 
 
 def sample_ensemble(
-    state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int
-) -> tuple[CascadeEnsembleStats, dict[str, np.ndarray]]:
-    """A per-sample ensemble's summary and its steps as chains.jsonl columns,
-    by sample, then step: sample i's rows are sample_cascade(..., seed, i)'s."""
-    stats, steps = _walk_ensemble(state, policy, n_samples, seed, batch=False, record=True)
-    return stats, steps.columns(state)
+    state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int, on_chunk
+) -> CascadeEnsembleStats:
+    """A per-sample ensemble's summary. on_chunk gets its steps as
+    chains.jsonl columns, one dict per chunk of consecutive samples, by
+    sample, then step: sample i's rows are sample_cascade(..., seed, i)'s."""
+    return _walk_ensemble(state, policy, n_samples, seed, batch=False, on_chunk=on_chunk)
 
 
 def ensemble_stats_from_chains(

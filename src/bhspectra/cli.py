@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .blackholes import BlackHoleState, _two_prod, state_from_record, state_to_record
-from .cascade import CascadePolicy, _transition_table, sample_ensemble
+from .cascade import CascadePolicy, _ensemble_table, sample_ensemble
 # Not called here; kept importable because perfbench/tracer.py wraps them here.
 from .cascade import ensemble_stats_from_chains, sample_cascade  # noqa: F401
 from .errors import (
@@ -56,26 +56,19 @@ class _Parser(argparse.ArgumentParser):
 _ROW_CHUNK = 16384
 
 
-def _format_column(values: np.ndarray, fmt) -> list[str]:
-    """fmt of every entry of a 1-D column, calling fmt once per distinct value
-    (the JSONL writers; spectrum.csv goes through _format_e16).
+def _format_column(values: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
+    """(texts, index) of a 1-D column: fmt of each distinct value, called
+    once per value, and each entry's index into texts (the JSONL writers;
+    spectrum.csv goes through _format_e16).
 
     Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
     payloads) stay apart and each entry gets exactly the string fmt gives it.
     """
     keys = values.view(np.int64) if values.dtype == np.float64 else values
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    strings = list(map(fmt, distinct.view(values.dtype).tolist()))
-    return list(map(strings.__getitem__, inverse.tolist()))
-
-
-def _format_rows(columns, join):
-    """Rows of (values, fmt) columns, joined by `join`, _ROW_CHUNK rows per string."""
-    n_rows = len(columns[0][0])
-    for start in range(0, n_rows, _ROW_CHUNK):
-        stop = start + _ROW_CHUNK
-        cells = [_format_column(values[start:stop], fmt) for values, fmt in columns]
-        yield "".join(map(join, zip(*cells)))
+    distinct, index = np.unique(keys, return_inverse=True)
+    # The narrowest index type: a writer holds one index per entry of every column.
+    index = index.astype(np.min_scalar_type(distinct.size), copy=False)
+    return list(map(fmt, distinct.view(values.dtype).tolist())), index
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +207,10 @@ def write_manifest(
 ) -> None:
     """Write manifest.json, after the data files, so its timing covers them.
 
-    t0 is the run's perf_counter() start; compute_s the part of the run spent
-    before serialization began. health, when given, is written unhashed next
-    to timing.
+    t0 is the run's perf_counter() start; compute_s the part of the run not
+    spent serializing (before serialization began, or, for a run that writes
+    while it computes, the rest of the run). health, when given, is written
+    unhashed next to timing.
     """
     wall_time_s = time.perf_counter() - t0
     manifest = {
@@ -345,11 +339,26 @@ def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
     }
 
 
+# Rows joined into one string at a time by the JSONL writers.
+_JSONL_BLOCK = 2048
+
+
 def _jsonl_rows(columns: dict):
-    """Canonical JSON rows (compact, keys sorted, one per line) of named columns."""
+    """Canonical JSON rows (compact, keys sorted, one per line) of named
+    columns, _JSONL_BLOCK rows per string. Each column's distinct values are
+    formatted once over all the rows given."""
     keys = sorted(columns)
-    template = "{" + ",".join(f"{json.dumps(k)}:%s" for k in keys) + "}\n"
-    return _format_rows([(columns[k], json.dumps) for k in keys], template.__mod__)
+    cells = [_format_column(columns[k], json.dumps) for k in keys]
+    # A row is the key pieces with its cells between them: {"a":1,"b":2}.
+    row = [None] * (2 * len(keys) + 1)
+    row[0::2] = ["{" + json.dumps(keys[0]) + ":", *(f",{json.dumps(k)}:" for k in keys[1:]), "}\n"]
+    n_rows = len(cells[0][1])
+    for start in range(0, n_rows, _JSONL_BLOCK):
+        stop = min(start + _JSONL_BLOCK, n_rows)
+        parts = row * (stop - start)
+        for k, (texts, index) in enumerate(cells):
+            parts[2 * k + 1 :: len(row)] = map(texts.__getitem__, index[start:stop].tolist())
+        yield "".join(parts)
 
 
 def _csv_cells(values: np.ndarray, shape: tuple[int, int, int] | None, axis: int | None):
@@ -396,9 +405,11 @@ def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: s
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
+    columns = _spectrum_columns(grid, thermal)
     with path.open("w", encoding="utf-8") as f:
         f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
-        f.writelines(_jsonl_rows(_spectrum_columns(grid, thermal)))
+        for start in range(0, grid.n_bins, _ROW_CHUNK):
+            f.writelines(_jsonl_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()}))
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -502,12 +513,38 @@ _CASCADE_DEFAULTS = {
 }
 
 
-def _write_chains_jsonl(path: Path, columns, manifest_hash: str, n_samples: int, seed: int) -> None:
-    """One row per step, from the step columns of cascade.sample_ensemble."""
-    header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
-    with path.open("w", encoding="utf-8") as f:
-        f.write(_canonical_json(header) + "\n")
-        f.writelines(_jsonl_rows(columns))
+class _ChainsJsonl:
+    """chains.jsonl, one row per step, written chunk by chunk from the step
+    columns of cascade.sample_ensemble; seconds is the time spent in write.
+
+    The rows go to a temporary file, renamed into place when the with block
+    ends without an error and removed when it ends with one, so a failed run
+    leaves no partial chains.jsonl.
+    """
+
+    def __init__(self, path: Path, manifest_hash: str, n_samples: int, seed: int) -> None:
+        self.path, self.part = path, path.with_name(path.name + ".part")
+        self.header = {"type": "header", "manifest_hash": manifest_hash,
+                       "n_samples": n_samples, "seed": seed}
+        self.seconds = 0.0
+
+    def __enter__(self) -> "_ChainsJsonl":
+        self.file = self.part.open("w", encoding="utf-8")
+        self.file.write(_canonical_json(self.header) + "\n")
+        return self
+
+    def write(self, columns: dict) -> None:
+        t = time.perf_counter()
+        self.file.writelines(_jsonl_rows(columns))
+        self.seconds += time.perf_counter() - t
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.file.close()
+            if exc_type is None:
+                self.part.replace(self.path)
+        finally:
+            self.part.unlink(missing_ok=True)
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:
@@ -522,22 +559,26 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         spin_quantum=cfg["spin_quantum"],
     )
     n_samples, seed = cfg["n_samples"], cfg["seed"]
-    # "workers" is only echoed: sampling runs in this process, and each
-    # chain's stream is derived from (seed, index) alone.
-    stats, steps = sample_ensemble(state, policy, n_samples, seed)
-    compute_s = time.perf_counter() - t0
+    # Raises every usage error before anything is written.
+    table = _ensemble_table(state, policy, n_samples, seed)
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_cfg = dict(cfg, state=state_to_record(state), policy=policy.to_record())
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
-    _write_chains_jsonl(outdir / "chains.jsonl", steps, manifest_hash, n_samples, seed)
+    # "workers" is only echoed: sampling runs in this process, and each
+    # chain's stream is derived from (seed, index) alone. Each chunk's rows
+    # are written as soon as it is walked.
+    with _ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
+        stats = sample_ensemble(state, policy, n_samples, seed, chains.write)
+    # Summed over the chunks: the walks are compute, the row writing serialization.
+    compute_s = time.perf_counter() - t0 - chains.seconds
     _write_json(
         outdir / "ensemble.json",
         dict(stats.to_json_dict(), manifest_hash=manifest_hash),
     )
-    # The walk's table is cached: this looks it up, with every state it reached.
-    health = {"n_stuck": stats.n_stuck, "n_states": len(_transition_table(state, policy))}
+    # The table is cached: after the walk it holds every state the walk reached.
+    health = {"n_stuck": stats.n_stuck, "n_states": len(table)}
     write_manifest(outdir, "cascade", manifest_cfg, manifest_hash, t0, compute_s, health)
     return EXIT_OK
 

@@ -251,3 +251,32 @@ def test_area_radius_kernel_flags_invalid_as_nan():
         dtype=np.float64,
     )
     assert np.isnan(got).all()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+@pytest.mark.parametrize(
+    "family,ms,qs,js",
+    [
+        (Family.SCHWARZSCHILD, [-0.5, 0.0, 0.25, 1.0], [-0.125, 0.0, 0.125], [0.0, 0.5]),
+        # Remnant charges up to 0.999999 M, on both sides of extremality.
+        (Family.REISSNER_NORDSTROM, [-1.0, 0.0, 0.999999, 1.0, 1.000001],
+         [-0.999999, -0.5, 0.0, 0.5, 0.999999, 1.0], [0.0, 0.25]),
+        (Family.KERR_NEWMAN, [0.0, 0.5, 1.0, 2.0], [-0.999999, 0.0, 0.75, 0.999999],
+         [-1.0, 0.0, 0.001, 0.5, 1.0, 3.5]),
+    ],
+    ids=["schwarzschild", "rn", "kn"],
+)
+def test_hairs_valid_on_axes_equals_flat(family, ms, qs, js, alpha):
+    # Every case holds the zero state (0, 0, 0) and states with no horizon.
+    from bhspectra.blackholes import hairs_valid
+
+    ms, qs, js = (np.array(x) for x in (ms, qs, js))
+    axes = ms[:, None, None], qs[None, :, None], js[None, None, :]
+    flat = (x.ravel() for x in np.meshgrid(ms, qs, js, indexing="ij"))
+    got = hairs_valid(family, *axes, alpha)
+    want = hairs_valid(family, *flat, alpha)
+    assert got.shape == (ms.size, qs.size, js.size)
+    assert got.dtype == want.dtype == bool
+    assert np.array_equal(got.ravel(), want)
+    assert want.any() and not want.all()
+    assert bool(got[list(ms).index(0.0), list(qs).index(0.0), list(js).index(0.0)]) == (alpha == 0.0)

@@ -214,11 +214,17 @@ def _fake_chain(rng, n_steps: int):
     return SimpleNamespace(initial=SimpleNamespace(m=values[-1]), steps=steps)
 
 
+def _write_chains_jsonl(path, chunks, manifest_hash, n_samples, seed) -> None:
+    with cli._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
+        for columns in chunks:
+            out.write(columns)
+
+
 def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
     rng = np.random.default_rng(1)
     chains = [_fake_chain(rng, int(k)) for k in rng.integers(0, 40, size=900)]
     assert sum(len(c.steps) for c in chains) > cli._ROW_CHUNK
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", _chain_columns(chains), "abc", len(chains), 7)
+    _write_chains_jsonl(tmp_path / "c.jsonl", [_chain_columns(chains)], "abc", len(chains), 7)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", len(chains), 7)
 
 
@@ -243,21 +249,24 @@ def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
 def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state, policy):
     # The CLI's many-chain walk against 30 one-chain walks, row by row.
     chains = [sample_cascade(state, policy, 3, i) for i in range(30)]
-    _, columns = sample_ensemble(state, policy, 30, 3)
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", columns, "abc", 30, 3)
+    chunks = []
+    sample_ensemble(state, policy, 30, 3, chunks.append)
+    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 30, 3)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
 
 
 def test_chains_writer_with_no_steps(tmp_path):
     chains = [SimpleNamespace(initial=SimpleNamespace(m=1.0), steps=[])]
-    cli._write_chains_jsonl(tmp_path / "c.jsonl", _chain_columns(chains), "abc", 1, 0)
+    _write_chains_jsonl(tmp_path / "c.jsonl", [_chain_columns(chains)], "abc", 1, 0)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1, 0)
 
 
 def test_format_column_keeps_signed_zero_and_order():
     values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
-    assert cli._format_column(values, "%.16e".__mod__) == ["%.16e" % v for v in values.tolist()]
-    assert cli._format_column(values, json.dumps) == [json.dumps(v) for v in values.tolist()]
+    for fmt in ("%.16e".__mod__, json.dumps):
+        texts, index = cli._format_column(values, fmt)
+        assert [texts[i] for i in index.tolist()] == [fmt(v) for v in values.tolist()]
+        assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
 
 
 def _e16_edge_cases() -> np.ndarray:
