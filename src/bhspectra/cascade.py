@@ -664,7 +664,11 @@ def ensemble_stats_from_chains(
     seed: int,
     method: str = "per-sample",
 ) -> CascadeEnsembleStats:
-    """Aggregate an iterable of already-sampled chains into ensemble stats."""
+    """Aggregate an iterable of already-sampled chains, n_samples of them,
+    into ensemble stats."""
+    chains = list(chains)
+    if len(chains) != n_samples:
+        raise UsageError(f"{len(chains)} chains given for n_samples={n_samples}")
     identity_counts: dict[tuple, int] | None = {}
     lengths, first_k = np.zeros(n_samples, dtype=np.int64), np.zeros(n_samples, dtype=np.int64)
     raw_tot, norm_tot, stuck = np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, bool)

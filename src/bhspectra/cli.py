@@ -44,7 +44,7 @@ from .grids import GridSpec, Normalization, SpectrumGrid
 from .information import build_info_report
 from .spectrum import _normalize, build_spectrum, build_thermal_spectrum
 from .typicality import typicality_lab
-from .verify import run_suites
+from .verify import SUITES, run_suites
 
 
 class _Parser(argparse.ArgumentParser):
@@ -249,40 +249,59 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _file_value(args: argparse.Namespace, key: str, value, default):
-    """A config-file value converted by its flag's type=, as argparse converts flags.
+def _file_value(key: str, value, kind, default):
+    """A config-file value checked and converted as its flag's text is.
 
-    A non-string value is converted from its JSON text, as a flag is from its
-    own text: 2.7 or true is not an int, and 2 is the float 2.0. null is kept
-    where the default itself is null (an unset optional value).
+    A switch takes a JSON boolean, a text or choice option a JSON string. A
+    number option converts a non-string value from its JSON text, as a flag
+    from its own text: 2.7 or true is not an int, and 2 is the float 2.0.
+    null is kept where the default itself is null (an unset optional value).
     """
-    convert = args.flag_types.get(key)
-    if convert is None or (value is None and default is None):
+    if value is None and default is None:
+        return None
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    elif isinstance(kind, tuple):
+        ok = value in kind
+    else:
+        try:
+            return kind(value if isinstance(value, str) else json.dumps(value))
+        except ValueError:
+            ok = False
+    if ok:
         return value
-    try:
-        return convert(value if isinstance(value, str) else json.dumps(value))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(
-            f"config key {key!r}: invalid {convert.__name__} value: {value!r}"
-        ) from exc
+    expected = " | ".join(kind) if isinstance(kind, tuple) else kind.__name__
+    raise UsageError(f"config key {key!r}: invalid value {value!r}, expected {expected}")
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """Resolve option values: explicit flag > config file > default."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_cfg) - set(defaults)
+def _merge(args: argparse.Namespace) -> dict:
+    """Resolve the command's option values: explicit flag > config file > default."""
+    file_cfg = _load_config_file(args.config)
+    unknown = set(file_cfg) - set(args.options)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    for key, default in defaults.items():
-        flag_value = getattr(args, key, None)
+    for key, (kind, default, _) in args.options.items():
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
         elif key in file_cfg:
-            merged[key] = _file_value(args, key, file_cfg[key], default)
+            merged[key] = _file_value(key, file_cfg[key], kind, default)
         else:
             merged[key] = default
     return merged
+
+
+# A command's options, name: (kind, default, help), in --help order. kind is a
+# type, a tuple of the allowed strings, or bool for a switch; the flag is
+# --name with dashes, and a config file sets the option under its name.
+_STATE_OPTIONS = {
+    "family": (str, "schwarzschild", "schwarzschild | rn | kn"),
+    "mass": (float, 1.0, "mass M in Planck units"),
+    "charge": (float, 0.0, "charge Q (0 for schwarzschild)"),
+    "angular_momentum": (float, 0.0, "J"),
+    "alpha": (float, 0.0, "log-correction coefficient"),
+}
 
 
 def _state_from_config(cfg: dict) -> BlackHoleState:
@@ -301,24 +320,20 @@ def _state_from_config(cfg: dict) -> BlackHoleState:
 # spectrum
 # ---------------------------------------------------------------------------
 
-_SPECTRUM_DEFAULTS = {
-    "family": "schwarzschild",
-    "mass": 1.0,
-    "charge": 0.0,
-    "angular_momentum": 0.0,
-    "alpha": 0.0,
-    "omega_min": 0.0,
-    "omega_max": None,  # resolved to the mass
-    "bins": 64,
-    "q_step": 1.0,
-    "n_q": 1,
-    "j_step": 1.0,
-    "n_j": 1,
-    "normalization": "raw",
-    "format": "csv",
-    "output_dir": ".",
-    "seed": 0,
-    "report": False,
+_SPECTRUM_OPTIONS = {
+    **_STATE_OPTIONS,
+    "omega_min": (float, 0.0, None),
+    "omega_max": (float, None, None),  # resolved to the mass
+    "bins": (int, 64, "number of omega nodes"),
+    "q_step": (float, 1.0, None),
+    "n_q": (int, 1, None),
+    "j_step": (float, 1.0, None),
+    "n_j": (int, 1, None),
+    "normalization": (tuple(n.value for n in Normalization), "raw", None),
+    "format": (("csv", "jsonl", "json"), "csv", None),
+    "output_dir": (str, ".", None),
+    "seed": (int, 0, None),
+    "report": (bool, False, "also write info_report.json"),
 }
 
 
@@ -414,7 +429,7 @@ def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _merge(args, _SPECTRUM_DEFAULTS)
+    cfg = _merge(args)
     state = _state_from_config(cfg)
     if cfg["omega_max"] is None:
         cfg["omega_max"] = state.m
@@ -427,13 +442,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         j_step=cfg["j_step"],
         n_j=cfg["n_j"],
     )
-    fmt = str(cfg["format"]).lower()
-    if fmt not in ("csv", "jsonl", "json"):
-        raise UsageError(f"unknown format {fmt!r}; choose csv, jsonl or json")
-    try:
-        normalization = Normalization(str(cfg["normalization"]).lower())
-    except ValueError as exc:
-        raise UsageError(f"unknown normalization {cfg['normalization']!r}") from exc
+    normalization = Normalization(cfg["normalization"])
     grid = build_spectrum(state, spec, normalization)
     n_nonfinite = np.count_nonzero(~np.isfinite(grid.log_weight[grid.valid]))
     if n_nonfinite or (grid.log_norm is not None and not np.isfinite(grid.log_norm)):
@@ -466,9 +475,9 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_cfg = dict(cfg, state=state_to_record(state), grid_spec=spec.to_record())
     manifest_hash = _manifest_hash("spectrum", manifest_cfg)
-    if fmt == "csv":
+    if cfg["format"] == "csv":
         write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
-    elif fmt == "jsonl":
+    elif cfg["format"] == "jsonl":
         _write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
     else:
         columns = _spectrum_columns(grid, thermal)
@@ -495,21 +504,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 # cascade
 # ---------------------------------------------------------------------------
 
-_CASCADE_DEFAULTS = {
-    "family": "schwarzschild",
-    "mass": 1.0,
-    "charge": 0.0,
-    "angular_momentum": 0.0,
-    "alpha": 0.0,
-    "energy_quantum": 0.0625,
-    "stop_mass": 0.0,
-    "max_steps": None,
-    "charge_quantum": None,
-    "spin_quantum": None,
-    "n_samples": 100,
-    "seed": 0,
-    "workers": 1,
-    "output_dir": ".",
+_CASCADE_OPTIONS = {
+    **_STATE_OPTIONS,
+    "energy_quantum": (float, 0.0625, None),
+    "stop_mass": (float, 0.0, None),
+    "max_steps": (int, None, None),
+    "charge_quantum": (float, None, None),
+    "spin_quantum": (float, None, None),
+    "n_samples": (int, 100, None),
+    "seed": (int, 0, None),
+    "workers": (int, 1, "accepted for compatibility and echoed; "
+                "changes neither output nor execution"),
+    "output_dir": (str, ".", None),
 }
 
 
@@ -549,7 +555,7 @@ class _ChainsJsonl:
 
 def cmd_cascade(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _merge(args, _CASCADE_DEFAULTS)
+    cfg = _merge(args)
     state = _state_from_config(cfg)
     policy = CascadePolicy(
         energy_quantum=cfg["energy_quantum"],
@@ -587,18 +593,18 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_VERIFY_DEFAULTS = {
-    "suite": "all",
-    "seed": 0,
-    "alpha": 0.0,
-    "output_dir": ".",
+_VERIFY_OPTIONS = {
+    "suite": (SUITES + ("all",), "all", None),
+    "seed": (int, 0, None),
+    "alpha": (float, 0.0, "log-correction coefficient used by the suites"),
+    "output_dir": (str, ".", None),
 }
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _merge(args, _VERIFY_DEFAULTS)
-    reports = run_suites(str(cfg["suite"]), seed=cfg["seed"], alpha=cfg["alpha"])
+    cfg = _merge(args)
+    reports = run_suites(cfg["suite"], seed=cfg["seed"], alpha=cfg["alpha"])
     compute_s = time.perf_counter() - t0
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -628,19 +634,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # typicality
 # ---------------------------------------------------------------------------
 
-_TYPICALITY_DEFAULTS = {
-    "dim_b": 4,
-    "dim_o": 4096,
-    "seeds": 100,
-    "scale_factor": 4,
-    "seed": 0,
-    "output_dir": ".",
+_TYPICALITY_OPTIONS = {
+    "dim_b": (int, 4, None),
+    "dim_o": (int, 4096, None),
+    "seeds": (int, 100, "number of random states to average"),
+    "scale_factor": (int, 4, None),
+    "seed": (int, 0, None),
+    "output_dir": (str, ".", None),
 }
 
 
 def cmd_typicality(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    cfg = _merge(args, _TYPICALITY_DEFAULTS)
+    cfg = _merge(args)
     lab = typicality_lab(
         dim_b=cfg["dim_b"],
         dim_o=cfg["dim_o"],
@@ -674,68 +680,24 @@ def build_parser() -> _Parser:
         "and information bookkeeping from entropy functions (Planck units).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_state_flags(p: _Parser) -> None:
-        p.add_argument("--family", help="schwarzschild | rn | kn")
-        p.add_argument("--mass", type=float, help="mass M in Planck units")
-        p.add_argument("--charge", type=float, help="charge Q (0 for schwarzschild)")
-        p.add_argument("--angular-momentum", type=float, dest="angular_momentum", help="J")
-        p.add_argument("--alpha", type=float, help="log-correction coefficient")
-
-    sp = sub.add_parser("spectrum", parents=[], description="Emission spectrum on a grid.")
-    sp.add_argument("--config", help="flat JSON config file; flags override it")
-    add_state_flags(sp)
-    sp.add_argument("--omega-min", type=float, dest="omega_min")
-    sp.add_argument("--omega-max", type=float, dest="omega_max")
-    sp.add_argument("--bins", type=int, help="number of omega nodes")
-    sp.add_argument("--q-step", type=float, dest="q_step")
-    sp.add_argument("--n-q", type=int, dest="n_q")
-    sp.add_argument("--j-step", type=float, dest="j_step")
-    sp.add_argument("--n-j", type=int, dest="n_j")
-    sp.add_argument("--normalization", choices=["raw", "unitsum"])
-    sp.add_argument("--format", choices=["csv", "jsonl", "json"])
-    sp.add_argument("--output-dir", dest="output_dir")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--report", action="store_const", const=True, default=None,
-                    help="also write info_report.json")
-    sp.set_defaults(func=cmd_spectrum)
-
-    ca = sub.add_parser("cascade", description="Monte Carlo evaporation cascades.")
-    ca.add_argument("--config", help="flat JSON config file; flags override it")
-    add_state_flags(ca)
-    ca.add_argument("--energy-quantum", type=float, dest="energy_quantum")
-    ca.add_argument("--stop-mass", type=float, dest="stop_mass")
-    ca.add_argument("--max-steps", type=int, dest="max_steps")
-    ca.add_argument("--charge-quantum", type=float, dest="charge_quantum")
-    ca.add_argument("--spin-quantum", type=float, dest="spin_quantum")
-    ca.add_argument("--n-samples", type=int, dest="n_samples")
-    ca.add_argument("--seed", type=int)
-    ca.add_argument("--workers", type=int,
-                    help="accepted for compatibility and echoed; changes neither output nor execution")
-    ca.add_argument("--output-dir", dest="output_dir")
-    ca.set_defaults(func=cmd_cascade)
-
-    ve = sub.add_parser("verify", description="Run invariant verification suites.")
-    ve.add_argument("--config", help="flat JSON config file; flags override it")
-    ve.add_argument("--suite", choices=["identities", "typicality", "cascade", "info", "all"])
-    ve.add_argument("--seed", type=int)
-    ve.add_argument("--alpha", type=float, help="log-correction coefficient used by the suites")
-    ve.add_argument("--output-dir", dest="output_dir")
-    ve.set_defaults(func=cmd_verify)
-
-    ty = sub.add_parser("typicality", description="Random-pure-state typicality lab.")
-    ty.add_argument("--config", help="flat JSON config file; flags override it")
-    ty.add_argument("--dim-b", type=int, dest="dim_b")
-    ty.add_argument("--dim-o", type=int, dest="dim_o")
-    ty.add_argument("--seeds", type=int, help="number of random states to average")
-    ty.add_argument("--scale-factor", type=int, dest="scale_factor")
-    ty.add_argument("--seed", type=int)
-    ty.add_argument("--output-dir", dest="output_dir")
-    ty.set_defaults(func=cmd_typicality)
-
-    # Config-file values go through the same type= as their flags.
-    for p in (sp, ca, ve, ty):
-        p.set_defaults(flag_types={a.dest: a.type for a in p._actions if a.type is not None})
+    for name, func, description, options in (
+        ("spectrum", cmd_spectrum, "Emission spectrum on a grid.", _SPECTRUM_OPTIONS),
+        ("cascade", cmd_cascade, "Monte Carlo evaporation cascades.", _CASCADE_OPTIONS),
+        ("verify", cmd_verify, "Run invariant verification suites.", _VERIFY_OPTIONS),
+        ("typicality", cmd_typicality, "Random-pure-state typicality lab.", _TYPICALITY_OPTIONS),
+    ):
+        p = sub.add_parser(name, description=description)
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        # Every flag defaults to None, so that _merge can tell it was not given.
+        for key, (kind, _, help_text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
+        p.set_defaults(func=func, options=options)
     return parser
 
 

@@ -29,7 +29,9 @@ from .spectrum import emission_log_weight, emission_log_weights, logsumexp
 
 _8PI = 8.0 * np.pi
 
-# Omega nodes the info report's pairwise-correlation summary keeps, at most.
+# The info report's pairwise-correlation summary takes every
+# (n // _MAX_CORR_NODES)-th of n > _MAX_CORR_NODES omega nodes, so it keeps
+# fewer than 2 * _MAX_CORR_NODES of them.
 _MAX_CORR_NODES = 128
 
 
@@ -299,8 +301,9 @@ def build_info_report(state: BlackHoleState, spectrum: SpectrumGrid) -> InfoRepo
     unit-sum spectrum of `state` on its grid.
 
     The correlation summary runs over energy-only emission pairs (w_i, w_k),
-    i <= k, on the grid's omega axis (subsampled to at most _MAX_CORR_NODES
-    nodes); pairs with a closed single or combined channel are skipped.
+    i <= k, on the grid's omega axis (subsampled to fewer than
+    2 * _MAX_CORR_NODES nodes); pairs with a closed single or combined
+    channel are skipped.
     """
     spec = spectrum.grid_spec
     if spec is None:

@@ -289,6 +289,12 @@ class TestEnsembles:
             assert a.identity_counts == b.identity_counts
             assert a.to_json_dict() == b.to_json_dict()
 
+    @pytest.mark.parametrize("n_samples", [5, 2], ids=["fewer_chains", "more_chains"])
+    def test_stats_from_chains_rejects_a_count_mismatch(self, n_samples):
+        chains = [sample_cascade(SCHW_HALF, POLICY_5, 33, i) for i in range(3)]
+        with pytest.raises(UsageError, match=f"3 chains given for n_samples={n_samples}"):
+            ensemble_stats_from_chains(chains, POLICY_5, n_samples, 33)
+
     @pytest.mark.parametrize("n", [18, 20])
     def test_batch_identities_are_compositions(self, n):
         # Every batch identity is an ordered composition of the n quanta,

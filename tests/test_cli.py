@@ -379,9 +379,18 @@ class TestUsage:
             ("spectrum", {"bins": 2.7}),
             ("cascade", {"n_samples": True}),
             ("spectrum", {"mass": True}),
+            # A switch takes a JSON boolean; a choice is matched exactly, as
+            # its flag is.
+            ("spectrum", {"report": "false"}),
+            ("spectrum", {"report": 1}),
+            ("spectrum", {"normalization": "UnitSum"}),
+            ("spectrum", {"format": "CSV"}),
+            ("verify", {"suite": "ALL"}),
         ],
         ids=["spectrum-bins", "spectrum-mass", "cascade", "verify", "typicality",
-             "spectrum-bins-fraction", "cascade-n-samples-bool", "spectrum-mass-bool"],
+             "spectrum-bins-fraction", "cascade-n-samples-bool", "spectrum-mass-bool",
+             "spectrum-report-string", "spectrum-report-int", "spectrum-normalization-case",
+             "spectrum-format-case", "verify-suite-case"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, command, bad):
         cfg = tmp_path / "bad.json"
@@ -398,6 +407,47 @@ class TestUsage:
         config = json.loads((tmp_path / "manifest.json").read_text())["config"]
         assert config["mass"] == 2.0 and isinstance(config["mass"], float)
         assert config["omega_max"] == 2.0
+
+    def test_config_report_true_writes_info_report(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"report": True, "bins": 8}))
+        assert run_cli("spectrum", "--config", str(cfg), "--output-dir", str(tmp_path)) == 0
+        assert (tmp_path / "info_report.json").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text())["config"]["report"] is True
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [
+            (command, key)
+            for command, options in (
+                ("spectrum", cli._SPECTRUM_OPTIONS),
+                ("cascade", cli._CASCADE_OPTIONS),
+                ("verify", cli._VERIFY_OPTIONS),
+                ("typicality", cli._TYPICALITY_OPTIONS),
+            )
+            for key in options
+        ],
+    )
+    def test_flag_and_config_value_resolve_alike(self, tmp_path, command, key):
+        # Parsed and merged in process; no command runs.
+        parser = cli.build_parser()
+        kind, default, _ = parser.parse_args([command]).options[key]
+        if kind is bool:
+            flag_args, file_value = [], True
+        elif isinstance(kind, tuple):
+            flag_args, file_value = [kind[-1]], kind[-1]
+        elif kind is str:
+            flag_args, file_value = ["kn"], "kn"
+        else:
+            flag_args, file_value = ["2"], 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: file_value}))
+        flag = "--" + key.replace("_", "-")
+        from_flag = cli._merge(parser.parse_args([command, flag, *flag_args]))[key]
+        from_file = cli._merge(parser.parse_args([command, "--config", str(cfg)]))[key]
+        assert from_flag == from_file == file_value
+        assert type(from_flag) is type(from_file) is (str if isinstance(kind, tuple) else kind)
+        assert cli._merge(parser.parse_args([command]))[key] == default
 
     def test_help_exits_zero(self):
         proc = run_subprocess("--help")
