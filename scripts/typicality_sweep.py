@@ -44,9 +44,7 @@ def main() -> None:
         rms = np.empty(args.seeds)
         for i in range(args.seeds):
             seed = int(np.random.SeedSequence((args.seed, step, i)).generate_state(1)[0])
-            rho = reduce_to_system(
-                sample_universe_state(ledger, seed, max_dim=max(1 << 16, 8 * dim_o))
-            )
+            rho = reduce_to_system(sample_universe_state(ledger, seed))
             l1[i] = np.sum(np.abs(level_diagonal(ledger, rho) - weights))
             rms[i] = offdiagonal_rms(rho)
         row = {

@@ -41,7 +41,6 @@ _EXPORTS = {
         "DomainError",
         "RemnantInvalid",
         "UsageError",
-        "VerificationFailure",
     ),
     "grids": ("GridSpec", "Normalization", "SpectrumGrid"),
     "information": (
@@ -64,13 +63,10 @@ _EXPORTS = {
         "compare_thermal",
         "emission_log_weight",
         "emission_log_weights",
-        "entropy_function_for",
         "thermal_log_weight",
     ),
     "typicality": (
         "EnergyLedger",
-        "EntropyFunction",
-        "MacroState",
         "PureStateSample",
         "ReducedDensity",
         "TypicalityLabReport",
@@ -80,7 +76,6 @@ _EXPORTS = {
         "offdiagonal_rms",
         "reduce_to_system",
         "sample_universe_state",
-        "spectrum_from_entropy",
         "typicality_lab",
     ),
 }

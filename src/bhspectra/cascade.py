@@ -37,7 +37,6 @@ the same per-step distributions.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -89,9 +88,6 @@ class CascadePolicy:
     @property
     def energy_only(self) -> bool:
         return self.charge_quantum is None and self.spin_quantum is None
-
-    def to_record(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,9 @@ def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
     nj = _count_quanta(state.j, policy.spin_quantum, "J") if policy.spin_quantum else 0
     if policy.max_steps is not None and policy.max_steps < n:
         raise UsageError(f"max_steps={policy.max_steps} < {n} = (M - stop_mass)/energy_quantum")
+    channels = n * (abs(nq) + 1) * (abs(nj) + 1)
+    if channels > _MAX_CHANNELS:
+        raise UsageError(f"{n} energy quanta open {channels} channels, above {_MAX_CHANNELS}")
     return _Plan(n, nq, nj)
 
 
@@ -436,6 +435,10 @@ def chain_identity(chain: EmissionChain, policy: CascadePolicy) -> tuple:
 # Largest quantum count with an identity census: enumeration lists all
 # 2^(n-1) compositions, and ensembles count chain identities, only up to it.
 _CENSUS_MAX_QUANTA = 20
+
+# Most channels out of a cascade's initial state. A table can reach about
+# (that count)^2 / 2 channels at 72 bytes each: under 0.6 GB at this cap.
+_MAX_CHANNELS = 1 << 12
 
 
 def enumerate_chains(

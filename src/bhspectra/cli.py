@@ -473,7 +473,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_cfg = dict(cfg, state=state_to_record(state), grid_spec=spec.to_record())
+    manifest_cfg = dict(cfg, state=state_to_record(state), grid_spec=dataclasses.asdict(spec))
     manifest_hash = _manifest_hash("spectrum", manifest_cfg)
     if cfg["format"] == "csv":
         write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
@@ -487,7 +487,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             {
                 "manifest_hash": manifest_hash,
                 "state": state_to_record(state),
-                "grid_spec": spec.to_record(),
+                "grid_spec": dataclasses.asdict(spec),
                 "normalization": normalization.value,
                 "log_norm": grid.log_norm,
                 "bins": bins,
@@ -570,7 +570,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_cfg = dict(cfg, state=state_to_record(state), policy=policy.to_record())
+    manifest_cfg = dict(cfg, state=state_to_record(state), policy=dataclasses.asdict(policy))
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone. Each chunk's rows
@@ -660,10 +660,11 @@ def cmd_typicality(args: argparse.Namespace) -> int:
     manifest_hash = _manifest_hash("typicality", cfg)
     _write_json(outdir / "typicality.json", dict(lab.to_json_dict(), manifest_hash=manifest_hash))
     write_manifest(outdir, "typicality", cfg, manifest_hash, t0, compute_s)
+    ratio = "n/a" if lab.rms_ratio is None else f"{lab.rms_ratio:.3f}"
     print(
         f"typicality: L1(diag, weights) = {lab.mean_l1_weights:.4f}, "
         f"off-diagonal RMS {lab.offdiag_rms:.2e} -> {lab.offdiag_rms_scaled:.2e} "
-        f"(ratio {lab.rms_ratio:.3f}) at {lab.scale_factor}x dim_o"
+        f"(ratio {ratio}) at {lab.scale_factor}x dim_o"
     )
     return EXIT_OK
 

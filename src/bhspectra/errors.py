@@ -20,7 +20,3 @@ class DomainError(BhspectraError):
 
 class RemnantInvalid(DomainError):
     """An emission would leave a forbidden remnant: the channel is closed."""
-
-
-class VerificationFailure(BhspectraError):
-    """A verification suite measured a violated invariant (exit 3)."""

@@ -14,7 +14,6 @@ which keeps conservation checks exact.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -70,9 +69,6 @@ class GridSpec:
 
     def j_values(self) -> np.ndarray:
         return self.j_step * np.arange(self.n_j, dtype=np.float64)
-
-    def to_record(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

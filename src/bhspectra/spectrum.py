@@ -28,8 +28,6 @@ from .blackholes import (
     Emission,
     Family,
     _remnant_hairs,
-    apply_emission,
-    bh_entropy,
     entropy_drop,
     hairs_valid,
     hawking_temperature,
@@ -38,7 +36,6 @@ from .blackholes import (
 from .blackholes import entropy_drop_uncharged, entropy_grid  # noqa: F401
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .typicality import EntropyFunction, MacroState
 
 
 def logsumexp(a) -> float:
@@ -262,37 +259,3 @@ def compare_thermal(nonthermal: SpectrumGrid, thermal: SpectrumGrid) -> Spectrum
         mean_abs_log_ratio=float(np.mean(np.abs(dlog))),
         n_common=int(np.count_nonzero(common)),
     )
-
-
-def entropy_function_for(state: BlackHoleState) -> EntropyFunction:
-    """Bridge a black hole into the generic spectrum-from-entropy layer.
-
-    MacroState maps (energy, charge, spin) -> hairs (M, Q, J) at the state's
-    family and alpha.
-    """
-
-    def to_state(ms: MacroState) -> BlackHoleState:
-        return BlackHoleState(state.family, ms.energy, ms.charge, ms.spin, state.alpha)
-
-    def evaluate(ms: MacroState) -> float:
-        return bh_entropy(to_state(ms))
-
-    def valid(ms: MacroState) -> bool:
-        return bool(
-            hairs_valid(state.family, ms.energy, ms.charge, ms.spin, state.alpha).item()
-        )
-
-    return EntropyFunction(evaluate=evaluate, valid=valid)
-
-
-__all__ = [
-    "SpectrumComparison",
-    "apply_emission",
-    "build_spectrum",
-    "build_thermal_spectrum",
-    "compare_thermal",
-    "emission_log_weight",
-    "emission_log_weights",
-    "entropy_function_for",
-    "thermal_log_weight",
-]

@@ -1,5 +1,5 @@
-"""Canonical-typicality lab: random pure universe states, partial traces,
-microcanonical weights, and the generic entropy-difference spectrum builder.
+"""Canonical typicality: random pure universe states, partial traces,
+microcanonical weights, and the seed-averaged lab behind `typicality`.
 
 The universe U = B (system) + O (environment) lives on the energy shell
 E_b + E_o = E_U. A random pure state on the shell has i.i.d. complex standard
@@ -14,22 +14,20 @@ scaling the stored unit-norm coefficients with sqrt(dim_U).
 
 Sampling works with explicit integer degeneracies so that huge environment
 state counts cost nothing where only weights are needed; the full-coefficient
-path is capped at a configurable total dimension.
+path is capped at a fixed total dimension, _DIM_U_CAP.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blackholes import Emission
 from .errors import DomainError, UsageError
-from .grids import Normalization, SpectrumGrid
 
-DEFAULT_DIM_CAP = 1 << 16
+# Largest dim_U the full-coefficient path draws: 64 MB of complex128.
+_DIM_U_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -115,9 +113,7 @@ class ReducedDensity:
             raise DomainError("reduced density matrix is not Hermitian")
 
 
-def sample_universe_state(
-    ledger: EnergyLedger, seed: int, max_dim: int = DEFAULT_DIM_CAP
-) -> PureStateSample:
+def sample_universe_state(ledger: EnergyLedger, seed: int) -> PureStateSample:
     """Draw a random pure universe state: i.i.d. complex standard normal
     coefficients over the shell basis, then one global normalization.
 
@@ -128,8 +124,8 @@ def sample_universe_state(
     dim_u = ledger.dim_u
     if dim_u == 0:
         raise DomainError("ledger has an empty shell: all sectors have zero states")
-    if dim_u > max_dim:
-        raise UsageError(f"full-coefficient path capped at dim_U <= {max_dim}, got {dim_u}")
+    if dim_u > _DIM_U_CAP:
+        raise UsageError(f"full-coefficient path capped at dim_U <= {_DIM_U_CAP}, got {dim_u}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     raw = (rng.standard_normal(dim_u) + 1j * rng.standard_normal(dim_u)) / math.sqrt(2.0)
     raw_mean_sq = float(np.mean(np.abs(raw) ** 2))
@@ -193,83 +189,6 @@ def offdiagonal_rms(rho: ReducedDensity) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Generic spectrum-from-entropy construction
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MacroState:
-    """Minimal macro-state record: energy plus optional conserved charges."""
-
-    energy: float
-    charge: float = 0.0
-    spin: float = 0.0
-
-    def __sub__(self, other: "MacroState") -> "MacroState":
-        return MacroState(
-            self.energy - other.energy, self.charge - other.charge, self.spin - other.spin
-        )
-
-
-@dataclass(frozen=True)
-class EntropyFunction:
-    """Abstract entropy evaluator with a declared validity domain.
-
-    evaluate must be deterministic (same input, bit-identical output); valid
-    says whether a macro-state lies in the evaluator's domain.
-    """
-
-    evaluate: Callable[[MacroState], float]
-    valid: Callable[[MacroState], bool] = field(default=lambda _: True)
-
-
-def spectrum_from_entropy(
-    fn: EntropyFunction, total: MacroState, deltas: Sequence[MacroState]
-) -> SpectrumGrid:
-    """Weights exp[S(total - r) - S(total)] for each subtracted macro-delta r.
-
-    Log-weights only; no normalization at this layer. Deltas whose remainder
-    leaves the validity domain come back as flagged-invalid bins, never
-    silently dropped.
-    """
-    if not deltas:
-        raise UsageError("spectrum_from_entropy needs at least one grid point")
-    if not fn.valid(total):
-        raise DomainError("total macro-state lies outside the entropy function's domain")
-    s0 = fn.evaluate(total)
-    n = len(deltas)
-    omega = np.empty(n)
-    q = np.empty(n)
-    j = np.empty(n)
-    logw = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
-    for i, delta in enumerate(deltas):
-        omega[i], q[i], j[i] = delta.energy, delta.charge, delta.spin
-        rest = total - delta
-        if fn.valid(rest):
-            valid[i] = True
-            logw[i] = fn.evaluate(rest) - s0
-    if not valid.any():
-        raise DomainError("every grid point leaves the entropy function's domain")
-    return SpectrumGrid(
-        omega=omega,
-        q=q,
-        j=j,
-        log_weight=logw,
-        valid=valid,
-        normalization=Normalization.RAW,
-        source_state=total,
-        grid_spec=None,
-        log_norm=None,
-    )
-
-
-def emission_delta(e: Emission) -> MacroState:
-    """View an emission as a subtractable macro-delta."""
-    return MacroState(e.omega, e.q, e.j)
-
-
-# ---------------------------------------------------------------------------
 # Standard typicality lab configuration
 # ---------------------------------------------------------------------------
 
@@ -296,7 +215,8 @@ def lab_ledger(dim_b: int, dim_o: int) -> EnergyLedger:
 
 @dataclass(frozen=True)
 class TypicalityLabReport:
-    """Seed-averaged measurements of the typicality lab."""
+    """Seed-averaged measurements of the typicality lab. rms_ratio is None
+    when the base off-diagonal RMS is 0 (dim_b = 1: a singlet has none)."""
 
     dim_b: int
     dim_o: int
@@ -307,7 +227,7 @@ class TypicalityLabReport:
     mean_l1_weights_scaled: float
     offdiag_rms: float
     offdiag_rms_scaled: float
-    rms_ratio: float
+    rms_ratio: float | None
     mean_raw_sq: float
 
     def to_json_dict(self) -> dict:
@@ -331,24 +251,28 @@ def typicality_lab(
         raise UsageError("n_seeds must be >= 1")
     if seed < 0:
         raise UsageError("seed must be a non-negative integer")
+    if scale_factor < 1:
+        raise UsageError("scale_factor must be >= 1")
+    base, scaled = lab_ledger(dim_b, dim_o), lab_ledger(dim_b, scale_factor * dim_o)
+    if scaled.dim_u > _DIM_U_CAP:
+        raise UsageError(f"dim_o={dim_o} at scale_factor={scale_factor}: dim_U over {_DIM_U_CAP}")
 
-    def run(dim_o_run: int) -> tuple[float, float, float]:
-        ledger = lab_ledger(dim_b, dim_o_run)
+    def run(ledger: EnergyLedger) -> tuple[float, float, float]:
         weights = microcanonical_weights(ledger)
         l1 = np.empty(n_seeds)
         rms = np.empty(n_seeds)
         raw = np.empty(n_seeds)
         for i in range(n_seeds):
             s = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
-            sample = sample_universe_state(ledger, s, max_dim=max(DEFAULT_DIM_CAP, 8 * dim_o_run))
+            sample = sample_universe_state(ledger, s)
             rho = reduce_to_system(sample)
             l1[i] = float(np.sum(np.abs(level_diagonal(ledger, rho) - weights)))
             rms[i] = offdiagonal_rms(rho)
             raw[i] = sample.raw_mean_sq
         return float(np.mean(l1)), float(np.mean(rms)), float(np.mean(raw))
 
-    l1_base, rms_base, raw_base = run(dim_o)
-    l1_scaled, rms_scaled, _ = run(scale_factor * dim_o)
+    l1_base, rms_base, raw_base = run(base)
+    l1_scaled, rms_scaled, _ = run(scaled)
     return TypicalityLabReport(
         dim_b=dim_b,
         dim_o=dim_o,
@@ -359,6 +283,6 @@ def typicality_lab(
         mean_l1_weights_scaled=l1_scaled,
         offdiag_rms=rms_base,
         offdiag_rms_scaled=rms_scaled,
-        rms_ratio=rms_scaled / rms_base if rms_base > 0 else float("nan"),
+        rms_ratio=rms_scaled / rms_base if rms_base > 0 else None,
         mean_raw_sq=raw_base,
     )

@@ -339,6 +339,32 @@ class TestTypicalityCommand:
         assert proc.stderr.startswith("usage error:") and "seed" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args,named", [
+        # 1e9 quanta: the walk would draw 1e9 uniforms per chain.
+        (("cascade", "--mass", "1", "--energy-quantum", "1e-9", "--n-samples", "1"),
+         "1000000000 energy quanta"),
+        # dim_U = 3 * 2^20 is under the cap, but 4x dim_o gives 12 * 2^20.
+        (("typicality", "--dim-o", str(1 << 20), "--seeds", "1"), "dim_o"),
+        (("typicality", "--dim-o", "16", "--seeds", "1", "--scale-factor", "0"), "scale_factor"),
+    ], ids=["cascade-quanta", "typicality-dim-o", "typicality-scale-factor"])
+    def test_input_over_a_cap_exits_1(self, tmp_path, args, named):
+        proc = run_subprocess(*args, "--output-dir", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:") and named in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_singlet_system_writes_null_rms_ratio(self, tmp_path, capsys):
+        # A singlet has no off-diagonals, so the base RMS is 0 and the ratio undefined.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code = run_cli("typicality", "--dim-b", "1", "--dim-o", "16", "--seeds", "2",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        lab = json.loads((tmp_path / "typicality.json").read_text(), parse_constant=reject)
+        assert lab["offdiag_rms"] == 0.0 and lab["rms_ratio"] is None
+        assert "(ratio n/a)" in capsys.readouterr().out
+
 
 class TestUsage:
     def test_missing_command_is_usage_error(self):

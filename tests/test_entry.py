@@ -78,8 +78,17 @@ class TestLazyPackage:
                 "m for m in sys.modules if m == 'numpy' or m.startswith('bhspectra.'))))")
         assert run_child(code) == []
 
+    @pytest.mark.parametrize("module", ["cascade", "spectrum"])
+    def test_kernels_load_no_typicality_information_or_verify(self, module):
+        code = (f"import json, sys, bhspectra.{module}; print(json.dumps(sorted("
+                "m for m in sys.modules if m.startswith('bhspectra.'))))")
+        loaded = run_child(code)
+        assert f"bhspectra.{module}" in loaded
+        for name in ("typicality", "information", "verify"):
+            assert f"bhspectra.{name}" not in loaded
+
     def test_every_public_name_resolves_to_its_submodule(self):
-        assert len(bhspectra.__all__) == len(set(bhspectra.__all__)) == 62
+        assert len(bhspectra.__all__) == len(set(bhspectra.__all__)) == 57
         for name in bhspectra.__all__:
             submodule = importlib.import_module(f"bhspectra.{bhspectra._MODULE_OF[name]}")
             assert getattr(bhspectra, name) is getattr(submodule, name)

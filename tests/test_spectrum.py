@@ -27,10 +27,8 @@ from bhspectra.spectrum import (
     _flatten,
     _grid_axes,
     emission_log_weights_bulk,
-    entropy_function_for,
     logsumexp,
 )
-from bhspectra.typicality import MacroState, spectrum_from_entropy
 
 
 def pw(m: float, w: float) -> float:
@@ -102,20 +100,6 @@ class TestEmissionLogWeight:
         if w2 <= w1:
             return
         assert emission_log_weight(s, Emission(w2)) < emission_log_weight(s, Emission(w1))
-
-    def test_matches_generic_entropy_function_layer(self):
-        # Same numbers through the generic spectrum-from-entropy route.
-        s = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
-        fn = entropy_function_for(s)
-        grid = spectrum_from_entropy(
-            fn, MacroState(2.0, 1.0), [MacroState(0.3, 0.2), MacroState(0.1, 0.0)]
-        )
-        assert grid.log_weight[0] == pytest.approx(
-            emission_log_weight(s, Emission(0.3, 0.2)), abs=1e-10
-        )
-        assert grid.log_weight[1] == pytest.approx(
-            emission_log_weight(s, Emission(0.1)), abs=1e-10
-        )
 
 
 class TestVectorizedWeights:
