@@ -313,6 +313,33 @@ def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:
     return ok
 
 
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over a 1-D real array, shifted by its maximum.
+
+    Reproduces scipy's logsumexp (1.17) bit for bit on 1-D real input: every
+    element equal to the maximum is taken out of the shifted sum, which is
+    divided by their count, so ties at the maximum cost no precision. A
+    non-finite result (inf or nan in `a`, or all -inf) falls back to the
+    direct log(sum(exp(a))), as scipy does; empty input gives -inf.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.size == 0:
+        return float("-inf")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hi = np.max(a)
+        at_max = a == hi
+        terms = np.exp(a - hi)
+        terms[at_max] = 0.0
+        s = np.sum(terms)
+        count = np.float64(np.count_nonzero(at_max))
+        if s != 0.0:
+            s = s / count
+        out = np.log1p(s) + np.log(count) + hi
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a)))
+    return float(out)
+
+
 def horizon_radius(state: BlackHoleState) -> float:
     """Horizon (area) radius R_H of a valid macro-state, in Planck lengths."""
     return math.sqrt(_area_sq(state.m, state.q, state.j, _FLOAT_OPS))

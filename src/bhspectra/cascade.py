@@ -44,11 +44,10 @@ from enum import Enum
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid
+from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError
-from .spectrum import logsumexp
 
 
 class Termination(str, Enum):

@@ -16,157 +16,63 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
+import importlib
 import json
-import math
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .blackholes import BlackHoleState, _two_prod, state_from_record, state_to_record
-from .cascade import CascadePolicy, _ensemble_table, sample_ensemble
-# Not called here; kept importable because perfbench/tracer.py wraps them here.
-from .cascade import ensemble_stats_from_chains, sample_cascade  # noqa: F401
-from .errors import (
-    EXIT_NUMERICAL,
-    EXIT_OK,
-    EXIT_PHYSICS,
-    EXIT_USAGE,
-    DomainError,
-    UsageError,
-)
-from .grids import GridSpec, Normalization, SpectrumGrid
-from .information import build_info_report
-from .spectrum import _normalize, build_spectrum, build_thermal_spectrum
-from .typicality import typicality_lab
-from .verify import SUITES, run_suites
+from .errors import (EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, EXIT_USAGE, SUITES, DomainError,
+                     Normalization, UsageError)
+
+# The package names the commands call, by module: each is imported on first access
+# as an attribute of this module (PEP 562), so --help and usage errors load no
+# numpy. Commands call them through _cli: a replaced attribute is the one called.
+_LAZY = {name: module for module, names in (
+    ("blackholes", ("state_from_record", "state_to_record")),
+    ("cascade", ("CascadePolicy", "_ensemble_table", "sample_ensemble",
+                 # Not called here; kept because perfbench/tracer.py wraps them here.
+                 "ensemble_stats_from_chains", "sample_cascade")),
+    ("grids", ("GridSpec",)),
+    ("information", ("build_info_report",)),
+    ("spectrum", ("_normalize", "build_spectrum", "build_thermal_spectrum")),
+    ("typicality", ("typicality_lab",)),
+    ("verify", ("run_suites",)),
+    ("writers", ("_ChainsJsonl", "_spectrum_columns", "_write_spectrum_jsonl",
+                 "write_spectrum_csv")),
+) for name in names}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
+
+# Seconds the running command spent in _load: the manifest's import_s.
+_import_s = 0.0
+
+
+def _load(*modules: str) -> None:
+    """Import the package modules a command runs: its first stage, import_s."""
+    global _import_s
+    t = time.perf_counter()
+    for module in modules:
+        importlib.import_module(f".{module}", __package__)
+    _import_s = time.perf_counter() - t
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with code 2
         raise UsageError(message)
-
-
-# Rows formatted and written at a time: bounds the memory a writer holds.
-_ROW_CHUNK = 16384
-
-
-def _format_column(values: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
-    """(texts, index) of a 1-D column: fmt of each distinct value, called
-    once per value, and each entry's index into texts (the JSONL writers;
-    spectrum.csv goes through _format_e16).
-
-    Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
-    payloads) stay apart and each entry gets exactly the string fmt gives it.
-    """
-    keys = values.view(np.int64) if values.dtype == np.float64 else values
-    distinct, index = np.unique(keys, return_inverse=True)
-    # The narrowest index type: a writer holds one index per entry of every column.
-    index = index.astype(np.min_scalar_type(distinct.size), copy=False)
-    return list(map(fmt, distinct.view(values.dtype).tolist())), index
-
-
-# ---------------------------------------------------------------------------
-# "%.16e" as bytes
-# ---------------------------------------------------------------------------
-
-# A cell is "-d.dddddddddddddddde-ddd" (24 bytes at most) and a comma.
-_E16_WIDTH = 25
-# Magnitudes whose double-double products stay normal; the rest, subnormals
-# included, are formatted by `%`.
-_E16_MIN, _E16_MAX = 1e-280, 1e280
-# Powers of ten 10^s in the table: s = 16 - floor(log10 |x|) over that range.
-_POW_MIN, _POW_MAX = -270, 300
-# The cells of nan, inf and -inf, by kind 0, 1, 2.
-_E16_SPECIAL = (b"nan,", b"inf,", b"-inf,")
-
-
-@functools.cache
-def _e16_tables():
-    """(hi, lo) of 10^s for s in [_POW_MIN, _POW_MAX], with hi + lo = 10^s to
-    ~2^-106 relative, from exact integers, and the 4-digit text of 0..9999,
-    one uint32 of 4 bytes each. Built on the first CSV write."""
-    hi, lo = [], []
-    for s in range(_POW_MIN, _POW_MAX + 1):
-        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
-        h = num / den  # int / int rounds correctly
-        h_num, h_den = h.as_integer_ratio()
-        hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
-    digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
-    return np.array(hi), np.array(lo), digits
-
-
-def _format_e16(values: np.ndarray):
-    """Byte cells of ("%.16e" % x) + "," for every x of a float64 array.
-
-    Returns (cells, fallback): cells is uint8 of shape values.shape +
-    (_E16_WIDTH,) and holds each cell's text with NUL bytes where it is
-    shorter than the widest cell (the sign of a positive value, the
-    hundreds digit of a 2-digit exponent, the tail of nan), so that
-    cells[cells != 0] is the texts in order; fallback marks the values
-    formatted by `%` (see below).
-
-    x = N 10^(e-16) with N the 17-digit rounding of |x| 10^(16-e) and
-    e = floor(log10 |x|). The product is a double-double, exact to ~1e-14
-    in N's units, so N is the correctly rounded value unless its fraction
-    is within 1e-9 of one half (a possible tie) or the guess of e misses
-    (|x| 10^(16-e) below 10^16, or N = 10^17). Those values and magnitudes
-    outside [_E16_MIN, _E16_MAX] take `%`; 0.0, nan and inf are written here.
-    """
-    pow_hi, pow_lo, digits = _e16_tables()
-    x = np.asarray(values, dtype=np.float64)
-    neg = np.signbit(x)
-    a = np.abs(x)
-    normal = (a >= _E16_MIN) & (a <= _E16_MAX)
-    a = np.where(normal, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.int64)
-    s = 16 - _POW_MIN - e
-    p, p_err = _two_prod(a, pow_hi[s])
-    t = p_err + a * pow_lo[s]
-    t_int = np.floor(t)
-    frac = t - t_int
-    # p >= 2^53 is an integer, so N = p + t rounded. The guess of e missed
-    # when N has 16 digits before rounding, or 18 after it.
-    n_floor = p.astype(np.int64) + t_int.astype(np.int64)
-    n = n_floor + (frac > 0.5)
-    miss = (p < 2.0**53) | (n_floor < 10**16) | (n >= 10**17) | (np.abs(frac - 0.5) < 1e-9)
-    fallback = np.where(normal, miss, np.isfinite(x) & (x != 0))
-    plain = normal & ~fallback
-    n = np.where(plain, n, 0)
-    e = np.where(plain, e, 0)
-
-    lead, rest = np.divmod(n, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    groups = np.empty(x.shape + (4,), dtype=np.uint32)
-    groups[..., 0], groups[..., 1] = np.divmod(upper, 10**4)
-    groups[..., 2], groups[..., 3] = np.divmod(lower, 10**4)
-    abs_e = np.abs(e)
-    cells = np.empty(x.shape + (_E16_WIDTH,), dtype=np.uint8)
-    cells[..., 0] = neg * ord("-")
-    cells[..., 1] = lead + ord("0")
-    cells[..., 2] = ord(".")
-    cells[..., 3:19] = digits[groups].view(np.uint8)
-    cells[..., 19] = ord("e")
-    cells[..., 20] = np.where(e < 0, ord("-"), ord("+"))
-    cells[..., 21:24] = digits[abs_e][..., None].view(np.uint8)[..., 1:]
-    cells[..., 21] *= abs_e >= 100
-    cells[..., 24] = ord(",")
-
-    inf = np.isinf(x)
-    special = inf | np.isnan(x)
-    if special.any():
-        texts = np.array(_E16_SPECIAL, dtype=f"S{_E16_WIDTH}").view(np.uint8)
-        cells[special] = texts.reshape(-1, _E16_WIDTH)[np.where(inf, 1 + neg, 0)[special]]
-    if fallback.any():
-        texts = np.array(["%.16e," % v for v in x[fallback].tolist()], dtype=f"S{_E16_WIDTH}")
-        cells[fallback] = texts.view(np.uint8).reshape(-1, _E16_WIDTH)
-    return cells, fallback
 
 
 def _utc_now() -> str:
@@ -185,7 +91,6 @@ def _write_json(path: Path, payload: dict) -> None:
 # the manifest, excluded from the hash so equivalent runs share it.
 _UNHASHED_KEYS = ("output_dir", "workers")
 
-
 _ARTIFACT = {"name": "bhspectra", "version": __version__}
 
 
@@ -196,21 +101,15 @@ def _manifest_hash(command: str, config: dict) -> str:
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def write_manifest(
-    outdir: Path,
-    command: str,
-    config: dict,
-    manifest_hash: str,
-    t0: float,
-    compute_s: float,
-    health: dict | None = None,
-) -> None:
+def write_manifest(outdir: Path, command: str, config: dict, manifest_hash: str, t0: float,
+                   compute_s: float, health: dict | None = None) -> None:
     """Write manifest.json, after the data files, so its timing covers them.
 
     t0 is the run's perf_counter() start; compute_s the part of the run not
     spent serializing (before serialization began, or, for a run that writes
-    while it computes, the rest of the run). health, when given, is written
-    unhashed next to timing.
+    while it computes, the rest of the run), of which the command's imports
+    are reported apart, as import_s. health, when given, is written unhashed
+    next to timing.
     """
     wall_time_s = time.perf_counter() - t0
     manifest = {
@@ -221,7 +120,8 @@ def write_manifest(
         "timing": {
             "timestamp_utc": _utc_now(),
             "wall_time_s": wall_time_s,
-            "compute_s": compute_s,
+            "import_s": _import_s,
+            "compute_s": compute_s - _import_s,
             "serialize_s": wall_time_s - compute_s,
         },
     }
@@ -304,16 +204,9 @@ _STATE_OPTIONS = {
 }
 
 
-def _state_from_config(cfg: dict) -> BlackHoleState:
-    return state_from_record(
-        {
-            "family": cfg["family"],
-            "M": cfg["mass"],
-            "Q": cfg["charge"],
-            "J": cfg["angular_momentum"],
-            "alpha": cfg["alpha"],
-        }
-    )
+def _state_from_config(cfg: dict):
+    return _cli.state_from_record({"family": cfg["family"], "M": cfg["mass"], "Q": cfg["charge"],
+                                   "J": cfg["angular_momentum"], "alpha": cfg["alpha"]})
 
 
 # ---------------------------------------------------------------------------
@@ -337,113 +230,20 @@ _SPECTRUM_OPTIONS = {
 }
 
 
-def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
-    """The output columns of a spectrum, as whole arrays, in CSV order.
-
-    thermal_log_weight is nan throughout when there is no thermal baseline.
-    """
-    thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
-    return {
-        "omega": grid.omega,
-        "q": grid.q,
-        "j": grid.j,
-        "log_weight": grid.log_weight,
-        "weight": grid.weights(),
-        "thermal_log_weight": thermal_lw,
-        "valid": grid.valid,
-    }
-
-
-# Rows joined into one string at a time by the JSONL writers.
-_JSONL_BLOCK = 2048
-
-
-def _jsonl_rows(columns: dict):
-    """Canonical JSON rows (compact, keys sorted, one per line) of named
-    columns, _JSONL_BLOCK rows per string. Each column's distinct values are
-    formatted once over all the rows given."""
-    keys = sorted(columns)
-    cells = [_format_column(columns[k], json.dumps) for k in keys]
-    # A row is the key pieces with its cells between them: {"a":1,"b":2}.
-    row = [None] * (2 * len(keys) + 1)
-    row[0::2] = ["{" + json.dumps(keys[0]) + ":", *(f",{json.dumps(k)}:" for k in keys[1:]), "}\n"]
-    n_rows = len(cells[0][1])
-    for start in range(0, n_rows, _JSONL_BLOCK):
-        stop = min(start + _JSONL_BLOCK, n_rows)
-        parts = row * (stop - start)
-        for k, (texts, index) in enumerate(cells):
-            parts[2 * k + 1 :: len(row)] = map(texts.__getitem__, index[start:stop].tolist())
-        yield "".join(parts)
-
-
-def _csv_cells(values: np.ndarray, shape: tuple[int, int, int] | None, axis: int | None):
-    """cells(start, stop): the _format_e16 cells of values[start:stop].
-
-    A column that is, bit for bit, one axis of a grid of `shape` repeated over
-    the other two is formatted once per axis value and its cells gathered;
-    any other column is formatted chunk by chunk."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if axis is not None and shape is not None and values.size == math.prod(shape):
-        bits = values.view(np.int64).reshape(shape)
-        along = bits[tuple(slice(None) if k == axis else slice(1) for k in range(3))]
-        if (bits == along).all():
-            cells = _format_e16(along.ravel().view(np.float64))[0]
-            stride, n = math.prod(shape[axis + 1 :]), shape[axis]
-            return lambda start, stop: cells[np.arange(start, stop) // stride % n]
-    return lambda start, stop: _format_e16(values[start:stop])[0]
-
-
-def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
-    """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
-    exact), assembled as bytes, _ROW_CHUNK rows at a time."""
-    columns = _spectrum_columns(grid, thermal)
-    header = ",".join(columns)
-    valid = columns.pop("valid")
-    spec = grid.grid_spec
-    shape = None if spec is None else (spec.n_omega, spec.n_q, spec.n_j)
-    # omega, q and j each vary along their grid axis; the thermal baseline along omega's.
-    axis = {"omega": 0, "q": 1, "j": 2, "thermal_log_weight": 0}
-    cells = [_csv_cells(values, shape, axis.get(name)) for name, values in columns.items()]
-    flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
-    with path.open("wb") as f:
-        f.write(f"# manifest_hash={manifest_hash}\n{header}\n".encode())
-        for start in range(0, len(valid), _ROW_CHUNK):
-            flag = flag_text[valid[start : start + _ROW_CHUNK].astype(np.intp)]
-            stop = start + len(flag)
-            # One row of cells per row of the file, the floats then the flag,
-            # NUL where a text is shorter than its cell.
-            rows = np.empty((len(flag), len(cells) * _E16_WIDTH + 6), dtype=np.uint8)
-            for k, column_cells in enumerate(cells):
-                rows[:, k * _E16_WIDTH : (k + 1) * _E16_WIDTH] = column_cells(start, stop)
-            rows[:, -6:] = flag
-            f.write(rows[rows != 0].tobytes())
-
-
-def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
-    columns = _spectrum_columns(grid, thermal)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
-        for start in range(0, grid.n_bins, _ROW_CHUNK):
-            f.writelines(_jsonl_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()}))
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
+    _load("spectrum", "writers", *(["information"] if cfg["report"] else []))
+    import numpy as np
     state = _state_from_config(cfg)
     if cfg["omega_max"] is None:
         cfg["omega_max"] = state.m
-    spec = GridSpec(
-        omega_max=cfg["omega_max"],
-        n_omega=cfg["bins"],
-        omega_min=cfg["omega_min"],
-        q_step=cfg["q_step"],
-        n_q=cfg["n_q"],
-        j_step=cfg["j_step"],
-        n_j=cfg["n_j"],
+    spec = _cli.GridSpec(
+        omega_max=cfg["omega_max"], n_omega=cfg["bins"], omega_min=cfg["omega_min"],
+        q_step=cfg["q_step"], n_q=cfg["n_q"], j_step=cfg["j_step"], n_j=cfg["n_j"],
     )
     normalization = Normalization(cfg["normalization"])
-    grid = build_spectrum(state, spec, normalization)
+    grid = _cli.build_spectrum(state, spec, normalization)
     n_nonfinite = np.count_nonzero(~np.isfinite(grid.log_weight[grid.valid]))
     if n_nonfinite or (grid.log_norm is not None and not np.isfinite(grid.log_norm)):
         raise FloatingPointError(
@@ -457,42 +257,36 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "log_norm": grid.log_norm,
     }
     try:
-        thermal = build_thermal_spectrum(state, spec, normalization)
+        thermal = _cli.build_thermal_spectrum(state, spec, normalization)
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
     report = None
     if cfg["report"]:
         unit_grid = grid
         if normalization is not Normalization.UNIT_SUM:
-            logw, log_norm = _normalize(grid.log_weight, grid.valid, Normalization.UNIT_SUM)
+            logw, log_norm = _cli._normalize(grid.log_weight, grid.valid, Normalization.UNIT_SUM)
             unit_grid = dataclasses.replace(
                 grid, log_weight=logw, normalization=Normalization.UNIT_SUM, log_norm=log_norm
             )
-        report = build_info_report(state, unit_grid)
+        report = _cli.build_info_report(state, unit_grid)
     compute_s = time.perf_counter() - t0
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_cfg = dict(cfg, state=state_to_record(state), grid_spec=dataclasses.asdict(spec))
+    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), grid_spec=dataclasses.asdict(spec))
     manifest_hash = _manifest_hash("spectrum", manifest_cfg)
     if cfg["format"] == "csv":
-        write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
+        _cli.write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
     elif cfg["format"] == "jsonl":
-        _write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
+        _cli._write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
     else:
-        columns = _spectrum_columns(grid, thermal)
+        columns = _cli._spectrum_columns(grid, thermal)
         bins = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-        _write_json(
-            outdir / "spectrum.json",
-            {
-                "manifest_hash": manifest_hash,
-                "state": state_to_record(state),
-                "grid_spec": dataclasses.asdict(spec),
-                "normalization": normalization.value,
-                "log_norm": grid.log_norm,
-                "bins": bins,
-            },
-        )
+        _write_json(outdir / "spectrum.json", {
+            "manifest_hash": manifest_hash, "state": manifest_cfg["state"],
+            "grid_spec": manifest_cfg["grid_spec"], "normalization": normalization.value,
+            "log_norm": grid.log_norm, "bins": bins,
+        })
     if report is not None:
         payload = dict(report.to_json_dict(), manifest_hash=manifest_hash)
         _write_json(outdir / "info_report.json", payload)
@@ -519,70 +313,33 @@ _CASCADE_OPTIONS = {
 }
 
 
-class _ChainsJsonl:
-    """chains.jsonl, one row per step, written chunk by chunk from the step
-    columns of cascade.sample_ensemble; seconds is the time spent in write.
-
-    The rows go to a temporary file, renamed into place when the with block
-    ends without an error and removed when it ends with one, so a failed run
-    leaves no partial chains.jsonl.
-    """
-
-    def __init__(self, path: Path, manifest_hash: str, n_samples: int, seed: int) -> None:
-        self.path, self.part = path, path.with_name(path.name + ".part")
-        self.header = {"type": "header", "manifest_hash": manifest_hash,
-                       "n_samples": n_samples, "seed": seed}
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_ChainsJsonl":
-        self.file = self.part.open("w", encoding="utf-8")
-        self.file.write(_canonical_json(self.header) + "\n")
-        return self
-
-    def write(self, columns: dict) -> None:
-        t = time.perf_counter()
-        self.file.writelines(_jsonl_rows(columns))
-        self.seconds += time.perf_counter() - t
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            self.file.close()
-            if exc_type is None:
-                self.part.replace(self.path)
-        finally:
-            self.part.unlink(missing_ok=True)
-
 
 def cmd_cascade(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
+    _load("cascade", "writers")
     state = _state_from_config(cfg)
-    policy = CascadePolicy(
-        energy_quantum=cfg["energy_quantum"],
-        stop_mass=cfg["stop_mass"],
-        max_steps=cfg["max_steps"],
-        charge_quantum=cfg["charge_quantum"],
+    policy = _cli.CascadePolicy(
+        energy_quantum=cfg["energy_quantum"], stop_mass=cfg["stop_mass"],
+        max_steps=cfg["max_steps"], charge_quantum=cfg["charge_quantum"],
         spin_quantum=cfg["spin_quantum"],
     )
     n_samples, seed = cfg["n_samples"], cfg["seed"]
     # Raises every usage error before anything is written.
-    table = _ensemble_table(state, policy, n_samples, seed)
+    table = _cli._ensemble_table(state, policy, n_samples, seed)
 
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest_cfg = dict(cfg, state=state_to_record(state), policy=dataclasses.asdict(policy))
+    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), policy=dataclasses.asdict(policy))
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone. Each chunk's rows
     # are written as soon as it is walked.
-    with _ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
-        stats = sample_ensemble(state, policy, n_samples, seed, chains.write)
+    with _cli._ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
+        stats = _cli.sample_ensemble(state, policy, n_samples, seed, chains.write)
     # Summed over the chunks: the walks are compute, the row writing serialization.
     compute_s = time.perf_counter() - t0 - chains.seconds
-    _write_json(
-        outdir / "ensemble.json",
-        dict(stats.to_json_dict(), manifest_hash=manifest_hash),
-    )
+    _write_json(outdir / "ensemble.json", dict(stats.to_json_dict(), manifest_hash=manifest_hash))
     # The table is cached: after the walk it holds every state the walk reached.
     health = {"n_stuck": stats.n_stuck, "n_states": len(table)}
     write_manifest(outdir, "cascade", manifest_cfg, manifest_hash, t0, compute_s, health)
@@ -604,28 +361,23 @@ _VERIFY_OPTIONS = {
 def cmd_verify(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
-    reports = run_suites(cfg["suite"], seed=cfg["seed"], alpha=cfg["alpha"])
+    _load("verify")
+    reports = _cli.run_suites(cfg["suite"], seed=cfg["seed"], alpha=cfg["alpha"])
     compute_s = time.perf_counter() - t0
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     manifest_hash = _manifest_hash("verify", cfg)
     all_passed = all(r.all_passed for r in reports)
-    _write_json(
-        outdir / "report.json",
-        {
-            "manifest_hash": manifest_hash,
-            "all_passed": all_passed,
-            "suites": [r.to_json_dict() for r in reports],
-        },
-    )
+    _write_json(outdir / "report.json", {
+        "manifest_hash": manifest_hash, "all_passed": all_passed,
+        "suites": [r.to_json_dict() for r in reports],
+    })
     write_manifest(outdir, "verify", cfg, manifest_hash, t0, compute_s)
     for r in reports:
         for check in r.checks:
             status = "pass" if check.passed else "FAIL"
-            print(
-                f"{r.suite}/{check.name}: {status} "
-                f"(measured {check.measured:.3e}, tolerance {check.tolerance:.3e})"
-            )
+            print(f"{r.suite}/{check.name}: {status} "
+                  f"(measured {check.measured:.3e}, tolerance {check.tolerance:.3e})")
     print(f"verify: {'all suites passed' if all_passed else 'FAILURES detected'}")
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
@@ -647,13 +399,9 @@ _TYPICALITY_OPTIONS = {
 def cmd_typicality(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
-    lab = typicality_lab(
-        dim_b=cfg["dim_b"],
-        dim_o=cfg["dim_o"],
-        n_seeds=cfg["seeds"],
-        seed=cfg["seed"],
-        scale_factor=cfg["scale_factor"],
-    )
+    _load("typicality")
+    lab = _cli.typicality_lab(dim_b=cfg["dim_b"], dim_o=cfg["dim_o"], n_seeds=cfg["seeds"],
+                              seed=cfg["seed"], scale_factor=cfg["scale_factor"])
     compute_s = time.perf_counter() - t0
     outdir = Path(cfg["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -661,11 +409,9 @@ def cmd_typicality(args: argparse.Namespace) -> int:
     _write_json(outdir / "typicality.json", dict(lab.to_json_dict(), manifest_hash=manifest_hash))
     write_manifest(outdir, "typicality", cfg, manifest_hash, t0, compute_s)
     ratio = "n/a" if lab.rms_ratio is None else f"{lab.rms_ratio:.3f}"
-    print(
-        f"typicality: L1(diag, weights) = {lab.mean_l1_weights:.4f}, "
-        f"off-diagonal RMS {lab.offdiag_rms:.2e} -> {lab.offdiag_rms_scaled:.2e} "
-        f"(ratio {ratio}) at {lab.scale_factor}x dim_o"
-    )
+    print(f"typicality: L1(diag, weights) = {lab.mean_l1_weights:.4f}, "
+          f"off-diagonal RMS {lab.offdiag_rms:.2e} -> {lab.offdiag_rms_scaled:.2e} "
+          f"(ratio {ratio}) at {lab.scale_factor}x dim_o")
     return EXIT_OK
 
 
@@ -713,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"invalid physics: {exc}", file=sys.stderr)
         return EXIT_PHYSICS
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+    except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,9 +1,21 @@
-"""Exception types and process exit codes shared across the package."""
+"""The CLI's contract values, with no numpy: exception types, exit codes, and
+the normalization and suite names (re-exported by `grids` and `verify`)."""
+
+from enum import Enum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_NUMERICAL = 3
+
+
+class Normalization(str, Enum):
+    RAW = "raw"          # literal entropy-difference weights, p(no emission) = 1
+    UNIT_SUM = "unitsum"  # weights renormalized to a probability distribution
+
+
+# The verification suites, in run order.
+SUITES = ("identities", "typicality", "cascade", "info")
 
 
 class BhspectraError(Exception):

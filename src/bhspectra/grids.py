@@ -16,16 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import Normalization, UsageError
 
-
-class Normalization(str, Enum):
-    RAW = "raw"          # literal entropy-difference weights, p(no emission) = 1
-    UNIT_SUM = "unitsum"  # weights renormalized to a probability distribution
+# Most bins n_omega * n_q * n_j of a grid, checked before any array exists.
+_MAX_BINS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -51,6 +48,8 @@ class GridSpec:
             raise UsageError("grid requires 0 <= omega_min < omega_max")
         if self.n_omega < 1 or self.n_q < 1 or self.n_j < 1:
             raise UsageError("grid axis sizes must be >= 1")
+        if self.n_bins > _MAX_BINS:
+            raise UsageError(f"grid of n_omega*n_q*n_j = {self.n_bins} bins, above {_MAX_BINS}")
         if self.q_step == 0.0 or self.j_step == 0.0:
             raise UsageError("charge/angular-momentum quanta must be nonzero")
 

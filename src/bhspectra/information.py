@@ -21,11 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid
+from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
 from .cascade import EmissionChain
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import emission_log_weight, emission_log_weights, logsumexp
+from .spectrum import emission_log_weight, emission_log_weights
 
 _8PI = 8.0 * np.pi
 

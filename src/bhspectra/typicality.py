@@ -28,6 +28,8 @@ from .errors import DomainError, UsageError
 
 # Largest dim_U the full-coefficient path draws: 64 MB of complex128.
 _DIM_U_CAP = 1 << 22
+# Most random states typicality_lab averages at each size.
+_MAX_SEEDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -249,6 +251,8 @@ def typicality_lab(
     """
     if n_seeds < 1:
         raise UsageError("n_seeds must be >= 1")
+    if n_seeds > _MAX_SEEDS:
+        raise UsageError(f"n_seeds = {n_seeds}, above {_MAX_SEEDS}")
     if seed < 0:
         raise UsageError("seed must be a non-negative integer")
     if scale_factor < 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius
+from .blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius, logsumexp
 from .cascade import (
     CascadePolicy,
     cascade_ensemble_stats,
@@ -23,7 +23,7 @@ from .cascade import (
     enumerate_chains,
     sample_cascade,
 )
-from .errors import UsageError
+from .errors import SUITES, UsageError
 from .grids import GridSpec, Normalization
 from .information import (
     chain_information_ledger,
@@ -35,12 +35,9 @@ from .spectrum import (
     build_spectrum,
     emission_log_weight,
     emission_log_weights_bulk,
-    logsumexp,
     thermal_log_weight,
 )
 from .typicality import typicality_lab
-
-SUITES = ("identities", "typicality", "cascade", "info")
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,9 @@ class TestSpectrumCommand:
         run_cli("spectrum", "--mass", "2", "--bins", "64", "--report", "--output-dir", str(tmp_path))
         timing = json.loads((tmp_path / "manifest.json").read_text())["timing"]
         assert timing["compute_s"] > 0.0 and timing["serialize_s"] > 0.0
-        assert timing["compute_s"] + timing["serialize_s"] == pytest.approx(timing["wall_time_s"])
+        assert timing["import_s"] > 0.0
+        stages = timing["import_s"] + timing["compute_s"] + timing["serialize_s"]
+        assert stages == pytest.approx(timing["wall_time_s"])
         # Written last: no data file is newer than the manifest.
         newest = max((tmp_path / name).stat().st_mtime_ns
                      for name in ("spectrum.csv", "info_report.json"))
@@ -352,6 +354,30 @@ class TestTypicalityCommand:
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage error:") and named in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args,named", [
+        (("spectrum", "--bins", "10000000000"), "n_omega*n_q*n_j = 10000000000 bins"),
+        # Each axis alone is small; the grid is 2^22 * 5 bins.
+        (("spectrum", "--bins", str(1 << 22), "--n-q", "5"), f"{5 << 22} bins, above {1 << 24}"),
+        (("typicality", "--dim-o", "16", "--seeds", "1000000000000"),
+         f"n_seeds = 1000000000000, above {1 << 20}"),
+    ], ids=["spectrum-bins", "spectrum-grid", "typicality-seeds"])
+    def test_size_over_a_cap_exits_1(self, tmp_path, args, named):
+        proc = run_subprocess(*args, "--output-dir", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage error:") and named in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_caps_admit_the_largest_sizes(self):
+        from bhspectra import typicality
+        from bhspectra.errors import UsageError
+        from bhspectra.grids import _MAX_BINS, GridSpec
+
+        assert GridSpec(omega_max=1.0, n_omega=_MAX_BINS).n_bins == _MAX_BINS >= 10_000_000
+        with pytest.raises(UsageError, match="bins"):
+            GridSpec(omega_max=1.0, n_omega=_MAX_BINS // 2, n_q=2, n_j=2)
+        with pytest.raises(UsageError, match="n_seeds"):
+            typicality.typicality_lab(dim_b=4, dim_o=16, n_seeds=typicality._MAX_SEEDS + 1)
 
     def test_singlet_system_writes_null_rms_ratio(self, tmp_path, capsys):
         # A singlet has no off-diagonals, so the base RMS is 0 and the ratio undefined.

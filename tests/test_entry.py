@@ -14,11 +14,12 @@ import bhspectra
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# Runs the package as __main__ (what `python -m bhspectra --help` does) and
-# reports what the process looked like afterwards, as its last stdout line.
+# Runs the package as __main__ (what `python -m bhspectra <args>` does, --help
+# when no args are given) and reports what the process looked like
+# afterwards, as its last stdout line.
 RUN_AS_MAIN = """
 import json, os, runpy, sys
-sys.argv = ["bhspectra", "--help"]
+sys.argv = ["bhspectra", *(sys.argv[1:] or ["--help"])]
 try:
     runpy.run_module("bhspectra", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
@@ -29,6 +30,7 @@ print(json.dumps({
     "blas_threads_var": os.environ.get("OPENBLAS_NUM_THREADS"),
     "numpy_loaded": "numpy" in sys.modules,
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+    "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("bhspectra.")),
 }))
 """
 
@@ -107,8 +109,8 @@ class TestLazyPackage:
 
 
 class TestModuleEntry:
-    def test_defaults_to_one_blas_thread(self):
-        result = run_child(RUN_AS_MAIN)
+    def test_defaults_to_one_blas_thread(self, tmp_path):
+        result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--output-dir", str(tmp_path))
         assert result["code"] == 0
         assert result["numpy_loaded"]
         assert result["blas_threads_var"] == "1"
@@ -119,6 +121,42 @@ class TestModuleEntry:
         result = run_child(RUN_AS_MAIN, blas_threads="2")
         assert result["code"] == 0
         assert result["blas_threads_var"] == "2"
+
+
+FRONT = ["bhspectra.cli", "bhspectra.errors"]
+USAGE_ERRORS = [("cascade", "--n-samples", "abc"), ("spectrum", "--normalization", "x"),
+                ("no-such-command",)]
+
+
+class TestImportsPerCommand:
+    """The CLI front is stdlib-only: a command imports the modules it runs."""
+
+    @pytest.mark.parametrize("argv", [("--help",), *((c, "--help") for c in
+                                      ("spectrum", "cascade", "verify", "typicality"))],
+                             ids=" ".join)
+    def test_help_loads_no_numpy(self, argv):
+        result = run_child(RUN_AS_MAIN, *argv)
+        assert result["code"] == 0
+        assert result["loaded"] == FRONT
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_loads_no_numpy(self, argv):
+        result = run_child(RUN_AS_MAIN, *argv)
+        assert result["code"] == 1
+        assert result["loaded"] == FRONT
+
+    def test_cascade_loads_only_the_sampler_and_writers(self, tmp_path):
+        result = run_child(RUN_AS_MAIN, "cascade", "--mass", "1", "--energy-quantum", "0.25",
+                           "--n-samples", "5", "--output-dir", str(tmp_path))
+        assert result["code"] == 0
+        assert result["loaded"] == ["bhspectra.blackholes", "bhspectra.cascade", *FRONT,
+                                    "bhspectra.writers", "numpy"]
+
+    def test_spectrum_without_report_loads_no_other_command(self, tmp_path):
+        result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--output-dir", str(tmp_path))
+        assert result["code"] == 0
+        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
+                                    "bhspectra.spectrum", "bhspectra.writers", "numpy"]
 
 
 def test_console_script_is_the_module_entry_function():

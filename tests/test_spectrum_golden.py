@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from bhspectra import cli
+from bhspectra import writers
 from bhspectra.cli import main
 
 BENCH = ("--family", "rn", "--mass", "1.5", "--charge", "0.75", "--omega-max", "1.125",
@@ -90,7 +90,7 @@ def test_csv_floats_take_the_vector_path(tmp_path, monkeypatch, args):
     # The bytes alone cannot show a formatter that sends every value to the
     # per-value `%` fallback: count the fallbacks.
     seen = {"cells": 0, "fallback": 0}
-    format_e16 = cli._format_e16
+    format_e16 = writers._format_e16
 
     def counted(values):
         cells, fallback = format_e16(values)
@@ -98,7 +98,7 @@ def test_csv_floats_take_the_vector_path(tmp_path, monkeypatch, args):
         seen["fallback"] += int(fallback.sum())
         return cells, fallback
 
-    monkeypatch.setattr(cli, "_format_e16", counted)
+    monkeypatch.setattr(writers, "_format_e16", counted)
     assert main(["spectrum", *args, "--output-dir", str(tmp_path)]) == 0
     rows = len((tmp_path / "spectrum.csv").read_text().splitlines()) - 2
     spec = json.loads((tmp_path / "manifest.json").read_text())["config"]["grid_spec"]

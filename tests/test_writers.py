@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
-from bhspectra import cli
+from bhspectra import writers
 from bhspectra.cascade import sample_ensemble
 from bhspectra.grids import GridSpec, Normalization, SpectrumGrid
 from bhspectra.spectrum import build_spectrum, build_thermal_spectrum
@@ -120,15 +120,15 @@ def _grid(rng, n: int) -> SpectrumGrid:
 
 # exp of the huge log-weights drawn here overflows to inf, as it should.
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-@pytest.mark.parametrize("n", [1, 7, 1000, cli._ROW_CHUNK + 3])
+@pytest.mark.parametrize("n", [1, 7, 1000, writers._ROW_CHUNK + 3])
 @pytest.mark.parametrize("with_thermal", [True, False])
 def test_spectrum_writers_match_per_row_oracle(tmp_path, n, with_thermal):
     rng = np.random.default_rng(n)
     grid = _grid(rng, n)
     thermal = _grid(rng, n) if with_thermal else None
-    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
-    cli._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
+    writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
     assert (tmp_path / "s.jsonl").read_text() == _oracle_spectrum_jsonl(grid, thermal, "abc")
 
 
@@ -136,7 +136,7 @@ def _kn_grids():
     """A Kerr-Newman spectrum and its thermal baseline, more rows than a chunk."""
     state = BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5)
     spec = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
-    assert spec.n_bins > cli._ROW_CHUNK
+    assert spec.n_bins > writers._ROW_CHUNK
     return (build_spectrum(state, spec, Normalization.UNIT_SUM),
             build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
 
@@ -171,20 +171,20 @@ BROKEN = {
 
 def _count_formatted(monkeypatch):
     seen = []
-    format_e16 = cli._format_e16
+    format_e16 = writers._format_e16
 
     def counted(values):
         seen.append(np.size(values))
         return format_e16(values)
 
-    monkeypatch.setattr(cli, "_format_e16", counted)
+    monkeypatch.setattr(writers, "_format_e16", counted)
     return seen
 
 
 def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
     grid, thermal = _kn_grids()
     seen = _count_formatted(monkeypatch)
-    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     spec = grid.grid_spec
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
@@ -194,7 +194,7 @@ def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
 def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_axes):
     grid, thermal = break_axes(*_kn_grids())
     seen = _count_formatted(monkeypatch)
-    cli.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     # At least one column went through the formatter row by row.
     assert sum(seen) >= 3 * grid.n_bins
@@ -215,7 +215,7 @@ def _fake_chain(rng, n_steps: int):
 
 
 def _write_chains_jsonl(path, chunks, manifest_hash, n_samples, seed) -> None:
-    with cli._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
+    with writers._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
         for columns in chunks:
             out.write(columns)
 
@@ -223,7 +223,7 @@ def _write_chains_jsonl(path, chunks, manifest_hash, n_samples, seed) -> None:
 def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
     rng = np.random.default_rng(1)
     chains = [_fake_chain(rng, int(k)) for k in rng.integers(0, 40, size=900)]
-    assert sum(len(c.steps) for c in chains) > cli._ROW_CHUNK
+    assert sum(len(c.steps) for c in chains) > writers._ROW_CHUNK
     _write_chains_jsonl(tmp_path / "c.jsonl", [_chain_columns(chains)], "abc", len(chains), 7)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", len(chains), 7)
 
@@ -264,7 +264,7 @@ def test_chains_writer_with_no_steps(tmp_path):
 def test_format_column_keeps_signed_zero_and_order():
     values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
     for fmt in ("%.16e".__mod__, json.dumps):
-        texts, index = cli._format_column(values, fmt)
+        texts, index = writers._format_column(values, fmt)
         assert [texts[i] for i in index.tolist()] == [fmt(v) for v in values.tolist()]
         assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
 
@@ -306,7 +306,7 @@ def test_format_e16_matches_percent_formatting():
     # Random bit patterns: every exponent, both signs, nan payloads, subnormals.
     bits = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False)
     values = np.concatenate([bits.view(np.float64), _e16_edge_cases()])
-    cells, fallback = cli._format_e16(values)
+    cells, fallback = writers._format_e16(values)
     got = cells[cells != 0].tobytes()
     want = ("%.16e," * len(values) % tuple(values.tolist())).encode()
     if got != want:
@@ -315,6 +315,6 @@ def test_format_e16_matches_percent_formatting():
         pytest.fail(f"{values[bad]!r}: {got[bad]!r} != {want[bad]!r}")
     # Only out-of-range magnitudes and a sliver of the rest take `%`.
     magnitude = np.abs(values)
-    in_range = (magnitude >= cli._E16_MIN) & (magnitude <= cli._E16_MAX)
+    in_range = (magnitude >= writers._E16_MIN) & (magnitude <= writers._E16_MAX)
     assert np.count_nonzero(fallback & in_range) < 0.01 * np.count_nonzero(in_range)
     assert not fallback[~np.isfinite(values) | (values == 0)].any()
