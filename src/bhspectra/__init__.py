@@ -54,7 +54,6 @@ _EXPORTS = {
         "mutual_information",
         "pairwise_correlation",
         "radiation_entropy",
-        "sequential_joint",
     ),
     "spectrum": (
         "SpectrumComparison",

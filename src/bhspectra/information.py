@@ -17,7 +17,6 @@ weights satisfy exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -25,14 +24,17 @@ from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_gr
 from .cascade import EmissionChain
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import emission_log_weight, emission_log_weights
-
-_8PI = 8.0 * np.pi
+from .spectrum import emission_log_weight, emission_log_weights, emission_log_weights_bulk
 
 # The info report's pairwise-correlation summary takes every
 # (n // _MAX_CORR_NODES)-th of n > _MAX_CORR_NODES omega nodes, so it keeps
 # fewer than 2 * _MAX_CORR_NODES of them.
 _MAX_CORR_NODES = 128
+
+# Most omega nodes mutual_information takes (its n x n joint peaks at ~0.57 GB
+# at the cap), and about the most pairs of one kernel call on its rows.
+_MAX_MI_NODES = 1 << 12
+_MI_BLOCK = 1 << 18
 
 
 def radiation_entropy(spectrum: SpectrumGrid) -> float:
@@ -118,47 +120,6 @@ def pairwise_correlation(state: BlackHoleState, e1: Emission, e2: Emission) -> f
     )
 
 
-@dataclass(frozen=True, eq=False)
-class JointEmissionDistribution:
-    """Sequentially conditioned two-emission distribution on an energy grid."""
-
-    omega: np.ndarray         # shared axis nodes
-    joint: np.ndarray         # q[i, j], zero where the pair is closed
-    valid: np.ndarray         # bool mask of open pairs
-
-    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.joint.sum(axis=1), self.joint.sum(axis=0)
-
-
-def sequential_joint(
-    log_weight: Callable[[float, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    mass: float,
-    omegas: np.ndarray,
-) -> JointEmissionDistribution:
-    """Build joint(w1, w2) ∝ p(w1 | mass) p(w2 | mass - w1) on a node grid.
-
-    log_weight(m, w_array) must return (log-weights, validity mask); closed
-    pairs get zero joint probability.
-    """
-    n = omegas.size
-    logq = np.full((n, n), -np.inf)
-    lw1, v1 = log_weight(mass, omegas)
-    for i in range(n):
-        if not v1[i]:
-            continue
-        lw2, v2 = log_weight(mass - omegas[i], omegas)
-        row = lw1[i] + lw2
-        row[~v2] = -np.inf
-        logq[i] = row
-    valid = np.isfinite(logq)
-    if not valid.any():
-        raise DomainError("every emission pair is a closed channel")
-    log_z = logsumexp(logq[valid])
-    with np.errstate(under="ignore"):
-        joint = np.where(valid, np.exp(logq - log_z), 0.0)
-    return JointEmissionDistribution(omega=omegas, joint=joint, valid=valid)
-
-
 @dataclass(frozen=True)
 class MutualInformationResult:
     """Mutual information of two sequential emissions, three ways (nats).
@@ -178,34 +139,44 @@ class MutualInformationResult:
 
 
 def mutual_information(state: BlackHoleState, spec: GridSpec) -> MutualInformationResult:
-    """Mutual information between two emissions of a Schwarzschild hole."""
+    """Mutual information between two emissions of a Schwarzschild hole.
+
+    Row i of the joint is p(w_i | M) p(w | M - w_i) on the nodes w, from one
+    kernel call on w and calls on blocks of rows of remnants. Closed pairs
+    weigh 0.
+    """
     if state.family is not Family.SCHWARZSCHILD:
         raise UsageError("the closed forms require a Schwarzschild state")
     if spec.n_omega < 2:
         raise UsageError("mutual information needs at least 2 bins per axis")
-
-    def lw(mass: float, w: np.ndarray):
-        probe = state.with_hairs(mass, 0.0, 0.0)
-        return emission_log_weights(probe, w)
-
-    dist = sequential_joint(lw, state.m, spec.omega_nodes())
-    return _mi_from_joint(dist)
-
-
-def _mi_from_joint(dist: JointEmissionDistribution) -> MutualInformationResult:
-    q = dist.joint
-    q1, q2 = dist.marginals()
+    if spec.n_omega > _MAX_MI_NODES:
+        raise UsageError(f"mutual information on {spec.n_omega} omega nodes, above {_MAX_MI_NODES}")
+    w = spec.omega_nodes()
+    lw1, _ = emission_log_weights(state, w)
+    logq = np.empty((w.size, w.size))
+    valid = np.empty(logq.shape, dtype=bool)
+    rows = max(1, _MI_BLOCK // w.size)
+    for i in range(0, w.size, rows):
+        logq[i : i + rows], valid[i : i + rows] = emission_log_weights_bulk(
+            state.family, (state.m - w[i : i + rows])[:, None], 0.0, 0.0, state.alpha, w[None, :]
+        )
+    if not valid.any():
+        raise DomainError("every emission pair is a closed channel")
+    logq += lw1[:, None]
+    logq[~valid] = -np.inf
+    logq -= logsumexp(logq[valid])
+    with np.errstate(under="ignore"):
+        q = np.exp(logq, out=logq)
+    q1, q2 = q.sum(axis=1), q.sum(axis=0)
     support = q > 0.0
     outer = np.outer(q1, q2)
     mi = float(np.sum(q[support] * (np.log(q[support]) - np.log(outer[support]))))
-    w = dist.omega
-    mean1 = float(np.sum(q1 * w))
-    mean2 = float(np.sum(q2 * w))
+    mean1, mean2 = float(np.sum(q1 * w)), float(np.sum(q2 * w))
     moment = float(np.sum(q * np.outer(w, w)))
     return MutualInformationResult(
         mi_numeric=mi,
-        mi_paper_form=_8PI * mean1 * mean2,
-        mi_moment_form=_8PI * moment,
+        mi_paper_form=8.0 * np.pi * mean1 * mean2,
+        mi_moment_form=8.0 * np.pi * moment,
         mean_w1=mean1,
         mean_w2=mean2,
         covariance=moment - mean1 * mean2,
@@ -323,7 +294,10 @@ def build_info_report(state: BlackHoleState, spectrum: SpectrumGrid) -> InfoRepo
 
     mi = None
     if state.family is Family.SCHWARZSCHILD and spec.n_omega >= 2:
-        mi = mutual_information(state, spec)
+        try:
+            mi = mutual_information(state, spec)
+        except DomainError:
+            pass  # every emission pair closed: no joint to take MI of
     return InfoReport(
         s_r=s_r,
         s_cond=cond.exact,

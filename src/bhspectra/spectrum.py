@@ -56,17 +56,11 @@ def emission_log_weights(
     Returns (log_weight, valid), both of the broadcast shape of the hairs;
     closed channels have valid False and log_weight nan. Same kernel and
     arithmetic as the scalar emission_log_weight, so the two agree bitwise
-    for alpha = 0. The hairs reach the kernel unbroadcast, so hairs given
-    as grid axes, e.g. of shapes (n, 1, 1), (1, m, 1) and (1, 1, l), have
-    their one-axis terms computed once per axis value.
+    for alpha = 0.
     """
-    omega, q, j = (np.asarray(x, dtype=np.float64) for x in (omega, q, j))
-    valid = hairs_valid(
-        state.family, state.m - omega, state.q - q, state.j - j, state.alpha
-    ) & (omega >= 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logw = entropy_drop(state.m, state.q, state.j, state.alpha, omega, q, j)
-    return np.where(valid, logw, np.nan), valid
+    return emission_log_weights_bulk(
+        state.family, state.m, state.q, state.j, state.alpha, omega, q, j
+    )
 
 
 def emission_log_weights_bulk(
@@ -74,13 +68,13 @@ def emission_log_weights_bulk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Emission log-weights vectorized over *both* state and emission hairs.
 
-    Elementwise equivalent of emission_log_weight over parallel arrays of
-    states (m, q, j) sharing one family and alpha, for ensemble-scale scans.
-    Entries with an invalid state or a closed channel come back nan/False.
+    Elementwise equivalent of emission_log_weight over arrays of states
+    (m, q, j) sharing one family and alpha. Entries with an invalid state or
+    a closed channel come back nan/False. The hairs reach the kernel
+    unbroadcast, so hairs given as grid axes, e.g. of shapes (n, 1) and
+    (1, m), have their one-axis terms computed once per axis value.
     """
-    m, q, j, omega, q_e, j_e = np.broadcast_arrays(
-        *(np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
-    )
+    m, q, j, omega, q_e, j_e = (np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
     valid = (
         hairs_valid(family, m, q, j, alpha)
         & hairs_valid(family, m - omega, q - q_e, j - j_e, alpha)

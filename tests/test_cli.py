@@ -134,6 +134,26 @@ class TestSpectrumCommand:
         assert report["e_r"] > 0.0
         assert report["mi_numeric"] >= 0.0
 
+    def test_report_mutual_information_node_cap(self, tmp_path, monkeypatch, capsys):
+        from bhspectra import information
+
+        monkeypatch.setattr(information, "_MAX_MI_NODES", 8)
+        args = ("spectrum", "--mass", "1", "--report", "--bins")
+        assert run_cli(*args, "8", "--output-dir", str(tmp_path / "at")) == 0
+        assert json.loads((tmp_path / "at/info_report.json").read_text())["mi_numeric"] >= 0.0
+        assert run_cli(*args, "9", "--output-dir", str(tmp_path / "over")) == 1
+        assert "mutual information on 9 omega nodes, above 8" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
+    def test_report_with_every_emission_pair_closed_has_null_mi(self, tmp_path):
+        # Nodes 0.8 and 1.0 of a unit mass: every single emission is open,
+        # every pair overdraws the mass.
+        assert run_cli("spectrum", "--mass", "1", "--omega-min", "0.6", "--omega-max", "1",
+                       "--bins", "2", "--report", "--output-dir", str(tmp_path)) == 0
+        report = json.loads((tmp_path / "info_report.json").read_text())
+        assert report["mi_numeric"] is report["mi_paper_form"] is report["mi_moment_form"] is None
+        assert report["s_r"] > 0.0
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mass": 2.0, "bins": 8, "omega_max": 1.0}))

@@ -11,10 +11,12 @@ from bhspectra import (
     BlackHoleState,
     CascadePolicy,
     CascadeStep,
+    DomainError,
     Emission,
     EmissionChain,
     Family,
     GridSpec,
+    MutualInformationResult,
     Normalization,
     SpectrumGrid,
     Termination,
@@ -26,15 +28,55 @@ from bhspectra import (
     chain_information_ledger,
     conditional_entropy,
     emission_log_weight,
+    emission_log_weights,
     enumerate_chains,
     mutual_information,
     pairwise_correlation,
     radiation_entropy,
     sample_cascade,
-    sequential_joint,
 )
+from bhspectra import information
+from bhspectra.blackholes import logsumexp
 
 SCHW1 = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
+
+
+def row_by_row_joint(state, spec):
+    """Oracle for mutual_information's joint: one emission_log_weights call
+    per remnant mass M - w_i, then a log-sum-exp over the open pairs."""
+    w = spec.omega_nodes()
+    logq = np.full((w.size, w.size), -np.inf)
+    lw1, v1 = emission_log_weights(state, w)
+    for i in range(w.size):
+        if not v1[i]:
+            continue
+        lw2, v2 = emission_log_weights(state.with_hairs(state.m - w[i], 0.0, 0.0), w)
+        row = lw1[i] + lw2
+        row[~v2] = -np.inf
+        logq[i] = row
+    valid = np.isfinite(logq)
+    log_z = logsumexp(logq[valid])
+    with np.errstate(under="ignore"):
+        return w, np.where(valid, np.exp(logq - log_z), 0.0)
+
+
+def row_by_row_mutual_information(state, spec):
+    w, q = row_by_row_joint(state, spec)
+    q1, q2 = q.sum(axis=1), q.sum(axis=0)
+    support = q > 0.0
+    outer = np.outer(q1, q2)
+    mi = float(np.sum(q[support] * (np.log(q[support]) - np.log(outer[support]))))
+    mean1 = float(np.sum(q1 * w))
+    mean2 = float(np.sum(q2 * w))
+    moment = float(np.sum(q * np.outer(w, w)))
+    return MutualInformationResult(
+        mi_numeric=mi,
+        mi_paper_form=8.0 * np.pi * mean1 * mean2,
+        mi_moment_form=8.0 * np.pi * moment,
+        mean_w1=mean1,
+        mean_w2=mean2,
+        covariance=moment - mean1 * mean2,
+    )
 
 
 def manual_unitsum_grid(omegas, logw):
@@ -177,20 +219,6 @@ class TestMutualInformation:
         with pytest.raises(UsageError):
             mutual_information(s, GridSpec(omega_max=0.5, n_omega=8))
 
-    def test_linear_entropy_factorizes_to_zero(self):
-        # Conditional weights independent of the first draw: product joint.
-        beta = 2.0
-
-        def logw(mass, w):
-            return -beta * w, np.ones(w.shape, dtype=bool)
-
-        dist = sequential_joint(logw, 10.0, np.linspace(0.1, 1.0, 16))
-        q1, q2 = dist.marginals()
-        mi = float(
-            np.sum(dist.joint * (np.log(dist.joint) - np.log(np.outer(q1, q2))))
-        )
-        assert abs(mi) < 1e-12
-
     def test_nonnegative_and_covariance_identity(self):
         mi = mutual_information(SCHW1, GridSpec(omega_max=0.5, n_omega=32))
         assert mi.mi_numeric >= -1e-10
@@ -203,29 +231,37 @@ class TestMutualInformation:
     def test_covariance_against_brute_force(self):
         spec = GridSpec(omega_max=0.5, n_omega=16)
         mi = mutual_information(SCHW1, spec)
-
-        from bhspectra import emission_log_weights
-
-        def logw(mass, w):
-            return emission_log_weights(BlackHoleState(Family.SCHWARZSCHILD, mass), w)
-
-        dist = sequential_joint(logw, 1.0, spec.omega_nodes())
-        w = dist.omega
-        q1, q2 = dist.marginals()
-        cov = float(np.sum(dist.joint * np.outer(w, w)) - np.sum(q1 * w) * np.sum(q2 * w))
+        w, q = row_by_row_joint(SCHW1, spec)
+        q1, q2 = q.sum(axis=1), q.sum(axis=0)
+        cov = float(np.sum(q * np.outer(w, w)) - np.sum(q1 * w) * np.sum(q2 * w))
         assert mi.covariance == pytest.approx(cov, abs=1e-12)
 
-    def test_closed_pairs_get_zero_weight(self):
-        # After w1 = 0.4 the budget is 0.6, so w2 = 0.8 closes; after
-        # w1 = 0.8 both follow-ups close.
-        def logw(mass, w):
-            return -w, w <= mass
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("mass,spec", [
+        (1.0, GridSpec(omega_max=0.5, n_omega=32)),
+        # omega_max = M: every pair with w1 + w2 > M is closed.
+        (1.0, GridSpec(omega_max=1.0, n_omega=64)),
+        (2.0, GridSpec(omega_max=2.0, n_omega=200)),
+        # omega_min > 0: most pairs, and some whole rows, are closed.
+        (1.0, GridSpec(omega_max=1.0, n_omega=24, omega_min=0.3)),
+    ])
+    @pytest.mark.parametrize("block", [None, 100], ids=["one-block", "row-blocks"])
+    def test_matches_row_by_row_oracle_bitwise(self, monkeypatch, alpha, mass, spec, block):
+        if block is not None:
+            monkeypatch.setattr(information, "_MI_BLOCK", block)
+        state = BlackHoleState(Family.SCHWARZSCHILD, mass, alpha=alpha)
+        assert mutual_information(state, spec) == row_by_row_mutual_information(state, spec)
 
-        dist = sequential_joint(logw, 1.0, np.array([0.4, 0.8]))
-        assert dist.valid.tolist() == [[True, False], [False, False]]
-        assert dist.joint[0, 1] == 0.0
-        assert dist.joint[1, 1] == 0.0
-        assert dist.joint.sum() == pytest.approx(1.0, abs=1e-12)
+    def test_single_open_pair_is_uncorrelated(self):
+        # M = 1 on nodes 0.4 and 0.8: only (0.4, 0.4) leaves a remnant.
+        mi = mutual_information(SCHW1, GridSpec(omega_max=0.8, n_omega=2))
+        assert mi.mean_w1 == mi.mean_w2 == 0.4
+        assert mi.covariance == 0.0
+        assert mi.mi_numeric == 0.0
+
+    def test_all_closed_pairs_raise_domain_error(self):
+        with pytest.raises(DomainError, match="every emission pair is a closed channel"):
+            mutual_information(SCHW1, GridSpec(omega_max=1.0, n_omega=2, omega_min=0.6))
 
 
 class TestChainLedger:

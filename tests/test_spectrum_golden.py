@@ -4,7 +4,8 @@ The digests pin every data file `spectrum` writes (spectrum.csv/.jsonl/.json
 and info_report.json; manifest.json carries timing and is left out), so any
 change to arithmetic, row order or number formatting shows up here. The
 configs cover a charged grid, an extremal source (thermal column all nan),
-weights that underflow to 0.0, a log-corrected raw spectrum and a spin axis.
+weights that underflow to 0.0, a log-corrected raw spectrum, a log-corrected
+Schwarzschild report (the one with mutual information) and a spin axis.
 """
 
 import hashlib
@@ -56,6 +57,14 @@ GOLDEN = {
     "schw_alpha_raw": (
         ("--mass", "3", "--bins", "2000", "--alpha", "-1.5"),
         {"spectrum.csv": "0ca26da8f68a00ca76a9b8b9b04f1e375cf5d49c2033b6969f917a3b6095d736"},
+    ),
+    # The only config whose report carries mutual information.
+    "schw_alpha_report": (
+        ("--mass", "2", "--bins", "200", "--alpha", "1", "--normalization", "unitsum", "--report"),
+        {
+            "spectrum.csv": "616a70eafc6642d72b339c5588460bfb297ca559c03605ac2bb0f8a2e1207481",
+            "info_report.json": "8e3904be952cc163498465ec78b8b7d5cd571845c4c8c93854bf34d829f19a85",
+        },
     ),
     "kn_spin_axis": (
         ("--family", "kn", "--mass", "2", "--charge", "0.5", "--angular-momentum", "0.5",
