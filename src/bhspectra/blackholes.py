@@ -243,10 +243,12 @@ def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
         root2 = sqrt(maximum(disc2, 0.0))
         darea = where(charged, 2.0 * (root2 - root) - 2.0 * shrink + qe * (2.0 * q - qe), darea)
     else:
-        m2, q2, j2 = m - omega, q, j
+        m2, q2, j2 = None, q, j  # the remnant mass only alpha != 0 reads
         root = root2 = 0.0
     ds = math.pi * darea
     if alpha != 0.0:
+        if m2 is None:
+            m2 = m - omega
         area = _area_sq(m, q, j, ops, root)
         ratio = darea / area
         ds = ds + alpha * where(

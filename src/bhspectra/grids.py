@@ -50,6 +50,10 @@ class GridSpec:
             raise UsageError("grid axis sizes must be >= 1")
         if self.n_bins > _MAX_BINS:
             raise UsageError(f"grid of n_omega*n_q*n_j = {self.n_bins} bins, above {_MAX_BINS}")
+        # The last axis values too: a finite step can overflow (2 * 1e308).
+        last = (self.q_step * (self.n_q - 1), self.j_step * (self.n_j - 1))
+        if not all(math.isfinite(x) for x in (self.q_step, self.j_step, *last)):
+            raise UsageError("charge/angular-momentum axis values must be finite")
         if self.q_step == 0.0 or self.j_step == 0.0:
             raise UsageError("charge/angular-momentum quanta must be nonzero")
 

@@ -17,14 +17,17 @@ weights satisfy exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
-from .cascade import EmissionChain
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
 from .spectrum import emission_log_weight, emission_log_weights, emission_log_weights_bulk
+
+if TYPE_CHECKING:  # the annotation only: spectrum --report loads no sampler
+    from .cascade import EmissionChain
 
 # The info report's pairwise-correlation summary takes every
 # (n // _MAX_CORR_NODES)-th of n > _MAX_CORR_NODES omega nodes, so it keeps

@@ -206,10 +206,12 @@ def lab_ledger(dim_b: int, dim_o: int) -> EnergyLedger:
     """
     if dim_b < 1:
         raise DomainError("dim_b must be >= 1")
-    gs = [2] * (dim_b // 2) + ([1] if dim_b % 2 else [])
-    n_levels = len(gs)
-    if dim_o < 1 or (n_levels > 1 and dim_o % (1 << (n_levels - 1)) != 0):
+    n_levels = (dim_b + 1) // 2
+    # Past dim_o's bit length 2^(n_levels - 1) exceeds dim_o: reject before
+    # building that power or the levels.
+    if dim_o < 1 or n_levels > int(dim_o).bit_length() or dim_o % (1 << (n_levels - 1)) != 0:
         raise UsageError(f"dim_o must be a positive multiple of 2^{n_levels - 1}")
+    gs = [2] * (dim_b // 2) + ([1] if dim_b % 2 else [])
     levels_b = tuple((float(i), g) for i, g in enumerate(gs))
     levels_o = {float(n_levels - i): dim_o >> i for i in range(n_levels)}
     return EnergyLedger(levels_b, levels_o, float(n_levels))

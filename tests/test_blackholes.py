@@ -1,6 +1,7 @@
 """Macro-state validation, horizon geometry, entropy, and emission arithmetic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,6 +242,24 @@ def test_area_radius_kernel_matches_scalar_path():
     for i in range(3):
         r = horizon_radius(BlackHoleState(Family.KERR_NEWMAN, m[i], q[i], j[i]))
         assert got[i] == pytest.approx(r * r, rel=1e-15)
+
+
+def test_uncharged_kernel_without_alpha_peaks_at_three_grid_arrays():
+    # Only the alpha term reads the remnant mass M - omega, so at alpha = 0
+    # the kernel holds no more than shrink, the area change and the result.
+    from bhspectra.blackholes import entropy_drop
+
+    n = 512
+    m = np.linspace(1.0, 2.0, n)[:, None]
+    omega = np.linspace(0.0, 1.0, n)[None, :]
+    tracemalloc.start()
+    try:
+        ds = entropy_drop(m, 0.0, 0.0, 0.0, omega)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.tobytes() == (math.pi * (-4.0 * (omega * (2.0 * m - omega)))).tobytes()
+    assert peak <= 3 * ds.nbytes + (64 << 10)
 
 
 def test_area_radius_kernel_flags_invalid_as_nan():

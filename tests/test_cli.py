@@ -247,6 +247,31 @@ class TestSpectrumCommand:
             reports[norm].pop("manifest_hash")
         assert reports["raw"] == reports["unitsum"]
 
+    @pytest.mark.parametrize("args", [
+        ("--family", "rn", "--charge", "1", "--q-step", "nan", "--n-q", "2"),
+        ("--family", "rn", "--charge", "1", "--q-step", "inf", "--n-q", "2"),
+        # nan * 0 would turn the q = 0 column into nan too.
+        ("--family", "rn", "--charge", "1", "--q-step", "nan", "--n-q", "1"),
+        ("--family", "kn", "--charge", "1", "--j-step", "nan", "--n-j", "2"),
+        # A finite step whose multiple 2e308 overflows to inf.
+        ("--family", "rn", "--charge", "1", "--q-step", "1e308", "--n-q", "3"),
+    ], ids=["q-nan", "q-inf", "q-nan-one-column", "j-nan", "q-overflow"])
+    def test_non_finite_grid_step_exits_1(self, tmp_path, capsys, args):
+        code = run_cli("spectrum", "--mass", "2", "--bins", "4", *args,
+                       "--output-dir", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_grid_step_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"family": "rn", "mass": 2, "charge": 1, "bins": 4,
+                                   "q_step": "nan", "n_q": 2}))
+        out = tmp_path / "out"
+        assert run_cli("spectrum", "--config", str(cfg), "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
 
 class TestCascadeCommand:
     def test_manifest_health_matches_the_chains(self, tmp_path):
@@ -352,14 +377,18 @@ class TestTypicalityCommand:
         assert 0.2 < lab["rms_ratio"] < 0.9
 
     @pytest.mark.parametrize("command,args", [
-        ("typicality", ("--dim-o", "16", "--seeds", "1")),
-        ("cascade", ("--mass", "1", "--n-samples", "2")),
+        ("typicality", ("--dim-o", "16", "--seeds", "1", "--seed", "-1")),
+        ("cascade", ("--mass", "1", "--n-samples", "2", "--seed", "-1")),
+        ("verify", ("--suite", "identities", "--seed", "-3")),
+        ("verify", ("--suite", "all", "--seed", "-1")),
     ])
     def test_negative_seed_exits_1(self, tmp_path, command, args):
-        proc = run_subprocess(command, *args, "--seed", "-1", "--output-dir", str(tmp_path))
+        out = tmp_path / "out"
+        proc = run_subprocess(command, *args, "--output-dir", str(out))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage error:") and "seed" in proc.stderr
-        assert list(tmp_path.iterdir()) == []
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("args,named", [
         # 1e9 quanta: the walk would draw 1e9 uniforms per chain.

@@ -158,6 +158,14 @@ class TestImportsPerCommand:
         assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
                                     "bhspectra.spectrum", "bhspectra.writers", "numpy"]
 
+    def test_spectrum_report_loads_information_but_not_the_sampler(self, tmp_path):
+        result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--report",
+                           "--output-dir", str(tmp_path))
+        assert result["code"] == 0
+        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
+                                    "bhspectra.information", "bhspectra.spectrum",
+                                    "bhspectra.writers", "numpy"]
+
 
 def test_console_script_is_the_module_entry_function():
     tomllib = pytest.importorskip("tomllib")

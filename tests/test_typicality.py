@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,6 +193,20 @@ class TestTypicalityScaling:
             lab_ledger(0, 16)
         with pytest.raises(UsageError):
             lab_ledger(4, 15)  # needs a multiple of 2
+        lab_ledger(26, 4096)  # 13 levels: 2^12 divides 4096
+        with pytest.raises(UsageError, match=r"2\^13"):
+            lab_ledger(27, 4096)
+
+    def test_lab_ledger_rejects_many_levels_before_allocating(self):
+        # 10^6 + 1 levels: 2^(10^6) cannot divide dim_o, which has 13 bits.
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match=r"positive multiple of 2\^1000000"):
+                lab_ledger(2_000_001, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_negative_seed_is_usage_error(self):
         with pytest.raises(UsageError):

@@ -1,5 +1,6 @@
 """Structure and behavior of the verification suites."""
 
+import math
 import subprocess
 import sys
 
@@ -7,7 +8,20 @@ import numpy as np
 import pytest
 
 from bhspectra import DomainError, UsageError
-from bhspectra.verify import SUITES, chi2_sf, run_suites, suite_cascade, suite_typicality
+from bhspectra.blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius
+from bhspectra.information import pairwise_correlation
+from bhspectra.spectrum import emission_log_weight, thermal_log_weight
+from bhspectra.verify import (
+    SUITES,
+    _random_chain,
+    chi2_sf,
+    random_rn_tuples,
+    run_suites,
+    suite_cascade,
+    suite_identities,
+    suite_info,
+    suite_typicality,
+)
 
 
 def test_fast_suites_pass_with_default_seed():
@@ -61,3 +75,110 @@ def test_cascade_suite_runs_without_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# The per-draw scalar loops that the vector checks replaced, kept as their
+# oracle: one rng.uniform call, BlackHoleState and scalar weight per draw.
+
+
+def _scalar_identities(seed: int, alpha: float) -> dict[str, float]:
+    """Measured values of suite_identities' vector checks, from the scalar
+    route, drawing from the suite's generator in the suite's order."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 101)))
+    rng.uniform(1e-3, 1.0, 200_000)  # parikh_wilczek_match
+    rng.uniform(0.0, 1.0, 200_000)
+    random_rn_tuples(rng, 20_000)  # rn_exponent_match
+    out = {}
+
+    nt = 20_000
+    m = rng.uniform(1e-3, 1.0, nt) * 1000.0
+    w = rng.uniform(0.0, 1.0, nt) * np.minimum(m, 1.0)
+    worst = 0.0
+    for i in range(0, nt, max(1, nt // 5000)):
+        s = BlackHoleState(Family.SCHWARZSCHILD, m[i])
+        d = thermal_log_weight(s, w[i]) - emission_log_weight(s, Emission(w[i]))
+        worst = max(worst, abs(d + 4.0 * math.pi * w[i] * w[i]))
+    out["thermal_deviation_identity"] = worst
+
+    alphas = [alpha] if alpha != 0.0 else [-1.0, -0.5, 0.5, 1.0]
+    worst = 0.0
+    for a in alphas:
+        for _ in range(2000):
+            mv = rng.uniform(0.5, 50.0)
+            wv = rng.uniform(0.0, 0.9) * mv
+            s = BlackHoleState(Family.SCHWARZSCHILD, mv, alpha=a)
+            got = emission_log_weight(s, Emission(wv))
+            r1, r2 = horizon_radius(s), 2.0 * (mv - wv)
+            oracle = 2.0 * a * math.log(r2 / r1) + math.pi * (r2 * r2 - r1 * r1)
+            worst = max(worst, abs(got - oracle))
+    out["qg_correction_match"] = worst
+
+    for a in [0.0, 1.0, -1.0] * 100:  # chain_telescoping
+        _random_chain(rng, a)
+
+    worst = 0.0
+    for _ in range(5000):
+        mv = rng.uniform(0.1, 10.0)
+        w1 = rng.uniform(0.0, 0.6) * mv
+        w2 = rng.uniform(0.0, 1.0) * (mv - w1)
+        s = BlackHoleState(Family.SCHWARZSCHILD, mv)
+        lhs = emission_log_weight(s, Emission(w1 + w2))
+        rhs = emission_log_weight(s, Emission(w1)) + emission_log_weight(
+            BlackHoleState(Family.SCHWARZSCHILD, mv - w1), Emission(w2)
+        )
+        worst = max(worst, abs(lhs - rhs))
+    out["factorization_identity"] = worst
+
+    exact = 0.0
+    for _ in range(2000):
+        mv = rng.uniform(0.1, 100.0)
+        qv = rng.uniform(0.0, 1.0) * mv
+        s_schw = bh_entropy(BlackHoleState(Family.SCHWARZSCHILD, mv))
+        s_rn0 = bh_entropy(BlackHoleState(Family.REISSNER_NORDSTROM, mv))
+        s_rn = bh_entropy(BlackHoleState(Family.REISSNER_NORDSTROM, mv, qv))
+        s_kn = bh_entropy(BlackHoleState(Family.KERR_NEWMAN, mv, qv))
+        exact = max(exact, abs(s_rn0 - s_schw), abs(s_kn - s_rn))
+    out["family_reduction_bitwise"] = exact
+    return out
+
+
+def _scalar_correlation(seed: int) -> float:
+    """suite_info's correlation_closed_form from one scalar draw per double."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 404)))
+    worst = 0.0
+    for _ in range(20_000):
+        mv = rng.uniform(0.1, 10.0)
+        w1 = rng.uniform(0.0, 0.5) * mv
+        w2 = rng.uniform(0.0, 1.0) * (mv - w1)
+        s = BlackHoleState(Family.SCHWARZSCHILD, mv)
+        corr = pairwise_correlation(s, Emission(w1), Emission(w2))
+        worst = max(worst, abs(corr - 8.0 * math.pi * w1 * w2))
+    return worst
+
+
+@pytest.mark.parametrize("seed,alpha", [(0, 0.0), (3, 0.0), (7, 0.0), (0, 0.3), (7, -2.0)])
+def test_identities_match_the_scalar_oracle_bitwise(seed, alpha):
+    measured = {c.name: c.measured for c in suite_identities(seed=seed, alpha=alpha).checks}
+    want = _scalar_identities(seed, alpha)
+    assert {name: measured[name].hex() for name in want} == {
+        name: float(value).hex() for name, value in want.items()
+    }
+
+
+@pytest.mark.parametrize("seed,alpha", [(0, 0.0), (5, 1.0)])
+def test_correlation_matches_the_scalar_oracle_bitwise(seed, alpha):
+    (check,) = [c for c in suite_info(seed=seed, alpha=alpha).checks
+                if c.name == "correlation_closed_form"]
+    assert check.measured.hex() == float(_scalar_correlation(seed)).hex()
+
+
+@pytest.mark.parametrize("size", [(1000, 3), (4, 250, 3)])
+def test_array_bounds_draw_the_interleaved_scalar_doubles(size):
+    scalar_rng, vector_rng = (np.random.default_rng(np.random.SeedSequence((3, 101)))
+                              for _ in range(2))
+    n = math.prod(size[:-1])
+    scalar = np.array([[scalar_rng.uniform(0.1, 10.0), scalar_rng.uniform(0.0, 0.6),
+                        scalar_rng.uniform(0.0, 1.0)] for _ in range(n)])
+    vector = vector_rng.uniform([0.1, 0.0, 0.0], [10.0, 0.6, 1.0], size=size)
+    assert vector.reshape(n, 3).tobytes() == scalar.tobytes()
+    assert scalar_rng.random() == vector_rng.random()  # the generators stay in step
