@@ -1,6 +1,7 @@
 """Package entry points: the lazy `import bhspectra`, `python -m bhspectra`
 and the `bhspectra` console script, and the CLI's one-BLAS-thread default."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import bhspectra
+from test_cascade_golden import GOLDEN as CASCADE_GOLDEN
+from test_spectrum_golden import GOLDEN as SPECTRUM_GOLDEN
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # when no args are given) and reports what the process looked like
 # afterwards, as its last stdout line.
 RUN_AS_MAIN = """
-import json, os, runpy, sys
+import gc, json, os, runpy, sys
 sys.argv = ["bhspectra", *(sys.argv[1:] or ["--help"])]
 try:
     runpy.run_module("bhspectra", run_name="__main__", alter_sys=True)
@@ -31,6 +34,8 @@ print(json.dumps({
     "numpy_loaded": "numpy" in sys.modules,
     "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
     "loaded": sorted(m for m in sys.modules if m == "numpy" or m.startswith("bhspectra.")),
+    "frozen": gc.get_freeze_count(),
+    "gc_enabled": gc.isenabled(),
 }))
 """
 
@@ -60,6 +65,16 @@ except SystemExit as exc:
     module_code = exc.code
 print(json.dumps({"calls_on_import": calls_on_import, "script_code": script_code,
                   "module_code": module_code, "seen": seen}))
+"""
+
+
+# Calls bhspectra.cli.main in process, as a test or a library user does, and
+# reports the collector's state afterwards.
+IN_PROCESS = """
+import gc, json, sys
+from bhspectra.cli import main
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(), "gc_enabled": gc.isenabled()}))
 """
 
 
@@ -126,6 +141,7 @@ class TestModuleEntry:
 FRONT = ["bhspectra.cli", "bhspectra.errors"]
 USAGE_ERRORS = [("cascade", "--n-samples", "abc"), ("spectrum", "--normalization", "x"),
                 ("no-such-command",)]
+SMALL_CASCADE = ("cascade", "--mass", "1", "--energy-quantum", "0.25", "--n-samples", "5")
 
 
 class TestImportsPerCommand:
@@ -146,8 +162,7 @@ class TestImportsPerCommand:
         assert result["loaded"] == FRONT
 
     def test_cascade_loads_only_the_sampler_and_writers(self, tmp_path):
-        result = run_child(RUN_AS_MAIN, "cascade", "--mass", "1", "--energy-quantum", "0.25",
-                           "--n-samples", "5", "--output-dir", str(tmp_path))
+        result = run_child(RUN_AS_MAIN, *SMALL_CASCADE, "--output-dir", str(tmp_path))
         assert result["code"] == 0
         assert result["loaded"] == ["bhspectra.blackholes", "bhspectra.cascade", *FRONT,
                                     "bhspectra.writers", "numpy"]
@@ -165,6 +180,59 @@ class TestImportsPerCommand:
         assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
                                     "bhspectra.information", "bhspectra.spectrum",
                                     "bhspectra.writers", "numpy"]
+
+
+class TestHeapFreeze:
+    """The entry point freezes the heap when the command ends, so interpreter
+    exit skips the collector's passes over it; cli.main in process does not."""
+
+    @pytest.mark.parametrize("argv,code", [(("--help",), 0), (USAGE_ERRORS[0], 1)],
+                             ids=["help", "usage error"])
+    def test_help_and_usage_error_freeze_the_heap(self, argv, code):
+        result = run_child(RUN_AS_MAIN, *argv)
+        assert result["code"] == code
+        assert result["frozen"] > 0
+        assert result["gc_enabled"]
+
+    def test_cascade_freezes_the_heap(self, tmp_path):
+        result = run_child(RUN_AS_MAIN, *SMALL_CASCADE, "--output-dir", str(tmp_path))
+        assert result["code"] == 0
+        assert result["frozen"] > 0
+        assert result["gc_enabled"]
+
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        result = run_child(IN_PROCESS, *SMALL_CASCADE, "--output-dir", str(tmp_path))
+        assert result == {"code": 0, "frozen": 0, "gc_enabled": True}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def run_cli(*args: str) -> None:
+    """`python -m bhspectra <args>` in its own process, through the exit path."""
+    proc = subprocess.run([sys.executable, "-m", "bhspectra", *args], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestExitPathKeepsBytes:
+    """A CLI process writes the golden bytes: nothing waits on a finalizer
+    that the frozen heap would skip at exit."""
+
+    def test_cascade(self, tmp_path):
+        args, chains_sha, ensemble_sha = CASCADE_GOLDEN[0]
+        run_cli("cascade", *args, "--output-dir", str(tmp_path))
+        # chains.jsonl is written as chains.jsonl.part and renamed into place.
+        assert not (tmp_path / "chains.jsonl.part").exists()
+        assert _sha256(tmp_path / "chains.jsonl") == chains_sha
+        assert _sha256(tmp_path / "ensemble.json") == ensemble_sha
+
+    def test_spectrum_csv(self, tmp_path):
+        args, digests = SPECTRUM_GOLDEN["rn_csv"]
+        run_cli("spectrum", *args, "--output-dir", str(tmp_path))
+        for name, sha in digests.items():
+            assert _sha256(tmp_path / name) == sha, name
 
 
 def test_console_script_is_the_module_entry_function():
