@@ -57,7 +57,9 @@ def _e16_tables():
         h_num, h_den = h.as_integer_ratio()
         hi.append(h)
         lo.append((num * h_den - h_num * den) / (den * h_den))
-    digits = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
+    # Row i holds the 4 ASCII digits of i, read as one uint32.
+    text = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    digits = text.astype(np.uint8).view(np.uint32).ravel()
     return np.array(hi), np.array(lo), digits
 
 

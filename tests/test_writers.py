@@ -269,6 +269,13 @@ def test_format_column_keeps_signed_zero_and_order():
         assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
 
 
+def test_e16_digit_table_matches_the_string_built_table():
+    want = np.frombuffer("".join(f"{i:04d}" for i in range(10_000)).encode(), np.uint32)
+    digits = writers._e16_tables()[2]
+    assert digits.dtype == want.dtype and digits.shape == want.shape
+    assert digits.tobytes() == want.tobytes()
+
+
 def _e16_edge_cases() -> np.ndarray:
     """Values where a "%.16e" formatter can go wrong, both signs."""
     from decimal import Decimal
