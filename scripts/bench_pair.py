@@ -119,8 +119,9 @@ def main(argv: list[str] | None = None) -> int:
     opts = ap.parse_args(argv)
 
     parent_commit = git("rev-parse", "--verify", f"{opts.parent}^{{commit}}")
+    # Dirty: the measured code (src/, perfbench/) differs from the commit.
     change = {"commit": git("rev-parse", "HEAD"),
-              "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+              "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pair_", dir=opts.tmp_dir) as tmp:
         parent_dir = Path(tmp)
