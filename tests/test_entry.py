@@ -1,5 +1,6 @@
 """Package entry points: the lazy `import bhspectra`, `python -m bhspectra`
-and the `bhspectra` console script, and the CLI's one-BLAS-thread default."""
+and the `bhspectra` console script, the CLI's one-BLAS-thread default and
+its heap freeze at exit."""
 
 import hashlib
 import importlib
