@@ -3,14 +3,15 @@
 
 For each seed the script runs
 
-    python3 perfbench/run.py --workload all --seed <seed> --seconds <s> --trace 0
+    python3 perfbench/run.py --workload all --seconds <run_seconds> --trace 0 --seed <seed>
 
-once in an export of the parent commit and once in the working tree, each
+with run_seconds read from BENCHMARK.json, once in an export of the parent commit and once in the working tree, each
 with its own perfbench/ and src/, alternating which side goes first. It then
 writes BENCH_<label>.json at the repo root: each side's metrics per seed,
 the median and quartiles of each metric per workload and side, how many
 pairs the change read lower in, the seeds, both commits and both sides'
-perfbench `env` blocks.
+perfbench `env` blocks. It refuses to start if that file already exists, so
+no earlier set of runs is overwritten.
 
 The parent is exported with `git archive` into a temporary directory, removed
 at the end. Both sides' packages are compiled to bytecode before the first
@@ -34,9 +35,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def perfbench_argv(seed: int, seconds: float) -> list[str]:
-    return [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-            "--seconds", repr(seconds), "--trace", "0"]
+def perfbench_argv(seconds: float) -> list[str]:
+    """perfbench's command line, without the seed each run appends."""
+    return [sys.executable, "perfbench/run.py", "--workload", "all", "--seconds", str(seconds),
+            "--trace", "0"]
 
 
 def parse_run(stdout: str) -> dict:
@@ -100,8 +102,8 @@ def export(rev: str, dest: Path) -> None:
 
 
 def run_side(side: Path, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(perfbench_argv(seed, seconds), cwd=side, capture_output=True,
-                          text=True)
+    proc = subprocess.run(perfbench_argv(seconds) + ["--seed", str(seed)], cwd=side,
+                          capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench in {side} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
@@ -113,17 +115,18 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     ap.add_argument("--parent", required=True, help="the commit to compare against")
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
-    ap.add_argument("--seconds", type=float, default=40.0,
-                    help="perfbench's --seconds (default 40, as BENCHMARK.json runs it)")
-    ap.add_argument("--tmp-dir", help="where to export the parent (default: the system's)")
     opts = ap.parse_args(argv)
+    out = ROOT / f"BENCH_{opts.label}.json"
+    if out.exists():
+        ap.error(f"{out.name} exists; choose another --label or move the file")
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     parent_commit = git("rev-parse", "--verify", f"{opts.parent}^{{commit}}")
     # Dirty: the measured code (src/, perfbench/) differs from the commit.
     change = {"commit": git("rev-parse", "HEAD"),
               "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench_pair_", dir=opts.tmp_dir) as tmp:
+    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
         parent_dir = Path(tmp)
         export(parent_commit, parent_dir)
         sides = {"parent": parent_dir, "change": ROOT}
@@ -134,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             pair = {"seed": seed, "first": order[0]}
             for name in order:
-                pair[name] = run_side(sides[name], seed, opts.seconds)
+                pair[name] = run_side(sides[name], seed, seconds)
             pairs.append(pair)
             for workload, metrics in pair["parent"]["metrics"].items():
                 print(f"seed {seed} [{workload}] " + ", ".join(
@@ -144,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = summarize(pairs)
     record = {
         "label": opts.label,
-        "command": perfbench_argv(0, opts.seconds)[1:],
+        "command": perfbench_argv(seconds)[1:],
         "seeds": opts.seeds,
         "parent": {"rev": opts.parent, "commit": parent_commit},
         "change": change,
@@ -154,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
             name: {k: p[name][k] for k in ("correct", "attempted", "failed", "metrics")}
             for name in ("parent", "change")}} for p in pairs],
     }
-    out = ROOT / f"BENCH_{opts.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for workload, metrics in summary.items():
         for metric, s in metrics.items():

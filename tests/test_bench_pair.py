@@ -62,3 +62,33 @@ def test_one_pair_has_its_value_as_every_quartile():
     wall = bench_pair.summarize(pairs)["verify_all"]["wall_norm_s"]
     assert wall["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 1}
     assert wall["change_lower_in"] == 1
+
+
+def test_run_side_appends_the_seed_to_the_recorded_command(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(argv, **kwargs):
+        calls.append((argv, kwargs["cwd"]))
+        return bench_pair.subprocess.CompletedProcess(
+            argv, 0, stdout=perfbench_stdout({"cascade_schw": 0.2}), stderr="")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", fake_run)
+    bench_pair.run_side(tmp_path, 7, 40)
+    assert calls == [(bench_pair.perfbench_argv(40) + ["--seed", "7"], tmp_path)]
+    assert bench_pair.perfbench_argv(40)[1:] == [
+        "perfbench/run.py", "--workload", "all", "--seconds", "40", "--trace", "0"]
+
+
+def test_main_refuses_to_overwrite_a_bench_file(monkeypatch, tmp_path, capsys):
+    (tmp_path / "BENCH_x.json").write_text("{}\n")
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a command")
+
+    monkeypatch.setattr(bench_pair.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--label", "x", "--parent", "HEAD", "--seeds", "1"])
+    assert exc.value.code == 2
+    assert "BENCH_x.json exists" in capsys.readouterr().err
+    assert (tmp_path / "BENCH_x.json").read_text() == "{}\n"
