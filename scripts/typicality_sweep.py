@@ -19,8 +19,7 @@ from bhspectra import (
     level_diagonal,
     microcanonical_weights,
     offdiagonal_rms,
-    reduce_to_system,
-    sample_universe_state,
+    sample_reduced_density,
 )
 
 
@@ -44,7 +43,7 @@ def main() -> None:
         rms = np.empty(args.seeds)
         for i in range(args.seeds):
             seed = int(np.random.SeedSequence((args.seed, step, i)).generate_state(1)[0])
-            rho = reduce_to_system(sample_universe_state(ledger, seed))
+            rho, _ = sample_reduced_density(ledger, seed)
             l1[i] = np.sum(np.abs(level_diagonal(ledger, rho) - weights))
             rms[i] = offdiagonal_rms(rho)
         row = {

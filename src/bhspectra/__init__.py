@@ -66,15 +66,13 @@ _EXPORTS = {
     ),
     "typicality": (
         "EnergyLedger",
-        "PureStateSample",
         "ReducedDensity",
         "TypicalityLabReport",
         "lab_ledger",
         "level_diagonal",
         "microcanonical_weights",
         "offdiagonal_rms",
-        "reduce_to_system",
-        "sample_universe_state",
+        "sample_reduced_density",
         "typicality_lab",
     ),
 }

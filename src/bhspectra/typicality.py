@@ -1,4 +1,4 @@
-"""Canonical typicality: random pure universe states, partial traces,
+"""Canonical typicality: reduced states of random pure universe states,
 microcanonical weights, and the seed-averaged lab behind `typicality`.
 
 The universe U = B (system) + O (environment) lives on the energy shell
@@ -8,13 +8,14 @@ reduced state of B onto the microcanonical weights
 
     w(b)  proportional to  Omega_O(E_U - E_b) * g_b
 
-and the fluctuations around that limit are what the tests measure. The
-conventional unnormalized coefficients (mean |C|^2 = 1) are recoverable by
-scaling the stored unit-norm coefficients with sqrt(dim_U).
+and the fluctuations around that limit are what the tests measure.
 
-Sampling works with explicit integer degeneracies so that huge environment
-state counts cost nothing where only weights are needed; the full-coefficient
-path is capped at a fixed total dimension, _DIM_U_CAP.
+Level b's coefficients form a g_b x Omega_O(E_U - E_b) block G_b. Levels at
+different energies occupy orthogonal environment sectors, so before
+normalization the reduced state is blockdiag(W_b) with W_b = G_b G_b^dagger:
+independent complex Wishart matrices (Zyczkowski and Sommers, J. Phys. A 34,
+7111, 2001). The sampler draws each W_b directly, so huge environment state
+counts cost nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 
-# Largest dim_U the full-coefficient path draws: 64 MB of complex128.
-_DIM_U_CAP = 1 << 22
+# Largest dim_U: the sampler's Gamma shapes and traces are float64 (max ~2^1024),
+# and at this cap lab_ledger has dim_b <= ~2000, so rho stays under 64 MB.
+_DIM_U_CAP = 1 << 1000
 # Most random states typicality_lab averages at each size.
 _MAX_SEEDS = 1 << 20
 
@@ -79,26 +81,6 @@ class EnergyLedger:
 
 
 @dataclass(frozen=True, eq=False)
-class PureStateSample:
-    """Random pure universe state on the shell, globally normalized.
-
-    coefficients[i] has shape (g_b, Omega_O(E_U - E_b)) for level i.
-    raw_mean_sq records the pre-normalization mean |C|^2 (its concentration
-    around 1 is itself a typicality measurement).
-    """
-
-    coefficients: tuple[np.ndarray, ...]
-    ledger: EnergyLedger
-    seed: int
-    raw_mean_sq: float
-
-    def __post_init__(self) -> None:
-        total = sum(float(np.sum(np.abs(block) ** 2)) for block in self.coefficients)
-        if abs(total - 1.0) > 1e-12:
-            raise DomainError(f"sample is not normalized: sum |c|^2 = {total}")
-
-
-@dataclass(frozen=True, eq=False)
 class ReducedDensity:
     """Reduced density matrix of the system after tracing out the environment."""
 
@@ -115,11 +97,13 @@ class ReducedDensity:
             raise DomainError("reduced density matrix is not Hermitian")
 
 
-def sample_universe_state(ledger: EnergyLedger, seed: int) -> PureStateSample:
-    """Draw a random pure universe state: i.i.d. complex standard normal
-    coefficients over the shell basis, then one global normalization.
-
-    Deterministic for fixed (ledger, seed).
+def sample_reduced_density(ledger: EnergyLedger, seed: int) -> tuple[ReducedDensity, float]:
+    """Reduced state of a random pure universe state, and its raw_mean_sq: the
+    mean |C|^2 of the coefficients before normalization, which concentrates
+    at 1. Each level's W = L L^dagger by the Bartlett decomposition: L is
+    g x min(g, n), lower trapezoidal, |L_kk|^2 ~ Gamma(n - k) for k from 0,
+    complex normals with E|z|^2 = 1 below the diagonal; the same shape covers
+    n < g (rank n) and n = 0 (W = 0). Deterministic for fixed (ledger, seed).
     """
     if seed < 0:
         raise UsageError("seed must be a non-negative integer")
@@ -127,38 +111,20 @@ def sample_universe_state(ledger: EnergyLedger, seed: int) -> PureStateSample:
     if dim_u == 0:
         raise DomainError("ledger has an empty shell: all sectors have zero states")
     if dim_u > _DIM_U_CAP:
-        raise UsageError(f"full-coefficient path capped at dim_U <= {_DIM_U_CAP}, got {dim_u}")
+        raise UsageError(f"dim_U of {dim_u.bit_length()} bits, over 2^{_DIM_U_CAP.bit_length() - 1}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    raw = (rng.standard_normal(dim_u) + 1j * rng.standard_normal(dim_u)) / math.sqrt(2.0)
-    raw_mean_sq = float(np.mean(np.abs(raw) ** 2))
-    # A plain numpy reduction, not np.linalg.norm: BLAS splits that dot
-    # product across threads at large dim_u, so its rounding would depend on
-    # the BLAS thread count.
-    raw /= math.sqrt(float(np.sum(raw.real * raw.real + raw.imag * raw.imag)))
-    blocks = []
-    offset = 0
-    for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
-        blocks.append(raw[offset : offset + g * n].reshape(g, n))
-        offset += g * n
-    return PureStateSample(tuple(blocks), ledger, int(seed), raw_mean_sq)
-
-
-def reduce_to_system(sample: PureStateSample) -> ReducedDensity:
-    """Exact partial trace over the environment; the full system matrix is
-    retained, including the off-diagonal blocks the typicality tests bound.
-
-    Levels at different energies occupy orthogonal environment sectors, so
-    their cross blocks vanish identically; fluctuating off-diagonals live
-    inside degenerate levels.
-    """
-    dim = sample.ledger.dim_b
+    dim = ledger.dim_b
     rho = np.zeros((dim, dim), dtype=np.complex128)
     offset = 0
-    for block in sample.coefficients:
-        g = block.shape[0]
-        rho[offset : offset + g, offset : offset + g] = block @ block.conj().T
+    for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
+        r = min(g, n)
+        z = rng.standard_normal((2, g, r))
+        low = np.tril(z[0] + 1j * z[1], -1) / math.sqrt(2.0)
+        low[np.diag_indices(r)] = np.sqrt(rng.standard_gamma(float(n) - np.arange(r)))
+        rho[offset : offset + g, offset : offset + g] = low @ low.conj().T
         offset += g
-    return ReducedDensity(rho, dim)
+    total = float(np.trace(rho).real)
+    return ReducedDensity(rho / total, dim), total / dim_u
 
 
 def microcanonical_weights(ledger: EnergyLedger) -> np.ndarray:
@@ -260,25 +226,20 @@ def typicality_lab(
     if scale_factor < 1:
         raise UsageError("scale_factor must be >= 1")
     base, scaled = lab_ledger(dim_b, dim_o), lab_ledger(dim_b, scale_factor * dim_o)
-    if scaled.dim_u > _DIM_U_CAP:
-        raise UsageError(f"dim_o={dim_o} at scale_factor={scale_factor}: dim_U over {_DIM_U_CAP}")
 
     def run(ledger: EnergyLedger) -> tuple[float, float, float]:
         weights = microcanonical_weights(ledger)
-        l1 = np.empty(n_seeds)
-        rms = np.empty(n_seeds)
-        raw = np.empty(n_seeds)
+        l1, rms, raw = np.empty((3, n_seeds))
         for i in range(n_seeds):
             s = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
-            sample = sample_universe_state(ledger, s)
-            rho = reduce_to_system(sample)
+            rho, raw[i] = sample_reduced_density(ledger, s)
             l1[i] = float(np.sum(np.abs(level_diagonal(ledger, rho) - weights)))
             rms[i] = offdiagonal_rms(rho)
-            raw[i] = sample.raw_mean_sq
         return float(np.mean(l1)), float(np.mean(rms)), float(np.mean(raw))
 
-    l1_base, rms_base, raw_base = run(base)
+    # The larger shell first: its first draw rejects a dim_U over the cap.
     l1_scaled, rms_scaled, _ = run(scaled)
+    l1_base, rms_base, raw_base = run(base)
     return TypicalityLabReport(
         dim_b=dim_b,
         dim_o=dim_o,

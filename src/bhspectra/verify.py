@@ -80,9 +80,53 @@ def _max_check(name: str, measured: float, tol: float, detail: str = "") -> Chec
     return Check(name, bool(measured <= tol), float(measured), float(tol), detail)
 
 
+# Double-double arithmetic for the RN oracle: a value is an unevaluated sum
+# (hi, lo) of float64 arrays, good to ~2^-104 relative. It shares none of the
+# package's own exact-product code.
+_PI_DD = (math.pi, 1.2246467991473532e-16)
+
+
+def _two_sum(a, b):
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _dd_add(x, y, sign=1.0):
+    s, e = _two_sum(x[0], sign * y[0])
+    return _two_sum(s, e + x[1] + sign * y[1])
+
+
+def _dd_mul(x, y):
+    a, b = x[0], y[0]
+    ta, tb = 134217729.0 * a, 134217729.0 * b  # 2^27 + 1: Dekker's split in halves
+    ah, bh = ta - (ta - a), tb - (tb - b)
+    al, bl, p = a - ah, b - bh, a * b
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl  # p + e == a b exactly
+    return _two_sum(p, e + (a * y[1] + x[1] * b))
+
+
+def _dd_sqrt(x):
+    s = np.sqrt(x[0])
+    p, e = _dd_mul((s, 0.0), (s, 0.0))
+    return _two_sum(s, ((x[0] - p) - e + x[1]) / (2.0 * s))  # one Newton step
+
+
+def rn_exponent_oracle(m, w, q0, q2) -> np.ndarray:
+    """pi R'^2 - pi R^2 with R = M + sqrt(M^2 - Q^2) at (m, q0) and R' at
+    (m - w, q2), in double-double, rounded to float64."""
+
+    def radius(mass, q):
+        return _dd_add(mass, _dd_sqrt(_dd_add(_dd_mul(mass, mass), _dd_mul((q, 0.0), (q, 0.0)),
+                                              -1.0)))
+
+    rp, r0 = radius(_two_sum(m, -w), q2), radius((m, 0.0), q0)
+    return _dd_mul(_PI_DD, _dd_add(_dd_mul(rp, rp), _dd_mul(r0, r0), -1.0))[0]
+
+
 def random_rn_tuples(rng: np.random.Generator, n: int):
     """Random valid (M, Q, omega, q) charged-emission tuples plus the
-    closed-form exponent pi R'^2 - pi R^2, evaluated in longdouble.
+    closed-form exponent pi R'^2 - pi R^2 from rn_exponent_oracle.
 
     Tuples whose exponent lies within 1e-3 of zero are rejected: the check is
     a *relative* comparison and needs the exponent bounded away from zero to
@@ -97,16 +141,11 @@ def random_rn_tuples(rng: np.random.Generator, n: int):
         w = rng.uniform(0.05, 0.9, batch) * m
         q_rem = rng.uniform(-0.99, 0.99, batch) * (m - w)
         qe = qv - q_rem
-        ml, wl, q0l, q2l = (x.astype(np.longdouble) for x in (m, w, qv, q_rem))
-        rp = (ml - wl) + np.sqrt((ml - wl) ** 2 - q2l * q2l)
-        r0 = ml + np.sqrt(ml * ml - q0l * q0l)
-        oracle = np.pi * rp * rp - np.pi * r0 * r0
+        oracle = rn_exponent_oracle(m, w, qv, q_rem)
         keep = np.abs(oracle) > 1e-3
         take = min(int(np.count_nonzero(keep)), n - kept)
         idx = np.nonzero(keep)[0][:take]
-        out.append(
-            np.stack([m[idx], qv[idx], w[idx], qe[idx], oracle[idx].astype(np.float64)])
-        )
+        out.append(np.stack([m[idx], qv[idx], w[idx], qe[idx], oracle[idx]]))
         kept += take
     m, qv, w, qe, oracle = np.concatenate(out, axis=1)
     return m, qv, w, qe, oracle

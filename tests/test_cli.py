@@ -394,15 +394,24 @@ class TestTypicalityCommand:
         # 1e9 quanta: the walk would draw 1e9 uniforms per chain.
         (("cascade", "--mass", "1", "--energy-quantum", "1e-9", "--n-samples", "1"),
          "1000000000 energy quanta"),
-        # dim_U = 3 * 2^20 is under the cap, but 4x dim_o gives 12 * 2^20.
-        (("typicality", "--dim-o", str(1 << 20), "--seeds", "1"), "dim_o"),
+        # dim_U = 3 * 2^998 is under the cap, but 4x dim_o gives 12 * 2^998.
+        (("typicality", "--dim-o", str(1 << 998), "--seeds", "1"), "dim_U of 1002 bits"),
         (("typicality", "--dim-o", "16", "--seeds", "1", "--scale-factor", "0"), "scale_factor"),
     ], ids=["cascade-quanta", "typicality-dim-o", "typicality-scale-factor"])
     def test_input_over_a_cap_exits_1(self, tmp_path, args, named):
         proc = run_subprocess(*args, "--output-dir", str(tmp_path))
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("usage error:") and named in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+    def test_huge_environment_runs(self, tmp_path):
+        # dim_o = 2^40: the lab's cost does not depend on the environment size.
+        code = run_cli("typicality", "--dim-o", str(1 << 40), "--seeds", "2",
+                       "--output-dir", str(tmp_path))
+        assert code == 0
+        lab = json.loads((tmp_path / "typicality.json").read_text())
+        assert lab["dim_o"] == 1 << 40 and lab["mean_l1_weights"] < 1e-5
 
     @pytest.mark.parametrize("args,named", [
         (("spectrum", "--bins", "10000000000"), "n_omega*n_q*n_j = 10000000000 bins"),

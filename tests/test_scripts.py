@@ -15,8 +15,10 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("nonthermal_scan.py", ["--masses", "0.5", "1", "--bins", "16"]),
         ("typicality_sweep.py", ["--dim-b", "4", "--seeds", "2"]),
+        # dim_U up to 3 * 2^24: past what a full-coefficient draw could hold.
+        ("typicality_sweep.py", ["--dim-o-start", "4194304", "--steps", "2", "--seeds", "2"]),
     ],
-    ids=["nonthermal_scan", "typicality_sweep"],
+    ids=["nonthermal_scan", "typicality_sweep", "typicality_sweep_large"],
 )
 def test_script_exits_cleanly(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

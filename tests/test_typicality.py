@@ -1,4 +1,4 @@
-"""Random pure states, partial traces, microcanonical weights, and the
+"""Reduced states of random pure states, microcanonical weights, and the
 typicality lab."""
 
 import json
@@ -10,24 +10,42 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from bhspectra import (
     DomainError,
     EnergyLedger,
+    ReducedDensity,
     UsageError,
     lab_ledger,
     level_diagonal,
     microcanonical_weights,
     offdiagonal_rms,
-    reduce_to_system,
-    sample_universe_state,
+    sample_reduced_density,
     typicality_lab,
 )
-from bhspectra.typicality import PureStateSample
 
 
 def two_level_ledger(n0: int, n1: int, g0: int = 1, g1: int = 1) -> EnergyLedger:
     return EnergyLedger(((0.0, g0), (1.0, g1)), {2.0: n0, 1.0: n1}, 2.0)
+
+
+def full_coefficient_sample(ledger: EnergyLedger, seed: int) -> tuple[ReducedDensity, float]:
+    """The distributional oracle: all dim_U complex standard normal
+    coefficients of the shell state, normalized once, and each level's
+    g x n block G reduced to G G^dagger."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    dim_u = ledger.dim_u
+    raw = (rng.standard_normal(dim_u) + 1j * rng.standard_normal(dim_u)) / math.sqrt(2.0)
+    raw_mean_sq = float(np.mean(np.abs(raw) ** 2))
+    raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)))
+    rho = np.zeros((ledger.dim_b, ledger.dim_b), dtype=np.complex128)
+    row = col = 0
+    for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
+        block = raw[col : col + g * n].reshape(g, n)
+        rho[row : row + g, row : row + g] = block @ block.conj().T
+        row, col = row + g, col + g * n
+    return ReducedDensity(rho, ledger.dim_b), raw_mean_sq
 
 
 class TestLedger:
@@ -52,81 +70,69 @@ class TestLedger:
         assert ledger.sector_sizes() == (8, 2)
 
 
-class TestSampler:
-    def test_single_coefficient_has_magnitude_one(self):
-        ledger = EnergyLedger(((0.0, 1),), {1.0: 1}, 1.0)
-        sample = sample_universe_state(ledger, seed=123)
-        assert abs(np.abs(sample.coefficients[0][0, 0]) - 1.0) < 1e-12
+# g = (3, 2, 1) against sectors n = (2, 1, 0): two rank-deficient levels and
+# an empty one.
+RANK_DEFICIENT = EnergyLedger(((0.0, 3), (1.0, 2), (2.0, 1)), {3.0: 2, 2.0: 1, 1.0: 0}, 3.0)
 
-    def test_global_norm_is_one(self):
-        ledger = lab_ledger(2, 4096)
-        sample = sample_universe_state(ledger, seed=42)
-        total = sum(np.sum(np.abs(b) ** 2) for b in sample.coefficients)
-        assert abs(total - 1.0) < 1e-12
+
+class TestSampler:
+    def test_single_state_shell_gives_one(self):
+        ledger = EnergyLedger(((0.0, 1),), {1.0: 1}, 1.0)
+        for seed in range(5):
+            rho, _ = sample_reduced_density(ledger, seed)
+            assert rho.matrix.tolist() == [[1.0]]
+
+    def test_one_environment_state_gives_a_pure_state(self):
+        # g = 2, n = 1: the pair is tied to a single environment state.
+        ledger = EnergyLedger(((0.0, 2),), {1.0: 1}, 1.0)
+        for seed in range(5):
+            m = sample_reduced_density(ledger, seed)[0].matrix
+            assert np.allclose(m @ m, m, rtol=0.0, atol=1e-15)
+            assert np.linalg.matrix_rank(m, tol=1e-12) == 1
+
+    def test_empty_sector_gives_a_zero_block(self):
+        for seed in range(5):
+            m = sample_reduced_density(RANK_DEFICIENT, seed)[0].matrix
+            assert np.all(m[5:, :] == 0) and np.all(m[:, 5:] == 0)
+            assert np.linalg.matrix_rank(m[:3, :3], tol=1e-12) == 2
+
+    def test_levels_do_not_mix(self):
+        m = sample_reduced_density(two_level_ledger(8, 2, g0=2, g1=3), seed=0)[0].matrix
+        assert np.all(m[:2, 2:] == 0) and np.all(m[2:, :2] == 0)
+        assert np.all(m[:2, :2] != 0) and np.all(m[2:, 2:] != 0)
+
+    @pytest.mark.parametrize("ledger", [lab_ledger(4, 1 << 10), RANK_DEFICIENT],
+                             ids=["lab", "rank-deficient"])
+    def test_trace_one_hermitian_psd(self, ledger):
+        for seed in range(5):
+            m = sample_reduced_density(ledger, seed)[0].matrix
+            assert abs(np.trace(m).real - 1.0) < 1e-14
+            assert np.allclose(m, m.conj().T, rtol=0.0, atol=1e-15)
+            assert np.linalg.eigvalsh(m).min() >= -1e-15
 
     def test_deterministic_for_fixed_seed(self):
         ledger = lab_ledger(3, 1 << 12)
-        a = sample_universe_state(ledger, seed=7)
-        b = sample_universe_state(ledger, seed=7)
-        for x, y in zip(a.coefficients, b.coefficients):
-            assert np.array_equal(x, y)
-        assert a.raw_mean_sq == b.raw_mean_sq
+        (a, raw_a), (b, raw_b) = (sample_reduced_density(ledger, seed=7) for _ in range(2))
+        assert np.array_equal(a.matrix, b.matrix) and raw_a == raw_b
 
-    def test_mean_square_matches_counting_convention(self):
-        # Stored coefficients are unit-norm, so mean |c|^2 over the dim_U
-        # entries is exactly 1/dim_U; in the conventional scaling (sqrt(dim_U)
-        # times ours) the pre-normalization mean |C|^2 concentrates at 1.
+    def test_raw_mean_square_concentrates_at_one(self):
+        # In the conventional scaling (sqrt(dim_U) times unit-norm
+        # coefficients) the pre-normalization mean |C|^2 concentrates at 1.
         ledger = lab_ledger(3, 1 << 12)
-        sample = sample_universe_state(ledger, seed=7)
-        total = sum(np.sum(np.abs(b) ** 2) for b in sample.coefficients)
-        assert total / ledger.dim_u == pytest.approx(1.0 / ledger.dim_u, rel=1e-12)
-        raw = [sample_universe_state(ledger, seed=s).raw_mean_sq for s in range(100)]
+        raw = [sample_reduced_density(ledger, seed=s)[1] for s in range(100)]
         assert np.mean(raw) == pytest.approx(1.0, abs=0.02)
         assert np.std(raw) < 0.02
 
-    def test_block_shapes_match_ledger(self):
-        ledger = two_level_ledger(8, 2, g0=2, g1=3)
-        sample = sample_universe_state(ledger, seed=0)
-        assert [b.shape for b in sample.coefficients] == [(2, 8), (3, 2)]
-
     def test_empty_shell_rejected(self):
         with pytest.raises(DomainError):
-            sample_universe_state(two_level_ledger(0, 0), seed=0)
+            sample_reduced_density(two_level_ledger(0, 0), seed=0)
 
     def test_dimension_cap(self):
-        with pytest.raises(UsageError):
-            sample_universe_state(lab_ledger(2, 1 << 22), seed=0)  # dim_U = 2^23
-
-    def test_unnormalized_sample_rejected(self):
-        ledger = EnergyLedger(((0.0, 1),), {1.0: 1}, 1.0)
-        with pytest.raises(DomainError):
-            PureStateSample((np.array([[2.0 + 0j]]),), ledger, 0, 1.0)
-
-
-class TestReduce:
-    def test_product_state_gives_projector(self):
-        ledger = two_level_ledger(1, 1)
-        sample = PureStateSample(
-            (np.array([[1.0 + 0j]]), np.array([[0.0 + 0j]])), ledger, 0, 1.0
-        )
-        rho = reduce_to_system(sample)
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_equal_entangled_state_gives_maximally_mixed(self):
-        # One doubly degenerate level, each copy tied to its own environment
-        # state with coefficient 1/sqrt(2).
-        ledger = EnergyLedger(((0.0, 2),), {1.0: 2}, 1.0)
-        c = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex) / math.sqrt(2.0)
-        rho = reduce_to_system(PureStateSample((c,), ledger, 0, 1.0))
-        assert np.allclose(rho.matrix, np.eye(2) / 2.0, atol=1e-15)
-
-    def test_partial_trace_properties(self):
-        ledger = lab_ledger(4, 1 << 10)
-        for seed in range(5):
-            rho = reduce_to_system(sample_universe_state(ledger, seed))
-            assert abs(np.trace(rho.matrix).real - 1.0) < 1e-10
-            assert np.allclose(rho.matrix, rho.matrix.conj().T, atol=1e-12)
-            assert np.linalg.eigvalsh(rho.matrix).min() >= -1e-10
+        rho, raw = sample_reduced_density(lab_ledger(2, 1 << 22), seed=0)  # dim_U = 2^23
+        assert rho.matrix.shape == (2, 2) and raw == pytest.approx(1.0, abs=0.01)
+        sample_reduced_density(lab_ledger(2, 1 << 999), seed=0)  # dim_U = 2^1000
+        with pytest.raises(UsageError, match=r"dim_U of 1002 bits, over 2\^1000"):
+            sample_reduced_density(lab_ledger(2, 1 << 1000), seed=0)
 
     def test_diagonal_concentrates_on_microcanonical_weights(self):
         # Seed-averaged: per-state diagonals within 5% relative RMS of the
@@ -138,12 +144,34 @@ class TestReduce:
         rel_rms = []
         off_rms = []
         for seed in range(100):
-            rho = reduce_to_system(sample_universe_state(ledger, seed))
+            rho, _ = sample_reduced_density(ledger, seed)
             diag = np.real(np.diag(rho.matrix))
             rel_rms.append(np.sqrt(np.mean((diag / per_state - 1.0) ** 2)))
             off_rms.append(offdiagonal_rms(rho))
         assert np.mean(rel_rms) < 0.05
         assert np.mean(off_rms) < 3.0 / math.sqrt(dim_o)
+
+
+def _statistics(sampler, ledger: EnergyLedger, seeds) -> dict[str, np.ndarray]:
+    weights = microcanonical_weights(ledger)
+    rows = []
+    for seed in seeds:
+        rho, raw = sampler(ledger, seed)
+        rows.append((np.sum(np.abs(level_diagonal(ledger, rho) - weights)),
+                     offdiagonal_rms(rho), raw))
+    return dict(zip(("l1", "offdiag_rms", "raw_mean_sq"), np.array(rows).T))
+
+
+@pytest.mark.parametrize("ledger", [lab_ledger(4, 16), RANK_DEFICIENT, lab_ledger(2, 64)],
+                         ids=["lab-4-16", "rank-deficient", "single-level"])
+def test_sampler_matches_the_full_coefficient_law(ledger):
+    # Two-sample KS test per statistic, 2000 seeds per side on disjoint seed
+    # ranges. A single level's L1 is rounding noise on both sides: skipped.
+    ours = _statistics(sample_reduced_density, ledger, range(2000))
+    oracle = _statistics(full_coefficient_sample, ledger, range(10**6, 10**6 + 2000))
+    names = [k for k in ours if k != "l1" or ledger.n_levels > 1]
+    p = {k: ks_2samp(ours[k], oracle[k]).pvalue for k in names}
+    assert min(p.values()) >= 1e-3, p
 
 
 class TestMicrocanonicalWeights:
@@ -176,8 +204,8 @@ class TestTypicalityScaling:
             ledger = lab_ledger(4, dim_o)
             weights = microcanonical_weights(ledger)
             dists = [
-                np.sum(np.abs(level_diagonal(ledger, reduce_to_system(
-                    sample_universe_state(ledger, seed))) - weights))
+                np.sum(np.abs(level_diagonal(ledger, sample_reduced_density(ledger, seed)[0])
+                              - weights))
                 for seed in range(60)
             ]
             means.append(np.mean(dists))
@@ -213,8 +241,9 @@ class TestTypicalityScaling:
             typicality_lab(dim_b=4, dim_o=16, n_seeds=1, seed=-1)
 
     def test_lab_is_independent_of_blas_thread_count(self):
-        # At dim_o = 4096 the 4x run draws states of dim_U >= 16384, where a
-        # BLAS dot product is split across threads; the lab must not use one.
+        # The lab's only BLAS calls are the per-level g x g block products
+        # (2 x 2 here), too small for BLAS to split across threads; its traces
+        # and norms are numpy reductions. Its bytes must not depend on threads.
         code = (
             "import json; from bhspectra import typicality_lab; "
             "lab = typicality_lab(dim_b=4, dim_o=4096, n_seeds=4, seed=0); "

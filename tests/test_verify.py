@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bhspectra.verify import (
     _random_chain,
     chi2_sf,
     random_rn_tuples,
+    rn_exponent_oracle,
     run_suites,
     suite_cascade,
     suite_identities,
@@ -182,3 +184,33 @@ def test_array_bounds_draw_the_interleaved_scalar_doubles(size):
     vector = vector_rng.uniform([0.1, 0.0, 0.0], [10.0, 0.6, 1.0], size=size)
     assert vector.reshape(n, 3).tobytes() == scalar.tobytes()
     assert scalar_rng.random() == vector_rng.random()  # the generators stay in step
+
+
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def test_rn_oracle_is_correctly_rounded_on_the_seed_0_tuples(monkeypatch):
+    # Every tuple rn_exponent_match draws at seed 0 (the 20,000 kept and the
+    # rejected ones), recomputed in 40-digit decimal from the same doubles.
+    calls = []
+
+    def recording(*args):
+        calls.append((args, rn_exponent_oracle(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr("bhspectra.verify.rn_exponent_oracle", recording)
+    rng = np.random.default_rng(np.random.SeedSequence((0, 101)))
+    rng.uniform(1e-3, 1.0, 200_000)  # parikh_wilczek_match
+    rng.uniform(0.0, 1.0, 200_000)
+    assert random_rn_tuples(rng, 20_000)[0].size == 20_000
+    args = [np.concatenate(x) for x in zip(*(a for a, _ in calls))]
+    got = np.concatenate([r for _, r in calls])
+    want = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for m, w, q0, q2 in zip(*(map(Decimal, x.tolist()) for x in args)):
+            rp = (m - w) + ((m - w) ** 2 - q2 * q2).sqrt()
+            r0 = m + (m * m - q0 * q0).sqrt()
+            want.append(float(_PI_40 * (rp * rp - r0 * r0)))
+    assert got.size > 20_000
+    assert got.tolist() == want
