@@ -11,16 +11,9 @@ Run:
 
 import argparse
 import json
+import math
 
-import numpy as np
-
-from bhspectra import (
-    lab_ledger,
-    level_diagonal,
-    microcanonical_weights,
-    offdiagonal_rms,
-    sample_reduced_density,
-)
+from bhspectra import concentration, lab_ledger
 
 
 def main() -> None:
@@ -37,21 +30,9 @@ def main() -> None:
     print(f"{'dim_o':>9} {'L1(diag, weights)':>18} {'offdiag RMS':>12} {'RMS * sqrt(dim_o)':>18}")
     for step in range(args.steps):
         dim_o = args.dim_o_start * 4**step
-        ledger = lab_ledger(args.dim_b, dim_o)
-        weights = microcanonical_weights(ledger)
-        l1 = np.empty(args.seeds)
-        rms = np.empty(args.seeds)
-        for i in range(args.seeds):
-            seed = int(np.random.SeedSequence((args.seed, step, i)).generate_state(1)[0])
-            rho, _ = sample_reduced_density(ledger, seed)
-            l1[i] = np.sum(np.abs(level_diagonal(ledger, rho) - weights))
-            rms[i] = offdiagonal_rms(rho)
-        row = {
-            "dim_o": dim_o,
-            "l1_mean": float(l1.mean()),
-            "offdiag_rms": float(rms.mean()),
-            "rms_scaled": float(rms.mean() * np.sqrt(dim_o)),
-        }
+        l1, rms, _ = concentration(lab_ledger(args.dim_b, dim_o), args.seeds, args.seed)
+        row = {"dim_o": dim_o, "l1_mean": l1, "offdiag_rms": rms,
+               "rms_scaled": rms * math.sqrt(dim_o)}
         rows.append(row)
         print(
             f"{dim_o:>9} {row['l1_mean']:>18.5f} {row['offdiag_rms']:>12.2e} "

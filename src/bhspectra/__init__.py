@@ -68,6 +68,7 @@ _EXPORTS = {
         "EnergyLedger",
         "ReducedDensity",
         "TypicalityLabReport",
+        "concentration",
         "lab_ledger",
         "level_diagonal",
         "microcanonical_weights",

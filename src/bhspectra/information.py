@@ -207,17 +207,6 @@ class ChainInformationLedger:
     initial_entropy: float
     final_entropy: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "self_information": [float(x) for x in self.self_information],
-            "correlation_with_prior": [float(x) for x in self.correlation_with_prior],
-            "total_self_information": self.total_self_information,
-            "entropy_drop": self.entropy_drop,
-            "residual": self.residual,
-            "initial_entropy": self.initial_entropy,
-            "final_entropy": self.final_entropy,
-        }
-
 
 def chain_information_ledger(chain: EmissionChain) -> ChainInformationLedger:
     """Audit a complete chain: per-step self-information and correlations."""

@@ -1,5 +1,6 @@
 """Canonical typicality: reduced states of random pure universe states,
-microcanonical weights, and the seed-averaged lab behind `typicality`.
+microcanonical weights, the seed-averaged concentration estimator, and the
+lab behind `typicality`, which runs that estimator at two shell sizes.
 
 The universe U = B (system) + O (environment) lives on the energy shell
 E_b + E_o = E_U. A random pure state on the shell has i.i.d. complex standard
@@ -16,6 +17,10 @@ normalization the reduced state is blockdiag(W_b) with W_b = G_b G_b^dagger:
 independent complex Wishart matrices (Zyczkowski and Sommers, J. Phys. A 34,
 7111, 2001). The sampler draws each W_b directly, so huge environment state
 counts cost nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
+
+concentration() keys each draw's stream by the shell's dim_U, so estimates at
+two sizes are independent and their ratio is an estimate, not an artefact of
+shared draws.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .errors import DomainError, UsageError
 # Largest dim_U: the sampler's Gamma shapes and traces are float64 (max ~2^1024),
 # and at this cap lab_ledger has dim_b <= ~2000, so rho stays under 64 MB.
 _DIM_U_CAP = 1 << 1000
-# Most random states typicality_lab averages at each size.
+# Most random states concentration averages.
 _MAX_SEEDS = 1 << 20
 
 
@@ -156,6 +161,29 @@ def offdiagonal_rms(rho: ReducedDensity) -> float:
     return float(np.sqrt(np.mean(np.abs(rho.matrix[mask]) ** 2)))
 
 
+def concentration(ledger: EnergyLedger, n_seeds: int, seed: int) -> tuple[float, float, float]:
+    """How far n_seeds random states on the shell sit from its weights: the
+    means of the L1 distance of level_diagonal from microcanonical_weights,
+    of offdiagonal_rms and of raw_mean_sq. Draw i is seeded from
+    (seed, dim_U, i), so shells of different sizes never share a draw.
+    """
+    if n_seeds < 1:
+        raise UsageError("n_seeds must be >= 1")
+    if n_seeds > _MAX_SEEDS:
+        raise UsageError(f"n_seeds = {n_seeds}, above {_MAX_SEEDS}")
+    if seed < 0:
+        raise UsageError("seed must be a non-negative integer")
+    weights = microcanonical_weights(ledger)
+    dim_u = ledger.dim_u
+    l1, rms, raw = np.empty((3, n_seeds))
+    for i in range(n_seeds):
+        s = int(np.random.SeedSequence((seed, dim_u, i)).generate_state(1, np.uint64)[0])
+        rho, raw[i] = sample_reduced_density(ledger, s)
+        l1[i] = float(np.sum(np.abs(level_diagonal(ledger, rho) - weights)))
+        rms[i] = offdiagonal_rms(rho)
+    return float(np.mean(l1)), float(np.mean(rms)), float(np.mean(raw))
+
+
 # ---------------------------------------------------------------------------
 # Standard typicality lab configuration
 # ---------------------------------------------------------------------------
@@ -213,33 +241,16 @@ def typicality_lab(
 ) -> TypicalityLabReport:
     """Measure diag-weight convergence and off-diagonal decay on the lab shell.
 
-    Runs n_seeds samples at dim_o and at scale_factor * dim_o; reports the
+    Runs concentration() at dim_o and at scale_factor * dim_o; reports the
     seed-averaged L1 distance of the per-level diagonal from the
     microcanonical weights and the off-diagonal RMS at both sizes.
     """
-    if n_seeds < 1:
-        raise UsageError("n_seeds must be >= 1")
-    if n_seeds > _MAX_SEEDS:
-        raise UsageError(f"n_seeds = {n_seeds}, above {_MAX_SEEDS}")
-    if seed < 0:
-        raise UsageError("seed must be a non-negative integer")
     if scale_factor < 1:
         raise UsageError("scale_factor must be >= 1")
     base, scaled = lab_ledger(dim_b, dim_o), lab_ledger(dim_b, scale_factor * dim_o)
-
-    def run(ledger: EnergyLedger) -> tuple[float, float, float]:
-        weights = microcanonical_weights(ledger)
-        l1, rms, raw = np.empty((3, n_seeds))
-        for i in range(n_seeds):
-            s = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
-            rho, raw[i] = sample_reduced_density(ledger, s)
-            l1[i] = float(np.sum(np.abs(level_diagonal(ledger, rho) - weights)))
-            rms[i] = offdiagonal_rms(rho)
-        return float(np.mean(l1)), float(np.mean(rms)), float(np.mean(raw))
-
     # The larger shell first: its first draw rejects a dim_U over the cap.
-    l1_scaled, rms_scaled, _ = run(scaled)
-    l1_base, rms_base, raw_base = run(base)
+    l1_scaled, rms_scaled, _ = concentration(scaled, n_seeds, seed)
+    l1_base, rms_base, raw_base = concentration(base, n_seeds, seed)
     return TypicalityLabReport(
         dim_b=dim_b,
         dim_o=dim_o,

@@ -10,7 +10,7 @@ import json
 
 from bhspectra.cli import main
 
-GOLDEN = "584d99090f956ae37e1bf5465270b4780bdc60c4f48ca23545874ffd96a1461d"
+GOLDEN = "54661f39ff34d5cb60a61f67d61bb104fedd508aa03d854801da4a7c54f3b902"
 
 
 def test_verify_all_seed_0_report(tmp_path):
