@@ -17,10 +17,6 @@ normalization the reduced state is blockdiag(W_b) with W_b = G_b G_b^dagger:
 independent complex Wishart matrices (Zyczkowski and Sommers, J. Phys. A 34,
 7111, 2001). The sampler draws each W_b directly, so huge environment state
 counts cost nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
-
-concentration() keys each draw's stream by the shell's dim_U, so estimates at
-two sizes are independent and their ratio is an estimate, not an artefact of
-shared draws.
 """
 
 from __future__ import annotations
@@ -165,7 +161,8 @@ def concentration(ledger: EnergyLedger, n_seeds: int, seed: int) -> tuple[float,
     """How far n_seeds random states on the shell sit from its weights: the
     means of the L1 distance of level_diagonal from microcanonical_weights,
     of offdiagonal_rms and of raw_mean_sq. Draw i is seeded from
-    (seed, dim_U, i), so shells of different sizes never share a draw.
+    (seed, dim_U, i), so shells of different sizes never share a draw and
+    the ratio of two sizes' estimates is itself an estimate.
     """
     if n_seeds < 1:
         raise UsageError("n_seeds must be >= 1")

@@ -33,6 +33,7 @@ from bhspectra import (
 )
 from bhspectra.cascade import chain_identity
 from bhspectra.spectrum import emission_log_weights_bulk
+from bhspectra.verify import rn_exponent_oracle
 
 
 def verdict(number: int, name: str, detail: str) -> None:
@@ -84,13 +85,10 @@ def test_criterion_2_reissner_nordstrom_identity():
         w = rng.uniform(0.05, 0.9, batch) * m
         q_rem = rng.uniform(-0.99, 0.99, batch) * (m - w)
         qe = qv - q_rem
-        ml, wl, q0, q2 = (x.astype(np.longdouble) for x in (m, w, qv, q_rem))
-        rp = (ml - wl) + np.sqrt((ml - wl) ** 2 - q2 * q2)
-        r0 = ml + np.sqrt(ml * ml - q0 * q0)
-        oracle = np.pi * rp * rp - np.pi * r0 * r0
+        oracle = rn_exponent_oracle(m, w, qv, q_rem)
         keep = np.nonzero(np.abs(oracle) > 1e-3)[0][: n - kept]
         ms.append(m[keep]); qs.append(qv[keep]); ws.append(w[keep]); qes.append(qe[keep])
-        oracles.append(oracle[keep].astype(np.float64))
+        oracles.append(oracle[keep])
         kept += keep.size
     m, qv, w, qe, oracle = (np.concatenate(x) for x in (ms, qs, ws, qes, oracles))
     logw, valid = emission_log_weights_bulk(Family.REISSNER_NORDSTROM, m, qv, 0.0, 0.0, w, qe)

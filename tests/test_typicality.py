@@ -17,6 +17,7 @@ from bhspectra import (
     EnergyLedger,
     ReducedDensity,
     UsageError,
+    concentration,
     lab_ledger,
     level_diagonal,
     microcanonical_weights,
@@ -239,6 +240,29 @@ class TestTypicalityScaling:
     def test_negative_seed_is_usage_error(self):
         with pytest.raises(UsageError):
             typicality_lab(dim_b=4, dim_o=16, n_seeds=1, seed=-1)
+
+    @pytest.mark.parametrize("n_seeds,seed,named", [
+        (0, 0, "n_seeds must be >= 1"),
+        ((1 << 20) + 1, 0, "above 1048576"),
+        (1, -1, "seed must be"),
+    ], ids=["no-seeds", "over-cap", "negative-seed"])
+    def test_concentration_rejects_bad_counts(self, n_seeds, seed, named):
+        with pytest.raises(UsageError, match=named):
+            concentration(lab_ledger(4, 16), n_seeds, seed)
+
+    def test_lab_shells_draw_disjoint_seeds(self, monkeypatch):
+        from bhspectra import typicality
+
+        drawn: dict[int, list[int]] = {}
+
+        def recording(ledger, seed):
+            drawn.setdefault(ledger.dim_u, []).append(seed)
+            return sample_reduced_density(ledger, seed)
+
+        monkeypatch.setattr(typicality, "sample_reduced_density", recording)
+        typicality_lab(dim_b=4, dim_o=16, n_seeds=5, seed=0)
+        base, scaled = (set(drawn[lab_ledger(4, n).dim_u]) for n in (16, 64))
+        assert len(base) == len(scaled) == 5 and not base & scaled
 
     def test_lab_is_independent_of_blas_thread_count(self):
         # The lab's only BLAS calls are the per-level g x g block products
