@@ -123,9 +123,13 @@ class EmissionChain:
 
 
 def chain_log_probability(chain: EmissionChain) -> tuple[float, float]:
-    """(raw, normalized) chain log-probability: sums of the per-step values."""
-    raw = sum(step.log_weight for step in chain.steps)
-    norm = sum(step.log_prob for step in chain.steps)
+    """(raw, normalized) chain log-probability: the per-step values added
+    left to right, as the walk adds them. (The builtin sum is compensated for
+    floats from Python 3.12 on, so its bits depend on the version.)"""
+    raw = norm = 0.0
+    for step in chain.steps:
+        raw += step.log_weight
+        norm += step.log_prob
     return float(raw), float(norm)
 
 
@@ -540,7 +544,7 @@ def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot
     identity_entropy = None
     if identity_counts:
         freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
-        identity_entropy = float(-np.sum(freqs * np.log(freqs)))
+        identity_entropy = float(0.0 - np.sum(freqs * np.log(freqs)))  # 0.0, not -0.0
     return CascadeEnsembleStats(
         n_samples=n_samples, seed=seed, method=method, lengths=lengths,
         first_emission_counts=first_counts, identity_counts=identity_counts,
@@ -632,19 +636,16 @@ def cascade_ensemble_stats(
     policy: CascadePolicy,
     n_samples: int,
     seed: int,
-    method: str = "auto",
+    method: str = "per-sample",
 ) -> CascadeEnsembleStats:
     """Sample an ensemble of cascades and summarize it.
 
     method "per-sample" draws each chain from its own (seed, index) stream;
     "batch" draws every chain from one (seed, n_samples) stream, for
-    energy-only cascades only; "auto" picks batch for energy-only ensembles
-    >= 10^4 samples. Both are the one lockstep walk.
+    energy-only cascades only. Both are the one lockstep walk.
     """
-    if method == "auto":
-        method = "batch" if (policy.energy_only and n_samples >= 10_000) else "per-sample"
     if method not in ("batch", "per-sample"):
-        raise UsageError(f"unknown method {method!r}; choose auto, batch or per-sample")
+        raise UsageError(f"unknown method {method!r}; choose batch or per-sample")
     if method == "batch" and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
     return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")

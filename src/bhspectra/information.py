@@ -47,7 +47,7 @@ def radiation_entropy(spectrum: SpectrumGrid) -> float:
     logp = spectrum.log_weight[spectrum.valid]
     with np.errstate(under="ignore"):
         p = np.exp(logp)
-    return float(-np.sum(np.where(p > 0.0, p * logp, 0.0)))
+    return float(0.0 - np.sum(np.where(p > 0.0, p * logp, 0.0)))  # 0.0, not -0.0
 
 
 @dataclass(frozen=True)

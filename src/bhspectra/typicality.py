@@ -2,21 +2,23 @@
 microcanonical weights, the seed-averaged concentration estimator, and the
 lab behind `typicality`, which runs that estimator at two shell sizes.
 
-The universe U = B (system) + O (environment) lives on the energy shell
-E_b + E_o = E_U. A random pure state on the shell has i.i.d. complex standard
-normal coefficients, globally normalized. Tracing out O then concentrates the
-reduced state of B onto the microcanonical weights
+The universe U = B (system) + O (environment) lives on a shell that pairs
+each system level b, g_b-fold degenerate, with Omega_b environment states:
+Omega_O(E_U - E_b) on an energy shell, exp S_BH of the remnant for a black
+hole, whatever its hairs. A random pure state on the shell has i.i.d.
+complex standard normal coefficients, globally normalized. Tracing out O
+then concentrates the reduced state of B onto the microcanonical weights
 
-    w(b)  proportional to  Omega_O(E_U - E_b) * g_b
+    w(b)  proportional to  g_b * Omega_b
 
 and the fluctuations around that limit are what the tests measure.
 
-Level b's coefficients form a g_b x Omega_O(E_U - E_b) block G_b. Levels at
-different energies occupy orthogonal environment sectors, so before
-normalization the reduced state is blockdiag(W_b) with W_b = G_b G_b^dagger:
-independent complex Wishart matrices (Zyczkowski and Sommers, J. Phys. A 34,
-7111, 2001). The sampler draws each W_b directly, so huge environment state
-counts cost nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
+Level b's coefficients form a g_b x Omega_b block G_b. Distinct levels
+occupy orthogonal environment sectors, so before normalization the reduced
+state is blockdiag(W_b) with W_b = G_b G_b^dagger: independent complex
+Wishart matrices (Zyczkowski and Sommers, J. Phys. A 34, 7111, 2001). The
+sampler draws each W_b directly, so huge environment state counts cost
+nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
 """
 
 from __future__ import annotations
@@ -37,48 +39,33 @@ _MAX_SEEDS = 1 << 20
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Degeneracy bookkeeping for the universe energy shell.
+    """Degeneracy bookkeeping for the universe shell: levels holds the
+    (g_b, Omega_b) pair of each system level, in order. Omega_b = 0 means the
+    level's environment sector is empty."""
 
-    levels_b lists (E_b, g_b) for the system; levels_o maps environment
-    energies E_O to state counts Omega_O(E_O). Every system level must have a
-    sector entry at E_U - E_b (possibly 0, meaning that sector is empty).
-    Energies are matched exactly, so use exactly-representable values.
-    """
-
-    levels_b: tuple[tuple[float, int], ...]
-    levels_o: dict[float, int]
-    e_u: float
+    levels: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not self.levels_b:
+        if not self.levels:
             raise DomainError("ledger needs at least one system level")
-        object.__setattr__(self, "levels_b", tuple((float(e), int(g)) for e, g in self.levels_b))
-        for e_b, g in self.levels_b:
+        object.__setattr__(self, "levels", tuple((int(g), int(n)) for g, n in self.levels))
+        for b, (g, n) in enumerate(self.levels):
             if g < 1:
-                raise DomainError(f"system degeneracy must be >= 1, got {g} at E_b={e_b}")
-            if e_b > self.e_u:
-                raise DomainError(f"E_U={self.e_u} must be >= every E_b, got E_b={e_b}")
-            if (self.e_u - e_b) not in self.levels_o:
-                raise DomainError(f"no environment sector at E_O = E_U - E_b = {self.e_u - e_b}")
-        for e_o, n in self.levels_o.items():
+                raise DomainError(f"system degeneracy must be >= 1, got {g} at level {b}")
             if n < 0:
-                raise DomainError(f"environment state count must be >= 0, got {n} at E_O={e_o}")
-
-    def sector_sizes(self) -> tuple[int, ...]:
-        """Omega_O(E_U - E_b) per system level, in levels_b order."""
-        return tuple(int(self.levels_o[self.e_u - e_b]) for e_b, _ in self.levels_b)
+                raise DomainError(f"environment state count must be >= 0, got {n} at level {b}")
 
     @property
     def n_levels(self) -> int:
-        return len(self.levels_b)
+        return len(self.levels)
 
     @property
     def dim_b(self) -> int:
-        return sum(g for _, g in self.levels_b)
+        return sum(g for g, _ in self.levels)
 
     @property
     def dim_u(self) -> int:
-        return sum(g * n for (_, g), n in zip(self.levels_b, self.sector_sizes()))
+        return sum(g * n for g, n in self.levels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,15 +73,15 @@ class ReducedDensity:
     """Reduced density matrix of the system after tracing out the environment."""
 
     matrix: np.ndarray
-    dim: int
 
     def __post_init__(self) -> None:
-        if self.matrix.shape != (self.dim, self.dim):
-            raise DomainError("reduced density matrix shape mismatch")
-        tr = float(np.trace(self.matrix).real)
+        m = self.matrix
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DomainError(f"reduced density matrix is not square: shape {m.shape}")
+        tr = float(np.trace(m).real)
         if abs(tr - 1.0) > 1e-10:
             raise DomainError(f"reduced density trace {tr} != 1")
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=1e-12, rtol=0.0):
+        if not np.allclose(m, m.conj().T, atol=1e-12, rtol=0.0):
             raise DomainError("reduced density matrix is not Hermitian")
 
 
@@ -117,7 +104,7 @@ def sample_reduced_density(ledger: EnergyLedger, seed: int) -> tuple[ReducedDens
     dim = ledger.dim_b
     rho = np.zeros((dim, dim), dtype=np.complex128)
     offset = 0
-    for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
+    for g, n in ledger.levels:
         r = min(g, n)
         z = rng.standard_normal((2, g, r))
         low = np.tril(z[0] + 1j * z[1], -1) / math.sqrt(2.0)
@@ -125,12 +112,12 @@ def sample_reduced_density(ledger: EnergyLedger, seed: int) -> tuple[ReducedDens
         rho[offset : offset + g, offset : offset + g] = low @ low.conj().T
         offset += g
     total = float(np.trace(rho).real)
-    return ReducedDensity(rho / total, dim), total / dim_u
+    return ReducedDensity(rho / total), total / dim_u
 
 
 def microcanonical_weights(ledger: EnergyLedger) -> np.ndarray:
-    """Shell weights per system level: w(b) = Omega_O(E_U - E_b) g_b / total."""
-    counts = [g * n for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes())]
+    """Shell weights per system level: w(b) = g_b Omega_b / total."""
+    counts = [g * n for g, n in ledger.levels]
     total = sum(counts)
     if total == 0:
         raise DomainError("all microcanonical weights are zero (empty shell)")
@@ -142,7 +129,7 @@ def level_diagonal(ledger: EnergyLedger, rho: ReducedDensity) -> np.ndarray:
     diag = np.real(np.diag(rho.matrix))
     out = np.empty(ledger.n_levels)
     offset = 0
-    for i, (_, g) in enumerate(ledger.levels_b):
+    for i, (g, _) in enumerate(ledger.levels):
         out[i] = float(np.sum(diag[offset : offset + g]))
         offset += g
     return out
@@ -150,7 +137,7 @@ def level_diagonal(ledger: EnergyLedger, rho: ReducedDensity) -> np.ndarray:
 
 def offdiagonal_rms(rho: ReducedDensity) -> float:
     """Root-mean-square magnitude of the off-diagonal entries."""
-    d = rho.dim
+    d = rho.matrix.shape[0]
     if d < 2:
         return 0.0
     mask = ~np.eye(d, dtype=bool)
@@ -203,9 +190,7 @@ def lab_ledger(dim_b: int, dim_o: int) -> EnergyLedger:
     if dim_o < 1 or n_levels > int(dim_o).bit_length() or dim_o % (1 << (n_levels - 1)) != 0:
         raise UsageError(f"dim_o must be a positive multiple of 2^{n_levels - 1}")
     gs = [2] * (dim_b // 2) + ([1] if dim_b % 2 else [])
-    levels_b = tuple((float(i), g) for i, g in enumerate(gs))
-    levels_o = {float(n_levels - i): dim_o >> i for i in range(n_levels)}
-    return EnergyLedger(levels_b, levels_o, float(n_levels))
+    return EnergyLedger(tuple((g, dim_o >> i) for i, g in enumerate(gs)))
 
 
 @dataclass(frozen=True)

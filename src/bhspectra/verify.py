@@ -36,7 +36,7 @@ from .spectrum import (
     emission_log_weight,
     emission_log_weights_bulk,
 )
-from .typicality import typicality_lab
+from .typicality import lab_ledger, typicality_lab
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,8 @@ def suite_identities(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
 def suite_typicality(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
     t0 = time.perf_counter()
     report = SuiteReport("typicality")
-    lab = typicality_lab(dim_b=4, dim_o=1 << 12, n_seeds=100, seed=seed)
+    dim_b, dim_o = 4, 1 << 12
+    lab = typicality_lab(dim_b=dim_b, dim_o=dim_o, n_seeds=100, seed=seed)
     report.checks.append(
         _max_check("weights_l1_at_4096", lab.mean_l1_weights, 0.05, "100 seeds, dim_b=4")
     )
@@ -327,6 +328,16 @@ def suite_typicality(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
             0.7,
             f"rms {lab.offdiag_rms:.2e} -> {lab.offdiag_rms_scaled:.2e} at 4x dim_o",
         )
+    )
+    # A block entry of W_b sums Omega_b products of unit normals, so after
+    # the trace (~dim_U) it has E|rho_ij|^2 = Omega_b / dim_U^2: the RMS over
+    # the d(d - 1) off-diagonals. The mean of per-draw RMS sits a few % below.
+    base = lab_ledger(dim_b, dim_o)
+    law = math.sqrt(sum(g * (g - 1) * n for g, n in base.levels) / (dim_b * (dim_b - 1)))
+    law /= base.dim_u
+    scale = lab.offdiag_rms / law
+    report.checks.append(
+        Check("offdiag_rms_scale", 0.7 <= scale <= 1.2, scale, 1.2, f"rms against law {law:.3e}")
     )
     report.checks.append(
         _max_check("raw_mean_sq_near_one", abs(lab.mean_raw_sq - 1.0), 0.02, "paper-convention |C|^2")

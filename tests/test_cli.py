@@ -154,6 +154,14 @@ class TestSpectrumCommand:
         assert report["mi_numeric"] is report["mi_paper_form"] is report["mi_moment_form"] is None
         assert report["s_r"] > 0.0
 
+    def test_one_bin_report_writes_a_positive_zero_entropy(self, tmp_path):
+        # One bin is a point mass: S_R = 0, written as 0.0, not -0.0.
+        assert run_cli("spectrum", "--mass", "1", "--bins", "1", "--omega-max", "0.5",
+                       "--normalization", "unitsum", "--report",
+                       "--output-dir", str(tmp_path)) == 0
+        s_r = json.loads((tmp_path / "info_report.json").read_text())["s_r"]
+        assert s_r == 0.0 and math.copysign(1.0, s_r) == 1.0
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mass": 2.0, "bins": 8, "omega_max": 1.0}))
@@ -307,6 +315,15 @@ class TestCascadeCommand:
         assert report["n_samples"] == 10
         # complete uncharged cascades: raw chain log-prob is -4 pi M^2
         assert report["mean_raw_log_prob"] == pytest.approx(-math.pi, abs=1e-10)
+
+    def test_single_identity_writes_a_positive_zero_entropy(self, tmp_path):
+        # The mass is the stop mass, so every chain is the empty one: a point
+        # mass, whose identity entropy is 0.0, not -0.0.
+        assert run_cli("cascade", "--mass", "0.25", "--energy-quantum", "0.25",
+                       "--stop-mass", "0.25", "--n-samples", "3",
+                       "--output-dir", str(tmp_path)) == 0
+        h = json.loads((tmp_path / "ensemble.json").read_text())["identity_entropy"]
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_invalid_policy_exits_1(self, tmp_path):
         assert run_cli(

@@ -13,10 +13,16 @@ import pytest
 from scipy.stats import ks_2samp
 
 from bhspectra import (
+    BlackHoleState,
     DomainError,
     EnergyLedger,
+    Family,
+    GridSpec,
+    Normalization,
     ReducedDensity,
     UsageError,
+    bh_entropy,
+    build_spectrum,
     concentration,
     lab_ledger,
     level_diagonal,
@@ -28,7 +34,7 @@ from bhspectra import (
 
 
 def two_level_ledger(n0: int, n1: int, g0: int = 1, g1: int = 1) -> EnergyLedger:
-    return EnergyLedger(((0.0, g0), (1.0, g1)), {2.0: n0, 1.0: n1}, 2.0)
+    return EnergyLedger(((g0, n0), (g1, n1)))
 
 
 def full_coefficient_sample(ledger: EnergyLedger, seed: int) -> tuple[ReducedDensity, float]:
@@ -42,25 +48,17 @@ def full_coefficient_sample(ledger: EnergyLedger, seed: int) -> tuple[ReducedDen
     raw /= math.sqrt(float(np.sum(np.abs(raw) ** 2)))
     rho = np.zeros((ledger.dim_b, ledger.dim_b), dtype=np.complex128)
     row = col = 0
-    for (_, g), n in zip(ledger.levels_b, ledger.sector_sizes()):
+    for g, n in ledger.levels:
         block = raw[col : col + g * n].reshape(g, n)
         rho[row : row + g, row : row + g] = block @ block.conj().T
         row, col = row + g, col + g * n
-    return ReducedDensity(rho, ledger.dim_b), raw_mean_sq
+    return ReducedDensity(rho), raw_mean_sq
 
 
 class TestLedger:
-    def test_missing_sector_rejected(self):
-        with pytest.raises(DomainError):
-            EnergyLedger(((0.0, 1),), {1.0: 4}, 2.0)  # needs sector at E_O = 2
-
-    def test_e_u_below_level_rejected(self):
-        with pytest.raises(DomainError):
-            EnergyLedger(((3.0, 1),), {0.0: 4}, 2.0)
-
     def test_degeneracy_bounds(self):
         with pytest.raises(DomainError):
-            EnergyLedger(((0.0, 0),), {2.0: 4}, 2.0)
+            EnergyLedger(((0, 4),))
         with pytest.raises(DomainError):
             two_level_ledger(-1, 2)
 
@@ -68,24 +66,29 @@ class TestLedger:
         ledger = two_level_ledger(8, 2, g0=2, g1=1)
         assert ledger.dim_b == 3
         assert ledger.dim_u == 2 * 8 + 1 * 2
-        assert ledger.sector_sizes() == (8, 2)
+        assert ledger.levels == ((2, 8), (1, 2))
+
+
+    def test_reduced_density_must_be_square(self):
+        with pytest.raises(DomainError, match="not square"):
+            ReducedDensity(np.eye(2, 3) / 2.0)
 
 
 # g = (3, 2, 1) against sectors n = (2, 1, 0): two rank-deficient levels and
 # an empty one.
-RANK_DEFICIENT = EnergyLedger(((0.0, 3), (1.0, 2), (2.0, 1)), {3.0: 2, 2.0: 1, 1.0: 0}, 3.0)
+RANK_DEFICIENT = EnergyLedger(((3, 2), (2, 1), (1, 0)))
 
 
 class TestSampler:
     def test_single_state_shell_gives_one(self):
-        ledger = EnergyLedger(((0.0, 1),), {1.0: 1}, 1.0)
+        ledger = EnergyLedger(((1, 1),))
         for seed in range(5):
             rho, _ = sample_reduced_density(ledger, seed)
             assert rho.matrix.tolist() == [[1.0]]
 
     def test_one_environment_state_gives_a_pure_state(self):
         # g = 2, n = 1: the pair is tied to a single environment state.
-        ledger = EnergyLedger(((0.0, 2),), {1.0: 1}, 1.0)
+        ledger = EnergyLedger(((2, 1),))
         for seed in range(5):
             m = sample_reduced_density(ledger, seed)[0].matrix
             assert np.allclose(m @ m, m, rtol=0.0, atol=1e-15)
@@ -185,7 +188,7 @@ class TestMicrocanonicalWeights:
         assert np.allclose(microcanonical_weights(ledger), [0.5, 0.5])
 
     def test_single_level(self):
-        ledger = EnergyLedger(((0.0, 3),), {1.0: 7}, 1.0)
+        ledger = EnergyLedger(((3, 7),))
         assert np.allclose(microcanonical_weights(ledger), [1.0])
 
     def test_degeneracy_weighting(self):
@@ -195,6 +198,27 @@ class TestMicrocanonicalWeights:
     def test_empty_shell_rejected(self):
         with pytest.raises(DomainError):
             microcanonical_weights(two_level_ledger(0, 0))
+
+
+def test_charged_hole_ledger_concentrates_on_its_spectrum():
+    # One level per valid (omega, q) bin of an RN hole, g = 1, with the
+    # remnant's state count round(exp S_BH(M - omega, Q - q)): levels that
+    # share an omega hold different sector sizes.
+    hole = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.5)
+    spec = build_spectrum(hole, GridSpec(omega_max=0.25, n_omega=4, q_step=0.125, n_q=2),
+                          Normalization.UNIT_SUM)
+    bins = list(zip(spec.omega[spec.valid].tolist(), spec.q[spec.valid].tolist()))
+    sizes = [round(math.exp(bh_entropy(BlackHoleState(hole.family, hole.m - w, hole.q - q))))
+             for w, q in bins]
+    ledger = EnergyLedger(tuple((1, n) for n in sizes))
+    assert ledger.n_levels == 8 and ledger.dim_u == 49628
+    assert (min(sizes), max(sizes)) == (218, 25383)
+    assert bins[0][0] == bins[1][0] and sizes[0] != sizes[1]
+    # Rounding the smallest sector (218) costs ~1e-3 relative.
+    np.testing.assert_allclose(microcanonical_weights(ledger), spec.weights()[spec.valid],
+                               rtol=2e-3, atol=0.0)
+    l1, _, _ = concentration(ledger, 50, 0)
+    assert l1 < math.sqrt(ledger.dim_b / ledger.dim_u)
 
 
 class TestTypicalityScaling:
@@ -226,7 +250,7 @@ class TestTypicalityScaling:
         with pytest.raises(UsageError, match=r"2\^13"):
             lab_ledger(27, 4096)
 
-    def test_lab_ledger_rejects_many_levels_before_allocating(self):
+    def test_lab_ledger_rejects_many_levels_without_allocating(self):
         # 10^6 + 1 levels: 2^(10^6) cannot divide dim_o, which has 13 bits.
         tracemalloc.start()
         try:

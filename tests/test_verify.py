@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bhspectra import DomainError, UsageError
+from bhspectra import DomainError, ReducedDensity, UsageError, typicality, verify
 from bhspectra.blackholes import BlackHoleState, Emission, Family, bh_entropy, horizon_radius
 from bhspectra.information import pairwise_correlation
 from bhspectra.spectrum import emission_log_weight, thermal_log_weight
@@ -39,6 +39,22 @@ def test_report_serialization():
     assert {c["name"] for c in payload["checks"]} == {c.name for c in report.checks}
     for check in payload["checks"]:
         assert set(check) == {"name", "passed", "measured", "tolerance", "detail"}
+
+
+def test_offdiag_rms_scale_sees_scaled_offdiagonals(monkeypatch):
+    # Off-diagonals times 3 sqrt(2), as if E|z|^2 were 18; the matrix stays
+    # Hermitian with its trace. The ratio check cannot see this; the scale can.
+    sample = typicality.sample_reduced_density
+
+    def scaled(ledger, seed):
+        rho, raw = sample(ledger, seed)
+        m = rho.matrix * (3.0 * math.sqrt(2.0))
+        np.fill_diagonal(m, np.diag(rho.matrix))
+        return ReducedDensity(m), raw
+
+    monkeypatch.setattr(typicality, "sample_reduced_density", scaled)
+    report = suite_typicality(seed=0)
+    assert [c.name for c in report.checks if not c.passed] == ["offdiag_rms_scale"]
 
 
 def test_all_runs_every_suite():
@@ -165,6 +181,17 @@ def test_identities_match_the_scalar_oracle_bitwise(seed, alpha):
     assert {name: measured[name].hex() for name in want} == {
         name: float(value).hex() for name, value in want.items()
     }
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_qg_correction_match_sees_a_wrong_alpha(monkeypatch, seed):
+    # Each of the four corrected batches priced with the next alpha.
+    kernel = verify._schwarzschild_log_weights
+    following = {-1.0: -0.5, -0.5: 0.5, 0.5: 1.0, 1.0: -1.0}
+    monkeypatch.setattr(verify, "_schwarzschild_log_weights",
+                        lambda m, w, alpha=0.0: kernel(m, w, following.get(alpha, alpha)))
+    (check,) = [c for c in suite_identities(seed=seed).checks if c.name == "qg_correction_match"]
+    assert not check.passed and check.measured > 1.0
 
 
 @pytest.mark.parametrize("seed,alpha", [(0, 0.0), (5, 1.0)])

@@ -10,7 +10,7 @@ import json
 
 from bhspectra.cli import main
 
-GOLDEN = "54661f39ff34d5cb60a61f67d61bb104fedd508aa03d854801da4a7c54f3b902"
+GOLDEN = "c86b0ae136e1dcb72106f845405c10aed419ae0774d2c9a5f5b1723541243e6b"
 
 
 def test_verify_all_seed_0_report(tmp_path):
