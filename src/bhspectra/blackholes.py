@@ -300,7 +300,7 @@ def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
     j = np.asarray(j, dtype=np.float64)
     zero = (m == 0.0) & (q == 0.0) & (j == 0.0)
-    pos = m > 0.0
+    pos = (m > 0.0) & (m < np.inf)  # a finite mass; non-finite q, j fail below
     if family is Family.SCHWARZSCHILD:
         ok = pos & (q == 0.0) & (j == 0.0)
     else:

@@ -83,6 +83,15 @@ def _canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _output_dir(path: str) -> Path:
+    """The output directory, created with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return Path(path)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
@@ -271,8 +280,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         report = _cli.build_info_report(state, unit_grid)
     compute_s = time.perf_counter() - t0
 
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg["output_dir"])
     manifest_cfg = dict(cfg, state=_cli.state_to_record(state), grid_spec=dataclasses.asdict(spec))
     manifest_hash = _manifest_hash("spectrum", manifest_cfg)
     if cfg["format"] == "csv":
@@ -328,8 +336,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     # Raises every usage error before anything is written.
     table = _cli._ensemble_table(state, policy, n_samples, seed)
 
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg["output_dir"])
     manifest_cfg = dict(cfg, state=_cli.state_to_record(state), policy=dataclasses.asdict(policy))
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
     # "workers" is only echoed: sampling runs in this process, and each
@@ -364,8 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _load("verify")
     reports = _cli.run_suites(cfg["suite"], seed=cfg["seed"], alpha=cfg["alpha"])
     compute_s = time.perf_counter() - t0
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg["output_dir"])
     manifest_hash = _manifest_hash("verify", cfg)
     all_passed = all(r.all_passed for r in reports)
     _write_json(outdir / "report.json", {
@@ -403,8 +409,7 @@ def cmd_typicality(args: argparse.Namespace) -> int:
     lab = _cli.typicality_lab(dim_b=cfg["dim_b"], dim_o=cfg["dim_o"], n_seeds=cfg["seeds"],
                               seed=cfg["seed"], scale_factor=cfg["scale_factor"])
     compute_s = time.perf_counter() - t0
-    outdir = Path(cfg["output_dir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg["output_dir"])
     manifest_hash = _manifest_hash("typicality", cfg)
     _write_json(outdir / "typicality.json", dict(lab.to_json_dict(), manifest_hash=manifest_hash))
     write_manifest(outdir, "typicality", cfg, manifest_hash, t0, compute_s)

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import Normalization, UsageError
+
+if TYPE_CHECKING:  # the annotation only: grids stays a leaf module
+    from .blackholes import BlackHoleState
 
 # Most bins n_omega * n_q * n_j of a grid, checked before any array exists.
 _MAX_BINS = 1 << 24
@@ -73,31 +77,42 @@ class GridSpec:
     def j_values(self) -> np.ndarray:
         return self.j_step * np.arange(self.n_j, dtype=np.float64)
 
+    def bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flat (omega, q, j) columns of the bins, omega-major, then q,
+        then j: three new arrays of n_bins floats on every call."""
+        omega = np.repeat(self.omega_nodes(), self.n_q * self.n_j)
+        q = np.tile(np.repeat(self.q_values(), self.n_j), self.n_omega)
+        j = np.tile(self.j_values(), self.n_omega * self.n_q)
+        return omega, q, j
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumGrid:
-    """Diagonal radiation density matrix over an emission grid.
+    """Diagonal radiation density matrix over an emission grid: the weights
+    of source_state's emissions into the bins of grid_spec.
 
-    Parallel arrays hold the flattened grid (omega-major, then q, then j).
-    Invalid bins mark closed emission channels: they are flagged, never
-    dropped, and carry log_weight = nan. log_norm records the log-sum-exp
-    total subtracted during unit-sum normalization (None for raw spectra),
-    so raw weights are recoverable as log_weight + log_norm.
+    log_weight and valid hold one entry per bin, in the order of
+    grid_spec.bins(). Invalid bins mark closed emission channels: they are
+    flagged, never dropped, and carry log_weight = nan. log_norm records the
+    log-sum-exp total subtracted during unit-sum normalization (None for raw
+    spectra), so raw weights are recoverable as log_weight + log_norm.
     """
 
-    omega: np.ndarray
-    q: np.ndarray
-    j: np.ndarray
     log_weight: np.ndarray
     valid: np.ndarray
     normalization: Normalization
-    source_state: object | None = None
-    grid_spec: GridSpec | None = None
+    source_state: BlackHoleState
+    grid_spec: GridSpec
     log_norm: float | None = None
+
+    def __post_init__(self) -> None:
+        shape = (self.grid_spec.n_bins,)
+        if np.shape(self.log_weight) != shape or np.shape(self.valid) != shape:
+            raise UsageError(f"log_weight and valid must both have the grid's shape {shape}")
 
     @property
     def n_bins(self) -> int:
-        return int(self.omega.size)
+        return self.grid_spec.n_bins
 
     @property
     def n_valid(self) -> int:

@@ -76,22 +76,21 @@ def conditional_entropy(
     """
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("conditional entropy needs a unit-sum spectrum")
-    if spectrum.source_state is not None and spectrum.source_state != state:
+    if spectrum.source_state != state:
         raise UsageError("spectrum was built from a different state")
     v = spectrum.valid
     logp = spectrum.log_weight[v]
     with np.errstate(under="ignore"):
         p = np.exp(logp)
-    m2 = state.m - spectrum.omega[v]
-    q2 = state.q - spectrum.q[v]
-    j2 = state.j - spectrum.j[v]
-    s_rem = np.asarray(entropy_grid(state.family, m2, q2, j2, state.alpha), dtype=np.float64)
+    # The valid bins' emitted hairs, their means, then in place the remnant's.
+    hairs = [x[v] for x in spectrum.grid_spec.bins()]
+    e_r, mean_q, mean_j = (float(np.sum(p * x)) for x in hairs)
+    for total, x in zip((state.m, state.q, state.j), hairs):
+        np.subtract(total, x, out=x)
+    s_rem = entropy_grid(state.family, *hairs, state.alpha)
     defined = np.isfinite(s_rem)
     excluded = float(np.sum(p[~defined]))
     exact = float(np.sum(p[defined] * s_rem[defined]))
-    e_r = float(np.sum(p * spectrum.omega[v]))
-    mean_q = float(np.sum(p * spectrum.q[v]))
-    mean_j = float(np.sum(p * spectrum.j[v]))
     lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
     log_norm = spectrum.log_norm if spectrum.log_norm is not None else 0.0
     with np.errstate(under="ignore"):
@@ -269,8 +268,6 @@ def build_info_report(state: BlackHoleState, spectrum: SpectrumGrid) -> InfoRepo
     channel are skipped.
     """
     spec = spectrum.grid_spec
-    if spec is None:
-        raise UsageError("the info report needs a spectrum built on a grid")
     s_r = radiation_entropy(spectrum)
     cond = conditional_entropy(state, spectrum)
 

@@ -112,15 +112,6 @@ def _grid_axes(state: BlackHoleState, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return spec.omega_nodes(), spec.q_values(), spec.j_values()
 
 
-def _flatten(w: np.ndarray, qv: np.ndarray, jv: np.ndarray):
-    """The bins of the grid with axes (w, qv, jv) as flat (omega, q, j)
-    arrays, omega-major, then q, then j."""
-    omega = np.repeat(w, qv.size * jv.size)
-    q = np.tile(np.repeat(qv, jv.size), w.size)
-    j = np.tile(jv, w.size * qv.size)
-    return omega, q, j
-
-
 def _normalize(logw: np.ndarray, valid: np.ndarray, normalization: Normalization):
     if normalization is Normalization.RAW:
         return logw, None
@@ -128,6 +119,13 @@ def _normalize(logw: np.ndarray, valid: np.ndarray, normalization: Normalization
     out = logw.copy()
     out[valid] -= log_norm
     return out, log_norm
+
+
+def _spectrum(state, spec, logw, valid, normalization) -> SpectrumGrid:
+    """The spectrum of state on spec with log-weights logw, normalized."""
+    logw, log_norm = _normalize(logw, valid, normalization)
+    return SpectrumGrid(log_weight=logw, valid=valid, normalization=normalization,
+                        source_state=state, grid_spec=spec, log_norm=log_norm)
 
 
 def build_spectrum(
@@ -147,21 +145,9 @@ def build_spectrum(
         state, w[:, None, None], qv[None, :, None], jv[None, None, :]
     )
     logw, valid = logw.ravel(), valid.ravel()
-    omega, q, j = _flatten(w, qv, jv)
     if not valid.any():
         raise DomainError("every grid bin is a closed emission channel")
-    logw, log_norm = _normalize(logw, valid, normalization)
-    return SpectrumGrid(
-        omega=omega,
-        q=q,
-        j=j,
-        log_weight=logw,
-        valid=valid,
-        normalization=normalization,
-        source_state=state,
-        grid_spec=spec,
-        log_norm=log_norm,
-    )
+    return _spectrum(state, spec, logw, valid, normalization)
 
 
 def build_thermal_spectrum(
@@ -173,22 +159,12 @@ def build_thermal_spectrum(
 
     The baseline has no remnant bookkeeping, so every bin is valid; it exists
     to quantify how far the entropy-difference spectrum departs from thermal.
+    It depends on omega alone: evaluated once per node, repeated over q and j.
     """
-    omega, q, j = _flatten(*_grid_axes(state, spec))
-    logw = _thermal(state, omega)
-    valid = np.ones(omega.shape, dtype=bool)
-    logw, log_norm = _normalize(logw, valid, normalization)
-    return SpectrumGrid(
-        omega=omega,
-        q=q,
-        j=j,
-        log_weight=logw,
-        valid=valid,
-        normalization=normalization,
-        source_state=state,
-        grid_spec=spec,
-        log_norm=log_norm,
-    )
+    w, _, _ = _grid_axes(state, spec)
+    logw = np.repeat(_thermal(state, w), spec.n_q * spec.n_j)
+    valid = np.ones(spec.n_bins, dtype=bool)
+    return _spectrum(state, spec, logw, valid, normalization)
 
 
 @dataclass(frozen=True)
@@ -207,7 +183,7 @@ class SpectrumComparison:
 
 def compare_thermal(nonthermal: SpectrumGrid, thermal: SpectrumGrid) -> SpectrumComparison:
     """KL(nonthermal || thermal) and log-ratio extremes over common bins."""
-    if nonthermal.grid_spec != thermal.grid_spec or nonthermal.grid_spec is None:
+    if nonthermal.grid_spec != thermal.grid_spec:
         raise UsageError("spectra must share an identical grid_spec")
     common = nonthermal.valid & thermal.valid
     if not common.any():

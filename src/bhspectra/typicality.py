@@ -24,6 +24,7 @@ nothing; only the float64 range bounds dim_U, at _DIM_U_CAP.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,15 @@ class EnergyLedger:
     def __post_init__(self) -> None:
         if not self.levels:
             raise DomainError("ledger needs at least one system level")
-        object.__setattr__(self, "levels", tuple((int(g), int(n)) for g, n in self.levels))
         for b, (g, n) in enumerate(self.levels):
+            # int() would floor 2.5 to 2, and fail on nan and inf.
+            if not all(isinstance(x, numbers.Integral) or float(x).is_integer() for x in (g, n)):
+                raise DomainError(f"level counts must be integers, got {(g, n)} at level {b}")
             if g < 1:
                 raise DomainError(f"system degeneracy must be >= 1, got {g} at level {b}")
             if n < 0:
                 raise DomainError(f"environment state count must be >= 0, got {n} at level {b}")
+        object.__setattr__(self, "levels", tuple((int(g), int(n)) for g, n in self.levels))
 
     @property
     def n_levels(self) -> int:

@@ -135,11 +135,12 @@ def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
 
     thermal_log_weight is nan throughout when there is no thermal baseline.
     """
+    omega, q, j = grid.grid_spec.bins()
     thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
     return {
-        "omega": grid.omega,
-        "q": grid.q,
-        "j": grid.j,
+        "omega": omega,
+        "q": q,
+        "j": j,
         "log_weight": grid.log_weight,
         "weight": grid.weights(),
         "thermal_log_weight": thermal_lw,
@@ -169,14 +170,14 @@ def _jsonl_rows(columns: dict):
         yield "".join(parts)
 
 
-def _csv_cells(values: np.ndarray, shape: tuple[int, int, int] | None, axis: int | None):
+def _csv_cells(values: np.ndarray, shape: tuple[int, int, int], axis: int | None):
     """cells(start, stop): the _format_e16 cells of values[start:stop].
 
     A column that is, bit for bit, one axis of a grid of `shape` repeated over
     the other two is formatted once per axis value and its cells gathered;
     any other column is formatted chunk by chunk."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    if axis is not None and shape is not None and values.size == math.prod(shape):
+    if axis is not None and values.size == math.prod(shape):
         bits = values.view(np.int64).reshape(shape)
         along = bits[tuple(slice(None) if k == axis else slice(1) for k in range(3))]
         if (bits == along).all():
@@ -193,7 +194,7 @@ def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: s
     header = ",".join(columns)
     valid = columns.pop("valid")
     spec = grid.grid_spec
-    shape = None if spec is None else (spec.n_omega, spec.n_q, spec.n_j)
+    shape = (spec.n_omega, spec.n_q, spec.n_j)
     # omega, q and j each vary along their grid axis; the thermal baseline along omega's.
     axis = {"omega": 0, "q": 1, "j": 2, "thermal_log_weight": 0}
     cells = [_csv_cells(values, shape, axis.get(name)) for name, values in columns.items()]
@@ -218,7 +219,6 @@ def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash
         f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
         for start in range(0, grid.n_bins, _ROW_CHUNK):
             f.writelines(_jsonl_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()}))
-
 
 
 class _ChainsJsonl:

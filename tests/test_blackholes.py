@@ -272,6 +272,25 @@ def test_area_radius_kernel_flags_invalid_as_nan():
     assert np.isnan(got).all()
 
 
+# The kernels compute every entry, inf - inf included, before masking.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("family", list(Family))
+def test_infinite_mass_is_no_macro_state(family):
+    # BlackHoleState refuses M = inf; the array kernels agree with it.
+    from bhspectra.blackholes import area_radius_sq, entropy_grid, hairs_valid
+    from bhspectra.spectrum import emission_log_weights_bulk
+
+    ms = np.array([np.inf, 1.0, np.nan, -np.inf])
+    assert hairs_valid(family, ms, 0.0, 0.0, 0.0).tolist() == [False, True, False, False]
+    assert np.isnan(area_radius_sq(family, np.inf))
+    for alpha in (0.0, 1.5):
+        assert np.isnan(entropy_grid(family, np.inf, 0.0, 0.0, alpha))
+        logw, valid = emission_log_weights_bulk(family, np.inf, 0.0, 0.0, alpha, 1.0)
+        assert np.isnan(logw) and not valid
+    with pytest.raises(DomainError):
+        BlackHoleState(family, math.inf)
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.5])
 @pytest.mark.parametrize(
     "family,ms,qs,js",

@@ -471,6 +471,22 @@ class TestUsage:
     def test_missing_command_is_usage_error(self):
         assert run_cli() == 1
 
+    @pytest.mark.parametrize("command,args", [
+        ("spectrum", ("--mass", "1", "--bins", "4")),
+        ("cascade", ("--mass", "1", "--n-samples", "2")),
+        ("verify", ("--suite", "identities")),
+        ("typicality", ("--dim-o", "16", "--seeds", "1")),
+    ], ids=["spectrum", "cascade", "verify", "typicality"])
+    def test_uncreatable_output_dir_is_usage_error(self, tmp_path, capsys, command, args):
+        # A directory below a regular file cannot be created.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        outdir = blocker / "x"
+        assert run_cli(command, *args, "--output-dir", str(outdir)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot create output directory {outdir}: "), err
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
     def test_unknown_flag_is_usage_error(self):
         assert run_cli("spectrum", "--nope", "1") == 1
 

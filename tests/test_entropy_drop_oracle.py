@@ -101,14 +101,15 @@ def test_golden_grids_match_oracle(name):
     hairs = (state.m, state.q, state.j, state.alpha)
     idx = np.nonzero(grid.valid)[0]
     assert idx.size > 0
+    omega, q, j = spec.bins()
     bulk, bulk_valid = emission_log_weights_bulk(
         state.family, *(np.full(idx.size, h) for h in hairs[:3]), state.alpha,
-        grid.omega[idx], grid.q[idx], grid.j[idx],
+        omega[idx], q[idx], j[idx],
     )
     assert bulk_valid.all()
     worst = 0.0
     for k, i in enumerate(idx):
-        e = (grid.omega[i], grid.q[i], grid.j[i])
+        e = (omega[i], q[i], j[i])
         scalar = emission_log_weight(state, Emission(*e))
         for got in (grid.log_weight[i], scalar, bulk[k]):
             worst = max(worst, _ulps(got, *hairs, *e))

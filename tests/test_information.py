@@ -79,28 +79,27 @@ def row_by_row_mutual_information(state, spec):
     )
 
 
-def manual_unitsum_grid(omegas, logw):
-    """Hand-built unit-sum spectrum for corner cases."""
-    omegas = np.asarray(omegas, dtype=float)
+def manual_unitsum_grid(omega_max, logw):
+    """Unit-sum spectrum of SCHW1 with hand-set log-weights on the nodes of
+    GridSpec(omega_max, len(logw)), for corner cases."""
     logw = np.asarray(logw, dtype=float)
     return SpectrumGrid(
-        omega=omegas,
-        q=np.zeros_like(omegas),
-        j=np.zeros_like(omegas),
         log_weight=logw,
-        valid=np.ones(omegas.shape, dtype=bool),
+        valid=np.ones(logw.shape, dtype=bool),
         normalization=Normalization.UNIT_SUM,
+        source_state=SCHW1,
+        grid_spec=GridSpec(omega_max=omega_max, n_omega=logw.size),
         log_norm=0.0,
     )
 
 
 class TestRadiationEntropy:
     def test_single_bin_zero(self):
-        grid = manual_unitsum_grid([0.1], [0.0])
+        grid = manual_unitsum_grid(0.1, [0.0])
         assert radiation_entropy(grid) == 0.0
 
     def test_two_equal_bins_ln2(self):
-        grid = manual_unitsum_grid([0.1, 0.2], [math.log(0.5)] * 2)
+        grid = manual_unitsum_grid(0.2, [math.log(0.5)] * 2)
         assert radiation_entropy(grid) == pytest.approx(math.log(2.0), abs=1e-14)
 
     def test_raw_spectrum_rejected(self):
@@ -123,12 +122,15 @@ class TestRadiationEntropy:
 
 
 class TestConditionalEntropy:
-    def test_concentrated_spectrum_returns_state_entropy(self):
-        grid = manual_unitsum_grid([0.0], [0.0])
+    def test_concentrated_spectrum_returns_remnant_entropy(self):
+        # All the weight on one node w0 > 0 (no grid node sits at 0): both
+        # forms are the entropy of the one remnant, M - w0.
+        w0 = 0.25
+        grid = manual_unitsum_grid(w0, [0.0])
         cond = conditional_entropy(SCHW1, grid)
-        assert cond.exact == bh_entropy(SCHW1)
-        assert cond.lowenergy == bh_entropy(SCHW1)
-        assert cond.e_r == 0.0 and cond.excluded_mass == 0.0
+        remnant = bh_entropy(SCHW1.with_hairs(SCHW1.m - w0, 0.0, 0.0))
+        assert cond.exact == cond.lowenergy == remnant
+        assert cond.e_r == w0 and cond.excluded_mass == 0.0
 
     def test_low_energy_agreement_at_small_omega(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 10.0)
@@ -170,7 +172,7 @@ class TestConditionalEntropy:
         grid = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=16), Normalization.UNIT_SUM)
         cond = conditional_entropy(SCHW1, grid)
         p = grid.weights()[grid.valid]
-        m2 = SCHW1.m - grid.omega[grid.valid]
+        m2 = SCHW1.m - grid.grid_spec.bins()[0][grid.valid]
         s_rem = 4.0 * math.pi * m2**2
         expect = float(np.sum(p * math.exp(grid.log_norm) * s_rem))
         assert cond.raw_weighted == pytest.approx(expect, rel=1e-10)

@@ -1,5 +1,7 @@
 """Emission log-weights, grid spectra, thermal baselines, and comparisons."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,7 @@ from bhspectra import (
     GridSpec,
     Normalization,
     RemnantInvalid,
+    SpectrumGrid,
     UsageError,
     build_spectrum,
     build_thermal_spectrum,
@@ -24,8 +27,6 @@ from bhspectra import (
     thermal_log_weight,
 )
 from bhspectra.spectrum import (
-    _flatten,
-    _grid_axes,
     emission_log_weights_bulk,
     logsumexp,
 )
@@ -134,7 +135,7 @@ class TestBuildSpectrum:
     def test_four_node_example(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
         grid = build_spectrum(s, GridSpec(omega_max=1.0, n_omega=4))
-        assert np.allclose(grid.omega, [0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(grid.grid_spec.bins()[0], [0.25, 0.5, 0.75, 1.0])
         expect = [pw(1.0, w) for w in (0.25, 0.5, 0.75, 1.0)]
         assert np.allclose(grid.log_weight, expect, atol=1e-12)
         assert grid.log_weight[-1] == pytest.approx(-4.0 * math.pi, abs=1e-12)
@@ -204,8 +205,10 @@ class TestBuildSpectrum:
         )
         assert grid.n_bins == 9
         i = 4  # omega = 2/3, q = 0.5
+        omega, q, _ = grid.grid_spec.bins()
+        assert q[i] == 0.5
         assert grid.log_weight[i] == pytest.approx(
-            emission_log_weight(s, Emission(grid.omega[i], 0.5)), abs=1e-11
+            emission_log_weight(s, Emission(omega[i], 0.5)), abs=1e-11
         )
 
 
@@ -238,13 +241,48 @@ AXIS_CASES = {
 def test_build_spectrum_on_axes_equals_flat_kernel(state, spec):
     # build_spectrum feeds the kernel the three axes; the flat product grid
     # through emission_log_weights must give the same bits, bin for bin.
-    omega, q, j = _flatten(*_grid_axes(state, spec))
+    omega, q, j = spec.bins()
     logw, valid = emission_log_weights(state, omega, q, j)
     grid = build_spectrum(state, spec, Normalization.RAW)
-    for got, want in ((grid.omega, omega), (grid.q, q), (grid.j, j), (grid.log_weight, logw)):
-        assert got.shape == (spec.n_bins,)
-        np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert grid.log_weight.shape == (spec.n_bins,)
+    np.testing.assert_array_equal(_bits(grid.log_weight), _bits(logw))
     np.testing.assert_array_equal(grid.valid, valid)
+
+
+@pytest.mark.parametrize("state,spec", AXIS_CASES.values(), ids=AXIS_CASES.keys())
+def test_thermal_baseline_equals_per_bin_scalar(state, spec):
+    # The baseline is evaluated once per omega node and repeated over q and
+    # j: the same bits as the scalar baseline of each bin.
+    omega, _, _ = spec.bins()
+    grid = build_thermal_spectrum(state, spec, Normalization.RAW)
+    want = np.array([thermal_log_weight(state, w) for w in omega.tolist()])
+    np.testing.assert_array_equal(_bits(grid.log_weight), _bits(want))
+    assert grid.valid.all() and grid.n_bins == spec.n_bins
+
+
+def test_bins_are_omega_major_then_q_then_j():
+    spec = AXIS_CASES["kn-alpha"][1]
+    product = itertools.product(spec.omega_nodes(), spec.q_values(), spec.j_values())
+    want = np.array(list(product)).T
+    for got, axis in zip(spec.bins(), want):
+        assert got.shape == (spec.n_bins,)
+        np.testing.assert_array_equal(_bits(got), _bits(axis))
+
+
+def test_spectrum_grid_is_its_spec_state_and_weights():
+    fields = [f.name for f in dataclasses.fields(SpectrumGrid)]
+    assert fields == ["log_weight", "valid", "normalization", "source_state", "grid_spec",
+                      "log_norm"]
+    state, spec = AXIS_CASES["rn"]
+    grid = build_spectrum(state, spec)
+    # log_weight and valid hold one entry per bin of grid_spec, or the grid is refused.
+    for change in (
+        {"log_weight": grid.log_weight[:-1]},
+        {"valid": grid.valid.reshape(spec.n_omega, -1)},
+        {"grid_spec": dataclasses.replace(spec, n_q=spec.n_q + 1)},
+    ):
+        with pytest.raises(UsageError, match="grid's shape"):
+            dataclasses.replace(grid, **change)
 
 
 class TestThermal:

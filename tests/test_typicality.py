@@ -62,6 +62,18 @@ class TestLedger:
         with pytest.raises(DomainError):
             two_level_ledger(-1, 2)
 
+    @pytest.mark.parametrize("level", [(2.5, 12189.7), (1, 12189.7), (2.5, 4), (1, math.nan),
+                                       (math.nan, 4), (1, math.inf), (-math.inf, 4)])
+    def test_non_integral_counts_rejected(self, level):
+        # int() would floor 2.5 to 2, and raise on nan and inf.
+        with pytest.raises(DomainError, match=r"must be integers, got .* at level 1"):
+            EnergyLedger(((1, 4), level))
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        ledger = EnergyLedger(((2.0, np.int64(12189)), (np.uint8(3), 1e20), (1, 1 << 900)))
+        assert ledger.levels == ((2, 12189), (3, 10**20), (1, 1 << 900))
+        assert all(type(x) is int for level in ledger.levels for x in level)
+
     def test_dimensions(self):
         ledger = two_level_ledger(8, 2, g0=2, g1=1)
         assert ledger.dim_b == 3
@@ -207,7 +219,8 @@ def test_charged_hole_ledger_concentrates_on_its_spectrum():
     hole = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.5)
     spec = build_spectrum(hole, GridSpec(omega_max=0.25, n_omega=4, q_step=0.125, n_q=2),
                           Normalization.UNIT_SUM)
-    bins = list(zip(spec.omega[spec.valid].tolist(), spec.q[spec.valid].tolist()))
+    omega, q, _ = spec.grid_spec.bins()
+    bins = list(zip(omega[spec.valid].tolist(), q[spec.valid].tolist()))
     sizes = [round(math.exp(bh_entropy(BlackHoleState(hole.family, hole.m - w, hole.q - q))))
              for w, q in bins]
     ledger = EnergyLedger(tuple((1, n) for n in sizes))

@@ -7,6 +7,7 @@ the grids here are full of the values that could trip that up: repeats,
 """
 
 import dataclasses
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -27,12 +28,14 @@ def _canonical(payload) -> str:
 
 
 def _oracle_rows(grid, thermal):
+    spec = grid.grid_spec
     weights = grid.weights()
-    for i in range(grid.n_bins):
+    bins = itertools.product(spec.omega_nodes(), spec.q_values(), spec.j_values())
+    for i, (omega, q, j) in enumerate(bins):
         yield {
-            "omega": float(grid.omega[i]),
-            "q": float(grid.q[i]),
-            "j": float(grid.j[i]),
+            "omega": float(omega),
+            "q": float(q),
+            "j": float(j),
             "log_weight": float(grid.log_weight[i]),
             "weight": float(weights[i]),
             "thermal_log_weight": float(thermal.log_weight[i]) if thermal else float("nan"),
@@ -107,45 +110,65 @@ def _column(rng, n: int) -> np.ndarray:
     return pool[rng.integers(0, pool.size, size=n)]
 
 
-def _grid(rng, n: int) -> SpectrumGrid:
+KN = BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5)
+
+# Grids of 1, 7, 1000 and one write chunk + 3 bins. Their axes hold -0.0
+# (a negative step times 0), subnormals and values past 1e280, which the
+# CSV writer formats with `%`.
+SPECS = [
+    GridSpec(omega_max=1.0, n_omega=1),
+    GridSpec(omega_max=2.0, n_omega=7, omega_min=0.5),
+    GridSpec(omega_max=1.5, n_omega=10, q_step=-0.5, n_q=10, j_step=5e-324, n_j=10),
+    GridSpec(omega_max=1e300, n_omega=writers._ROW_CHUNK + 3),
+]
+
+
+def _grid(rng, spec: GridSpec) -> SpectrumGrid:
+    """Random log-weights, special values included, and flags on the bins of spec."""
     return SpectrumGrid(
-        omega=_column(rng, n),
-        q=_column(rng, n),
-        j=_column(rng, n),
-        log_weight=_column(rng, n),
-        valid=rng.random(n) < 0.7,
+        log_weight=_column(rng, spec.n_bins),
+        valid=rng.random(spec.n_bins) < 0.7,
         normalization=Normalization.RAW,
+        source_state=KN,
+        grid_spec=spec,
     )
 
 
 # exp of the huge log-weights drawn here overflows to inf, as it should.
 @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
-@pytest.mark.parametrize("n", [1, 7, 1000, writers._ROW_CHUNK + 3])
+@pytest.mark.parametrize("spec", SPECS, ids=[str(spec.n_bins) for spec in SPECS])
 @pytest.mark.parametrize("with_thermal", [True, False])
-def test_spectrum_writers_match_per_row_oracle(tmp_path, n, with_thermal):
-    rng = np.random.default_rng(n)
-    grid = _grid(rng, n)
-    thermal = _grid(rng, n) if with_thermal else None
+def test_spectrum_writers_match_per_row_oracle(tmp_path, spec, with_thermal):
+    rng = np.random.default_rng(spec.n_bins)
+    grid = _grid(rng, spec)
+    thermal = _grid(rng, spec) if with_thermal else None
     writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
     assert (tmp_path / "s.jsonl").read_text() == _oracle_spectrum_jsonl(grid, thermal, "abc")
 
 
+KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
+
+
 def _kn_grids():
     """A Kerr-Newman spectrum and its thermal baseline, more rows than a chunk."""
-    state = BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5)
-    spec = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
-    assert spec.n_bins > writers._ROW_CHUNK
-    return (build_spectrum(state, spec, Normalization.UNIT_SUM),
-            build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
+    assert KN_SPEC.n_bins > writers._ROW_CHUNK
+    return (build_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM),
+            build_thermal_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM))
 
 
-PER_BIN = ("omega", "q", "j", "log_weight", "valid")
+PER_BIN = ("log_weight", "valid")
 
 
 def _permuted(grid, order):
     return dataclasses.replace(grid, **{k: getattr(grid, k)[order] for k in PER_BIN})
+
+
+def _swap(n: int, a: int, b: int) -> np.ndarray:
+    order = np.arange(n)
+    order[[a, b]] = b, a
+    return order
 
 
 def _set(grid, field, index, value):
@@ -154,17 +177,18 @@ def _set(grid, field, index, value):
     return dataclasses.replace(grid, **{field: column})
 
 
-# Rows 0 and 1 differ only in j. Each case breaks one column's axis pattern
-# by one bit, or drops the grid_spec that the pattern is read from.
+# omega, q and j come from the grid's GridSpec, so the thermal baseline is
+# the one column that can break its axis pattern: each case breaks it, down
+# to one bit. Rows 0 and n_q * n_j are the first two of different omega.
 BROKEN = {
-    "no-grid-spec": lambda g, t: (dataclasses.replace(g, grid_spec=None), t),
     "permuted": lambda g, t: (
         _permuted(g, np.random.default_rng(5).permutation(g.n_bins)),
         _permuted(t, np.random.default_rng(5).permutation(g.n_bins)),
     ),
-    "rows-swapped": lambda g, t: (_permuted(g, [1, 0, *range(2, g.n_bins)]), t),
-    "signed-zero-q": lambda g, t: (_set(g, "q", 10, -0.0), t),
-    "nan-omega": lambda g, t: (_set(g, "omega", g.n_bins - 1, np.nan), t),
+    "rows-swapped": lambda g, t: (
+        _permuted(g, _swap(g.n_bins, 0, KN_SPEC.n_q * KN_SPEC.n_j)),
+        _permuted(t, _swap(g.n_bins, 0, KN_SPEC.n_q * KN_SPEC.n_j)),
+    ),
     "thermal-ulp": lambda g, t: (g, _set(t, "log_weight", 1, np.nextafter(t.log_weight[1], 0))),
 }
 
@@ -198,6 +222,20 @@ def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_ax
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     # At least one column went through the formatter row by row.
     assert sum(seen) >= 3 * grid.n_bins
+
+
+# An axis column off its pattern by one bit: -0.0 where the q axis holds 0.0
+# (row 10), or nan at the last omega. -0.0 == 0.0, so the pattern must be
+# compared bit for bit.
+@pytest.mark.parametrize("axis,row,value", [(1, 10, -0.0), (0, -1, np.nan)],
+                         ids=["signed-zero-q", "nan-omega"])
+def test_csv_cells_compare_axis_bits(axis, row, value):
+    column = KN_SPEC.bins()[axis]
+    column[row] = value
+    cells = writers._csv_cells(column, (KN_SPEC.n_omega, KN_SPEC.n_q, KN_SPEC.n_j), axis)
+    for start in range(0, column.size, writers._ROW_CHUNK):
+        stop = min(start + writers._ROW_CHUNK, column.size)
+        np.testing.assert_array_equal(cells(start, stop), writers._format_e16(column[start:stop])[0])
 
 
 def _fake_chain(rng, n_steps: int):
