@@ -36,6 +36,7 @@ entropy when alpha = 0: complete evaporation cascades end on it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -265,27 +266,78 @@ def entropy_drop_uncharged(m, omega):
     return entropy_drop(m, 0.0, 0.0, 0.0, omega)
 
 
+# Elements per block of _blockwise: a few of the kernel's float64
+# temporaries of this size stay in the cache together.
+_BLOCK = 8192
+
+
+def _blockwise(f, *args):
+    """f(*args) for an elementwise kernel f (one array out, or a tuple of
+    them), over the broadcast shape of args in blocks of about _BLOCK
+    elements: the shape is cut along its longest axis, and the args that
+    span it are sliced with it. A call of at most one block runs directly.
+
+    Elementwise, so every block returns the bits the whole call would; the
+    blocks bound the kernel's temporaries, and numpy's inner loop runs along
+    the last axis, which a caller should make the long one.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    size = math.prod(shape)
+    if size <= _BLOCK:
+        return f(*args)
+    axis = shape.index(max(shape))
+    step = max(1, _BLOCK * shape[axis] // size)
+    tail = len(shape) - axis  # the axis, counted from the right
+    out = None
+    for lo in range(0, shape[axis], step):
+        cut = (Ellipsis, slice(lo, lo + step)) + (slice(None),) * (tail - 1)
+        part = f(*(a[cut] if np.ndim(a) >= tail and np.shape(a)[-tail] > 1 else a
+                   for a in args))
+        parts = part if isinstance(part, tuple) else (part,)
+        if out is None:
+            out = tuple(np.empty(shape, dtype=r.dtype) for r in parts)
+        for o, r in zip(out, parts):
+            o[cut] = r
+    return out if isinstance(part, tuple) else out[0]
+
+
+def _area_block(family: Family, m, q, j):
+    """R_H^2 of one block of hairs, nan off the macro-states. The kernel sees
+    only valid hairs (the rest as zeros), so M = inf raises no warning."""
+    ok = hairs_valid(family, m, q, j, 0.0)
+    if not ok.all():
+        m, q, j = (np.where(ok, x, 0.0) for x in (m, q, j))
+    return np.where(ok, _area_sq(m, q, j, _ARRAY_OPS), np.nan)
+
+
+def _entropy_block(family: Family, alpha: float, m, q, j):
+    s = math.pi * _area_block(family, m, q, j)
+    if alpha != 0.0:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            s = np.where(s > 0.0, s + alpha * np.log(s), np.nan)
+    return s
+
+
+def _hairs(m, q, j):
+    return (np.asarray(x, dtype=np.float64) for x in (m, q, j))
+
+
 def area_radius_sq(family: Family, m, q=0.0, j=0.0) -> np.ndarray:
-    """Elementwise R_H^2 over arrays of hairs, in float64.
+    """Elementwise R_H^2 over arrays of hairs, in float64, in the broadcast
+    shape of the hairs.
 
     Entries that are no macro-state of `family` (negative mass,
     super-extremal, nonzero hairs at M = 0) come back nan.
     Same arithmetic as the scalar path, so grid values and scalar values
     agree bitwise.
     """
-    m, q, j = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64) for x in (m, q, j)))
-    ok = hairs_valid(family, m, q, j, 0.0)
-    return np.where(ok, _area_sq(m, q, j, _ARRAY_OPS), np.nan)
+    return _blockwise(functools.partial(_area_block, family), *_hairs(m, q, j))
 
 
 def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
     """Elementwise corrected entropy over arrays of hairs (float64, nan
     where undefined). Same unvalidated semantics as area_radius_sq."""
-    s = math.pi * area_radius_sq(family, m, q, j)
-    if alpha != 0.0:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(s > 0.0, s + alpha * np.log(s), np.nan)
-    return s
+    return _blockwise(functools.partial(_entropy_block, family, alpha), *_hairs(m, q, j))
 
 
 def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:

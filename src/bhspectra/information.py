@@ -35,9 +35,8 @@ if TYPE_CHECKING:  # the annotation only: spectrum --report loads no sampler
 _MAX_CORR_NODES = 128
 
 # Most omega nodes mutual_information takes (its n x n joint peaks at ~0.57 GB
-# at the cap), and about the most pairs of one kernel call on its rows.
+# at the cap).
 _MAX_MI_NODES = 1 << 12
-_MI_BLOCK = 1 << 18
 
 
 def radiation_entropy(spectrum: SpectrumGrid) -> float:
@@ -144,7 +143,7 @@ def mutual_information(state: BlackHoleState, spec: GridSpec) -> MutualInformati
     """Mutual information between two emissions of a Schwarzschild hole.
 
     Row i of the joint is p(w_i | M) p(w | M - w_i) on the nodes w, from one
-    kernel call on w and calls on blocks of rows of remnants. Closed pairs
+    kernel call on w and one on the (remnant, node) pairs. Closed pairs
     weigh 0.
     """
     if state.family is not Family.SCHWARZSCHILD:
@@ -155,13 +154,9 @@ def mutual_information(state: BlackHoleState, spec: GridSpec) -> MutualInformati
         raise UsageError(f"mutual information on {spec.n_omega} omega nodes, above {_MAX_MI_NODES}")
     w = spec.omega_nodes()
     lw1, _ = emission_log_weights(state, w)
-    logq = np.empty((w.size, w.size))
-    valid = np.empty(logq.shape, dtype=bool)
-    rows = max(1, _MI_BLOCK // w.size)
-    for i in range(0, w.size, rows):
-        logq[i : i + rows], valid[i : i + rows] = emission_log_weights_bulk(
-            state.family, (state.m - w[i : i + rows])[:, None], 0.0, 0.0, state.alpha, w[None, :]
-        )
+    logq, valid = emission_log_weights_bulk(
+        state.family, (state.m - w)[:, None], 0.0, 0.0, state.alpha, w[None, :]
+    )
     if not valid.any():
         raise DomainError("every emission pair is a closed channel")
     logq += lw1[:, None]

@@ -18,6 +18,7 @@ log-sum-exp.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ from .blackholes import (
     BlackHoleState,
     Emission,
     Family,
+    _blockwise,
     _remnant_hairs,
     entropy_drop,
     hairs_valid,
@@ -72,9 +74,14 @@ def emission_log_weights_bulk(
     (m, q, j) sharing one family and alpha. Entries with an invalid state or
     a closed channel come back nan/False. The hairs reach the kernel
     unbroadcast, so hairs given as grid axes, e.g. of shapes (n, 1) and
-    (1, m), have their one-axis terms computed once per axis value.
+    (1, m), have their one-axis terms computed once per axis value (per
+    block of blackholes._blockwise: make the last axis the long one).
     """
-    m, q, j, omega, q_e, j_e = (np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
+    hairs = (np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
+    return _blockwise(functools.partial(_log_weights_block, family, alpha), *hairs)
+
+
+def _log_weights_block(family: Family, alpha: float, m, q, j, omega, q_e, j_e):
     valid = (
         hairs_valid(family, m, q, j, alpha)
         & hairs_valid(family, m - omega, q - q_e, j - j_e, alpha)
@@ -139,12 +146,14 @@ def build_spectrum(
     stays rectangular). Raises DomainError when every bin is invalid.
     The kernel runs on the three axes broadcast against each other, so its
     terms in omega alone (or q, or j alone) cost one evaluation per node.
+    The axes go in as (q, j, omega), so that the kernel's blocks and numpy's
+    inner loop run along omega; one transpose restores the bin order.
     """
     w, qv, jv = _grid_axes(state, spec)
     logw, valid = emission_log_weights(
-        state, w[:, None, None], qv[None, :, None], jv[None, None, :]
+        state, w[None, None, :], qv[:, None, None], jv[None, :, None]
     )
-    logw, valid = logw.ravel(), valid.ravel()
+    logw, valid = (x.transpose(2, 0, 1).ravel() for x in (logw, valid))
     if not valid.any():
         raise DomainError("every grid bin is a closed emission channel")
     return _spectrum(state, spec, logw, valid, normalization)

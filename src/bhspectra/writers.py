@@ -102,20 +102,25 @@ def _format_e16(values: np.ndarray):
     n = np.where(plain, n, 0)
     e = np.where(plain, e, 0)
 
-    lead, rest = np.divmod(n, 10**16)
-    upper, lower = np.divmod(rest, 10**8)
-    groups = np.empty(x.shape + (4,), dtype=np.uint32)
-    groups[..., 0], groups[..., 1] = np.divmod(upper, 10**4)
-    groups[..., 2], groups[..., 3] = np.divmod(lower, 10**4)
+    # N = lead, then four groups of 4 digits; `//` and a multiply-subtract
+    # are cheaper than np.divmod on int64.
+    lead = n // 10**16
+    upper = n // 10**8 - lead * 10**8
+    lower = n - n // 10**8 * 10**8
+    groups = np.empty(x.shape + (4,), dtype=np.intp)
+    groups[..., 0] = upper // 10**4
+    groups[..., 1] = upper - groups[..., 0] * 10**4
+    groups[..., 2] = lower // 10**4
+    groups[..., 3] = lower - groups[..., 2] * 10**4
     abs_e = np.abs(e)
     cells = np.empty(x.shape + (_E16_WIDTH,), dtype=np.uint8)
     cells[..., 0] = neg * ord("-")
     cells[..., 1] = lead + ord("0")
     cells[..., 2] = ord(".")
-    cells[..., 3:19] = digits[groups].view(np.uint8)
+    cells[..., 3:19] = np.take(digits, groups).view(np.uint8)
     cells[..., 19] = ord("e")
     cells[..., 20] = np.where(e < 0, ord("-"), ord("+"))
-    cells[..., 21:24] = digits[abs_e][..., None].view(np.uint8)[..., 1:]
+    cells[..., 21:24] = np.take(digits, abs_e)[..., None].view(np.uint8)[..., 1:]
     cells[..., 21] *= abs_e >= 100
     cells[..., 24] = ord(",")
 
@@ -170,47 +175,81 @@ def _jsonl_rows(columns: dict):
         yield "".join(parts)
 
 
-def _csv_cells(values: np.ndarray, shape: tuple[int, int, int], axis: int | None):
-    """cells(start, stop): the _format_e16 cells of values[start:stop].
-
-    A column that is, bit for bit, one axis of a grid of `shape` repeated over
-    the other two is formatted once per axis value and its cells gathered;
-    any other column is formatted chunk by chunk."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if axis is not None and values.size == math.prod(shape):
-        bits = values.view(np.int64).reshape(shape)
-        along = bits[tuple(slice(None) if k == axis else slice(1) for k in range(3))]
-        if (bits == along).all():
-            cells = _format_e16(along.ravel().view(np.float64))[0]
-            stride, n = math.prod(shape[axis + 1 :]), shape[axis]
-            return lambda start, stop: cells[np.arange(start, stop) // stride % n]
-    return lambda start, stop: _format_e16(values[start:stop])[0]
+def _node_values(values: np.ndarray, spec) -> np.ndarray | None:
+    """The value of each omega node, if values (one per bin) is, bit for bit,
+    that value repeated over the node's q and j bins; else None."""
+    bits = values.view(np.int64).reshape(spec.n_omega, spec.n_q * spec.n_j)
+    if (bits == bits[:, :1]).all():
+        return values[:: spec.n_q * spec.n_j]
+    return None
 
 
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
     """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
-    exact), assembled as bytes, _ROW_CHUNK rows at a time."""
-    columns = _spectrum_columns(grid, thermal)
-    header = ",".join(columns)
-    valid = columns.pop("valid")
+    exact), assembled as bytes, about _ROW_CHUNK rows at a time.
+
+    A chunk is a box of the (omega, q, j) grid, whole omega nodes unless one
+    node holds more than _ROW_CHUNK bins, and its rows are built as one
+    (k, n_q, n_j, row) byte array. The omega, q and j cells are formatted
+    from the GridSpec axes, one cell per axis value in the box, and
+    broadcast into it; so are the thermal baseline's when it is, bit for
+    bit, one value per omega node (always, when built by
+    spectrum.build_thermal_spectrum). The other columns are formatted bin by
+    bin. thermal_log_weight is nan throughout without a baseline.
+    """
     spec = grid.grid_spec
     shape = (spec.n_omega, spec.n_q, spec.n_j)
-    # omega, q and j each vary along their grid axis; the thermal baseline along omega's.
-    axis = {"omega": 0, "q": 1, "j": 2, "thermal_log_weight": 0}
-    cells = [_csv_cells(values, shape, axis.get(name)) for name, values in columns.items()]
+    thermal_nodes = np.full(spec.n_omega, np.nan)
+    if thermal is not None:
+        thermal_nodes = _node_values(np.ascontiguousarray(thermal.log_weight, np.float64), spec)
+    # Each float column in CSV order: (axis, values along that grid axis)
+    # or (None, values of the bins).
+    columns = [
+        (0, spec.omega_nodes()),
+        (1, spec.q_values()),
+        (2, spec.j_values()),
+        (None, grid.log_weight),
+        (None, grid.weights()),
+        (None, thermal.log_weight) if thermal_nodes is None else (0, thermal_nodes),
+    ]
+    header = "omega,q,j,log_weight,weight,thermal_log_weight,valid"
     flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
+    # The chunk's box: indices lo:hi of `axis`, the whole axes after it, and
+    # one index of each axis before it.
+    axis = next(a for a in range(3) if math.prod(shape[a + 1 :]) <= _ROW_CHUNK)
+    inner = math.prod(shape[axis + 1 :])
+    k = min(_ROW_CHUNK // inner, shape[axis])
+    width = len(columns) * _E16_WIDTH + 6
+    # The cells of the axes after `axis` (at most _ROW_CHUNK values), which
+    # every chunk takes whole, are formatted once; the rest chunk by chunk.
+    whole = {c: _format_e16(values)[0] for c, (along, values) in enumerate(columns)
+             if along is not None and along > axis}
+    # One row of cells per row of the file, the floats then the flag, NUL
+    # where a text is shorter than its cell; reused by every chunk.
+    buffer = bytearray(k * inner * width)
     with path.open("wb") as f:
         f.write(f"# manifest_hash={manifest_hash}\n{header}\n".encode())
-        for start in range(0, len(valid), _ROW_CHUNK):
-            flag = flag_text[valid[start : start + _ROW_CHUNK].astype(np.intp)]
-            stop = start + len(flag)
-            # One row of cells per row of the file, the floats then the flag,
-            # NUL where a text is shorter than its cell.
-            rows = np.empty((len(flag), len(cells) * _E16_WIDTH + 6), dtype=np.uint8)
-            for k, column_cells in enumerate(cells):
-                rows[:, k * _E16_WIDTH : (k + 1) * _E16_WIDTH] = column_cells(start, stop)
-            rows[:, -6:] = flag
-            f.write(rows[rows != 0].tobytes())
+        for outer in np.ndindex(shape[:axis]):
+            for lo in range(0, shape[axis], k):
+                hi = min(lo + k, shape[axis])
+                box = [slice(i, i + 1) for i in outer] + [slice(lo, hi)] + [slice(None)] * (2 - axis)
+                box_shape = (1,) * axis + (hi - lo,) + shape[axis + 1 :]
+                start = int(np.ravel_multi_index(outer + (lo,), shape[: axis + 1])) * inner
+                stop = start + (hi - lo) * inner
+                n_bytes = (stop - start) * width
+                rows = np.frombuffer(buffer, np.uint8, n_bytes).reshape(box_shape + (width,))
+                for c, (along, values) in enumerate(columns):
+                    cell = rows[..., c * _E16_WIDTH : (c + 1) * _E16_WIDTH]
+                    if along is None:
+                        cell[...] = _format_e16(values[start:stop])[0].reshape(cell.shape)
+                    else:
+                        cells = whole[c] if c in whole else _format_e16(values[box[along]])[0]
+                        stretch = [-1 if a == along else 1 for a in range(3)]
+                        cell[...] = cells.reshape(stretch + [_E16_WIDTH])
+                flag = flag_text[grid.valid[start:stop].astype(np.intp)]
+                rows[..., -6:] = flag.reshape(box_shape + (6,))
+                text = buffer if n_bytes == len(buffer) else buffer[:n_bytes]
+                f.write(text.translate(None, b"\0"))
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:

@@ -35,7 +35,7 @@ from bhspectra import (
     radiation_entropy,
     sample_cascade,
 )
-from bhspectra import information
+from bhspectra import blackholes
 from bhspectra.blackholes import logsumexp
 
 SCHW1 = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
@@ -250,7 +250,7 @@ class TestMutualInformation:
     @pytest.mark.parametrize("block", [None, 100], ids=["one-block", "row-blocks"])
     def test_matches_row_by_row_oracle_bitwise(self, monkeypatch, alpha, mass, spec, block):
         if block is not None:
-            monkeypatch.setattr(information, "_MI_BLOCK", block)
+            monkeypatch.setattr(blackholes, "_BLOCK", block)
         state = BlackHoleState(Family.SCHWARZSCHILD, mass, alpha=alpha)
         assert mutual_information(state, spec) == row_by_row_mutual_information(state, spec)
 

@@ -26,6 +26,7 @@ from bhspectra import (
     emission_log_weights,
     thermal_log_weight,
 )
+from bhspectra import blackholes
 from bhspectra.spectrum import (
     emission_log_weights_bulk,
     logsumexp,
@@ -247,6 +248,74 @@ def test_build_spectrum_on_axes_equals_flat_kernel(state, spec):
     assert grid.log_weight.shape == (spec.n_bins,)
     np.testing.assert_array_equal(_bits(grid.log_weight), _bits(logw))
     np.testing.assert_array_equal(grid.valid, valid)
+
+
+def _steps(n: int, lo: float, hi: float, shape) -> np.ndarray:
+    """n values from lo to hi, in `shape`."""
+    return np.linspace(lo, hi, n).reshape(shape)
+
+
+# Emission hairs (omega, q_e, j_e) of a Kerr-Newman hole, M = 2, Q = J = 0.5,
+# in a range that closes some channels (omega > M, super-extremal remnants),
+# with a negative j step, laid out in each shape of the blocked evaluation.
+BLOCK_SHAPES = {
+    "0-d": lambda: (np.float64(0.75), np.float64(0.125), np.float64(-0.25)),
+    **{
+        f"flat-{n}": (lambda n=n: (_steps(n, 0.0, 2.5, n), _steps(n, 0.0, 1.0, n),
+                                   _steps(n, 0.0, -1.5, n)))
+        for n in (36, 37, 38)
+    },
+    "(n,1)x(1,n)": lambda: (_steps(20, 0.05, 2.5, (20, 1)), _steps(20, 0.0, 1.0, (1, 20)),
+                            np.float64(-0.125)),
+    "(n_q,n_j,n_omega)": lambda: (_steps(50, 0.05, 2.5, (1, 1, 50)), _steps(3, 0.0, 0.5, (3, 1, 1)),
+                                  _steps(4, 0.0, -0.75, (1, 4, 1))),
+    "longest-in-middle": lambda: (_steps(50, 0.05, 2.5, (1, 50, 1)), _steps(3, 0.0, 0.5, (3, 1, 1)),
+                                  _steps(4, 0.0, -0.75, (1, 1, 4))),
+}
+
+
+@pytest.mark.parametrize("block", [1, 37])
+@pytest.mark.parametrize("hairs", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES.keys())
+def test_blockwise_kernels_equal_one_block_bitwise(monkeypatch, block, hairs):
+    omega, q_e, j_e = hairs()
+    kn = (Family.KERR_NEWMAN, 2.0, 0.5, 0.5, 1.5)
+
+    def both():
+        logw, valid = emission_log_weights_bulk(*kn, omega, q_e, j_e)
+        s = blackholes.entropy_grid(Family.KERR_NEWMAN, 2.0 - omega, 0.5 - q_e, 0.5 - j_e, 1.5)
+        return logw, valid, s
+
+    size = np.broadcast(omega, q_e, j_e).size
+    monkeypatch.setattr(blackholes, "_BLOCK", size + 1)
+    want = both()
+    monkeypatch.setattr(blackholes, "_BLOCK", block)
+    got = both()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape == np.broadcast(omega, q_e, j_e).shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    # Both kernels see open and closed channels, valid and invalid remnants.
+    assert 0 < np.count_nonzero(want[1]) < size or size == 1
+    assert 0 < np.count_nonzero(np.isnan(want[2])) < size or size == 1
+
+
+def test_blockwise_cuts_the_longest_axis(monkeypatch):
+    monkeypatch.setattr(blackholes, "_BLOCK", 37)
+    seen = []
+
+    def add(a, b, c):
+        seen.append((a.shape, b.shape, c.shape))
+        return a + b + c, a * b * c
+
+    a, b, c = np.ones((3, 1, 1)), np.arange(50.0).reshape(1, 50, 1), np.arange(4.0)
+    total, product = blackholes._blockwise(add, a, b, c)
+    np.testing.assert_array_equal(total, a + b + c)
+    np.testing.assert_array_equal(product, a * b * c)
+    # 37 elements over the 3 x 4 others: 3 middle indices per block.
+    assert seen == [((3, 1, 1), (1, 3, 1), (4,))] * 16 + [((3, 1, 1), (1, 2, 1), (4,))]
+    # At most one block: a direct call.
+    seen.clear()
+    blackholes._blockwise(add, a, b[:, :3], c)
+    assert seen == [((3, 1, 1), (1, 3, 1), (4,))]
 
 
 @pytest.mark.parametrize("state,spec", AXIS_CASES.values(), ids=AXIS_CASES.keys())

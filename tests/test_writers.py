@@ -114,12 +114,16 @@ KN = BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5)
 
 # Grids of 1, 7, 1000 and one write chunk + 3 bins. Their axes hold -0.0
 # (a negative step times 0), subnormals and values past 1e280, which the
-# CSV writer formats with `%`.
+# CSV writer formats with `%`. The CSV writer's chunks are whole omega nodes:
+# the last two grids have n_q * n_j = 21, which does not divide the chunk,
+# and n_q * n_j above the chunk, which splits each node along q.
 SPECS = [
     GridSpec(omega_max=1.0, n_omega=1),
     GridSpec(omega_max=2.0, n_omega=7, omega_min=0.5),
     GridSpec(omega_max=1.5, n_omega=10, q_step=-0.5, n_q=10, j_step=5e-324, n_j=10),
     GridSpec(omega_max=1e300, n_omega=writers._ROW_CHUNK + 3),
+    GridSpec(omega_max=1.5, n_omega=800, q_step=0.125, n_q=3, j_step=-0.25, n_j=7),
+    GridSpec(omega_max=1.5, n_omega=2, q_step=-0.5, n_q=130, j_step=0.25, n_j=130),
 ]
 
 
@@ -158,6 +162,19 @@ def _kn_grids():
             build_thermal_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM))
 
 
+# Chunk sizes around the 4 x 3 x 7 grid below: runs of j values (1, 5),
+# whole j runs of one node (20), whole nodes (21, 22, 100).
+@pytest.mark.parametrize("chunk", [1, 5, 20, 21, 22, 100])
+def test_csv_writer_chunks_are_boxes_of_the_grid(tmp_path, monkeypatch, chunk):
+    spec = GridSpec(omega_max=1.5, n_omega=4, q_step=0.125, n_q=3, j_step=-0.125, n_j=7)
+    grid = build_spectrum(KN, spec, Normalization.UNIT_SUM)
+    thermal = build_thermal_spectrum(KN, spec, Normalization.UNIT_SUM)
+    monkeypatch.setattr(writers, "_ROW_CHUNK", chunk)
+    for t in (thermal, None):
+        writers.write_spectrum_csv(tmp_path / "s.csv", grid, t, "abc")
+        assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, t, "abc")
+
+
 PER_BIN = ("log_weight", "valid")
 
 
@@ -180,16 +197,22 @@ def _set(grid, field, index, value):
 # omega, q and j come from the grid's GridSpec, so the thermal baseline is
 # the one column that can break its axis pattern: each case breaks it, down
 # to one bit. Rows 0 and n_q * n_j are the first two of different omega.
+# -0.0 in a node of 0.0 (which == takes for the same value) and one nan in a
+# node must break it too, so the pattern is compared bit for bit.
+NODE = KN_SPEC.n_q * KN_SPEC.n_j
 BROKEN = {
     "permuted": lambda g, t: (
         _permuted(g, np.random.default_rng(5).permutation(g.n_bins)),
         _permuted(t, np.random.default_rng(5).permutation(g.n_bins)),
     ),
     "rows-swapped": lambda g, t: (
-        _permuted(g, _swap(g.n_bins, 0, KN_SPEC.n_q * KN_SPEC.n_j)),
-        _permuted(t, _swap(g.n_bins, 0, KN_SPEC.n_q * KN_SPEC.n_j)),
+        _permuted(g, _swap(g.n_bins, 0, NODE)),
+        _permuted(t, _swap(g.n_bins, 0, NODE)),
     ),
     "thermal-ulp": lambda g, t: (g, _set(t, "log_weight", 1, np.nextafter(t.log_weight[1], 0))),
+    "thermal-signed-zero": lambda g, t: (
+        g, _set(_set(t, "log_weight", slice(NODE, 2 * NODE), 0.0), "log_weight", NODE + 1, -0.0)),
+    "thermal-nan": lambda g, t: (g, _set(t, "log_weight", -1, np.nan)),
 }
 
 
@@ -222,20 +245,6 @@ def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_ax
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     # At least one column went through the formatter row by row.
     assert sum(seen) >= 3 * grid.n_bins
-
-
-# An axis column off its pattern by one bit: -0.0 where the q axis holds 0.0
-# (row 10), or nan at the last omega. -0.0 == 0.0, so the pattern must be
-# compared bit for bit.
-@pytest.mark.parametrize("axis,row,value", [(1, 10, -0.0), (0, -1, np.nan)],
-                         ids=["signed-zero-q", "nan-omega"])
-def test_csv_cells_compare_axis_bits(axis, row, value):
-    column = KN_SPEC.bins()[axis]
-    column[row] = value
-    cells = writers._csv_cells(column, (KN_SPEC.n_omega, KN_SPEC.n_q, KN_SPEC.n_j), axis)
-    for start in range(0, column.size, writers._ROW_CHUNK):
-        stop = min(start + writers._ROW_CHUNK, column.size)
-        np.testing.assert_array_equal(cells(start, stop), writers._format_e16(column[start:stop])[0])
 
 
 def _fake_chain(rng, n_steps: int):
