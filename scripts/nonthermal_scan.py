@@ -2,7 +2,8 @@
 """Scan masses and quantify how far the emission spectrum sits from thermal.
 
 For each mass the script builds the entropy-difference spectrum and the
-Boltzmann baseline on the same grid and prints the comparison metrics. The
+Boltzmann baseline once, raw, on the same grid, and prints the comparison
+metrics of the raw pair and of its unit-sum copies (spectrum.unit_sum). The
 max log-ratio over omega <= omega_max is exactly 4 pi omega_max^2 for an
 uncorrected hole, independent of M, while the KL divergence (probability
 semantics) fades as the grid narrows relative to the thermal scale 1/(8 pi M).
@@ -18,10 +19,10 @@ from bhspectra import (
     BlackHoleState,
     Family,
     GridSpec,
-    Normalization,
     build_spectrum,
     build_thermal_spectrum,
     compare_thermal,
+    unit_sum,
 )
 
 
@@ -40,10 +41,9 @@ def main() -> None:
         state = BlackHoleState(Family.SCHWARZSCHILD, m, alpha=args.alpha)
         omega_max = args.omega_frac * m
         spec = GridSpec(omega_max=omega_max, n_omega=args.bins)
-        nonthermal = build_spectrum(state, spec, Normalization.UNIT_SUM)
-        thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM)
-        cmp_unit = compare_thermal(nonthermal, thermal)
-        raw = compare_thermal(build_spectrum(state, spec), build_thermal_spectrum(state, spec))
+        nonthermal, thermal = build_spectrum(state, spec), build_thermal_spectrum(state, spec)
+        raw = compare_thermal(nonthermal, thermal)
+        cmp_unit = compare_thermal(unit_sum(nonthermal), unit_sum(thermal))
         print(
             f"{m:>8.3g} {omega_max:>10.3g} {cmp_unit.kl_divergence:>12.4e} "
             f"{raw.max_abs_log_ratio:>12.4e} {4.0 * math.pi * omega_max**2:>12.4e}"

@@ -63,6 +63,7 @@ _EXPORTS = {
         "emission_log_weight",
         "emission_log_weights",
         "thermal_log_weight",
+        "unit_sum",
     ),
     "typicality": (
         "EnergyLedger",

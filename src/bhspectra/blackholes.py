@@ -382,7 +382,8 @@ def logsumexp(a) -> float:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         hi = np.max(a)
         at_max = a == hi
-        terms = np.exp(a - hi)
+        terms = a - hi
+        np.exp(terms, out=terms)
         terms[at_max] = 0.0
         s = np.sum(terms)
         count = np.float64(np.count_nonzero(at_max))

@@ -38,7 +38,7 @@ _LAZY = {name: module for module, names in (
                  "ensemble_stats_from_chains", "sample_cascade")),
     ("grids", ("GridSpec",)),
     ("information", ("build_info_report",)),
-    ("spectrum", ("_normalize", "build_spectrum", "build_thermal_spectrum")),
+    ("spectrum", ("build_spectrum", "build_thermal_spectrum")),
     ("typicality", ("typicality_lab",)),
     ("verify", ("run_suites",)),
     ("writers", ("_ChainsJsonl", "_spectrum_columns", "_write_spectrum_jsonl",
@@ -259,25 +259,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
             f"{n_nonfinite} of {grid.n_valid} valid bins have a non-finite log_weight "
             f"(log_norm {grid.log_norm!r}): the entropy arithmetic left float64 range"
         )
+    try:
+        thermal = _cli.build_thermal_spectrum(state, spec, normalization)
+    except DomainError:
+        thermal = None  # extremal source: no thermal baseline
+    report = _cli.build_info_report(grid) if cfg["report"] else None
+    # Health after the report: the cached grid.weights() would raise the report's peak.
     health = {
         "n_bins": grid.n_bins,
         "n_invalid": grid.n_bins - grid.n_valid,
         "n_underflow": int(np.count_nonzero(grid.valid & (grid.weights() == 0.0))),
         "log_norm": grid.log_norm,
     }
-    try:
-        thermal = _cli.build_thermal_spectrum(state, spec, normalization)
-    except DomainError:
-        thermal = None  # extremal source: no thermal baseline
-    report = None
-    if cfg["report"]:
-        unit_grid = grid
-        if normalization is not Normalization.UNIT_SUM:
-            logw, log_norm = _cli._normalize(grid.log_weight, grid.valid, Normalization.UNIT_SUM)
-            unit_grid = dataclasses.replace(
-                grid, log_weight=logw, normalization=Normalization.UNIT_SUM, log_norm=log_norm
-            )
-        report = _cli.build_info_report(state, unit_grid)
     compute_s = time.perf_counter() - t0
 
     outdir = _output_dir(cfg["output_dir"])

@@ -14,6 +14,7 @@ which keeps conservation checks exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -77,13 +78,10 @@ class GridSpec:
     def j_values(self) -> np.ndarray:
         return self.j_step * np.arange(self.n_j, dtype=np.float64)
 
-    def bins(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The flat (omega, q, j) columns of the bins, omega-major, then q,
-        then j: three new arrays of n_bins floats on every call."""
-        omega = np.repeat(self.omega_nodes(), self.n_q * self.n_j)
-        q = np.tile(np.repeat(self.q_values(), self.n_j), self.n_omega)
-        j = np.tile(self.j_values(), self.n_omega * self.n_q)
-        return omega, q, j
+    def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The omega, q and j axis values as (n_omega, 1, 1), (n_q, 1) and
+        (n_j,) arrays: broadcast, they index the bins omega-major, then q, then j."""
+        return self.omega_nodes()[:, None, None], self.q_values()[:, None], self.j_values()
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +89,8 @@ class SpectrumGrid:
     """Diagonal radiation density matrix over an emission grid: the weights
     of source_state's emissions into the bins of grid_spec.
 
-    log_weight and valid hold one entry per bin, in the order of
-    grid_spec.bins(). Invalid bins mark closed emission channels: they are
+    log_weight and valid hold one entry per bin, in the C order of the
+    broadcast grid_spec.axes(). Invalid bins mark closed emission channels: they are
     flagged, never dropped, and carry log_weight = nan. log_norm records the
     log-sum-exp total subtracted during unit-sum normalization (None for raw
     spectra), so raw weights are recoverable as log_weight + log_norm.
@@ -119,9 +117,14 @@ class SpectrumGrid:
         return int(np.count_nonzero(self.valid))
 
     def weights(self) -> np.ndarray:
-        """exp(log_weight) with underflow -> 0.0 and invalid bins -> 0.0."""
+        """exp(log_weight), 0.0 where it underflows or the bin is invalid; built once, read-only."""
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         out = np.zeros_like(self.log_weight)
         v = self.valid
         with np.errstate(under="ignore"):
             out[v] = np.exp(self.log_weight[v])
+        out.flags.writeable = False
         return out

@@ -24,7 +24,7 @@ import numpy as np
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import emission_log_weight, emission_log_weights, emission_log_weights_bulk
+from .spectrum import emission_log_weight, emission_log_weights, emission_log_weights_bulk, unit_sum
 
 if TYPE_CHECKING:  # the annotation only: spectrum --report loads no sampler
     from .cascade import EmissionChain
@@ -63,9 +63,7 @@ class ConditionalEntropyResult:
     excluded_warning: bool
 
 
-def conditional_entropy(
-    state: BlackHoleState, spectrum: SpectrumGrid
-) -> ConditionalEntropyResult:
+def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
     """Average remnant entropy over the spectrum, exact and low-energy forms.
 
     exact weights each remnant's entropy by the bin probability; lowenergy
@@ -75,14 +73,12 @@ def conditional_entropy(
     """
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("conditional entropy needs a unit-sum spectrum")
-    if spectrum.source_state != state:
-        raise UsageError("spectrum was built from a different state")
-    v = spectrum.valid
+    state, v = spectrum.source_state, spectrum.valid
     logp = spectrum.log_weight[v]
     with np.errstate(under="ignore"):
         p = np.exp(logp)
     # The valid bins' emitted hairs, their means, then in place the remnant's.
-    hairs = [x[v] for x in spectrum.grid_spec.bins()]
+    hairs = [x[v.reshape(x.shape)] for x in np.broadcast_arrays(*spectrum.grid_spec.axes())]
     e_r, mean_q, mean_j = (float(np.sum(p * x)) for x in hairs)
     for total, x in zip((state.m, state.q, state.j), hairs):
         np.subtract(total, x, out=x)
@@ -252,19 +248,20 @@ class InfoReport:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def build_info_report(state: BlackHoleState, spectrum: SpectrumGrid) -> InfoReport:
+def build_info_report(spectrum: SpectrumGrid) -> InfoReport:
     """Radiation entropy, conditional entropies, pairwise-correlation summary,
-    and (for Schwarzschild) the three mutual-information forms, from the
-    unit-sum spectrum of `state` on its grid.
+    and (for Schwarzschild) the three mutual-information forms of the
+    source state, from the spectrum after spectrum.unit_sum.
 
     The correlation summary runs over energy-only emission pairs (w_i, w_k),
     i <= k, on the grid's omega axis (subsampled to fewer than
     2 * _MAX_CORR_NODES nodes); pairs with a closed single or combined
     channel are skipped.
     """
-    spec = spectrum.grid_spec
+    spectrum = unit_sum(spectrum)
+    state, spec = spectrum.source_state, spectrum.grid_spec
     s_r = radiation_entropy(spectrum)
-    cond = conditional_entropy(state, spectrum)
+    cond = conditional_entropy(spectrum)
 
     nodes = spec.omega_nodes()
     if nodes.size > _MAX_CORR_NODES:

@@ -119,20 +119,26 @@ def _grid_axes(state: BlackHoleState, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return spec.omega_nodes(), spec.q_values(), spec.j_values()
 
 
-def _normalize(logw: np.ndarray, valid: np.ndarray, normalization: Normalization):
-    if normalization is Normalization.RAW:
-        return logw, None
+def _normalize(logw: np.ndarray, valid: np.ndarray) -> float:
+    """Subtract the valid entries' log-sum-exp from them, in place; return it."""
     log_norm = float(logsumexp(logw[valid]))
-    out = logw.copy()
-    out[valid] -= log_norm
-    return out, log_norm
+    logw[valid] -= log_norm
+    return log_norm
 
 
 def _spectrum(state, spec, logw, valid, normalization) -> SpectrumGrid:
-    """The spectrum of state on spec with log-weights logw, normalized."""
-    logw, log_norm = _normalize(logw, valid, normalization)
+    """The spectrum of state on spec with log-weights logw, normalized in place."""
+    log_norm = None if normalization is Normalization.RAW else _normalize(logw, valid)
     return SpectrumGrid(log_weight=logw, valid=valid, normalization=normalization,
                         source_state=state, grid_spec=spec, log_norm=log_norm)
+
+
+def unit_sum(grid: SpectrumGrid) -> SpectrumGrid:
+    """grid if it is unit-sum, else a copy with the bits of a UNIT_SUM build."""
+    if grid.normalization is Normalization.UNIT_SUM:
+        return grid
+    return _spectrum(grid.source_state, grid.grid_spec, grid.log_weight.copy(), grid.valid,
+                     Normalization.UNIT_SUM)
 
 
 def build_spectrum(
@@ -150,9 +156,7 @@ def build_spectrum(
     inner loop run along omega; one transpose restores the bin order.
     """
     w, qv, jv = _grid_axes(state, spec)
-    logw, valid = emission_log_weights(
-        state, w[None, None, :], qv[:, None, None], jv[None, :, None]
-    )
+    logw, valid = emission_log_weights(state, w, qv[:, None, None], jv[:, None])
     logw, valid = (x.transpose(2, 0, 1).ravel() for x in (logw, valid))
     if not valid.any():
         raise DomainError("every grid bin is a closed emission channel")

@@ -437,7 +437,7 @@ def suite_info(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
 
     big = BlackHoleState(Family.SCHWARZSCHILD, 10.0)
     spec = GridSpec(omega_max=0.01, n_omega=64)
-    cond = conditional_entropy(big, build_spectrum(big, spec, Normalization.UNIT_SUM))
+    cond = conditional_entropy(build_spectrum(big, spec, Normalization.UNIT_SUM))
     rel = abs(cond.exact - cond.lowenergy) / cond.exact
     report.checks.append(_max_check("lowenergy_approximation", rel, 1e-4, "M=10, omega<=0.01"))
 

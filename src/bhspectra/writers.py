@@ -140,7 +140,7 @@ def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
 
     thermal_log_weight is nan throughout when there is no thermal baseline.
     """
-    omega, q, j = grid.grid_spec.bins()
+    omega, q, j = (x.ravel() for x in np.broadcast_arrays(*grid.grid_spec.axes()))
     thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
     return {
         "omega": omega,

@@ -101,7 +101,7 @@ def test_golden_grids_match_oracle(name):
     hairs = (state.m, state.q, state.j, state.alpha)
     idx = np.nonzero(grid.valid)[0]
     assert idx.size > 0
-    omega, q, j = spec.bins()
+    omega, q, j = (x.ravel() for x in np.broadcast_arrays(*spec.axes()))
     bulk, bulk_valid = emission_log_weights_bulk(
         state.family, *(np.full(idx.size, h) for h in hairs[:3]), state.alpha,
         omega[idx], q[idx], j[idx],

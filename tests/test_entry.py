@@ -106,7 +106,7 @@ class TestLazyPackage:
             assert f"bhspectra.{name}" not in loaded
 
     def test_every_public_name_resolves_to_its_submodule(self):
-        assert len(bhspectra.__all__) == len(set(bhspectra.__all__)) == 55
+        assert len(bhspectra.__all__) == len(set(bhspectra.__all__)) == 56
         for name in bhspectra.__all__:
             submodule = importlib.import_module(f"bhspectra.{bhspectra._MODULE_OF[name]}")
             assert getattr(bhspectra, name) is getattr(submodule, name)

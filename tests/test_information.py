@@ -127,7 +127,7 @@ class TestConditionalEntropy:
         # forms are the entropy of the one remnant, M - w0.
         w0 = 0.25
         grid = manual_unitsum_grid(w0, [0.0])
-        cond = conditional_entropy(SCHW1, grid)
+        cond = conditional_entropy(grid)
         remnant = bh_entropy(SCHW1.with_hairs(SCHW1.m - w0, 0.0, 0.0))
         assert cond.exact == cond.lowenergy == remnant
         assert cond.e_r == w0 and cond.excluded_mass == 0.0
@@ -135,23 +135,18 @@ class TestConditionalEntropy:
     def test_low_energy_agreement_at_small_omega(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 10.0)
         grid = build_spectrum(s, GridSpec(omega_max=0.01, n_omega=64), Normalization.UNIT_SUM)
-        cond = conditional_entropy(s, grid)
+        cond = conditional_entropy(grid)
         assert abs(cond.exact - cond.lowenergy) / cond.exact <= 1e-4
 
     def test_exact_below_state_entropy(self):
         grid = build_spectrum(SCHW1, GridSpec(omega_max=1.0, n_omega=64), Normalization.UNIT_SUM)
-        cond = conditional_entropy(SCHW1, grid)
+        cond = conditional_entropy(grid)
         assert cond.exact < bh_entropy(SCHW1)
 
     def test_requires_unitsum(self):
         grid = build_spectrum(SCHW1, GridSpec(omega_max=1.0, n_omega=8))
         with pytest.raises(UsageError):
-            conditional_entropy(SCHW1, grid)
-
-    def test_wrong_state_rejected(self):
-        grid = build_spectrum(SCHW1, GridSpec(omega_max=1.0, n_omega=8), Normalization.UNIT_SUM)
-        with pytest.raises(UsageError):
-            conditional_entropy(BlackHoleState(Family.SCHWARZSCHILD, 2.0), grid)
+            conditional_entropy(grid)
 
     def test_second_order_scaling_of_lowenergy_gap(self):
         # gap(omega_max) ~ omega_max^2 in the regime 8 pi M omega_max << 1
@@ -162,7 +157,7 @@ class TestConditionalEntropy:
             grid = build_spectrum(
                 s, GridSpec(omega_max=omega_max, n_omega=256), Normalization.UNIT_SUM
             )
-            cond = conditional_entropy(s, grid)
+            cond = conditional_entropy(grid)
             gaps.append(abs(cond.exact - cond.lowenergy))
         ratio = gaps[1] / gaps[0]
         assert 60.0 < ratio < 160.0
@@ -170,9 +165,10 @@ class TestConditionalEntropy:
     def test_raw_weighted_diagnostic_scales_with_log_norm(self):
         # Raw weights are the unit-sum weights times exp(log_norm).
         grid = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=16), Normalization.UNIT_SUM)
-        cond = conditional_entropy(SCHW1, grid)
+        cond = conditional_entropy(grid)
         p = grid.weights()[grid.valid]
-        m2 = SCHW1.m - grid.grid_spec.bins()[0][grid.valid]
+        omega, _, _ = np.broadcast_arrays(*grid.grid_spec.axes())
+        m2 = SCHW1.m - omega.ravel()[grid.valid]
         s_rem = 4.0 * math.pi * m2**2
         expect = float(np.sum(p * math.exp(grid.log_norm) * s_rem))
         assert cond.raw_weighted == pytest.approx(expect, rel=1e-10)
@@ -329,7 +325,7 @@ class TestChainLedger:
 class TestInfoReport:
     def test_schwarzschild_report_fields(self):
         spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=16), Normalization.UNIT_SUM)
-        report = build_info_report(SCHW1, spectrum)
+        report = build_info_report(spectrum)
         assert report.e_bprime == pytest.approx(1.0 - report.e_r)
         assert report.s_r > 0.0
         assert report.s_cond < bh_entropy(SCHW1)
@@ -339,21 +335,31 @@ class TestInfoReport:
 
     def test_correlation_max_matches_top_pair(self):
         spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.25, n_omega=8), Normalization.UNIT_SUM)
-        report = build_info_report(SCHW1, spectrum)
+        report = build_info_report(spectrum)
         # top pair: both emissions at the largest node
         assert report.correlation_max == pytest.approx(8.0 * math.pi * 0.25 * 0.25, abs=1e-9)
 
     def test_charged_report_has_no_mi(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
         spectrum = build_spectrum(s, GridSpec(omega_max=0.5, n_omega=8), Normalization.UNIT_SUM)
-        report = build_info_report(s, spectrum)
+        report = build_info_report(spectrum)
         assert report.mi_numeric is None
         assert report.s_r > 0.0
+
+    @pytest.mark.parametrize("state,spec", [
+        (SCHW1, GridSpec(omega_max=0.5, n_omega=16)),
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0, alpha=0.5),
+         GridSpec(omega_max=1.5, n_omega=40, q_step=0.25, n_q=3)),
+    ], ids=["schw", "rn-alpha"])
+    def test_raw_spectrum_gives_the_unit_sum_report(self, state, spec):
+        raw = build_info_report(build_spectrum(state, spec))
+        unit = build_info_report(build_spectrum(state, spec, Normalization.UNIT_SUM))
+        assert raw.to_json_dict() == unit.to_json_dict()
 
     def test_json_round_trip(self):
         import json
 
         spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=8), Normalization.UNIT_SUM)
-        report = build_info_report(SCHW1, spectrum)
+        report = build_info_report(spectrum)
         payload = json.loads(json.dumps(report.to_json_dict()))
         assert payload["e_r"] == report.e_r

@@ -25,6 +25,7 @@ from bhspectra import (
     emission_log_weight,
     emission_log_weights,
     thermal_log_weight,
+    unit_sum,
 )
 from bhspectra import blackholes
 from bhspectra.spectrum import (
@@ -136,7 +137,7 @@ class TestBuildSpectrum:
     def test_four_node_example(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
         grid = build_spectrum(s, GridSpec(omega_max=1.0, n_omega=4))
-        assert np.allclose(grid.grid_spec.bins()[0], [0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(grid.grid_spec.axes()[0].ravel(), [0.25, 0.5, 0.75, 1.0])
         expect = [pw(1.0, w) for w in (0.25, 0.5, 0.75, 1.0)]
         assert np.allclose(grid.log_weight, expect, atol=1e-12)
         assert grid.log_weight[-1] == pytest.approx(-4.0 * math.pi, abs=1e-12)
@@ -206,7 +207,7 @@ class TestBuildSpectrum:
         )
         assert grid.n_bins == 9
         i = 4  # omega = 2/3, q = 0.5
-        omega, q, _ = grid.grid_spec.bins()
+        omega, q, _ = _flat_bins(grid.grid_spec)
         assert q[i] == 0.5
         assert grid.log_weight[i] == pytest.approx(
             emission_log_weight(s, Emission(omega[i], 0.5)), abs=1e-11
@@ -215,6 +216,11 @@ class TestBuildSpectrum:
 
 def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def _flat_bins(spec: GridSpec) -> list[np.ndarray]:
+    """The omega, q and j value of each bin, in bin order."""
+    return [x.ravel() for x in np.broadcast_arrays(*spec.axes())]
 
 
 # (state, grid): every family, alpha != 0 of both signs, omega_min > 0, spin
@@ -242,7 +248,7 @@ AXIS_CASES = {
 def test_build_spectrum_on_axes_equals_flat_kernel(state, spec):
     # build_spectrum feeds the kernel the three axes; the flat product grid
     # through emission_log_weights must give the same bits, bin for bin.
-    omega, q, j = spec.bins()
+    omega, q, j = _flat_bins(spec)
     logw, valid = emission_log_weights(state, omega, q, j)
     grid = build_spectrum(state, spec, Normalization.RAW)
     assert grid.log_weight.shape == (spec.n_bins,)
@@ -322,20 +328,50 @@ def test_blockwise_cuts_the_longest_axis(monkeypatch):
 def test_thermal_baseline_equals_per_bin_scalar(state, spec):
     # The baseline is evaluated once per omega node and repeated over q and
     # j: the same bits as the scalar baseline of each bin.
-    omega, _, _ = spec.bins()
+    omega, _, _ = _flat_bins(spec)
     grid = build_thermal_spectrum(state, spec, Normalization.RAW)
     want = np.array([thermal_log_weight(state, w) for w in omega.tolist()])
     np.testing.assert_array_equal(_bits(grid.log_weight), _bits(want))
     assert grid.valid.all() and grid.n_bins == spec.n_bins
 
 
-def test_bins_are_omega_major_then_q_then_j():
+def test_axes_broadcast_to_omega_major_then_q_then_j():
     spec = AXIS_CASES["kn-alpha"][1]
+    assert [x.shape for x in spec.axes()] == [(spec.n_omega, 1, 1), (spec.n_q, 1), (spec.n_j,)]
     product = itertools.product(spec.omega_nodes(), spec.q_values(), spec.j_values())
     want = np.array(list(product)).T
-    for got, axis in zip(spec.bins(), want):
+    for got, axis in zip(_flat_bins(spec), want):
         assert got.shape == (spec.n_bins,)
         np.testing.assert_array_equal(_bits(got), _bits(axis))
+
+
+@pytest.mark.parametrize("build", [build_spectrum, build_thermal_spectrum])
+@pytest.mark.parametrize("state,spec", AXIS_CASES.values(), ids=AXIS_CASES.keys())
+def test_unit_sum_of_raw_grid_equals_unit_sum_build(build, state, spec):
+    raw = build(state, spec, Normalization.RAW)
+    logw, valid = raw.log_weight.copy(), raw.valid.copy()
+    got = unit_sum(raw)
+    want = build(state, spec, Normalization.UNIT_SUM)
+    assert got.normalization is Normalization.UNIT_SUM
+    np.testing.assert_array_equal(_bits(got.log_weight), _bits(want.log_weight))
+    np.testing.assert_array_equal(got.valid, want.valid)
+    assert _bits(np.float64(got.log_norm)) == _bits(np.float64(want.log_norm))
+    # The raw grid's arrays are the caller's: normalizing never touches them.
+    assert raw.normalization is Normalization.RAW and raw.log_norm is None
+    np.testing.assert_array_equal(_bits(raw.log_weight), _bits(logw))
+    np.testing.assert_array_equal(raw.valid, valid)
+    # A unit-sum grid is already converted.
+    assert unit_sum(want) is want
+
+
+def test_weights_are_built_once_and_read_only():
+    state, spec = AXIS_CASES["rn"]
+    grid = build_spectrum(state, spec)
+    weights = grid.weights()
+    assert grid.weights() is weights
+    assert not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
 
 
 def test_spectrum_grid_is_its_spec_state_and_weights():

@@ -219,7 +219,7 @@ def test_charged_hole_ledger_concentrates_on_its_spectrum():
     hole = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 0.5)
     spec = build_spectrum(hole, GridSpec(omega_max=0.25, n_omega=4, q_step=0.125, n_q=2),
                           Normalization.UNIT_SUM)
-    omega, q, _ = spec.grid_spec.bins()
+    omega, q, _ = (x.ravel() for x in np.broadcast_arrays(*spec.grid_spec.axes()))
     bins = list(zip(omega[spec.valid].tolist(), q[spec.valid].tolist()))
     sizes = [round(math.exp(bh_entropy(BlackHoleState(hole.family, hole.m - w, hole.q - q))))
              for w, q in bins]
