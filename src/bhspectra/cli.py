@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import importlib
 import json
 import sys
@@ -27,6 +26,16 @@ from pathlib import Path
 from . import __version__
 from .errors import (EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, EXIT_USAGE, SUITES, DomainError,
                      Normalization, UsageError)
+
+# sha256 from the builtin module: hashlib maps OpenSSL's libcrypto (~3.6 MB of
+# the command's resident memory, ~4 ms), which no command needs otherwise.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # The package names the commands call, by module: each is imported on first access
 # as an attribute of this module (PEP 562), so --help and usage errors load no
@@ -41,7 +50,7 @@ _LAZY = {name: module for module, names in (
     ("spectrum", ("build_spectrum", "build_thermal_spectrum")),
     ("typicality", ("typicality_lab",)),
     ("verify", ("run_suites",)),
-    ("writers", ("_ChainsJsonl", "_spectrum_columns", "_write_spectrum_jsonl",
+    ("writers", ("_ChainsJsonl", "_write_spectrum_json", "_write_spectrum_jsonl",
                  "write_spectrum_csv")),
 ) for name in names}
 
@@ -107,7 +116,7 @@ def _manifest_hash(command: str, config: dict) -> str:
     """sha256 over the artifact, the command and the hashed configuration."""
     hashed_config = {k: v for k, v in config.items() if k not in _UNHASHED_KEYS}
     payload = {"artifact": _ARTIFACT, "command": command, "config": hashed_config}
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    return sha256(_canonical_json(payload).encode()).hexdigest()
 
 
 def write_manifest(outdir: Path, command: str, config: dict, manifest_hash: str, t0: float,
@@ -281,12 +290,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     elif cfg["format"] == "jsonl":
         _cli._write_spectrum_jsonl(outdir / "spectrum.jsonl", grid, thermal, manifest_hash)
     else:
-        columns = _cli._spectrum_columns(grid, thermal)
-        bins = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-        _write_json(outdir / "spectrum.json", {
+        _cli._write_spectrum_json(outdir / "spectrum.json", grid, thermal, {
             "manifest_hash": manifest_hash, "state": manifest_cfg["state"],
             "grid_spec": manifest_cfg["grid_spec"], "normalization": normalization.value,
-            "log_norm": grid.log_norm, "bins": bins,
+            "log_norm": grid.log_norm,
         })
     if report is not None:
         payload = dict(report.to_json_dict(), manifest_hash=manifest_hash)

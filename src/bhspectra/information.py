@@ -24,7 +24,8 @@ import numpy as np
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
 from .errors import DomainError, RemnantInvalid, UsageError
 from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import emission_log_weight, emission_log_weights, emission_log_weights_bulk, unit_sum
+from .spectrum import (_on_axes, emission_log_weight, emission_log_weights,
+                       emission_log_weights_bulk, unit_sum)
 
 if TYPE_CHECKING:  # the annotation only: spectrum --report loads no sampler
     from .cascade import EmissionChain
@@ -73,24 +74,37 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
     """
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("conditional entropy needs a unit-sum spectrum")
-    state, v = spectrum.source_state, spectrum.valid
+    state, spec, v = spectrum.source_state, spectrum.grid_spec, spectrum.valid
     logp = spectrum.log_weight[v]
     with np.errstate(under="ignore"):
         p = np.exp(logp)
-    # The valid bins' emitted hairs, their means, then in place the remnant's.
-    hairs = [x[v.reshape(x.shape)] for x in np.broadcast_arrays(*spectrum.grid_spec.axes())]
-    e_r, mean_q, mean_j = (float(np.sum(p * x)) for x in hairs)
-    for total, x in zip((state.m, state.q, state.j), hairs):
-        np.subtract(total, x, out=x)
-    s_rem = entropy_grid(state.family, *hairs, state.alpha)
-    defined = np.isfinite(s_rem)
-    excluded = float(np.sum(p[~defined]))
-    exact = float(np.sum(p[defined] * s_rem[defined]))
-    lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
-    log_norm = spectrum.log_norm if spectrum.log_norm is not None else 0.0
+    # The means of the valid bins' emitted hairs, one hair column at a time.
+    axes = spec.omega_nodes(), spec.q_values(), spec.j_values()
+    v = v.reshape(spec.n_omega, spec.n_q, spec.n_j)
+    means = []
+    for x in _on_axes(np.broadcast_arrays, *axes):
+        x = x[v]
+        means.append(float(np.sum(np.multiply(p, x, out=x))))
+    e_r, mean_q, mean_j = means
+
+    # The remnant entropies on the axes, then those of the valid bins.
+    def remnant_entropy(w, q, j):
+        return (entropy_grid(state.family, state.m - w, state.q - q, state.j - j, state.alpha),)
+
+    (s_rem,) = _on_axes(remnant_entropy, *axes)
+    s_rem = s_rem[v]
+    # The raw weights, in place of the log-weights.
+    logp += spectrum.log_norm if spectrum.log_norm is not None else 0.0
     with np.errstate(under="ignore"):
-        raw = np.exp(logp + log_norm)
-    raw_weighted = float(np.sum(raw[defined] * s_rem[defined]))
+        raw = np.exp(logp, out=logp)
+    excluded = 0.0
+    if not np.isfinite(s_rem).all():
+        defined = np.isfinite(s_rem)
+        excluded = float(np.sum(p[~defined]))
+        p, raw, s_rem = p[defined], raw[defined], s_rem[defined]
+    raw_weighted = float(np.sum(np.multiply(raw, s_rem, out=raw)))
+    exact = float(np.sum(np.multiply(p, s_rem, out=p)))
+    lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
     return ConditionalEntropyResult(
         exact=exact,
         lowenergy=lowenergy,

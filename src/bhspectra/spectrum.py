@@ -119,6 +119,14 @@ def _grid_axes(state: BlackHoleState, spec: GridSpec) -> tuple[np.ndarray, np.nd
     return spec.omega_nodes(), spec.q_values(), spec.j_values()
 
 
+def _on_axes(kernel, w, qv, jv) -> list[np.ndarray]:
+    """The arrays kernel(omega, q, j) returns on a grid's 1-D axes, broadcast
+    against each other. The axes go in laid out (q, j, omega), so that the
+    kernel's blocks and numpy's inner loop run along omega; each array comes
+    back as an (n_omega, n_q, n_j) view, whose C order is the bin order."""
+    return [x.transpose(2, 0, 1) for x in kernel(w, qv[:, None, None], jv[:, None])]
+
+
 def _normalize(logw: np.ndarray, valid: np.ndarray) -> float:
     """Subtract the valid entries' log-sum-exp from them, in place; return it."""
     log_norm = float(logsumexp(logw[valid]))
@@ -152,12 +160,9 @@ def build_spectrum(
     stays rectangular). Raises DomainError when every bin is invalid.
     The kernel runs on the three axes broadcast against each other, so its
     terms in omega alone (or q, or j alone) cost one evaluation per node.
-    The axes go in as (q, j, omega), so that the kernel's blocks and numpy's
-    inner loop run along omega; one transpose restores the bin order.
     """
-    w, qv, jv = _grid_axes(state, spec)
-    logw, valid = emission_log_weights(state, w, qv[:, None, None], jv[:, None])
-    logw, valid = (x.transpose(2, 0, 1).ravel() for x in (logw, valid))
+    kernel = functools.partial(emission_log_weights, state)
+    logw, valid = (x.ravel() for x in _on_axes(kernel, *_grid_axes(state, spec)))
     if not valid.any():
         raise DomainError("every grid bin is a closed emission channel")
     return _spectrum(state, spec, logw, valid, normalization)

@@ -1,6 +1,7 @@
-"""The CLI's numpy writers of spectrum.csv, spectrum.jsonl and chains.jsonl,
-imported only by the commands that write them: CSV floats are "%.16e" built
-as bytes, and the JSONL writers format each distinct value of a column once."""
+"""The CLI's numpy writers of spectrum.csv, spectrum.jsonl, spectrum.json and
+chains.jsonl, imported only by the commands that write them: CSV floats are
+"%.16e" built as bytes, and the JSON row writers format each distinct value
+of a column once."""
 
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ from .blackholes import _two_prod
 from .cli import _canonical_json
 
 # Rows formatted and written at a time: bounds the memory a writer holds.
-_ROW_CHUNK = 16384
+_ROW_CHUNK = 8192
 
 
 def _format_column(values: np.ndarray, fmt) -> tuple[list[str], np.ndarray]:
     """(texts, index) of a 1-D column: fmt of each distinct value, called
-    once per value, and each entry's index into texts (the JSONL writers;
+    once per value, and each entry's index into texts (the JSON row writers;
     spectrum.csv goes through _format_e16).
 
     Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
@@ -153,19 +154,29 @@ def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
     }
 
 
-# Rows joined into one string at a time by the JSONL writers.
+# Rows joined into one string at a time by the JSON row writers.
 _JSONL_BLOCK = 2048
 
+# The pieces of a row around its values: (before the first key, between a
+# value and the next key, between a key and its value, after the last value).
+# A spectrum.jsonl or chains.jsonl row is compact, one per line; a spectrum.json
+# bin is json.dumps's indent-2 object at depth 2, after the separator from
+# the bin before it.
+_JSONL_ROW = ("{", ",", ":", "}\n")
+_JSON_BIN = (",\n    {\n      ", ",\n      ", ": ", "\n    }")
 
-def _jsonl_rows(columns: dict):
-    """Canonical JSON rows (compact, keys sorted, one per line) of named
-    columns, _JSONL_BLOCK rows per string. Each column's distinct values are
+
+def _json_rows(columns: dict, template: tuple[str, str, str, str] = _JSONL_ROW):
+    """JSON rows of named columns, keys sorted, in the row template,
+    _JSONL_BLOCK rows per string. Each column's distinct values are
     formatted once over all the rows given."""
+    first, between, colon, last = template
     keys = sorted(columns)
     cells = [_format_column(columns[k], json.dumps) for k in keys]
     # A row is the key pieces with its cells between them: {"a":1,"b":2}.
     row = [None] * (2 * len(keys) + 1)
-    row[0::2] = ["{" + json.dumps(keys[0]) + ":", *(f",{json.dumps(k)}:" for k in keys[1:]), "}\n"]
+    row[0::2] = [first + json.dumps(keys[0]) + colon,
+                 *(between + json.dumps(k) + colon for k in keys[1:]), last]
     n_rows = len(cells[0][1])
     for start in range(0, n_rows, _JSONL_BLOCK):
         stop = min(start + _JSONL_BLOCK, n_rows)
@@ -252,12 +263,34 @@ def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: s
                 f.write(text.translate(None, b"\0"))
 
 
-def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
+def _spectrum_rows(grid: SpectrumGrid, thermal, template=_JSONL_ROW):
+    """The spectrum's rows in the row template, _ROW_CHUNK rows at a time."""
     columns = _spectrum_columns(grid, thermal)
+    for start in range(0, grid.n_bins, _ROW_CHUNK):
+        yield from _json_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()},
+                               template)
+
+
+def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
     with path.open("w", encoding="utf-8") as f:
         f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
-        for start in range(0, grid.n_bins, _ROW_CHUNK):
-            f.writelines(_jsonl_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()}))
+        f.writelines(_spectrum_rows(grid, thermal))
+
+
+def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict) -> None:
+    """spectrum.json: json.dumps(payload with "bins", sort_keys=True, indent=2)
+    and a newline, bins being one object per row of spectrum.jsonl. The bins
+    are streamed as spectrum.jsonl's rows are, between the head and the tail
+    of the document dumped with one marker bin in their place."""
+    mark = "bins go here"
+    text = json.dumps(dict(payload, bins=[mark]), sort_keys=True, indent=2)
+    head, _, tail = text.partition("\n    " + json.dumps(mark))
+    rows = _spectrum_rows(grid, thermal, _JSON_BIN)
+    with path.open("w", encoding="utf-8") as f:
+        f.write(head)
+        f.write(next(rows)[1:])  # no separator before the first bin
+        f.writelines(rows)
+        f.write(tail + "\n")
 
 
 class _ChainsJsonl:
@@ -282,7 +315,7 @@ class _ChainsJsonl:
 
     def write(self, columns: dict) -> None:
         t = time.perf_counter()
-        self.file.writelines(_jsonl_rows(columns))
+        self.file.writelines(_json_rows(columns))
         self.seconds += time.perf_counter() - t
 
     def __exit__(self, exc_type, exc, tb) -> None:

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import subprocess
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from bhspectra import cascade, cli
+from bhspectra import __version__, cascade, cli
 from bhspectra.cli import main
 
 
@@ -126,6 +128,18 @@ class TestSpectrumCommand:
         lines = (tmp_path / "l/spectrum.jsonl").read_text().splitlines()
         assert json.loads(lines[0])["type"] == "header"
         assert len(lines) == 5
+
+    def test_json_of_an_extremal_source_is_one_indented_document(self, tmp_path):
+        # More bins than one write chunk, and a nan thermal column.
+        code = run_cli("spectrum", "--family", "rn", "--mass", "1", "--charge", "1",
+                       "--omega-max", "0.2", "--bins", "3000", "--q-step", "0.1", "--n-q", "3",
+                       "--format", "json", "--output-dir", str(tmp_path))
+        assert code == 0
+        text = (tmp_path / "spectrum.json").read_text()
+        payload = json.loads(text)
+        assert len(payload["bins"]) == 9000
+        assert all(math.isnan(b["thermal_log_weight"]) for b in payload["bins"])
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_report_flag_writes_info_report(self, tmp_path):
         run_cli("spectrum", "--mass", "1", "--omega-max", "0.5", "--bins", "8",
@@ -499,6 +513,32 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                        reason="no builtin sha256 module")
+    @pytest.mark.parametrize("args", [("--help",), ("spectrum", "--bins", "8", "--report",
+                                                    "--output-dir", "{tmp}")], ids=["help", "spectrum"])
+    def test_commands_leave_openssl_unloaded(self, tmp_path, args):
+        # The manifest hash takes the builtin sha256, not hashlib's OpenSSL one.
+        code = ("import runpy, sys\n"
+                "try:\n"
+                "    runpy.run_module('bhspectra', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert not exc.code, exc.code\n"
+                "print('_hashlib' in sys.modules, file=sys.stderr)")
+        argv = [a.format(tmp=tmp_path) for a in args]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+
+    def test_manifest_hash_is_sha256_of_the_canonical_payload(self):
+        config = {"mass": 2.0, "seed": 1, "family": "schwarzschild", "output_dir": "x",
+                  "workers": 3}
+        payload = {"artifact": {"name": "bhspectra", "version": __version__},
+                   "command": "cascade",
+                   "config": {"family": "schwarzschild", "mass": 2.0, "seed": 1}}
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        assert cli._manifest_hash("cascade", config) == hashlib.sha256(text.encode()).hexdigest()
 
     def test_cli_import_leaves_scipy_special_unloaded(self):
         proc = subprocess.run(

@@ -1,6 +1,8 @@
 """Entropy, conditional entropy, correlations, mutual information, ledgers."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,9 +36,11 @@ from bhspectra import (
     pairwise_correlation,
     radiation_entropy,
     sample_cascade,
+    unit_sum,
 )
 from bhspectra import blackholes
-from bhspectra.blackholes import logsumexp
+from bhspectra.blackholes import entropy_grid, logsumexp
+from bhspectra.information import ConditionalEntropyResult
 
 SCHW1 = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
 
@@ -121,7 +125,79 @@ class TestRadiationEntropy:
         assert radiation_entropy(grid) == pytest.approx(oracle, abs=1e-10)
 
 
+def flat_conditional_entropy(spectrum):
+    """conditional_entropy as first written: the valid bins' hairs gathered
+    into flat columns, the remnant hairs in place of them, one entropy_grid
+    call on those, and masked copies of every column by definedness."""
+    state, v = spectrum.source_state, spectrum.valid
+    logp = spectrum.log_weight[v]
+    with np.errstate(under="ignore"):
+        p = np.exp(logp)
+    hairs = [x[v.reshape(x.shape)] for x in np.broadcast_arrays(*spectrum.grid_spec.axes())]
+    e_r, mean_q, mean_j = (float(np.sum(p * x)) for x in hairs)
+    for total, x in zip((state.m, state.q, state.j), hairs):
+        np.subtract(total, x, out=x)
+    s_rem = entropy_grid(state.family, *hairs, state.alpha)
+    defined = np.isfinite(s_rem)
+    excluded = float(np.sum(p[~defined]))
+    exact = float(np.sum(p[defined] * s_rem[defined]))
+    lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
+    log_norm = spectrum.log_norm if spectrum.log_norm is not None else 0.0
+    with np.errstate(under="ignore"):
+        raw = np.exp(logp + log_norm)
+    raw_weighted = float(np.sum(raw[defined] * s_rem[defined]))
+    return ConditionalEntropyResult(
+        exact=exact, lowenergy=lowenergy, raw_weighted=raw_weighted, e_r=e_r, mean_q=mean_q,
+        mean_j=mean_j, excluded_mass=excluded, excluded_warning=excluded > 1e-6,
+    )
+
+
+def result_bits(result) -> dict:
+    """Each field of a result dataclass, floats as their 8 bytes."""
+    return {k: np.float64(x).tobytes() if isinstance(x, float) else x
+            for k, x in dataclasses.asdict(result).items()}
+
+
+RN = Family.REISSNER_NORDSTROM
+KN = Family.KERR_NEWMAN
+RN_SPEC = GridSpec(omega_max=1.5, n_omega=40, q_step=0.25, n_q=3)
+KN_SPEC = GridSpec(omega_max=1.0, n_omega=30, q_step=0.125, n_q=3, j_step=-0.125, n_j=5)
+# (state, grid) pairs for the conditional-entropy oracle: every family,
+# alpha 0 and +-1.5, a j axis, a negative q step and a near-extremal source.
+COND_CASES = {
+    **{f"schw-alpha{a}": (BlackHoleState(Family.SCHWARZSCHILD, 1.0, alpha=a),
+                          GridSpec(omega_max=1.0, n_omega=64)) for a in (0.0, 1.5, -1.5)},
+    **{f"rn-alpha{a}": (BlackHoleState(RN, 2.0, 1.0, alpha=a), RN_SPEC) for a in (0.0, 1.5, -1.5)},
+    **{f"kn-alpha{a}": (BlackHoleState(KN, 2.0, 0.5, 0.5, alpha=a), KN_SPEC)
+       for a in (0.0, 1.5, -1.5)},
+    "rn-negative-q-step": (BlackHoleState(RN, 2.0, 1.0),
+                           GridSpec(omega_max=1.0, n_omega=50, q_step=-0.25, n_q=4)),
+    "rn-near-extremal": (BlackHoleState(RN, 1.0, 1.0 - 1e-9, alpha=0.5),
+                         GridSpec(omega_max=0.01, n_omega=64, q_step=0.002, n_q=5)),
+}
+
+
 class TestConditionalEntropy:
+    @pytest.mark.parametrize("normalization", [Normalization.UNIT_SUM, Normalization.RAW])
+    @pytest.mark.parametrize("state,spec", COND_CASES.values(), ids=COND_CASES.keys())
+    def test_matches_flat_valid_bins_oracle_bitwise(self, state, spec, normalization):
+        # A raw grid goes in through unit_sum, as build_info_report takes it.
+        grid = unit_sum(build_spectrum(state, spec, normalization))
+        assert 0 < grid.n_valid
+        want = flat_conditional_entropy(grid)
+        assert result_bits(conditional_entropy(grid)) == result_bits(want)
+
+    def test_excluded_bins_match_the_oracle_bitwise(self):
+        # Bins marked valid whose remnant is no macro-state: their entropy is
+        # undefined, so their mass is excluded.
+        state = BlackHoleState(KN, 2.0, 0.5, 0.5, alpha=1.5)
+        grid = build_spectrum(state, KN_SPEC)
+        logw = np.where(grid.valid, grid.log_weight, -1.0)
+        forced = unit_sum(dataclasses.replace(grid, log_weight=logw, valid=np.ones_like(grid.valid)))
+        got = conditional_entropy(forced)
+        assert got.excluded_mass > 1e-6 and got.excluded_warning
+        assert result_bits(got) == result_bits(flat_conditional_entropy(forced))
+
     def test_concentrated_spectrum_returns_remnant_entropy(self):
         # All the weight on one node w0 > 0 (no grid node sits at 0): both
         # forms are the entropy of the one remnant, M - w0.
@@ -355,6 +431,22 @@ class TestInfoReport:
         raw = build_info_report(build_spectrum(state, spec))
         unit = build_info_report(build_spectrum(state, spec, Normalization.UNIT_SUM))
         assert raw.to_json_dict() == unit.to_json_dict()
+
+    def test_peak_memory_per_bin(self):
+        # The report's temporaries above its unit-sum input: the radiation
+        # entropy's few valid-bin columns, then the conditional entropy's,
+        # whose remnant entropies take one grid-sized array on the axes.
+        n_omega = 1 << 17
+        state = BlackHoleState(RN, 2.0, 1.0)
+        spec = GridSpec(omega_max=1.5, n_omega=n_omega, q_step=0.25, n_q=4)
+        grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
+        tracemalloc.start()
+        try:
+            build_info_report(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * spec.n_bins
 
     def test_json_round_trip(self):
         import json

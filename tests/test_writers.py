@@ -9,6 +9,7 @@ the grids here are full of the values that could trip that up: repeats,
 import dataclasses
 import itertools
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
 from bhspectra import writers
+from bhspectra.blackholes import state_to_record
 from bhspectra.cascade import sample_ensemble
 from bhspectra.grids import GridSpec, Normalization, SpectrumGrid
 from bhspectra.spectrum import build_spectrum, build_thermal_spectrum
@@ -58,6 +60,18 @@ def _oracle_spectrum_jsonl(grid, thermal, manifest_hash) -> str:
     out = [_canonical({"type": "header", "manifest_hash": manifest_hash}) + "\n"]
     out.extend(_canonical(row) + "\n" for row in _oracle_rows(grid, thermal))
     return "".join(out)
+
+
+def _oracle_spectrum_json(grid, thermal, payload) -> str:
+    bins = list(_oracle_rows(grid, thermal))
+    return json.dumps(dict(payload, bins=bins), sort_keys=True, indent=2) + "\n"
+
+
+def _json_payload(grid) -> dict:
+    """The fields cli.cmd_spectrum puts around the bins of spectrum.json."""
+    return {"manifest_hash": "abc", "state": state_to_record(grid.source_state),
+            "grid_spec": dataclasses.asdict(grid.grid_spec),
+            "normalization": grid.normalization.value, "log_norm": grid.log_norm}
 
 
 def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
@@ -150,6 +164,36 @@ def test_spectrum_writers_match_per_row_oracle(tmp_path, spec, with_thermal):
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
     assert (tmp_path / "s.jsonl").read_text() == _oracle_spectrum_jsonl(grid, thermal, "abc")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("spec", SPECS, ids=[str(spec.n_bins) for spec in SPECS])
+@pytest.mark.parametrize("with_thermal", [True, False])
+def test_spectrum_json_matches_whole_document_oracle(tmp_path, spec, with_thermal):
+    rng = np.random.default_rng(spec.n_bins)
+    grid = _grid(rng, spec)
+    thermal = _grid(rng, spec) if with_thermal else None
+    payload = _json_payload(grid)
+    writers._write_spectrum_json(tmp_path / "s.json", grid, thermal, payload)
+    assert (tmp_path / "s.json").read_text() == _oracle_spectrum_json(grid, thermal, payload)
+
+
+# The CSV writer holds one chunk of rows and the cells of its columns, plus
+# the axes and one flag per bin to check the thermal column's node pattern.
+@pytest.mark.parametrize("n_omega", [1 << 15, 1 << 17], ids=["2^17-bins", "2^19-bins"])
+def test_csv_writer_peak_memory(tmp_path, n_omega):
+    state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+    spec = GridSpec(omega_max=1.5, n_omega=n_omega, q_step=0.25, n_q=4)
+    grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
+    thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM)
+    grid.weights()  # built once per grid, before the CLI's writer runs
+    tracemalloc.start()
+    try:
+        writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
 
 
 KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
