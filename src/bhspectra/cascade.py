@@ -193,11 +193,13 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     """Open emission channels with r energy quanta (and cq_left / cj_left
     charge / spin quanta) remaining.
 
-    Returns the candidate remaining-count arrays (r2, cq2, cj2), the remnant
-    hairs (m2, q2, j2), the raw log-weights, and the step's log-sum-exp total,
-    all filtered to channels whose remnant is a valid macro-state. Empty
-    arrays mean the cascade is stuck.
+    Returns the state's hairs (m1, q1, j1), the candidate remaining-count
+    arrays (r2, cq2, cj2), the remnant hairs (m2, q2, j2), the raw
+    log-weights, and the step's log-sum-exp total, all filtered to channels
+    whose remnant is a valid macro-state. Empty arrays mean the cascade is
+    stuck.
     """
+    m1, q1, j1 = hairs = tuple(map(float, _hairs_at(state, policy, plan, r, cq_left, cj_left)))
     ks = np.arange(1, r + 1)
     if cq_left == 0 and cj_left == 0:
         r2 = r - ks
@@ -213,10 +215,9 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     if not ok.all():
         r2, cq2, cj2, m2, q2, j2 = (x[ok] for x in (r2, cq2, cj2, m2, q2, j2))
     if r2.size == 0:
-        return r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
-    m1, q1, j1 = map(float, _hairs_at(state, policy, plan, r, cq_left, cj_left))
+        return hairs, r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
     logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
-    return r2, cq2, cj2, m2, q2, j2, logw, logsumexp(logw)
+    return hairs, r2, cq2, cj2, m2, q2, j2, logw, logsumexp(logw)
 
 
 # (state, policy) transition tables kept alive at once. Checks that draw random
@@ -228,6 +229,8 @@ _TABLE_CACHE_SIZE = 1024
 class _Row:
     """Open channels out of one transition state, in _step_channels order."""
 
+    key: tuple[int, int, int]             # the state's (r, cq_left, cj_left)
+    hairs: tuple[float, float, float]     # the state's (M, Q, J)
     r2: np.ndarray      # remaining energy / charge / spin quanta after each channel
     cq2: np.ndarray
     cj2: np.ndarray
@@ -250,19 +253,31 @@ class _TransitionTable(dict):
         self.plan = _plan(state, policy)
 
     def __missing__(self, key: tuple[int, int, int]) -> _Row:
-        *channels, logw, log_z = _step_channels(self.state, self.policy, self.plan, *key)
+        hairs, *channels, logw, log_z = _step_channels(self.state, self.policy, self.plan, *key)
         logp = logw - log_z
         cdf = np.cumsum(np.exp(logp))
         if cdf.size:
             cdf[-1] = 1.0
         for a in (*channels, logw, logp, cdf):
             a.flags.writeable = False  # shared by every caller of the cached table
-        row = self[key] = _Row(*channels, logw, logp, cdf)
+        # The initial row keeps the state's own hairs: _hairs_at pins a zero
+        # count's hair to 0.0, which would drop the sign of Q = -0.0 or J = -0.0.
+        state, plan = self.state, self.plan
+        if key == (plan.n_quanta, plan.n_charge, plan.n_spin):
+            hairs = (state.m, state.q, state.j)
+        row = self[key] = _Row(key, hairs, *channels, logw, logp, cdf)
         return row
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _transition_table(state: BlackHoleState, policy: CascadePolicy) -> _TransitionTable:
+    """The cached table of (state, policy). States that differ only in the
+    sign of a zero hair compare equal, and their initial rows differ, so the
+    cache key tells those signs apart as well."""
+    return _cached_table(state, policy, math.copysign(1.0, state.q), math.copysign(1.0, state.j))
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_table(state: BlackHoleState, policy: CascadePolicy, *zero_signs) -> _TransitionTable:
     return _TransitionTable(state, policy)
 
 
@@ -334,7 +349,7 @@ class _Steps(list):
 
     def ordered(self, lengths: np.ndarray) -> "_Steps":
         """Sort the steps, keeping per step only its chain, its step number and
-        its channel: an index into the fields of the rows laid end to end."""
+        its channel: an index into the channels of the rows laid end to end."""
         offsets: dict[_Row, int] = {}
         size = 0
         for _, row, _ in self:
@@ -346,43 +361,38 @@ class _Steps(list):
         self.chain = chain[order]
         self.channel = np.concatenate([offsets[row] + pick for _, row, pick in self] or empty)[order]
         self.rows = list(offsets)
-        starts = np.cumsum(lengths) - lengths
-        self.starts = starts[lengths > 0]
-        self.step = np.arange(chain.size) - np.repeat(starts, lengths)
+        self.step = np.arange(chain.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
         self.clear()
         return self
 
-    def field(self, name: str) -> np.ndarray:
-        """A _Row field (m2, r2, logw, ...) at each step's channel."""
-        return np.concatenate([getattr(row, name) for row in self.rows] or [[]])[self.channel]
-
-    def moved(self, name: str, initial) -> tuple[np.ndarray, np.ndarray]:
-        """(before, after) each step of a _Row field, before being initial at
-        a chain's first step."""
-        after = self.field(name)
-        before = np.empty_like(after)
-        before[1:] = after[:-1]
-        before[self.starts] = initial
-        return before, after
-
-    def columns(self, state: BlackHoleState, first: int) -> dict[str, np.ndarray]:
-        """The chains.jsonl columns, chain c being sample first + c. The
-        emitted hairs are differences of consecutive remnant hairs, from the
-        state's own on; each is computed in place of an operand it frees."""
-        mass_before, omega = self.moved("m2", state.m)
-        np.subtract(mass_before, omega, out=omega)
-        q, j = (np.subtract(*self.moved(f, x)) for f, x in (("q2", state.q), ("j2", state.j)))
+    def columns(self, first: int) -> dict:
+        """The chains.jsonl steps, chain c being sample first + c:
+        "sample_index", "step" and "channel" per step, and "cells", the float
+        cells of a row per channel. Each cell is a function of the channel:
+        the emitted hairs are its state's hairs less its remnant's."""
+        cells = {"j": [], "log_prob_norm": [], "log_weight_raw": [], "mass_before": [],
+                 "omega": [], "q": []}
+        for row in self.rows:
+            m, q, j = row.hairs
+            cells["mass_before"].append(np.full(row.m2.size, m))
+            cells["omega"].append(m - row.m2)
+            cells["q"].append(q - row.q2)
+            cells["j"].append(j - row.j2)
+            cells["log_weight_raw"].append(row.logw)
+            cells["log_prob_norm"].append(row.logp)
         self.chain += first
-        return {"sample_index": self.chain, "step": self.step, "omega": omega, "q": q, "j": j,
-                "mass_before": mass_before, "log_weight_raw": self.field("logw"),
-                "log_prob_norm": self.field("logp")}
+        return {"sample_index": self.chain, "step": self.step, "channel": self.channel,
+                "cells": {k: np.concatenate(v or [[]]) for k, v in cells.items()}}
 
-    def census(self, table: _TransitionTable, lengths, stuck) -> dict[tuple, int]:
+    def census(self, policy: CascadePolicy, lengths, stuck) -> dict[tuple, int]:
         """Identity counts (see chain_identity) of unstuck chains, first seen first."""
-        plan = table.plan
-        fields = (("r2", plan.n_quanta), ("cq2", plan.n_charge), ("cj2", plan.n_spin))
-        moves = [(before - after).tolist() for before, after in (self.moved(*f) for f in fields)]
-        moves = moves[0] if table.policy.energy_only else list(zip(*moves))
+        moves = []  # each channel's move in quanta: its state's counts less its remnant's
+        for row in self.rows:
+            r, cq, cj = row.key
+            k = (r - row.r2).tolist()
+            moves += k if policy.energy_only else zip(k, (cq - row.cq2).tolist(),
+                                                      (cj - row.cj2).tolist())
+        moves = list(map(moves.__getitem__, self.channel.tolist()))
         census: dict[tuple, int] = {}
         ends = np.cumsum(lengths).tolist()
         for end, length, is_stuck in zip(ends, lengths.tolist(), stuck.tolist()):
@@ -576,8 +586,9 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, on_chu
 
     The per-sample walk goes in chunks of consecutive samples (see
     _CHUNK_STEPS), and on_chunk, when given, gets each chunk's chains.jsonl
-    columns as soon as the chunk is walked; only the per-chain arrays and the
-    census outlive a chunk. The batch walk shares one stream, so it is one chunk.
+    steps (see _Steps.columns) as soon as the chunk is walked; only the
+    per-chain arrays and the census outlive a chunk. The batch walk shares
+    one stream, so it is one chunk.
 
     The census order fixes how identity_entropy is summed, so it is output:
     per-sample identities first seen first, batch ones fewest parts first,
@@ -616,10 +627,10 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, on_chu
                 continue
             steps.ordered(chunk[0])
             if census:  # chunks come in sample order, so this keeps first seen first
-                for ident, count in steps.census(table, chunk[0], chunk[4]).items():
+                for ident, count in steps.census(policy, chunk[0], chunk[4]).items():
                     identity_counts[ident] = identity_counts.get(ident, 0) + count
             if on_chunk is not None:
-                columns, steps = steps.columns(state, first), None  # drop the step index first
+                columns, steps = steps.columns(first), None  # drop the step index first
                 on_chunk(columns)
     n_stuck = int(np.count_nonzero(walked[4]))
     # A stuck chain ends at a floor, as a stop-mass chain. Only the batch
@@ -655,8 +666,9 @@ def sample_ensemble(
     state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int, on_chunk
 ) -> CascadeEnsembleStats:
     """A per-sample ensemble's summary. on_chunk gets its steps as
-    chains.jsonl columns, one dict per chunk of consecutive samples, by
-    sample, then step: sample i's rows are sample_cascade(..., seed, i)'s."""
+    chains.jsonl rows (see _Steps.columns), one dict per chunk of consecutive
+    samples, by sample, then step: sample i's rows are
+    sample_cascade(..., seed, i)'s."""
     return _walk_ensemble(state, policy, n_samples, seed, batch=False, on_chunk=on_chunk)
 
 

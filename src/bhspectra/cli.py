@@ -46,7 +46,7 @@ _LAZY = {name: module for module, names in (
                  # Not called here; kept because perfbench/tracer.py wraps them here.
                  "ensemble_stats_from_chains", "sample_cascade")),
     ("grids", ("GridSpec",)),
-    ("information", ("build_info_report",)),
+    ("information", ("build_info_report", "check_report_size")),
     ("spectrum", ("build_spectrum", "build_thermal_spectrum")),
     ("typicality", ("typicality_lab",)),
     ("verify", ("run_suites",)),
@@ -260,6 +260,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         omega_max=cfg["omega_max"], n_omega=cfg["bins"], omega_min=cfg["omega_min"],
         q_step=cfg["q_step"], n_q=cfg["n_q"], j_step=cfg["j_step"], n_j=cfg["n_j"],
     )
+    if cfg["report"]:
+        _cli.check_report_size(state, spec)
     normalization = Normalization(cfg["normalization"])
     grid = _cli.build_spectrum(state, spec, normalization)
     n_nonfinite = np.count_nonzero(~np.isfinite(grid.log_weight[grid.valid]))

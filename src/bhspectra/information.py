@@ -160,8 +160,7 @@ def mutual_information(state: BlackHoleState, spec: GridSpec) -> MutualInformati
         raise UsageError("the closed forms require a Schwarzschild state")
     if spec.n_omega < 2:
         raise UsageError("mutual information needs at least 2 bins per axis")
-    if spec.n_omega > _MAX_MI_NODES:
-        raise UsageError(f"mutual information on {spec.n_omega} omega nodes, above {_MAX_MI_NODES}")
+    check_report_size(state, spec)
     w = spec.omega_nodes()
     lw1, _ = emission_log_weights(state, w)
     logq, valid = emission_log_weights_bulk(
@@ -260,6 +259,14 @@ class InfoReport:
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+def check_report_size(state: BlackHoleState, spec: GridSpec) -> None:
+    """Raise the usage error build_info_report raises on a spectrum of state
+    over spec, mutual_information's node cap, from the two alone: the CLI
+    checks it before it builds any array."""
+    if state.family is Family.SCHWARZSCHILD and spec.n_omega > _MAX_MI_NODES:
+        raise UsageError(f"mutual information on {spec.n_omega} omega nodes, above {_MAX_MI_NODES}")
 
 
 def build_info_report(spectrum: SpectrumGrid) -> InfoReport:

@@ -1,7 +1,8 @@
 """The CLI's numpy writers of spectrum.csv, spectrum.jsonl, spectrum.json and
 chains.jsonl, imported only by the commands that write them: CSV floats are
-"%.16e" built as bytes, and the JSON row writers format each distinct value
-of a column once."""
+"%.16e" built as bytes, the spectrum's JSON row writers format each distinct
+value of a column once, and a chains.jsonl row is the text of its step's
+channel, dumped once per channel, and two integers."""
 
 from __future__ import annotations
 
@@ -136,30 +137,12 @@ def _format_e16(values: np.ndarray):
     return cells, fallback
 
 
-def _spectrum_columns(grid: SpectrumGrid, thermal: SpectrumGrid | None) -> dict:
-    """The output columns of a spectrum, as whole arrays, in CSV order.
-
-    thermal_log_weight is nan throughout when there is no thermal baseline.
-    """
-    omega, q, j = (x.ravel() for x in np.broadcast_arrays(*grid.grid_spec.axes()))
-    thermal_lw = thermal.log_weight if thermal else np.full(grid.n_bins, np.nan)
-    return {
-        "omega": omega,
-        "q": q,
-        "j": j,
-        "log_weight": grid.log_weight,
-        "weight": grid.weights(),
-        "thermal_log_weight": thermal_lw,
-        "valid": grid.valid,
-    }
-
-
 # Rows joined into one string at a time by the JSON row writers.
 _JSONL_BLOCK = 2048
 
 # The pieces of a row around its values: (before the first key, between a
 # value and the next key, between a key and its value, after the last value).
-# A spectrum.jsonl or chains.jsonl row is compact, one per line; a spectrum.json
+# A spectrum.jsonl row is compact, one per line; a spectrum.json
 # bin is json.dumps's indent-2 object at depth 2, after the separator from
 # the bin before it.
 _JSONL_ROW = ("{", ",", ":", "}\n")
@@ -264,11 +247,21 @@ def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: s
 
 
 def _spectrum_rows(grid: SpectrumGrid, thermal, template=_JSONL_ROW):
-    """The spectrum's rows in the row template, _ROW_CHUNK rows at a time."""
-    columns = _spectrum_columns(grid, thermal)
+    """The spectrum's rows in the row template, _ROW_CHUNK rows at a time.
+
+    Each chunk takes its omega, q and j cells from the broadcast GridSpec
+    axes through their flat iterators, so no whole column of them is built.
+    thermal_log_weight is nan throughout when there is no thermal baseline.
+    """
+    omega, q, j = np.broadcast_arrays(*grid.grid_spec.axes())
+    weights = grid.weights()
     for start in range(0, grid.n_bins, _ROW_CHUNK):
-        yield from _json_rows({k: v[start : start + _ROW_CHUNK] for k, v in columns.items()},
-                               template)
+        rows = slice(start, min(start + _ROW_CHUNK, grid.n_bins))
+        thermal_lw = thermal.log_weight[rows] if thermal else np.full(rows.stop - start, np.nan)
+        yield from _json_rows({"omega": omega.flat[rows], "q": q.flat[rows], "j": j.flat[rows],
+                               "log_weight": grid.log_weight[rows], "weight": weights[rows],
+                               "thermal_log_weight": thermal_lw, "valid": grid.valid[rows]},
+                              template)
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
@@ -294,8 +287,8 @@ def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict)
 
 
 class _ChainsJsonl:
-    """chains.jsonl, one row per step, written chunk by chunk from the step
-    columns of cascade.sample_ensemble; seconds is the time spent in write.
+    """chains.jsonl, one row per step, written chunk by chunk from the steps
+    of cascade.sample_ensemble; seconds is the time spent in write.
 
     The rows go to a temporary file, renamed into place when the with block
     ends without an error and removed when it ends with one, so a failed run
@@ -313,9 +306,29 @@ class _ChainsJsonl:
         self.file.write(_canonical_json(self.header) + "\n")
         return self
 
-    def write(self, columns: dict) -> None:
+    def write(self, steps: dict) -> None:
+        """Write one chunk's rows, steps being cascade._Steps.columns.
+
+        Every float cell of a row is a function of its channel, and their keys
+        sort before "sample_index" and "step", so a row is its channel's text,
+        the float cells dumped once per channel the chunk uses, then the two
+        integers; _JSONL_BLOCK rows are joined per string.
+        """
         t = time.perf_counter()
-        self.file.writelines(_json_rows(columns))
+        cells, channel = steps["cells"], steps["channel"]
+        used = np.zeros(len(cells["omega"]), dtype=bool)
+        used[channel] = True
+        texts = [None] * used.size
+        values = zip(*(column[used].tolist() for column in cells.values()))
+        for c, v in zip(np.flatnonzero(used).tolist(), values):
+            texts[c] = _canonical_json(dict(zip(cells, v)))[:-1] + ',"sample_index":'
+        for start in range(0, channel.size, _JSONL_BLOCK):
+            stop = start + _JSONL_BLOCK
+            parts = [None, None, ',"step":', None, "}\n"] * (min(stop, channel.size) - start)
+            parts[0::5] = map(texts.__getitem__, channel[start:stop].tolist())
+            parts[1::5] = map(str, steps["sample_index"][start:stop].tolist())
+            parts[3::5] = map(str, steps["step"][start:stop].tolist())
+            self.file.write("".join(parts))
         self.seconds += time.perf_counter() - t
 
     def __exit__(self, exc_type, exc, tb) -> None:

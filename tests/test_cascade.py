@@ -240,7 +240,7 @@ class TestEnsembles:
         from bhspectra.cascade import _plan, _step_channels
 
         plan = _plan(SCHW_HALF, POLICY_5)
-        _, _, _, _, _, _, logw, log_z = _step_channels(SCHW_HALF, POLICY_5, plan, 5, 0, 0)
+        *_, logw, log_z = _step_channels(SCHW_HALF, POLICY_5, plan, 5, 0, 0)
         p = np.exp(logw - log_z)
         n = 100_000
         stats = cascade_ensemble_stats(SCHW_HALF, POLICY_5, n, seed=21, method="batch")

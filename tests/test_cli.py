@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bhspectra import __version__, cascade, cli
+from bhspectra.__main__ import _BUILTIN_HASHES
 from bhspectra.cli import main
 
 
@@ -159,6 +160,19 @@ class TestSpectrumCommand:
         assert "mutual information on 9 omega nodes, above 8" in capsys.readouterr().err
         assert not (tmp_path / "over").exists()
 
+    def test_report_node_cap_is_checked_before_any_spectrum(self, tmp_path, monkeypatch, capsys):
+        from bhspectra import information
+
+        def build_spectrum(*args):
+            raise AssertionError("build_spectrum reached")
+
+        monkeypatch.setattr(information, "_MAX_MI_NODES", 8)
+        monkeypatch.setattr(cli, "build_spectrum", build_spectrum)
+        assert run_cli("spectrum", "--mass", "1", "--report", "--bins", "9",
+                       "--output-dir", str(tmp_path / "over")) == 1
+        assert "mutual information on 9 omega nodes, above 8" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+
     def test_report_with_every_emission_pair_closed_has_null_mi(self, tmp_path):
         # Nodes 0.8 and 1.0 of a unit mass: every single emission is open,
         # every pair overdraws the mass.
@@ -298,7 +312,7 @@ class TestSpectrumCommand:
 class TestCascadeCommand:
     def test_manifest_health_matches_the_chains(self, tmp_path):
         # No channel carries charge, so chains stick once M' would drop below Q.
-        cascade._transition_table.cache_clear()
+        cascade._cached_table.cache_clear()
         assert run_cli("cascade", "--family", "rn", "--mass", "2", "--charge", "0.875",
                        "--energy-quantum", "0.25", "--n-samples", "40",
                        "--output-dir", str(tmp_path)) == 0
@@ -514,22 +528,34 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    @pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
-                        reason="no builtin sha256 module")
-    @pytest.mark.parametrize("args", [("--help",), ("spectrum", "--bins", "8", "--report",
-                                                    "--output-dir", "{tmp}")], ids=["help", "spectrum"])
+    @pytest.mark.skipif(not all(map(importlib.util.find_spec, _BUILTIN_HASHES)),
+                        reason="a builtin hash module is missing")
+    @pytest.mark.parametrize("args", [
+        ("--help",),
+        ("spectrum", "--bins", "8", "--report", "--output-dir", "{tmp}"),
+        ("cascade", "--mass", "1", "--energy-quantum", "0.125", "--n-samples", "5",
+         "--output-dir", "{tmp}"),
+        ("verify", "--suite", "identities", "--output-dir", "{tmp}"),
+        ("typicality", "--dim-o", "64", "--seeds", "2", "--output-dir", "{tmp}"),
+    ], ids=["help", "spectrum", "cascade", "verify", "typicality"])
     def test_commands_leave_openssl_unloaded(self, tmp_path, args):
-        # The manifest hash takes the builtin sha256, not hashlib's OpenSSL one.
-        code = ("import runpy, sys\n"
+        # numpy.random imports hashlib; the entry point blocks its OpenSSL
+        # backend, and the manifest hash takes the builtin sha256.
+        code = ("import os, runpy, sys\n"
                 "try:\n"
                 "    runpy.run_module('bhspectra', run_name='__main__', alter_sys=True)\n"
                 "except SystemExit as exc:\n"
                 "    assert not exc.code, exc.code\n"
-                "print('_hashlib' in sys.modules, file=sys.stderr)")
+                "maps = ''\n"
+                "if sys.platform.startswith('linux'):\n"
+                "    with open('/proc/self/maps') as f:\n"
+                "        maps = f.read()\n"
+                "print(sys.modules.get('_hashlib', 0) is None, 'libcrypto' in maps)")
         argv = [a.format(tmp=tmp_path) for a in args]
         proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.strip() == "False"
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "True False"
 
     def test_manifest_hash_is_sha256_of_the_canonical_payload(self):
         config = {"mass": 2.0, "seed": 1, "family": "schwarzschild", "output_dir": "x",

@@ -1,9 +1,10 @@
 """Column-formatting row writers against the per-row code they replaced.
 
 The oracles below are the old writers, one `%`/`json.dumps` call per value
-per row. The new writers format each distinct value of a column once, so
-the grids here are full of the values that could trip that up: repeats,
--0.0 next to 0.0, nan, +-inf, and columns longer than one write chunk.
+per row. The new writers format each distinct value of a column (or, for
+chains.jsonl, each channel) once, so the grids here are full of the values
+that could trip that up: repeats, -0.0 next to 0.0, nan, +-inf, and columns
+longer than one write chunk.
 """
 
 import dataclasses
@@ -100,22 +101,25 @@ def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
 
 
 def _chain_columns(chains) -> dict:
-    """The writer's step columns, flattened from chain objects step by step."""
-    rows = []
+    """The writer's input, cascade._Steps.columns, from chain objects step by
+    step: steps whose float cells are the same bits share one channel."""
+    names = ("j", "log_prob_norm", "log_weight_raw", "mass_before", "omega", "q")
+    channels: dict[bytes, int] = {}
+    cells, steps = [], []
     for index, chain in enumerate(chains):
         mass_before = chain.initial.m
         for step_no, step in enumerate(chain.steps):
             e = step.emission
-            rows.append(
-                (index, step_no, e.omega, e.q, e.j, mass_before, step.log_weight, step.log_prob)
-            )
+            row = np.array([e.j, step.log_prob, step.log_weight, mass_before, e.omega, e.q])
+            channel = channels.setdefault(row.tobytes(), len(channels))
+            if channel == len(cells):
+                cells.append(row)
+            steps.append((index, step_no, channel))
             mass_before = step.state_after.m
-    names = (
-        "sample_index", "step", "omega", "q", "j", "mass_before", "log_weight_raw", "log_prob_norm"
-    )
-    dtypes = (np.int64, np.int64) + (np.float64,) * 6
-    values = list(zip(*rows)) or [()] * len(names)
-    return {name: np.array(v, dtype=dtype) for name, dtype, v in zip(names, dtypes, values)}
+    columns = np.array(steps, dtype=np.int64).reshape(-1, 3).T
+    cells = np.array(cells).reshape(-1, len(names)).T
+    return {"sample_index": columns[0], "step": columns[1], "channel": columns[2],
+            "cells": dict(zip(names, cells))}
 
 
 def _column(rng, n: int) -> np.ndarray:
@@ -194,6 +198,26 @@ def test_csv_writer_peak_memory(tmp_path, n_omega):
     finally:
         tracemalloc.stop()
     assert peak <= 4.5e6
+
+
+# The JSONL writer holds one chunk of rows and their cells' texts, plus the
+# omega axis: no column of n_bins values (24 B per bin for the three axes).
+# A short chunk keeps the run under tracemalloc quick and the bound tight.
+@pytest.mark.parametrize("with_thermal", [True, False], ids=["thermal", "no-thermal"])
+def test_jsonl_writer_peak_memory(tmp_path, monkeypatch, with_thermal):
+    monkeypatch.setattr(writers, "_ROW_CHUNK", 1024)
+    state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+    spec = GridSpec(omega_max=1.5, n_omega=1 << 13, q_step=0.25, n_q=4)
+    grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
+    thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM) if with_thermal else None
+    grid.weights()  # built once per grid, before the CLI's writer runs
+    tracemalloc.start()
+    try:
+        writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1e6
 
 
 KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
@@ -334,8 +358,14 @@ def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
         ),
         # No charge channel: chains make partial progress, then stick.
         (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875), CascadePolicy(energy_quantum=0.25)),
+        # Signed zeros: every state but the initial one carries the pinned
+        # 0.0, so only step 0 emits "q":-0.0 (or "j":-0.0).
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, -0.0),
+         CascadePolicy(energy_quantum=0.125, charge_quantum=0.125)),
+        (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, -0.0),
+         CascadePolicy(energy_quantum=0.125, charge_quantum=0.125, spin_quantum=0.125)),
     ],
-    ids=["schw", "rn", "kn-alpha", "rn-stuck"],
+    ids=["schw", "rn", "kn-alpha", "rn-stuck", "rn-minus-zero-q", "kn-minus-zero-j"],
 )
 def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state, policy):
     # The CLI's many-chain walk against 30 one-chain walks, row by row.
@@ -344,6 +374,19 @@ def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state,
     sample_ensemble(state, policy, 30, 3, chunks.append)
     _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 30, 3)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
+
+
+def test_chains_writer_keeps_a_zero_hair_sign_after_its_twin_state(tmp_path):
+    # BlackHoleState(..., -0.0) == BlackHoleState(..., 0.0): the table cached
+    # for one must not serve the other, whose initial row differs.
+    policy = CascadePolicy(energy_quantum=0.125, charge_quantum=0.125)
+    for q in (0.0, -0.0, 0.0):
+        chunks = []
+        sample_ensemble(BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, q), policy, 5, 1,
+                        chunks.append)
+        _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 5, 1)
+        step0 = json.loads((tmp_path / "c.jsonl").read_text().splitlines()[1])
+        assert np.signbit(step0["q"]) == np.signbit(q)
 
 
 def test_chains_writer_with_no_steps(tmp_path):
