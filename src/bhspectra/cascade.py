@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
+from .blackholes import BlackHoleState, Emission, _pick, entropy_drop, hairs_valid, logsumexp
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError
@@ -167,21 +167,24 @@ def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
 
 
 def _hairs_at(state, policy, plan, r, cq_left, cj_left):
-    """Canonical hairs at integer remaining counts (ints, or int arrays of one
-    shape) as float64 arrays, anchored at the initial state (a single product
-    each, so no cumulative drift along a chain). The endpoints are pinned
-    exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
-    zero. A disabled channel leaves its hair untouched."""
-    m = np.where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
+    """Canonical hairs at integer remaining counts, anchored at the initial
+    state (a single product each, so no cumulative drift along a chain):
+    floats at int counts, float64 arrays at int arrays of one shape, with
+    the same arithmetic. The endpoints are pinned exactly: r = 0 is the stop
+    mass, a fully shed charge or spin is exactly zero. A disabled channel
+    leaves its hair untouched."""
+    vector = isinstance(r, np.ndarray)
+    where = np.where if vector else _pick
+    m = where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
     if policy.charge_quantum is None:
-        q = np.full(np.shape(r), state.q)
+        q = np.full(r.shape, state.q) if vector else state.q
     else:
-        q = np.where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
+        q = where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
     if policy.spin_quantum is None:
-        j = np.full(np.shape(r), state.j)
+        j = np.full(r.shape, state.j) if vector else state.j
     else:
-        j = np.where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
-    return m, q, j
+        j = where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
+    return (m, q, j) if vector else (float(m), float(q), float(j))
 
 
 def _sign_range(left: int) -> np.ndarray:
@@ -199,7 +202,7 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     whose remnant is a valid macro-state. Empty arrays mean the cascade is
     stuck.
     """
-    m1, q1, j1 = hairs = tuple(map(float, _hairs_at(state, policy, plan, r, cq_left, cj_left)))
+    m1, q1, j1 = hairs = _hairs_at(state, policy, plan, r, cq_left, cj_left)
     ks = np.arange(1, r + 1)
     if cq_left == 0 and cj_left == 0:
         r2 = r - ks

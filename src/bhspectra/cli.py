@@ -14,32 +14,23 @@ Planck units. An optional flat JSON config file mirrors the flags one-to-one
 
 from __future__ import annotations
 
+# The front imports what parsing needs, argparse, and nothing else of weight:
+# json, datetime, dataclasses, pathlib and sha256 are imported by _load, a
+# command's first stage, and in the functions that use them, so --help and
+# usage errors load none of them.
 import argparse
-import dataclasses
 import importlib
-import json
 import sys
 import time
-from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 from .errors import (EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, EXIT_USAGE, SUITES, DomainError,
                      Normalization, UsageError)
 
-# sha256 from the builtin module: hashlib maps OpenSSL's libcrypto (~3.6 MB of
-# the command's resident memory, ~4 ms), which no command needs otherwise.
-try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
-
 # The package names the commands call, by module: each is imported on first access
 # as an attribute of this module (PEP 562), so --help and usage errors load no
-# numpy. Commands call them through _cli: a replaced attribute is the one called.
+# numpy and no stdlib module the front defers. Commands call them through _cli:
+# a replaced attribute is the one called.
 _LAZY = {name: module for module, names in (
     ("blackholes", ("state_from_record", "state_to_record")),
     ("cascade", ("CascadePolicy", "_ensemble_table", "sample_ensemble",
@@ -70,10 +61,34 @@ _cli = sys.modules[__name__]
 _import_s = 0.0
 
 
+# The stdlib modules the front defers and every command uses. _load imports them,
+# then the sha256 module, ahead of the package modules and numpy, in the order of
+# a front that imports them at module level: a command's peak RSS moves by up to
+# ~0.1 MB with the layout of its heap, which follows the order of its allocations.
+_DEFERRED = ("dataclasses", "json", "datetime", "pathlib")
+
+
+def _builtin_sha256():
+    """sha256 from the builtin module: hashlib maps OpenSSL's libcrypto (~3.6 MB
+    of the command's resident memory, ~4 ms), which no command needs otherwise."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
 def _load(*modules: str) -> None:
-    """Import the package modules a command runs: its first stage, import_s."""
+    """A command's first stage, import_s: the deferred stdlib modules and
+    sha256, then the package modules the command runs (and numpy with them)."""
     global _import_s
     t = time.perf_counter()
+    for module in _DEFERRED:
+        importlib.import_module(module)
+    _builtin_sha256()
     for module in modules:
         importlib.import_module(f".{module}", __package__)
     _import_s = time.perf_counter() - t
@@ -85,15 +100,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _utc_now() -> str:
+    from datetime import datetime, timezone
     return datetime.now(timezone.utc).isoformat()
 
 
 def _canonical_json(payload: dict) -> str:
+    import json
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def _output_dir(path: str) -> Path:
     """The output directory, created with its parents if missing."""
+    from pathlib import Path
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -102,6 +120,7 @@ def _output_dir(path: str) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    import json
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
@@ -116,7 +135,7 @@ def _manifest_hash(command: str, config: dict) -> str:
     """sha256 over the artifact, the command and the hashed configuration."""
     hashed_config = {k: v for k, v in config.items() if k not in _UNHASHED_KEYS}
     payload = {"artifact": _ARTIFACT, "command": command, "config": hashed_config}
-    return sha256(_canonical_json(payload).encode()).hexdigest()
+    return _builtin_sha256()(_canonical_json(payload).encode()).hexdigest()
 
 
 def write_manifest(outdir: Path, command: str, config: dict, manifest_hash: str, t0: float,
@@ -156,6 +175,8 @@ def write_manifest(outdir: Path, command: str, config: dict, manifest_hash: str,
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
+    import json
+    from pathlib import Path
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -177,6 +198,7 @@ def _file_value(key: str, value, kind, default):
     """
     if value is None and default is None:
         return None
+    import json
     if kind is bool or kind is str:
         ok = isinstance(value, kind)
     elif isinstance(kind, tuple):
@@ -285,7 +307,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     compute_s = time.perf_counter() - t0
 
     outdir = _output_dir(cfg["output_dir"])
-    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), grid_spec=dataclasses.asdict(spec))
+    from dataclasses import asdict
+    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), grid_spec=asdict(spec))
     manifest_hash = _manifest_hash("spectrum", manifest_cfg)
     if cfg["format"] == "csv":
         _cli.write_spectrum_csv(outdir / "spectrum.csv", grid, thermal, manifest_hash)
@@ -339,7 +362,8 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     table = _cli._ensemble_table(state, policy, n_samples, seed)
 
     outdir = _output_dir(cfg["output_dir"])
-    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), policy=dataclasses.asdict(policy))
+    from dataclasses import asdict
+    manifest_cfg = dict(cfg, state=_cli.state_to_record(state), policy=asdict(policy))
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone. Each chunk's rows

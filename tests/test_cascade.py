@@ -228,6 +228,35 @@ class TestEnumeration:
             assert raw == pytest.approx(expect, abs=1e-9)
 
 
+class TestHairsAt:
+    """_hairs_at gives floats at int counts and float64 arrays at int arrays,
+    with the same bits."""
+
+    @pytest.mark.parametrize("state,policy", [
+        (SCHW_HALF, POLICY_5),
+        (BlackHoleState(Family.SCHWARZSCHILD, 0.5, alpha=1.0),
+         CascadePolicy(energy_quantum=0.0625, stop_mass=0.25)),
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, -0.75),
+         CascadePolicy(energy_quantum=0.25, charge_quantum=-0.25)),
+        (BlackHoleState(Family.KERR_NEWMAN, 1.3, 0.3, -0.0),
+         CascadePolicy(energy_quantum=0.1, charge_quantum=0.1)),
+        (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.75),
+         CascadePolicy(energy_quantum=0.5, charge_quantum=0.25, spin_quantum=0.25)),
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2, 1), CascadePolicy(energy_quantum=1)),
+    ], ids=["schw", "stop-mass", "rn", "kn-charge", "kn-both", "ints"])
+    def test_scalar_counts_match_the_vector_bits(self, state, policy):
+        from bhspectra.cascade import _hairs_at, _plan, _sign_range
+
+        plan = _plan(state, policy)
+        counts = map(_sign_range, (plan.n_quanta, plan.n_charge, plan.n_spin))
+        r, cq, cj = (x.ravel() for x in np.meshgrid(*counts, indexing="ij"))
+        vector = _hairs_at(state, policy, plan, r, cq, cj)
+        for i, key in enumerate(zip(r.tolist(), cq.tolist(), cj.tolist())):
+            scalar = _hairs_at(state, policy, plan, *key)
+            assert all(type(h) is float for h in scalar)
+            assert np.array(scalar).tobytes() == np.array([h[i] for h in vector]).tobytes()
+
+
 class TestEnsembles:
     def test_single_sample_stats(self):
         stats = cascade_ensemble_stats(SCHW_HALF, POLICY_5, 1, seed=12)

@@ -22,14 +22,17 @@ ROOT = Path(__file__).resolve().parents[1]
 # when no args are given) and reports what the process looked like
 # afterwards, as its last stdout line.
 RUN_AS_MAIN = """
-import gc, json, os, runpy, sys
+import gc, os, runpy, sys
 sys.argv = ["bhspectra", *(sys.argv[1:] or ["--help"])]
 try:
     runpy.run_module("bhspectra", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
+modules = sorted(sys.modules)  # before this script imports json
+import json
 task = "/proc/self/task"
 print(json.dumps({
+    "modules": modules,
     "code": code,
     "blas_threads_var": os.environ.get("OPENBLAS_NUM_THREADS"),
     "numpy_loaded": "numpy" in sys.modules,
@@ -145,22 +148,44 @@ USAGE_ERRORS = [("cascade", "--n-samples", "abc"), ("spectrum", "--normalization
 SMALL_CASCADE = ("cascade", "--mass", "1", "--energy-quantum", "0.25", "--n-samples", "5")
 
 
+# The modules a bare interpreter loads in this environment: a site .pth file
+# may preload some (certifi's loads pathlib, for one).
+BARE = """
+import sys
+modules = sorted(sys.modules)
+import json
+print(json.dumps(modules))
+"""
+
+# Stdlib modules the CLI front defers to the commands: dataclasses pulls in
+# inspect (and ast, dis, tokenize); sha256 is _sha2 from Python 3.12, _sha256 before.
+DEFERRED = {"dataclasses", "inspect", "json", "datetime", "pathlib", "_sha2", "_sha256"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules() -> set[str]:
+    return set(run_child(BARE))
+
+
 class TestImportsPerCommand:
-    """The CLI front is stdlib-only: a command imports the modules it runs."""
+    """The CLI front imports argparse and bhspectra.errors: a command imports
+    the modules it runs."""
 
     @pytest.mark.parametrize("argv", [("--help",), *((c, "--help") for c in
                                       ("spectrum", "cascade", "verify", "typicality"))],
                              ids=" ".join)
-    def test_help_loads_no_numpy(self, argv):
+    def test_help_loads_no_numpy(self, argv, bare_modules):
         result = run_child(RUN_AS_MAIN, *argv)
         assert result["code"] == 0
         assert result["loaded"] == FRONT
+        assert sorted(DEFERRED & (set(result["modules"]) - bare_modules)) == []
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
-    def test_usage_error_loads_no_numpy(self, argv):
+    def test_usage_error_loads_no_numpy(self, argv, bare_modules):
         result = run_child(RUN_AS_MAIN, *argv)
         assert result["code"] == 1
         assert result["loaded"] == FRONT
+        assert sorted(DEFERRED & (set(result["modules"]) - bare_modules)) == []
 
     def test_cascade_loads_only_the_sampler_and_writers(self, tmp_path):
         result = run_child(RUN_AS_MAIN, *SMALL_CASCADE, "--output-dir", str(tmp_path))

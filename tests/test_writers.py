@@ -397,10 +397,24 @@ def test_chains_writer_with_no_steps(tmp_path):
 
 def test_format_column_keeps_signed_zero_and_order():
     values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
-    for fmt in ("%.16e".__mod__, json.dumps):
-        texts, index = writers._format_column(values, fmt)
-        assert [texts[i] for i in index.tolist()] == [fmt(v) for v in values.tolist()]
-        assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
+    texts, index = writers._format_column(values)
+    assert [texts[i] for i in index.tolist()] == [json.dumps(v) for v in values.tolist()]
+    assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.bool_])
+def test_json_texts_match_json_dumps_on_every_kind_of_value(dtype):
+    rng = np.random.default_rng(12)
+    if dtype is np.bool_:
+        values = np.array([True, False])
+    else:
+        # Random bit patterns cover every exponent, subnormals, nan payloads and infinities.
+        bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
+                            dtype=np.int64, endpoint=True)
+        edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                          np.finfo(np.float64).max, 1.0, 0.1, 1e16, 1e-5])
+        values = np.concatenate([edges, bits.view(np.float64)])
+    assert writers._json_texts(values) == [json.dumps(v) for v in values.tolist()]
 
 
 def test_e16_digit_table_matches_the_string_built_table():
