@@ -5,18 +5,23 @@ For each seed the script runs
 
     python3 perfbench/run.py --workload all --seconds <run_seconds> --trace 0 --seed <seed>
 
-with run_seconds read from BENCHMARK.json, once in an export of the parent commit and once in the working tree, each
-with its own perfbench/ and src/, alternating which side goes first. It then
+with run_seconds read from BENCHMARK.json, once in an export of the parent
+commit and once in a copy of the working tree, each with its own perfbench/
+and src/, alternating which side goes first. It then
 writes BENCH_<label>.json at the repo root: each side's metrics per seed,
 the median and quartiles of each metric per workload and side, how many
 pairs the change read lower in, the seeds, both commits and both sides'
 perfbench `env` blocks. It refuses to start if that file already exists, so
 no earlier set of runs is overwritten.
 
-The parent is exported with `git archive` into a temporary directory, removed
-at the end. Both sides' packages are compiled to bytecode before the first
-run, as an installed package is, so neither side compiles its modules on
-every run.
+The parent is exported with `git archive` to <tmp>/parent and the working
+tree's src/, perfbench/ and BENCHMARK.json are copied to <tmp>/change, in a
+temporary directory removed at the end. The two sides' paths are of equal
+length (a path's length alone can move a run's peak RSS by ~0.1 MB), and the
+copy leaves out bytecode and perfbench's outputs, so no `.pyc` compiled in
+another checkout is run. Both sides' packages are compiled to bytecode before
+the first run, as an installed package is, so neither side compiles its
+modules on every run.
 
 Run:
     python3 scripts/bench_pair.py --label gc_freeze --parent HEAD~2 --seeds 5 6 7 8 9
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -101,6 +107,22 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+# What a perfbench run takes from the working tree.
+MEASURED = ("src", "perfbench", "BENCHMARK.json")
+
+
+def copy_working_tree(dest: Path) -> None:
+    """The working tree's MEASURED files under dest, without bytecode
+    (__pycache__) or perfbench's outputs (perfbench/out)."""
+    skip = shutil.ignore_patterns("__pycache__", "out")
+    dest.mkdir()
+    for name in MEASURED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=skip)
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
 def run_side(side: Path, seed: int, seconds: float) -> dict:
     proc = subprocess.run(perfbench_argv(seconds) + ["--seed", str(seed)], cwd=side,
                           capture_output=True, text=True)
@@ -127,9 +149,10 @@ def main(argv: list[str] | None = None) -> int:
               "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        parent_dir = Path(tmp)
-        export(parent_commit, parent_dir)
-        sides = {"parent": parent_dir, "change": ROOT}
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        sides["parent"].mkdir()
+        export(parent_commit, sides["parent"])
+        copy_working_tree(sides["change"])
         for side in sides.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src/bhspectra"],
                            cwd=side, check=True)

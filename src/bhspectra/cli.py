@@ -297,7 +297,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
     report = _cli.build_info_report(grid) if cfg["report"] else None
-    # Health after the report: the cached grid.weights() would raise the report's peak.
     health = {
         "n_bins": grid.n_bins,
         "n_invalid": grid.n_bins - grid.n_valid,

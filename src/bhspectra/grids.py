@@ -14,7 +14,6 @@ which keeps conservation checks exact.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -117,14 +116,13 @@ class SpectrumGrid:
         return int(np.count_nonzero(self.valid))
 
     def weights(self) -> np.ndarray:
-        """exp(log_weight), 0.0 where it underflows or the bin is invalid; built once, read-only."""
-        return self._weights
+        """exp_weights of the grid's bins, computed on each call."""
+        return exp_weights(self.log_weight, self.valid)
 
-    @functools.cached_property
-    def _weights(self) -> np.ndarray:
-        out = np.zeros_like(self.log_weight)
-        v = self.valid
-        with np.errstate(under="ignore"):
-            out[v] = np.exp(self.log_weight[v])
-        out.flags.writeable = False
-        return out
+
+def exp_weights(log_weight: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """exp(log_weight), 0.0 where it underflows or the bin is invalid."""
+    out = np.zeros_like(log_weight)
+    with np.errstate(under="ignore"):
+        out[valid] = np.exp(log_weight[valid])
+    return out

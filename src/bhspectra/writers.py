@@ -189,99 +189,92 @@ def _json_rows(columns: dict, template: tuple[str, str, str, str] = _JSONL_ROW):
         yield "".join(parts)
 
 
-def _node_values(values: np.ndarray, spec) -> np.ndarray | None:
-    """The value of each omega node, if values (one per bin) is, bit for bit,
-    that value repeated over the node's q and j bins; else None."""
-    bits = values.view(np.int64).reshape(spec.n_omega, spec.n_q * spec.n_j)
-    if (bits == bits[:, :1]).all():
-        return values[:: spec.n_q * spec.n_j]
-    return None
+# The columns of a spectrum row, in CSV order.
+_SPECTRUM_COLUMNS = ("omega", "q", "j", "log_weight", "weight", "thermal_log_weight", "valid")
+
+
+def _spectrum_boxes(grid: SpectrumGrid, thermal, convert=np.asarray):
+    """The spectrum's columns box by box: (shape, {name: convert(column)})
+    per box of the (omega, q, j) grid, each column broadcast against shape.
+
+    A box is whole omega nodes, about _ROW_CHUNK bins, cut along q (then j)
+    where one node holds more, so its bins are consecutive rows. omega, q
+    and j are the GridSpec axes; thermal_log_weight is one value per omega
+    node when the baseline is that, bit for bit (always, when built by
+    spectrum.build_thermal_spectrum), one per bin otherwise, and nan per
+    node without a baseline. A column is cut to the box along the axes it
+    spans and kept whole along those it is broadcast over; one that every
+    box takes whole is converted once. weight is computed per box, by the
+    rule of SpectrumGrid.weights.
+    """
+    from .grids import exp_weights  # not at the top: the cascade command loads no grids
+
+    spec = grid.grid_spec
+    shape = (spec.n_omega, spec.n_q, spec.n_j)
+    omega, q, j = spec.axes()
+    thermal_lw = np.full((spec.n_omega, 1, 1), np.nan)
+    if thermal is not None:
+        thermal_lw = np.ascontiguousarray(thermal.log_weight, np.float64).reshape(shape)
+        bits = thermal_lw.view(np.int64).reshape(spec.n_omega, -1)
+        if (bits == bits[:, :1]).all():
+            thermal_lw = thermal_lw[:, :1, :1]
+    columns = dict(zip(_SPECTRUM_COLUMNS, (
+        omega, q[None], j[None, None], grid.log_weight.reshape(shape), None, thermal_lw,
+        grid.valid.reshape(shape))))
+    # A box is indices lo:lo + k of `axis`, the whole axes after it and one
+    # index of each axis before it.
+    axis = next(a for a in range(3) if math.prod(shape[a + 1 :]) <= _ROW_CHUNK)
+    k = min(_ROW_CHUNK // math.prod(shape[axis + 1 :]), shape[axis])
+    whole = {name: convert(values) for name, values in columns.items()
+             if values is not None and max(values.shape[: axis + 1]) == 1}
+    for outer in np.ndindex(shape[:axis]):
+        for lo in range(0, shape[axis], k):
+            box = (*(slice(i, i + 1) for i in outer), slice(lo, lo + k))
+            cut = {name: values[tuple(b if n > 1 else slice(None)
+                                      for b, n in zip(box, values.shape))]
+                   for name, values in columns.items() if values is not None}
+            cut["weight"] = exp_weights(cut["log_weight"], cut["valid"])
+            yield cut["log_weight"].shape, {
+                name: whole[name] if name in whole else convert(cut[name]) for name in columns}
 
 
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
     """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
-    exact), assembled as bytes, about _ROW_CHUNK rows at a time.
-
-    A chunk is a box of the (omega, q, j) grid, whole omega nodes unless one
-    node holds more than _ROW_CHUNK bins, and its rows are built as one
-    (k, n_q, n_j, row) byte array. The omega, q and j cells are formatted
-    from the GridSpec axes, one cell per axis value in the box, and
-    broadcast into it; so are the thermal baseline's when it is, bit for
-    bit, one value per omega node (always, when built by
-    spectrum.build_thermal_spectrum). The other columns are formatted bin by
-    bin. thermal_log_weight is nan throughout without a baseline.
-    """
-    spec = grid.grid_spec
-    shape = (spec.n_omega, spec.n_q, spec.n_j)
-    thermal_nodes = np.full(spec.n_omega, np.nan)
-    if thermal is not None:
-        thermal_nodes = _node_values(np.ascontiguousarray(thermal.log_weight, np.float64), spec)
-    # Each float column in CSV order: (axis, values along that grid axis)
-    # or (None, values of the bins).
-    columns = [
-        (0, spec.omega_nodes()),
-        (1, spec.q_values()),
-        (2, spec.j_values()),
-        (None, grid.log_weight),
-        (None, grid.weights()),
-        (None, thermal.log_weight) if thermal_nodes is None else (0, thermal_nodes),
-    ]
-    header = "omega,q,j,log_weight,weight,thermal_log_weight,valid"
+    exact), assembled as bytes box by box (see _spectrum_boxes). Each
+    column's cells are broadcast into the box's rows, one byte array of the
+    box's shape, so a grid axis is formatted once per value in the box."""
     flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
-    # The chunk's box: indices lo:hi of `axis`, the whole axes after it, and
-    # one index of each axis before it.
-    axis = next(a for a in range(3) if math.prod(shape[a + 1 :]) <= _ROW_CHUNK)
-    inner = math.prod(shape[axis + 1 :])
-    k = min(_ROW_CHUNK // inner, shape[axis])
-    width = len(columns) * _E16_WIDTH + 6
-    # The cells of the axes after `axis` (at most _ROW_CHUNK values), which
-    # every chunk takes whole, are formatted once; the rest chunk by chunk.
-    whole = {c: _format_e16(values)[0] for c, (along, values) in enumerate(columns)
-             if along is not None and along > axis}
-    # One row of cells per row of the file, the floats then the flag, NUL
-    # where a text is shorter than its cell; reused by every chunk.
-    buffer = bytearray(k * inner * width)
+
+    def cells(values: np.ndarray) -> np.ndarray:
+        if values.dtype == np.bool_:
+            return flag_text[values.astype(np.intp)]
+        return _format_e16(values)[0]
+
+    width = (len(_SPECTRUM_COLUMNS) - 1) * _E16_WIDTH + flag_text.shape[1]
+    # One row of cells per row of the file, NUL where a text is shorter than
+    # its cell; sized by the first box, the largest, and reused by the rest.
+    buffer = bytearray()
     with path.open("wb") as f:
-        f.write(f"# manifest_hash={manifest_hash}\n{header}\n".encode())
-        for outer in np.ndindex(shape[:axis]):
-            for lo in range(0, shape[axis], k):
-                hi = min(lo + k, shape[axis])
-                box = [slice(i, i + 1) for i in outer] + [slice(lo, hi)] + [slice(None)] * (2 - axis)
-                box_shape = (1,) * axis + (hi - lo,) + shape[axis + 1 :]
-                start = int(np.ravel_multi_index(outer + (lo,), shape[: axis + 1])) * inner
-                stop = start + (hi - lo) * inner
-                n_bytes = (stop - start) * width
-                rows = np.frombuffer(buffer, np.uint8, n_bytes).reshape(box_shape + (width,))
-                for c, (along, values) in enumerate(columns):
-                    cell = rows[..., c * _E16_WIDTH : (c + 1) * _E16_WIDTH]
-                    if along is None:
-                        cell[...] = _format_e16(values[start:stop])[0].reshape(cell.shape)
-                    else:
-                        cells = whole[c] if c in whole else _format_e16(values[box[along]])[0]
-                        stretch = [-1 if a == along else 1 for a in range(3)]
-                        cell[...] = cells.reshape(stretch + [_E16_WIDTH])
-                flag = flag_text[grid.valid[start:stop].astype(np.intp)]
-                rows[..., -6:] = flag.reshape(box_shape + (6,))
-                text = buffer if n_bytes == len(buffer) else buffer[:n_bytes]
-                f.write(text.translate(None, b"\0"))
+        f.write(f"# manifest_hash={manifest_hash}\n{','.join(_SPECTRUM_COLUMNS)}\n".encode())
+        for shape, box in _spectrum_boxes(grid, thermal, cells):
+            n_bytes = math.prod(shape) * width
+            if n_bytes > len(buffer):
+                buffer = bytearray(n_bytes)
+            rows = np.frombuffer(buffer, np.uint8, n_bytes).reshape(shape + (width,))
+            at = 0
+            for column in box.values():
+                rows[..., at : at + column.shape[-1]] = column
+                at += column.shape[-1]
+            del box  # not held while the next box is formatted
+            text = buffer if n_bytes == len(buffer) else buffer[:n_bytes]
+            f.write(text.translate(None, b"\0"))
 
 
 def _spectrum_rows(grid: SpectrumGrid, thermal, template=_JSONL_ROW):
-    """The spectrum's rows in the row template, _ROW_CHUNK rows at a time.
-
-    Each chunk takes its omega, q and j cells from the broadcast GridSpec
-    axes through their flat iterators, so no whole column of them is built.
-    thermal_log_weight is nan throughout when there is no thermal baseline.
-    """
-    omega, q, j = np.broadcast_arrays(*grid.grid_spec.axes())
-    weights = grid.weights()
-    for start in range(0, grid.n_bins, _ROW_CHUNK):
-        rows = slice(start, min(start + _ROW_CHUNK, grid.n_bins))
-        thermal_lw = thermal.log_weight[rows] if thermal else np.full(rows.stop - start, np.nan)
-        yield from _json_rows({"omega": omega.flat[rows], "q": q.flat[rows], "j": j.flat[rows],
-                               "log_weight": grid.log_weight[rows], "weight": weights[rows],
-                               "thermal_log_weight": thermal_lw, "valid": grid.valid[rows]},
-                              template)
+    """The spectrum's rows in the row template, box by box (see _spectrum_boxes)."""
+    for shape, box in _spectrum_boxes(grid, thermal):
+        yield from _json_rows({name: np.broadcast_to(values, shape).ravel()
+                               for name, values in box.items()}, template)
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:

@@ -92,3 +92,30 @@ def test_main_refuses_to_overwrite_a_bench_file(monkeypatch, tmp_path, capsys):
     assert exc.value.code == 2
     assert "BENCH_x.json exists" in capsys.readouterr().err
     assert (tmp_path / "BENCH_x.json").read_text() == "{}\n"
+
+
+def test_main_runs_both_sides_from_equal_length_paths_without_stale_bytecode(monkeypatch,
+                                                                            tmp_path):
+    root = tmp_path / "repo"
+    for name in ("src/bhspectra/cli.py", "src/bhspectra/__pycache__/cli.cpython-311.pyc",
+                 "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc",
+                 "perfbench/out/result.json", "tests/test_cli.py"):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("")
+    (root / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    monkeypatch.setattr(bench_pair, "ROOT", root)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "abc")
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: (dest / "src").mkdir())
+    monkeypatch.setattr(bench_pair.subprocess, "run", lambda *args, **kwargs: None)  # compileall
+    sides = {}
+
+    def run_side(side, seed, seconds):
+        sides[side] = sorted(p.relative_to(side).as_posix() for p in side.rglob("*")
+                             if p.is_file())
+        return bench_pair.parse_run(perfbench_stdout({"cascade_schw": 0.2}))
+
+    monkeypatch.setattr(bench_pair, "run_side", run_side)
+    assert bench_pair.main(["--label", "x", "--parent", "HEAD", "--seeds", "1"]) == 0
+    parent, change = sides
+    assert len(str(parent)) == len(str(change)) and parent != change
+    assert sides[change] == ["BENCHMARK.json", "perfbench/run.py", "src/bhspectra/cli.py"]

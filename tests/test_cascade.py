@@ -338,6 +338,17 @@ class TestEnsembles:
         with pytest.raises(UsageError, match=f"3 chains given for n_samples={n_samples}"):
             ensemble_stats_from_chains(chains, POLICY_5, n_samples, 33)
 
+    def test_stats_from_chains_above_the_census_cap_have_no_identities(self):
+        # 21 quanta is above the census cap of 20: no identity counts, as
+        # in the per-sample walk.
+        state = BlackHoleState(Family.SCHWARZSCHILD, 21 * 0.125)
+        policy = CascadePolicy(energy_quantum=0.125)
+        chains = [sample_cascade(state, policy, 4, i) for i in range(5)]
+        a = ensemble_stats_from_chains(chains, policy, 5, 4)
+        b = cascade_ensemble_stats(state, policy, 5, 4, method="per-sample")
+        assert a.identity_counts is None and b.identity_counts is None
+        assert a.to_json_dict() == b.to_json_dict()
+
     @pytest.mark.parametrize("n", [18, 20])
     def test_batch_identities_are_compositions(self, n):
         # Every batch identity is an ordered composition of the n quanta,

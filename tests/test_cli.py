@@ -190,6 +190,15 @@ class TestSpectrumCommand:
         s_r = json.loads((tmp_path / "info_report.json").read_text())["s_r"]
         assert s_r == 0.0 and math.copysign(1.0, s_r) == 1.0
 
+    def test_report_on_an_overflowing_entropy_exits_3_writing_nothing(self, tmp_path):
+        # S(M) = 4 pi M^2 overflows float64 beyond M ~ 3.8e153.
+        out = tmp_path / "out"
+        proc = run_subprocess("spectrum", "--mass", "1e200", "--omega-max", "1", "--bins", "8",
+                              "--normalization", "unitsum", "--report", "--output-dir", str(out))
+        assert proc.returncode == 3
+        assert "numerical failure" in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"mass": 2.0, "bins": 8, "omega_max": 1.0}))

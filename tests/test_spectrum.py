@@ -364,14 +364,17 @@ def test_unit_sum_of_raw_grid_equals_unit_sum_build(build, state, spec):
     assert unit_sum(want) is want
 
 
-def test_weights_are_built_once_and_read_only():
+def test_weights_are_exp_log_weight_on_valid_bins_and_zero_elsewhere():
     state, spec = AXIS_CASES["rn"]
     grid = build_spectrum(state, spec)
+    # One valid bin whose exp underflows, and one invalid bin with a finite log_weight.
+    grid = dataclasses.replace(grid, log_weight=grid.log_weight.copy(), valid=grid.valid.copy())
+    grid.log_weight[0], grid.valid[0] = -800.0, True
+    grid.log_weight[1], grid.valid[1] = -1.0, False
+    want = np.where(grid.valid, np.exp(np.where(grid.valid, grid.log_weight, 0.0)), 0.0)
     weights = grid.weights()
-    assert grid.weights() is weights
-    assert not weights.flags.writeable
-    with pytest.raises(ValueError):
-        weights[0] = 1.0
+    assert weights[0] == 0.0 and weights[1] == 0.0
+    assert weights.tobytes() == want.tobytes()
 
 
 def test_spectrum_grid_is_its_spec_state_and_weights():
@@ -409,6 +412,11 @@ class TestThermal:
     def test_extremal_has_no_thermal_baseline(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 1.0)
         with pytest.raises(DomainError):
+            thermal_log_weight(s, 0.1)
+
+    def test_zero_mass_has_no_thermal_baseline(self):
+        s = BlackHoleState(Family.SCHWARZSCHILD, 0.0)
+        with pytest.raises(DomainError, match="zero temperature"):
             thermal_log_weight(s, 0.1)
 
     def test_charged_baseline_uses_surface_gravity(self):
@@ -450,6 +458,13 @@ class TestCompareThermal:
         )
         assert cmp.kl_divergence >= -1e-12
         assert cmp.kl_divergence > 0.0  # non-thermality is detectable at omega ~ M
+
+    def test_no_common_valid_bin_rejected(self):
+        s = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
+        a = build_spectrum(s, GridSpec(omega_max=1.0, n_omega=4))
+        b = dataclasses.replace(a, valid=~a.valid)
+        with pytest.raises(UsageError, match="no bins are valid in both spectra"):
+            compare_thermal(a, b)
 
     def test_grid_mismatch_rejected(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 1.0)

@@ -190,7 +190,6 @@ def test_csv_writer_peak_memory(tmp_path, n_omega):
     spec = GridSpec(omega_max=1.5, n_omega=n_omega, q_step=0.25, n_q=4)
     grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
     thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM)
-    grid.weights()  # built once per grid, before the CLI's writer runs
     tracemalloc.start()
     try:
         writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
@@ -210,7 +209,6 @@ def test_jsonl_writer_peak_memory(tmp_path, monkeypatch, with_thermal):
     spec = GridSpec(omega_max=1.5, n_omega=1 << 13, q_step=0.25, n_q=4)
     grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
     thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM) if with_thermal else None
-    grid.weights()  # built once per grid, before the CLI's writer runs
     tracemalloc.start()
     try:
         writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
