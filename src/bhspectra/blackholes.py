@@ -67,12 +67,21 @@ class Family(str, Enum):
         return aliases[key]
 
 
+def _margin(m, q, j):
+    """The sub-extremality margin M^2 - Q^2 - (J/M)^2 of hairs with M != 0,
+    on floats or arrays; zero exactly at extremality."""
+    a = j / m
+    return m * m - q * q - a * a
+
+
 def _check_hairs(family: Family, m: float, q: float, j: float) -> None:
-    """Raise DomainError unless (m, q, j) is a valid macro-state of `family`."""
+    """Raise DomainError unless (m, q, j) is a valid macro-state of `family`
+    (hairs_valid at alpha = 0 decides; this only explains a refusal), and
+    FloatingPointError when finite hairs have a margin float64 cannot tell:
+    M^2 and Q^2 + (J/M)^2 both overflow, and their difference is nan."""
+    if hairs_valid(family, m, q, j, 0.0):
+        return
     if q == 0.0 and j == 0.0:
-        # Covers every family; m >= 0 is False for nan, so this also screens it.
-        if m >= 0.0 and m != math.inf:
-            return
         raise DomainError(f"mass must be non-negative and finite, got M={m}")
     if not (math.isfinite(m) and math.isfinite(q) and math.isfinite(j)):
         raise DomainError("hairs (M, Q, J) must all be finite")
@@ -84,12 +93,15 @@ def _check_hairs(family: Family, m: float, q: float, j: float) -> None:
         raise DomainError(f"mass must be non-negative, got M={m}")
     if m == 0.0:
         raise DomainError("a fully evaporated state must have Q = J = 0")
-    a = j / m
-    margin = m * m - q * q - a * a
-    if margin < 0.0:
-        raise DomainError(
-            f"super-extremal state (naked singularity): M^2 - Q^2 - (J/M)^2 = {margin}"
+    margin = _margin(m, q, j)
+    if math.isnan(margin):  # inf - inf; a margin of -inf is surely negative
+        raise FloatingPointError(
+            f"the sub-extremality margin M^2 - Q^2 - (J/M)^2 of (M={m}, Q={q}, J={j}) "
+            f"is {margin} in float64"
         )
+    raise DomainError(
+        f"super-extremal state (naked singularity): M^2 - Q^2 - (J/M)^2 = {margin}"
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,9 +216,10 @@ def _remnant_disc(m, q, j, omega, qe, je):
 def _area_sq(m, q, j, ops, root=None):
     """R_H^2 of valid hairs, from root = sqrt(D) when it is at hand. q = j = 0
     always routes through 4 M^2, so the family reductions RN(Q=0) ->
-    Schwarzschild and KN(J=0) -> RN are bit-exact."""
+    Schwarzschild and KN(J=0) -> RN are bit-exact; D (~M^4) is computed only
+    when some entry carries charge or spin."""
     sqrt, _, _, maximum, where = ops
-    if ops is _FLOAT_OPS and q == 0.0 and j == 0.0:
+    if not ((np.any(q) or np.any(j)) if ops is _ARRAY_OPS else (q or j)):
         return 4.0 * m * m
     if root is None:
         root = sqrt(maximum(_disc(m, q, j), 0.0))
@@ -301,64 +314,60 @@ def _blockwise(f, *args):
     return out if isinstance(part, tuple) else out[0]
 
 
-def _area_block(family: Family, m, q, j):
-    """R_H^2 of one block of hairs, nan off the macro-states. The kernel sees
-    only valid hairs (the rest as zeros), so M = inf raises no warning."""
-    ok = hairs_valid(family, m, q, j, 0.0)
-    if not ok.all():
-        m, q, j = (np.where(ok, x, 0.0) for x in (m, q, j))
-    return np.where(ok, _area_sq(m, q, j, _ARRAY_OPS), np.nan)
-
-
-def _entropy_block(family: Family, alpha: float, m, q, j):
-    s = math.pi * _area_block(family, m, q, j)
+def _entropy(m, q, j, alpha, ops):
+    """S = pi R_H^2 + alpha ln(pi R_H^2) of valid hairs, in nats; with
+    alpha != 0, nan where the horizon area is zero."""
+    _, log, _, _, where = ops
+    s = math.pi * _area_sq(m, q, j, ops)
     if alpha != 0.0:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            s = np.where(s > 0.0, s + alpha * np.log(s), np.nan)
+        positive = s > 0.0
+        s = where(positive, s + alpha * log(where(positive, s, 1.0)), math.nan)
     return s
 
 
-def _hairs(m, q, j):
-    return (np.asarray(x, dtype=np.float64) for x in (m, q, j))
-
-
-def area_radius_sq(family: Family, m, q=0.0, j=0.0) -> np.ndarray:
-    """Elementwise R_H^2 over arrays of hairs, in float64, in the broadcast
-    shape of the hairs.
-
-    Entries that are no macro-state of `family` (negative mass,
-    super-extremal, nonzero hairs at M = 0) come back nan.
-    Same arithmetic as the scalar path, so grid values and scalar values
-    agree bitwise.
-    """
-    return _blockwise(functools.partial(_area_block, family), *_hairs(m, q, j))
+def _entropy_block(family: Family, alpha: float, m, q, j):
+    """S of one block of hairs, nan off the macro-states. The kernel runs on
+    the hairs unbroadcast, so a term of one axis is computed once per axis
+    value; the nan it makes of hairs such as M = inf is masked, unwarned."""
+    ok = hairs_valid(family, m, q, j, 0.0)
+    with np.errstate(invalid="ignore"):
+        return np.where(ok, _entropy(m, q, j, alpha, _ARRAY_OPS), np.nan)
 
 
 def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
-    """Elementwise corrected entropy over arrays of hairs (float64, nan
-    where undefined). Same unvalidated semantics as area_radius_sq."""
-    return _blockwise(functools.partial(_entropy_block, family, alpha), *_hairs(m, q, j))
+    """Elementwise corrected entropy over arrays of hairs, in float64, in
+    their broadcast shape: nan off the macro-states of `family` (negative
+    mass, super-extremal, nonzero hairs at M = 0) and at zero area with
+    alpha != 0. The arithmetic of bh_entropy, so the two agree bitwise."""
+    hairs = (np.asarray(x, dtype=np.float64) for x in (m, q, j))
+    return _blockwise(functools.partial(_entropy_block, family, alpha), *hairs)
 
 
-def hairs_valid(family: Family, m, q, j, alpha: float) -> np.ndarray:
-    """Elementwise validity of (m, q, j) as a macro-state (bool array of
-    their broadcast shape).
+def hairs_valid(family: Family, m, q, j, alpha: float):
+    """Validity of (m, q, j) as a macro-state of `family`: a bool for float
+    hairs, elementwise a bool array of the broadcast shape when any hair is
+    an array. The one validity rule; BlackHoleState applies it at alpha = 0.
 
     A zero state (all hairs 0) counts as valid only for alpha = 0, where the
-    corrected entropy is still defined (S = 0). Hairs given as grid axes are
-    tested per axis; only the combined tests take the broadcast shape.
+    corrected entropy is still defined (S = 0). A nan margin (M^2 and
+    Q^2 + (J/M)^2 both overflow, from M ~ 1.3e154) is no macro-state. Hairs
+    given as grid axes are tested per axis; only the combined tests take the
+    broadcast shape.
     """
-    m = np.asarray(m, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    j = np.asarray(j, dtype=np.float64)
+    if not (isinstance(m, np.ndarray) or isinstance(q, np.ndarray) or isinstance(j, np.ndarray)):
+        if q == 0.0 and j == 0.0:  # every family; a nan mass fails both tests
+            return 0.0 < m < math.inf or (m == 0.0 and alpha == 0.0)
+        if family is Family.SCHWARZSCHILD or (family is Family.REISSNER_NORDSTROM and j != 0.0):
+            return False
+        return 0.0 < m < math.inf and _margin(m, q, j) >= 0.0
+    m, q, j = (np.asarray(x, dtype=np.float64) for x in (m, q, j))
     zero = (m == 0.0) & (q == 0.0) & (j == 0.0)
     pos = (m > 0.0) & (m < np.inf)  # a finite mass; non-finite q, j fail below
     if family is Family.SCHWARZSCHILD:
         ok = pos & (q == 0.0) & (j == 0.0)
     else:
         with np.errstate(invalid="ignore", divide="ignore"):
-            a = np.where(pos, j / np.where(pos, m, 1.0), 0.0)
-            margin = m * m - q * q - a * a
+            margin = _margin(m, q, j)  # read only where pos
         ok = pos & (margin >= 0.0)
         if family is Family.REISSNER_NORDSTROM:
             ok &= j == 0.0
@@ -402,42 +411,23 @@ def horizon_radius(state: BlackHoleState) -> float:
 
 def bh_entropy(state: BlackHoleState) -> float:
     """Corrected horizon entropy pi R_H^2 + alpha ln(pi R_H^2), in nats."""
-    s = math.pi * _area_sq(state.m, state.q, state.j, _FLOAT_OPS)
-    if state.alpha != 0.0:
-        if not s > 0.0:
-            raise DomainError(
-                "log-corrected entropy is undefined at zero horizon area (alpha != 0)"
-            )
-        s = s + state.alpha * math.log(s)
+    s = _entropy(state.m, state.q, state.j, state.alpha, _FLOAT_OPS)
+    if math.isnan(s) and not horizon_radius(state) > 0.0:
+        raise DomainError("log-corrected entropy is undefined at zero horizon area (alpha != 0)")
     return float(s)
-
-
-def _remnant_hairs(state: BlackHoleState, e: Emission) -> tuple[float, float, float]:
-    """Hairs left after an emission; RemnantInvalid if the channel is closed."""
-    m2 = state.m - e.omega
-    q2 = state.q - e.q
-    j2 = state.j - e.j
-    if q2 == 0.0 and j2 == 0.0 and m2 >= 0.0:  # uncharged fast path
-        return m2, q2, j2
-    try:
-        _check_hairs(state.family, m2, q2, j2)
-    except DomainError as exc:
-        raise RemnantInvalid(f"forbidden emission channel: {exc}") from exc
-    return m2, q2, j2
 
 
 def apply_emission(state: BlackHoleState, e: Emission) -> BlackHoleState:
     """State left behind after radiating `e`: hairs (M-omega, Q-q, J-j)."""
-    m2, q2, j2 = _remnant_hairs(state, e)
-    return BlackHoleState(state.family, m2, q2, j2, state.alpha)
+    try:
+        return state.with_hairs(state.m - e.omega, state.q - e.q, state.j - e.j)
+    except DomainError as exc:
+        raise RemnantInvalid(f"forbidden emission channel: {exc}") from exc
 
 
 def subextremality_margin(state: BlackHoleState) -> float:
     """M^2 - Q^2 - (J/M)^2; zero exactly at extremality."""
-    if state.m == 0.0:
-        return 0.0
-    a = state.j / state.m
-    return state.m * state.m - state.q * state.q - a * a
+    return 0.0 if state.m == 0.0 else _margin(state.m, state.q, state.j)
 
 
 def is_extremal(state: BlackHoleState) -> bool:

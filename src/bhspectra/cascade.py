@@ -200,7 +200,8 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     arrays (r2, cq2, cj2), the remnant hairs (m2, q2, j2), the raw
     log-weights, and the step's log-sum-exp total, all filtered to channels
     whose remnant is a valid macro-state. Empty arrays mean the cascade is
-    stuck.
+    stuck (log-sum-exp nan). FloatingPointError when an open channel's
+    log-weight or the total is not finite.
     """
     m1, q1, j1 = hairs = _hairs_at(state, policy, plan, r, cq_left, cj_left)
     ks = np.arange(1, r + 1)
@@ -220,7 +221,13 @@ def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
     if r2.size == 0:
         return hairs, r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
     logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
-    return hairs, r2, cq2, cj2, m2, q2, j2, logw, logsumexp(logw)
+    log_z = logsumexp(logw)
+    if not (np.isfinite(logw).all() and math.isfinite(log_z)):
+        raise FloatingPointError(
+            f"the cascade's entropy arithmetic left float64 range at (M, Q, J) = {hairs}: "
+            f"log-sum-exp {log_z!r} over {logw.size} open channels"
+        )
+    return hairs, r2, cq2, cj2, m2, q2, j2, logw, log_z
 
 
 # (state, policy) transition tables kept alive at once. Checks that draw random

@@ -29,7 +29,6 @@ from .blackholes import (
     Emission,
     Family,
     _blockwise,
-    _remnant_hairs,
     entropy_drop,
     hairs_valid,
     hawking_temperature,
@@ -43,11 +42,13 @@ from .grids import GridSpec, Normalization, SpectrumGrid
 
 def emission_log_weight(state: BlackHoleState, e: Emission) -> float:
     """log weight of one emission: corrected-entropy difference in nats,
-    from the kernel blackholes.entropy_drop."""
-    m2 = _remnant_hairs(state, e)[0]  # validity gate
-    if m2 == 0.0 and state.alpha != 0.0:
-        raise RemnantInvalid("remnant entropy undefined (zero horizon area with alpha != 0)")
-    return float(entropy_drop(state.m, state.q, state.j, state.alpha, e.omega, e.q, e.j))
+    from the kernel blackholes.entropy_drop. RemnantInvalid where
+    emission_log_weights flags the channel closed."""
+    m, q, j, alpha = state.m, state.q, state.j, state.alpha
+    if not hairs_valid(state.family, m - e.omega, q - e.q, j - e.j, alpha):
+        raise RemnantInvalid(f"forbidden emission channel: {e} leaves no macro-state "
+                             f"of {state.family.value} with alpha = {alpha}")
+    return float(entropy_drop(m, q, j, alpha, e.omega, e.q, e.j))
 
 
 def emission_log_weights(

@@ -23,6 +23,7 @@ from bhspectra import (
     state_from_record,
     state_to_record,
 )
+from bhspectra.blackholes import hairs_valid
 
 # Dyadic masses make emission arithmetic exact in floats.
 dyadic = st.integers(1, 1 << 20).map(lambda k: k / 1024.0)
@@ -73,9 +74,15 @@ class TestValidation:
         with pytest.raises(DomainError):
             BlackHoleState(Family.SCHWARZSCHILD, -1.0)
 
-    def test_super_extremal_rejected_with_named_condition(self):
+    # The last two margins are -inf: only Q^2 + (J/M)^2 overflows, so the
+    # sign is sure and the state is physics, not a numerical failure.
+    @pytest.mark.parametrize("family,hairs", [(Family.REISSNER_NORDSTROM, (1.0, 2.0, 0.0)),
+                                              (Family.REISSNER_NORDSTROM, (1.0, 1e200, 0.0)),
+                                              (Family.KERR_NEWMAN, (1e-200, 0.0, 1e200))],
+                             ids=["rn", "rn_charge_overflow", "kn_spin_overflow"])
+    def test_super_extremal_rejected_with_named_condition(self, family, hairs):
         with pytest.raises(DomainError, match="super-extremal"):
-            BlackHoleState(Family.REISSNER_NORDSTROM, 1.0, 2.0)
+            BlackHoleState(family, *hairs)
 
     def test_family_consistency(self):
         with pytest.raises(DomainError):
@@ -233,16 +240,31 @@ class TestSerialization:
         assert (s.q, s.j, s.alpha) == (0.0, 0.0, 0.0)
 
 
-def test_area_radius_kernel_matches_scalar_path():
-    from bhspectra.blackholes import area_radius_sq
+@pytest.mark.parametrize("alpha", [0.0, -0.5])
+def test_entropy_grid_matches_scalar_path(alpha):
+    from bhspectra.blackholes import entropy_grid
 
     m = np.array([1.0, 2.0, 3.0])
     q = np.array([0.0, 1.0, 0.5])
     j = np.array([0.0, 0.0, 1.5])
-    got = np.asarray(area_radius_sq(Family.KERR_NEWMAN, m, q, j), dtype=np.float64)
+    got = entropy_grid(Family.KERR_NEWMAN, m, q, j, alpha)
     for i in range(3):
-        r = horizon_radius(BlackHoleState(Family.KERR_NEWMAN, m[i], q[i], j[i]))
-        assert got[i] == pytest.approx(r * r, rel=1e-15)
+        state = BlackHoleState(Family.KERR_NEWMAN, m[i], q[i], j[i], alpha)
+        assert got[i] == bh_entropy(state)
+        area = math.pi * horizon_radius(state) ** 2
+        assert got[i] == pytest.approx(area + alpha * math.log(area), rel=1e-15)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_entropy_grid_of_a_heavy_uncharged_hole_is_silent(family):
+    # 4 pi M^2 is finite up to M ~ 1e154; D ~ M^4 overflows from M ~ 1.2e77,
+    # and an uncharged array must not compute it.
+    from bhspectra.blackholes import entropy_grid
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = entropy_grid(family, np.array([1e80]), 0.0, 0.0, 0.0)
+    assert got.tobytes() == np.array([bh_entropy(BlackHoleState(family, 1e80))]).tobytes()
 
 
 def test_uncharged_kernel_without_alpha_peaks_at_three_grid_arrays():
@@ -263,12 +285,12 @@ def test_uncharged_kernel_without_alpha_peaks_at_three_grid_arrays():
     assert peak <= 3 * ds.nbytes + (64 << 10)
 
 
-def test_area_radius_kernel_flags_invalid_as_nan():
-    from bhspectra.blackholes import area_radius_sq
+@pytest.mark.parametrize("alpha", [0.0, 1.5])
+def test_entropy_grid_flags_invalid_as_nan(alpha):
+    from bhspectra.blackholes import entropy_grid
 
-    got = np.asarray(
-        area_radius_sq(Family.REISSNER_NORDSTROM, np.array([1.0, -1.0]), np.array([2.0, 0.0])),
-        dtype=np.float64,
+    got = entropy_grid(
+        Family.REISSNER_NORDSTROM, np.array([1.0, -1.0]), np.array([2.0, 0.0]), 0.0, alpha
     )
     assert np.isnan(got).all()
 
@@ -277,15 +299,15 @@ def test_area_radius_kernel_flags_invalid_as_nan():
 def test_infinite_mass_is_no_macro_state(family):
     # BlackHoleState refuses M = inf; the array kernels agree with it, and
     # screen it from their arithmetic without a RuntimeWarning.
-    from bhspectra.blackholes import area_radius_sq, entropy_grid, hairs_valid
+    from bhspectra.blackholes import entropy_grid, hairs_valid
     from bhspectra.spectrum import emission_log_weights_bulk
 
     ms = np.array([np.inf, 1.0, np.nan, -np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert hairs_valid(family, ms, 0.0, 0.0, 0.0).tolist() == [False, True, False, False]
-        assert np.isnan(area_radius_sq(family, np.inf))
-        assert np.isnan(area_radius_sq(family, ms)).tolist() == [True, False, True, True]
+        assert [hairs_valid(family, m, 0.0, 0.0, 0.0) for m in ms.tolist()] == [
+            False, True, False, False]
         for alpha in (0.0, 1.5):
             assert np.isnan(entropy_grid(family, np.inf, 0.0, 0.0, alpha))
             assert np.isnan(entropy_grid(family, ms, 0.0, 0.0, alpha)).tolist() == [
@@ -323,3 +345,105 @@ def test_hairs_valid_on_axes_equals_flat(family, ms, qs, js, alpha):
     assert np.array_equal(got.ravel(), want)
     assert want.any() and not want.all()
     assert bool(got[list(ms).index(0.0), list(qs).index(0.0), list(js).index(0.0)]) == (alpha == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# One macro-state rule: hairs_valid decides for floats, arrays, BlackHoleState
+# and the scalar emission weight alike.
+# ---------------------------------------------------------------------------
+
+_SPECIAL_HAIRS = np.array([0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e200, 5e-324])
+
+
+def _hair_draws(seed: int, n: int):
+    """n seeded (m, q, j) triples: generic, nearly extremal (margin ~1e-12 M^2
+    on either side), exactly extremal, zero, negative, huge and non-finite."""
+    rng = np.random.default_rng(seed)
+
+    def some(x, p, values):  # x with a share p of its entries drawn from values
+        pick = rng.random(n) < p
+        x[pick] = rng.choice(values, pick.sum())
+        return x
+
+    m = some(rng.uniform(0.0, 2.0, n), 0.15, _SPECIAL_HAIRS)
+    q = m * some(rng.uniform(-1.2, 1.2, n), 0.1, [-1.0, 1.0])
+    # |a| at sqrt(M^2 - Q^2) (1 + d), d ~ 1e-12 either way, or generic.
+    with np.errstate(invalid="ignore", over="ignore"):
+        a_max = np.sqrt(np.maximum(m * m - q * q, 0.0))
+        j = m * a_max * some(rng.uniform(-1.2, 1.2, n), 0.4,
+                             [1.0 - 1e-12, 1.0, 1.0 + 1e-12, -1.0])
+    for x in (q, j):
+        some(x, 0.35, [0.0])
+        some(x, 0.08, _SPECIAL_HAIRS)
+    return m, q, j
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.75])
+@pytest.mark.parametrize("family", list(Family))
+def test_hairs_valid_on_floats_equals_arrays(family, alpha):
+    m, q, j = _hair_draws(26, 4000)
+    with np.errstate(over="ignore"):
+        want = hairs_valid(family, m, q, j, alpha)
+    got = [hairs_valid(family, *h, alpha) for h in zip(m.tolist(), q.tolist(), j.tolist())]
+    assert all(type(g) is bool for g in got)
+    assert got == want.tolist()
+    assert 100 < want.sum() < want.size - 100
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_black_hole_state_accepts_exactly_the_valid_hairs(family):
+    for m, q, j in zip(*(x.tolist() for x in _hair_draws(27, 1500))):
+        try:
+            BlackHoleState(family, m, q, j)
+            accepted = True
+        except (DomainError, FloatingPointError):
+            accepted = False
+        assert accepted == hairs_valid(family, m, q, j, 0.0), (m, q, j)
+
+
+@pytest.mark.parametrize(
+    "family,hairs",
+    [(Family.REISSNER_NORDSTROM, (1e200, 1e199, 0.0)),
+     (Family.KERR_NEWMAN, (1e200, 1e199, 1e199)),
+     (Family.KERR_NEWMAN, (1e200, -1e200, 0.0))],
+)
+def test_finite_hairs_with_an_overflowing_margin_are_a_numerical_failure(family, hairs):
+    # M^2 and Q^2 + (J/M)^2 both overflow: the margin is nan, its sign unknown.
+    with pytest.raises(FloatingPointError, match="sub-extremality margin"):
+        BlackHoleState(family, *hairs)
+    with pytest.raises(DomainError, match="finite"):
+        BlackHoleState(family, hairs[0], math.inf, hairs[2])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.75])
+@pytest.mark.parametrize("family", list(Family))
+def test_emission_log_weight_refuses_exactly_the_closed_bins(family, alpha):
+    from bhspectra.spectrum import emission_log_weight, emission_log_weights
+
+    rng = np.random.default_rng(28)
+    # Masses whose area 4 M^2 underflows are left out: with alpha != 0 their
+    # log-weight divides by a zero area.
+    hairs = zip(*(x.tolist() for x in _hair_draws(29, 400)))
+    states = [BlackHoleState(family, *h, alpha) for h in hairs
+              if 1e-3 <= h[0] <= 2.0 and hairs_valid(family, *h, 0.0)][:30]
+    # The evaporated state, and a hole whose whole mass one emission takes:
+    # with alpha != 0 both remnants have zero area.
+    states += [BlackHoleState(family, 0.0, alpha=alpha), BlackHoleState(family, 1.0, alpha=alpha)]
+    n_closed = 0
+    for state in states:
+        omega = np.append(rng.uniform(0.0, 1.2, 24) * state.m, [0.0, state.m])
+        qe, je = (np.where(rng.random(omega.size) < 0.5, 0.0, rng.uniform(-0.6, 0.6, omega.size))
+                  for _ in range(2))
+        logw, valid = emission_log_weights(state, omega, qe, je)
+        for i, e in enumerate(map(Emission, omega.tolist(), qe.tolist(), je.tolist())):
+            if valid[i]:
+                assert emission_log_weight(state, e) == pytest.approx(logw[i], rel=1e-12,
+                                                                      abs=1e-12)
+            else:
+                n_closed += 1
+                with pytest.raises(RemnantInvalid):
+                    emission_log_weight(state, e)
+    assert n_closed > 0
+    if alpha != 0.0:
+        with pytest.raises(RemnantInvalid):
+            emission_log_weight(BlackHoleState(family, 1.0, alpha=alpha), Emission(1.0))

@@ -151,6 +151,16 @@ class TestSampling:
         assert chain.terminated is Termination.STOP_MASS
         assert not chain.is_complete
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_log_weights_raise_where_the_row_is_built(self):
+        # omega (2M - omega) overflows at M = 1e200; a stuck row (above) has
+        # no channels and a nan log-sum-exp, and is no failure.
+        s = BlackHoleState(Family.SCHWARZSCHILD, 1e200)
+        with pytest.raises(FloatingPointError, match="10 open channels"):
+            sample_cascade(s, CascadePolicy(energy_quantum=1e199), seed=0)
+        with pytest.raises(FloatingPointError):
+            enumerate_chains(s, CascadePolicy(energy_quantum=1e199))
+
     def test_partial_progress_then_stuck(self):
         s = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875)
         chain = sample_cascade(s, CascadePolicy(energy_quantum=0.25), seed=5)

@@ -394,6 +394,43 @@ class TestCascadeCommand:
             if row["step"] == 0:
                 assert row["mass_before"] == 0.5
 
+    # The log-weights leave float64 range: omega (2M - omega) at M = 1e200,
+    # and the charged kernel's M^4 at M = 1e100, where S(M) is finite.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--mass", "1e200", "--energy-quantum", "1e199"),
+            ("--family", "rn", "--mass", "1e100", "--charge", "5e99",
+             "--energy-quantum", "1e99", "--charge-quantum", "5e99"),
+        ],
+        ids=["schw", "rn_disc"],
+    )
+    def test_non_finite_transition_row_exits_3_writing_nothing(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli("cascade", *args, "--n-samples", "2", "--output-dir", str(out)) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # no chains.jsonl(.part), ensemble or manifest
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [
+        ("spectrum", ("--omega-max", "1", "--bins", "8")),
+        ("cascade", ("--energy-quantum", "1e199", "--n-samples", "2")),
+    ],
+)
+def test_an_overflowing_margin_exits_3_writing_nothing(tmp_path, command, args):
+    # M^2 - Q^2 is inf - inf: the state is refused on Python floats, before
+    # numpy computes anything, so nothing warns.
+    out = tmp_path / "out"
+    proc = run_subprocess(command, "--family", "rn", "--mass", "1e200", "--charge", "1e199",
+                          *args, "--output-dir", str(out))
+    assert proc.returncode == 3
+    assert "numerical failure" in proc.stderr and "sub-extremality margin" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_suite_passes_and_writes_report(self, tmp_path):
