@@ -366,7 +366,7 @@ def hairs_valid(family: Family, m, q, j, alpha: float):
     if family is Family.SCHWARZSCHILD:
         ok = pos & (q == 0.0) & (j == 0.0)
     else:
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             margin = _margin(m, q, j)  # read only where pos
         ok = pos & (margin >= 0.0)
         if family is Family.REISSNER_NORDSTROM:

@@ -44,7 +44,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, _pick, entropy_drop, hairs_valid, logsumexp
+from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError
@@ -169,65 +169,24 @@ def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
 def _hairs_at(state, policy, plan, r, cq_left, cj_left):
     """Canonical hairs at integer remaining counts, anchored at the initial
     state (a single product each, so no cumulative drift along a chain):
-    floats at int counts, float64 arrays at int arrays of one shape, with
-    the same arithmetic. The endpoints are pinned exactly: r = 0 is the stop
-    mass, a fully shed charge or spin is exactly zero. A disabled channel
-    leaves its hair untouched."""
-    vector = isinstance(r, np.ndarray)
-    where = np.where if vector else _pick
-    m = where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
+    float64 arrays at int arrays of one shape. The endpoints are pinned
+    exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
+    zero. A disabled channel leaves its hair untouched."""
+    m = np.where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
     if policy.charge_quantum is None:
-        q = np.full(r.shape, state.q) if vector else state.q
+        q = np.full(r.shape, state.q)
     else:
-        q = where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
+        q = np.where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
     if policy.spin_quantum is None:
-        j = np.full(r.shape, state.j) if vector else state.j
+        j = np.full(r.shape, state.j)
     else:
-        j = where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
-    return (m, q, j) if vector else (float(m), float(q), float(j))
+        j = np.where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
+    return m, q, j
 
 
 def _sign_range(left: int) -> np.ndarray:
     """Move counts 0..|left| carrying the sign of the remaining quanta."""
     return np.arange(0, abs(left) + 1) * (1 if left >= 0 else -1)
-
-
-def _step_channels(state, policy, plan, r: int, cq_left: int, cj_left: int):
-    """Open emission channels with r energy quanta (and cq_left / cj_left
-    charge / spin quanta) remaining.
-
-    Returns the state's hairs (m1, q1, j1), the candidate remaining-count
-    arrays (r2, cq2, cj2), the remnant hairs (m2, q2, j2), the raw
-    log-weights, and the step's log-sum-exp total, all filtered to channels
-    whose remnant is a valid macro-state. Empty arrays mean the cascade is
-    stuck (log-sum-exp nan). FloatingPointError when an open channel's
-    log-weight or the total is not finite.
-    """
-    m1, q1, j1 = hairs = _hairs_at(state, policy, plan, r, cq_left, cj_left)
-    ks = np.arange(1, r + 1)
-    if cq_left == 0 and cj_left == 0:
-        r2 = r - ks
-        cq2 = np.zeros(r, dtype=np.int64)
-        cj2 = np.zeros(r, dtype=np.int64)
-    else:
-        mq = _sign_range(cq_left)
-        mj = _sign_range(cj_left)
-        k, cq, cj = (x.ravel() for x in np.meshgrid(ks, mq, mj, indexing="ij"))
-        r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
-    m2, q2, j2 = _hairs_at(state, policy, plan, r2, cq2, cj2)
-    ok = hairs_valid(state.family, m2, q2, j2, state.alpha)
-    if not ok.all():
-        r2, cq2, cj2, m2, q2, j2 = (x[ok] for x in (r2, cq2, cj2, m2, q2, j2))
-    if r2.size == 0:
-        return hairs, r2, cq2, cj2, m2, q2, j2, np.empty(0), float("nan")
-    logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
-    log_z = logsumexp(logw)
-    if not (np.isfinite(logw).all() and math.isfinite(log_z)):
-        raise FloatingPointError(
-            f"the cascade's entropy arithmetic left float64 range at (M, Q, J) = {hairs}: "
-            f"log-sum-exp {log_z!r} over {logw.size} open channels"
-        )
-    return hairs, r2, cq2, cj2, m2, q2, j2, logw, log_z
 
 
 # (state, policy) transition tables kept alive at once. Checks that draw random
@@ -237,7 +196,7 @@ _TABLE_CACHE_SIZE = 1024
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """Open channels out of one transition state, in _step_channels order."""
+    """Open channels out of one transition state, in __missing__'s order."""
 
     key: tuple[int, int, int]             # the state's (r, cq_left, cj_left)
     hairs: tuple[float, float, float]     # the state's (M, Q, J)
@@ -263,8 +222,34 @@ class _TransitionTable(dict):
         self.plan = _plan(state, policy)
 
     def __missing__(self, key: tuple[int, int, int]) -> _Row:
-        hairs, *channels, logw, log_z = _step_channels(self.state, self.policy, self.plan, *key)
+        """The row of key = (r, cq_left, cj_left): each move of 1..r energy,
+        0..|cq_left| charge and 0..|cj_left| spin quanta to a valid
+        macro-state (none: stuck). FloatingPointError when an open channel's
+        log-weight or the log-sum-exp is not finite."""
+        state, plan = self.state, self.plan
+        r, cq_left, cj_left = key
+        ks = np.arange(1, r + 1)
+        if cq_left == 0 and cj_left == 0:
+            r2, cq2, cj2 = r - ks, *[np.zeros(r, dtype=np.int64)] * 2
+        else:
+            k, cq, cj = map(np.ravel, np.meshgrid(ks, *map(_sign_range, key[1:]), indexing="ij"))
+            r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
+        prepended = (np.concatenate(([c], x)) for c, x in zip(key, (r2, cq2, cj2)))
+        m, q, j = _hairs_at(state, self.policy, plan, *prepended)  # entry 0: the state itself
+        m1, q1, j1 = hairs = (float(m[0]), float(q[0]), float(j[0]))
+        channels = [r2, cq2, cj2, m[1:], q[1:], j[1:]]
+        ok = hairs_valid(state.family, *channels[3:], state.alpha)
+        if not ok.all():
+            channels = [x[ok] for x in channels]
+        m2, q2, j2 = channels[3:]
+        logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
+        log_z = logsumexp(logw)
         logp = logw - log_z
+        if not np.isfinite(logp).all():
+            raise FloatingPointError(
+                f"the cascade's entropy arithmetic left float64 range at (M, Q, J) = {hairs}: "
+                f"log-sum-exp {log_z!r} over {logw.size} open channels"
+            )
         cdf = np.cumsum(np.exp(logp))
         if cdf.size:
             cdf[-1] = 1.0
@@ -272,7 +257,6 @@ class _TransitionTable(dict):
             a.flags.writeable = False  # shared by every caller of the cached table
         # The initial row keeps the state's own hairs: _hairs_at pins a zero
         # count's hair to 0.0, which would drop the sign of Q = -0.0 or J = -0.0.
-        state, plan = self.state, self.plan
         if key == (plan.n_quanta, plan.n_charge, plan.n_spin):
             hairs = (state.m, state.q, state.j)
         row = self[key] = _Row(key, hairs, *channels, logw, logp, cdf)
@@ -412,6 +396,13 @@ class _Steps(list):
         return census
 
 
+def _step(state: BlackHoleState, before: BlackHoleState, row: _Row, i: int) -> CascadeStep:
+    """Channel i of row, taken from before, a state of the cascade of state."""
+    after = state.with_hairs(float(row.m2[i]), float(row.q2[i]), float(row.j2[i]))
+    emission = Emission(before.m - after.m, before.q - after.q, before.j - after.j)
+    return CascadeStep(emission, after, float(row.logw[i]), float(row.logp[i]))
+
+
 def sample_cascade(
     state: BlackHoleState, policy: CascadePolicy, seed: int, sample_index: int = 0
 ) -> EmissionChain:
@@ -427,11 +418,7 @@ def sample_cascade(
     steps: list[CascadeStep] = []
 
     def take(idx, row, pick):
-        i = int(pick[0])
-        before = steps[-1].state_after if steps else state
-        after = state.with_hairs(float(row.m2[i]), float(row.q2[i]), float(row.j2[i]))
-        emission = Emission(before.m - after.m, before.q - after.q, before.j - after.j)
-        steps.append(CascadeStep(emission, after, float(row.logw[i]), float(row.logp[i])))
+        steps.append(_step(state, steps[-1].state_after if steps else state, row, int(pick[0])))
 
     draw = _per_sample_draw(seed, [sample_index], table.plan.n_quanta)
     stuck = bool(_walk(table, 1, draw, take)[4][0])
@@ -487,10 +474,9 @@ def enumerate_chains(
             return
         row = table[r, 0, 0]
         for i in range(row.r2.size):
-            after = state.with_hairs(float(row.m2[i]), current.q, current.j)
-            step = CascadeStep(Emission(current.m - after.m), after, float(row.logw[i]),
-                               float(row.logp[i]))
-            walk(after, int(row.r2[i]), (*steps, step), raw + step.log_weight, norm + step.log_prob)
+            step = _step(state, current, row, i)
+            walk(step.state_after, int(row.r2[i]), (*steps, step), raw + step.log_weight,
+                 norm + step.log_prob)
 
     walk(state, n, (), 0.0, 0.0)
     return results

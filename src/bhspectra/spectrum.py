@@ -43,12 +43,16 @@ from .grids import GridSpec, Normalization, SpectrumGrid
 def emission_log_weight(state: BlackHoleState, e: Emission) -> float:
     """log weight of one emission: corrected-entropy difference in nats,
     from the kernel blackholes.entropy_drop. RemnantInvalid where
-    emission_log_weights flags the channel closed."""
+    emission_log_weights flags the channel closed; FloatingPointError at a
+    zero float64 horizon area (alpha != 0)."""
     m, q, j, alpha = state.m, state.q, state.j, state.alpha
     if not hairs_valid(state.family, m - e.omega, q - e.q, j - e.j, alpha):
         raise RemnantInvalid(f"forbidden emission channel: {e} leaves no macro-state "
                              f"of {state.family.value} with alpha = {alpha}")
-    return float(entropy_drop(m, q, j, alpha, e.omega, e.q, e.j))
+    try:
+        return float(entropy_drop(m, q, j, alpha, e.omega, e.q, e.j))
+    except (ZeroDivisionError, ValueError):  # dR^2 / R^2 or log(R'^2 / R^2) at R^2 = 0
+        raise FloatingPointError(f"a float64 horizon area is 0 at {state} or after {e}") from None
 
 
 def emission_log_weights(

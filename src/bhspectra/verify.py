@@ -372,7 +372,9 @@ def suite_cascade(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
         _max_check("enumeration_norm_total", abs(float(logsumexp(norms))), 1e-9, "log-sum-exp of 16")
     )
 
-    stats = cascade_ensemble_stats(state, policy, 200_000, seed, method="batch")
+    # A fixed seed: one p >= 0.01 test on fresh draws would fail a correct
+    # sampler at 1% of seeds. The check sees a CDF that disagrees with its row.
+    stats = cascade_ensemble_stats(state, policy, 200_000, 0, method="batch")
     expected = np.exp(norms) * stats.n_samples
     observed = np.array(
         [stats.identity_counts.get(chain_identity(chain, policy), 0) for chain, _, _ in chains],

@@ -415,6 +415,18 @@ def test_finite_hairs_with_an_overflowing_margin_are_a_numerical_failure(family,
         BlackHoleState(family, hairs[0], math.inf, hairs[2])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family", [Family.REISSNER_NORDSTROM, Family.KERR_NEWMAN])
+def test_subnormal_mass_with_spin_is_screened_silently(family):
+    # J / M overflows in the margin at M = 5e-324: no macro-state, no warning.
+    from bhspectra.spectrum import emission_log_weights
+
+    one = np.ones(1)
+    assert not hairs_valid(Family.KERR_NEWMAN, 5e-324 * one, 0.0 * one, one, 0.0).any()
+    log_w, valid = emission_log_weights(BlackHoleState(family, 1e-323), 5e-324 * one, 0.0, -one)
+    assert not valid.any() and np.isnan(log_w).all()
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.75])
 @pytest.mark.parametrize("family", list(Family))
 def test_emission_log_weight_refuses_exactly_the_closed_bins(family, alpha):

@@ -238,9 +238,9 @@ class TestEnumeration:
             assert raw == pytest.approx(expect, abs=1e-9)
 
 
-class TestHairsAt:
-    """_hairs_at gives floats at int counts and float64 arrays at int arrays,
-    with the same bits."""
+class TestRowHairs:
+    """A row's own hairs and its remnants' come from one formula, so every
+    channel leads to a row whose hairs are that channel's remnant hairs."""
 
     @pytest.mark.parametrize("state,policy", [
         (SCHW_HALF, POLICY_5),
@@ -254,17 +254,21 @@ class TestHairsAt:
          CascadePolicy(energy_quantum=0.5, charge_quantum=0.25, spin_quantum=0.25)),
         (BlackHoleState(Family.REISSNER_NORDSTROM, 2, 1), CascadePolicy(energy_quantum=1)),
     ], ids=["schw", "stop-mass", "rn", "kn-charge", "kn-both", "ints"])
-    def test_scalar_counts_match_the_vector_bits(self, state, policy):
-        from bhspectra.cascade import _hairs_at, _plan, _sign_range
+    def test_each_channel_leads_to_a_row_with_its_remnant_hairs(self, state, policy):
+        from bhspectra.cascade import _transition_table
 
-        plan = _plan(state, policy)
-        counts = map(_sign_range, (plan.n_quanta, plan.n_charge, plan.n_spin))
-        r, cq, cj = (x.ravel() for x in np.meshgrid(*counts, indexing="ij"))
-        vector = _hairs_at(state, policy, plan, r, cq, cj)
-        for i, key in enumerate(zip(r.tolist(), cq.tolist(), cj.tolist())):
-            scalar = _hairs_at(state, policy, plan, *key)
-            assert all(type(h) is float for h in scalar)
-            assert np.array(scalar).tobytes() == np.array([h[i] for h in vector]).tobytes()
+        table = _transition_table(state, policy)
+        plan = table.plan
+        todo, seen = [(plan.n_quanta, plan.n_charge, plan.n_spin)], set()
+        while todo:
+            row = table[todo.pop()]
+            for i, key in enumerate(zip(*(x.tolist() for x in (row.r2, row.cq2, row.cj2)))):
+                remnant = np.array([row.m2[i], row.q2[i], row.j2[i]])
+                assert remnant.tobytes() == np.array(table[key].hairs).tobytes(), key
+                if key not in seen:
+                    seen.add(key)
+                    todo.append(key)
+        assert seen
 
 
 class TestEnsembles:
@@ -276,11 +280,9 @@ class TestEnsembles:
 
     def test_first_emission_marginal_matches_step_distribution(self):
         # Oracle: the exact per-step unit-sum weights of the first step.
-        from bhspectra.cascade import _plan, _step_channels
+        from bhspectra.cascade import _transition_table
 
-        plan = _plan(SCHW_HALF, POLICY_5)
-        *_, logw, log_z = _step_channels(SCHW_HALF, POLICY_5, plan, 5, 0, 0)
-        p = np.exp(logw - log_z)
+        p = np.exp(_transition_table(SCHW_HALF, POLICY_5)[5, 0, 0].logp)
         n = 100_000
         stats = cascade_ensemble_stats(SCHW_HALF, POLICY_5, n, seed=21, method="batch")
         for k in range(1, 6):

@@ -83,6 +83,15 @@ class TestEmissionLogWeight:
         with pytest.raises(RemnantInvalid):
             emission_log_weight(s, Emission(1.0))
 
+    @pytest.mark.parametrize("m,omega", [(1e-170, 1e-171), (1e-150, 1e-150 * (1 - 2**-52))],
+                             ids=["state", "remnant"])
+    def test_corrected_weight_at_a_zero_float64_area_is_a_numerical_failure(self, m, omega):
+        # 4 M^2 underflows to 0 for the state (M = 1e-170) or for the
+        # remnant (M' ~ 2.7e-166), where the log-corrected entropy is undefined.
+        s = BlackHoleState(Family.SCHWARZSCHILD, m, alpha=1.0)
+        with pytest.raises(FloatingPointError, match="float64 horizon area"):
+            emission_log_weight(s, Emission(omega))
+
     @given(
         m=st.floats(1e-3, 1e3),
         w_frac=st.floats(1e-6, 1.0),

@@ -1,5 +1,6 @@
 """Structure and behavior of the verification suites."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -80,6 +81,36 @@ def test_chi2_sf_matches_scipy():
         got = np.array([chi2_sf(v, k) for v in x.tolist()])
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"k={k}")
     assert chi2_sf(0.0, 15) == 1.0
+
+
+def test_sampler_chisquare_passes_at_a_seed_whose_own_draws_fail():
+    # Drawn from --seed 1548685454, the ensemble read p = 6.4e-3 < 0.01.
+    report = suite_cascade(seed=1548685454)
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_sampler_chisquare_fails_a_cdf_that_disagrees_with_its_row(monkeypatch):
+    # Swap the first two channels' probabilities in every row's CDF only: the
+    # sampler draws the swapped law, enumeration reads the row's logp.
+    from bhspectra import cascade
+
+    build = cascade._TransitionTable.__missing__
+
+    def swapped(self, key):
+        row = build(self, key)
+        if row.cdf.size > 1:
+            cdf = row.cdf.copy()
+            cdf[0] = row.cdf[1] - row.cdf[0]
+            row = self[key] = dataclasses.replace(row, cdf=cdf)
+        return row
+
+    cascade._cached_table.cache_clear()
+    monkeypatch.setattr(cascade._TransitionTable, "__missing__", swapped)
+    try:
+        checks = {c.name: c for c in suite_cascade(seed=0).checks}
+    finally:
+        cascade._cached_table.cache_clear()
+    assert [c.name for c in checks.values() if not c.passed] == ["sampler_chisquare_p"]
 
 
 def test_cascade_suite_runs_without_scipy(tmp_path):
