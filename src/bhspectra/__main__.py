@@ -7,13 +7,15 @@ A value the caller set wins.
 
 numpy.random imports hashlib (bit_generator -> secrets -> hmac), and hashlib
 maps OpenSSL's libcrypto through _hashlib: ~3.6 MB of resident memory that
-no command uses (the manifest hash takes the builtin sha256, see cli). So the
-CLI blocks _hashlib before numpy loads (a None entry in sys.modules makes its
-import fail), and hashlib and hmac take the interpreter's builtin hash
-modules instead. The block is set only where _hashlib is not loaded yet and
-every builtin module hashlib falls back to exists; where one is missing,
-hashlib would log an error for each hash it cannot build. Library users
-(`import bhspectra`) keep their BLAS settings and their OpenSSL hashes.
+no command uses (the manifest hash takes the builtin sha256, see cli). Of the
+commands, verify and typicality import numpy.random (cascade computes its
+streams without it). So the CLI blocks _hashlib before numpy loads (a None
+entry in sys.modules makes its import fail), and hashlib and hmac take the
+interpreter's builtin hash modules instead. The block is set only where
+_hashlib is not loaded yet and every builtin module hashlib falls back to
+exists; where one is missing, hashlib would log an error for each hash it
+cannot build. Library users (`import bhspectra`) keep their BLAS settings
+and their OpenSSL hashes.
 
 When the command returns, the entry point freezes the heap (`gc.freeze()`).
 Interpreter exit runs forced passes of the cyclic collector over every live

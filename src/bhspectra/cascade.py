@@ -27,9 +27,10 @@ channels, raw log-weights, log-probabilities and CDF are built once per
 (state, policy) and looked up afterwards. The one sampler, a lockstep walk
 over all live chains of an ensemble, and the enumeration oracle read it.
 
-Randomness: each per-sample chain draws from its own generator, derived by
-mixing (seed, sample_index), so a sample is reproducible on its own and
-does not depend on the chains walked beside it. The batch method for very
+Randomness: each per-sample chain draws from its own stream, numpy's
+PCG64(SeedSequence((seed, sample_index))).random() reproduced bit for bit
+without numpy.random, so a sample is reproducible on its own and does not
+depend on the chains walked beside it. The batch method for very
 large energy-only ensembles draws every chain from one
 (seed, n_samples)-deterministic stream instead; both are exact samplers of
 the same per-step distributions.
@@ -326,12 +327,143 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
 def _per_sample_draw(seed: int, sample_indices, n_steps: int):
     """draw for _walk: value t of the (seed, sample_indices[c]) stream at step t
     of chain c. Each stream's first n_steps values, one per step a chain can
-    take, are drawn up front, so no generator outlives this call; the values
-    a chain does not reach are drawn from its own stream only."""
-    uniforms = np.empty((len(sample_indices), n_steps))
-    for c, i in enumerate(sample_indices):
-        uniforms[c] = np.random.default_rng(np.random.SeedSequence((seed, i))).random(n_steps)
+    take, are drawn up front, in blocks of about _DRAW_BLOCK_STEPS values; the
+    values a chain does not reach are drawn from its own stream only."""
+    seed_words = _uint32_words(seed)
+    starts = [_pcg64_start(seed_words + _uint32_words(i)) for i in sample_indices]
+    uniforms = np.empty((len(starts), n_steps))
+    block = max(1, _DRAW_BLOCK_STEPS // max(1, n_steps))
+    for first in range(0, len(starts), block):
+        uniforms[first:first + block] = _pcg64_doubles(starts[first:first + block], n_steps)
     return lambda t, idx: uniforms[idx, t]
+
+
+# ---------------------------------------------------------------------------
+# The per-sample stream: numpy's PCG64(SeedSequence((seed, i))).random(),
+# reproduced bit for bit without numpy.random
+# ---------------------------------------------------------------------------
+
+# Values one block of _per_sample_draw computes at once: its temporaries are
+# about a dozen uint64 arrays of twice this size.
+_DRAW_BLOCK_STEPS = 1 << 13
+
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
+_POOL_SIZE = 4  # SeedSequence's pool, in uint32 words
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_pairs(init: int, mult: int, n: int) -> list[tuple[int, int]]:
+    """The constants of SeedSequence's first n hashes, which do not depend on
+    the data: hash k xors in constant k and multiplies by constant k + 1."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _M32)
+    return list(zip(consts, consts[1:]))
+
+
+_STATE_PAIRS = _hash_pairs(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)  # generate_state(4, uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _mix_steps(n_words: int) -> tuple[list, list]:
+    """mix_entropy on n_words >= _POOL_SIZE words: the constants (c, d) that
+    hash each pool word, then the steps (src, dst, c, d) that hash entry src
+    with (c, d) and mix it into pool word dst. The entries past the pool are
+    the entropy words past it, which no step changes."""
+    pairs = _hash_pairs(0x43B0D7E5, 0x931E8875, _POOL_SIZE * n_words)
+    order = [(src, dst) for src in range(n_words) for dst in range(_POOL_SIZE) if src != dst]
+    return pairs[:_POOL_SIZE], [(*o, *p) for o, p in zip(order, pairs[_POOL_SIZE:])]
+
+
+def _uint32_words(n: int) -> list[int]:
+    """SeedSequence's uint32 words of a non-negative int, least significant
+    first; [0] for 0."""
+    n = int(n)
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _pcg64_start(words: list[int]) -> tuple[int, int, int, int]:
+    """PCG64(SeedSequence(entropy)), the entropy's uint32 words being words:
+    the low 64-bit words of its state and its increment, then their high
+    words. SeedSequence's mix_entropy and generate_state(4, uint64), then
+    PCG64's srandom, in Python ints."""
+    pool = words + [0] * (_POOL_SIZE - len(words))
+    first, steps = _mix_steps(len(pool))
+    m32, mix_l, mix_r = _M32, _MIX_MULT_L, _MIX_MULT_R  # locals: ~10% of the call
+    for k, (c, d) in enumerate(first):
+        value = (pool[k] ^ c) * d & m32
+        pool[k] = value ^ value >> 16
+    for src, dst, c, d in steps:
+        value = (pool[src] ^ c) * d & m32
+        value = (mix_l * pool[dst] - mix_r * (value ^ value >> 16)) & m32
+        pool[dst] = value ^ value >> 16
+    # generate_state(4, uint64): uint64 word k is hashes 2k (low) and 2k + 1.
+    w = []
+    for k in range(0, 2 * _POOL_SIZE, 2):
+        (c0, d0), (c1, d1) = _STATE_PAIRS[k:k + 2]
+        lo = (pool[k % _POOL_SIZE] ^ c0) * d0 & m32
+        hi = (pool[(k + 1) % _POOL_SIZE] ^ c1) * d1 & m32
+        w.append((lo ^ lo >> 16) | (hi ^ hi >> 16) << 32)
+    # The seed is words (0, 1) and the stream words (2, 3), high word first.
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    s = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128
+    return s & _M64, inc & _M64, s >> 64, inc >> 64
+
+
+# uint64 scalars: a Python int operand costs a conversion on every array operation.
+_U1, _U11, _U32, _U58, _U63 = map(np.uint64, (1, 11, 32, 58, 63))
+_LOW32 = np.uint64(_M32)
+
+
+@functools.lru_cache(maxsize=64)
+def _jump_ahead(n_steps: int) -> np.ndarray:
+    """The state after t + 1 steps is A_t s + C_t inc mod 2^128, with
+    A_t = MULT^(t+1) and C_t = MULT^0 + ... + MULT^t: (A_t, C_t) for
+    t < n_steps as four (2, 1, n_steps) arrays, of their low and high 64-bit
+    words and of the low words' low and high 32-bit halves."""
+    a, c, jumps = 1, 0, []
+    for _ in range(n_steps):
+        c = (c + a) & _M128
+        a = a * _PCG64_MULT & _M128
+        jumps += [a & _M64, c & _M64, a >> 64, c >> 64]
+    lo, hi = np.array(jumps, dtype=np.uint64).reshape(-1, 2, 2).transpose(1, 2, 0)
+    out = np.stack([lo, hi, lo & _LOW32, lo >> _U32])[:, :, None, :]  # contiguous: faster
+    out.flags.writeable = False
+    return out
+
+
+def _pcg64_doubles(starts: list[tuple[int, int, int, int]], n_steps: int) -> np.ndarray:
+    """The first n_steps values of PCG64's random() from each start of
+    _pcg64_start, as a (len(starts), n_steps) array: every state by
+    jump-ahead, in one uint64 pass over (chain, step), then XSL-RR output and
+    next_double. Array arithmetic wraps mod 2^64 silently, as the C code does."""
+    x0, x1, a0, a1 = _jump_ahead(n_steps)
+    y0, y1 = np.array(list(zip(*starts)), dtype=np.uint64).reshape(2, 2, -1, 1)  # (s, inc)
+    b0, b1 = y0 & _LOW32, y0 >> _U32
+    # Both products A_t s and C_t inc mod 2^128 at once, as (2, chains, steps)
+    # arrays. The carry of x0 y0 into the high word comes from 32-bit limbs
+    # (Hacker's Delight's mulhu), whose sums stay below 2^64.
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _U32)
+    cross = a0 * b1 + (mid & _LOW32)
+    hi = a1 * b1 + (mid >> _U32) + (cross >> _U32) + x0 * y1 + x1 * y0
+    lo = x0 * y0
+    # The carry out of lo[0] + lo[1] is the top bit of their halved sum: a
+    # uint64 comparison would page in its own code, ~0.1 MB of a verify run's
+    # peak RSS.
+    state_lo = lo[0] + lo[1]
+    state_hi = hi[0] + hi[1]
+    state_hi += ((lo[0] >> _U1) + (lo[1] >> _U1) + (lo[0] & lo[1] & _U1)) >> _U63
+    # XSL-RR: the xor of the halves rotated right by rot, their top 6 bits.
+    # The left shift by 64 - rot goes as 1, then 63 - rot: no count reaches 64.
+    x, rot = state_hi ^ state_lo, state_hi >> _U58
+    x = (x >> rot) | ((x << _U1) << (rot ^ _U63))
+    return (x >> _U11) * 2.0 ** -53
 
 
 class _Steps(list):

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackholes import (
+    _ARRAY_OPS,
     BlackHoleState,
     Emission,
     Family,
+    _area_sq,
     _blockwise,
     entropy_drop,
     hairs_valid,
@@ -63,7 +65,8 @@ def emission_log_weights(
     Returns (log_weight, valid), both of the broadcast shape of the hairs;
     closed channels have valid False and log_weight nan. Same kernel and
     arithmetic as the scalar emission_log_weight, so the two agree bitwise
-    for alpha = 0.
+    for alpha = 0; like it, FloatingPointError where an open channel meets a
+    zero float64 horizon area (alpha != 0).
     """
     return emission_log_weights_bulk(
         state.family, state.m, state.q, state.j, state.alpha, omega, q, j
@@ -77,10 +80,12 @@ def emission_log_weights_bulk(
 
     Elementwise equivalent of emission_log_weight over arrays of states
     (m, q, j) sharing one family and alpha. Entries with an invalid state or
-    a closed channel come back nan/False. The hairs reach the kernel
-    unbroadcast, so hairs given as grid axes, e.g. of shapes (n, 1) and
-    (1, m), have their one-axis terms computed once per axis value (per
-    block of blackholes._blockwise: make the last axis the long one).
+    a closed channel come back nan/False. FloatingPointError where alpha != 0
+    and a valid entry's state or remnant has a zero float64 horizon area.
+    The hairs reach the kernel unbroadcast, so hairs given as grid axes, e.g.
+    of shapes (n, 1) and (1, m), have their one-axis terms computed once per
+    axis value (per block of blackholes._blockwise: make the last axis the
+    long one).
     """
     hairs = (np.asarray(x, dtype=np.float64) for x in (m, q, j, omega, q_e, j_e))
     return _blockwise(functools.partial(_log_weights_block, family, alpha), *hairs)
@@ -94,7 +99,27 @@ def _log_weights_block(family: Family, alpha: float, m, q, j, omega, q_e, j_e):
     )
     with np.errstate(invalid="ignore", divide="ignore"):
         logw = entropy_drop(m, q, j, alpha, omega, q_e, j_e)
+    if alpha != 0.0 and not (np.isfinite(logw) | ~valid).all():  # logw may be unbroadcast
+        _check_areas(m, q, j, omega, q_e, j_e, valid)
     return np.where(valid, logw, np.nan), valid
+
+
+def _check_areas(m, q, j, omega, q_e, j_e, valid) -> None:
+    """FloatingPointError, as emission_log_weight raises it, when a valid
+    entry's state or remnant has a zero float64 horizon area: the
+    log-corrected entropy is undefined there."""
+    with np.errstate(all="ignore"):
+        zero = valid & ((_area_sq(m, q, j, _ARRAY_OPS) == 0.0)
+                        | (_area_sq(m - omega, q - q_e, j - j_e, _ARRAY_OPS) == 0.0))
+    if zero.any():
+        first = np.flatnonzero(zero)[0]
+        m, q, j, omega, q_e, j_e = (float(x.flat[first]) for x in
+                                    np.broadcast_arrays(m, q, j, omega, q_e, j_e))
+        raise FloatingPointError(
+            f"a float64 horizon area is 0 at {np.count_nonzero(zero)} open channels, the "
+            f"first at (M, Q, J) = ({m!r}, {q!r}, {j!r}) or after emitting "
+            f"(omega, q, j) = ({omega!r}, {q_e!r}, {j_e!r})"
+        )
 
 
 def _thermal(state: BlackHoleState, omega):

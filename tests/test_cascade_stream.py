@@ -1,8 +1,10 @@
-"""Per-sample ensembles walked and written in chunks of samples.
+"""Per-sample ensembles: their streams, and their walk and write in chunks
+of samples.
 
-The chunk size must not show in any output byte, a run that fails part way
-must leave no chains.jsonl, and the peak memory of a cascade run must not
-grow with its sample count.
+Each sample's stream must be numpy's PCG64(SeedSequence((seed, i))).random()
+bit for bit, the chunk size must not show in any output byte, a run that
+fails part way must leave no chains.jsonl, and the peak memory of a cascade
+run must not grow with its sample count.
 """
 
 import os
@@ -10,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bhspectra import BlackHoleState, CascadePolicy, Family, cascade, cascade_ensemble_stats
@@ -31,6 +34,41 @@ CONFIGS = {
     "rn-stuck": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875),
                  CascadePolicy(energy_quantum=0.25), 40, 0),
 }
+
+
+# Seeds and sample indices around the 32- and 64-bit word boundaries of
+# SeedSequence's entropy; 2^100 + 5 with an index of two words gives six
+# words, past the pool of four.
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 5]
+STREAM_INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
+
+
+@pytest.mark.parametrize("block", [None, 1], ids=["default-blocks", "one-value-blocks"])
+@pytest.mark.parametrize("n_steps", [0, 1, 16, 64, 129])
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=hex)
+def test_stream_is_numpys_pcg64_bit_for_bit(monkeypatch, seed, n_steps, block):
+    if block is not None:
+        monkeypatch.setattr(cascade, "_DRAW_BLOCK_STEPS", block)
+    draw = cascade._per_sample_draw(seed, STREAM_INDICES, n_steps)
+    idx = np.arange(len(STREAM_INDICES))
+    got = np.zeros((idx.size, n_steps))
+    for t in range(n_steps):
+        got[:, t] = draw(t, idx)
+    for c, i in enumerate(STREAM_INDICES):
+        want = np.random.default_rng(np.random.SeedSequence((seed, i))).random(n_steps)
+        assert got[c].view(np.uint64).tolist() == want.view(np.uint64).tolist(), i
+
+
+def test_cascade_command_runs_with_warnings_as_errors(tmp_path):
+    """The stream's arithmetic wraps mod 2^64 on arrays only: numpy warns on
+    an overflowing uint64 scalar operation."""
+    state, policy, n_samples, seed = CONFIGS["kn"]
+    argv = [sys.executable, "-W", "error", "-m", "bhspectra",
+            *_argv(state, policy, n_samples, 2**64 - 1, tmp_path)]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def _argv(state, policy, n_samples, seed, outdir) -> list[str]:

@@ -244,6 +244,22 @@ class TestSpectrumCommand:
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # The log-corrected entropy at a zero float64 horizon area: the state's
+    # (4 M^2 underflows) or the last node's remnant (M' ~ 2.7e-166).
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--mass", "1e-170", "--alpha", "1", "--bins", "4"),
+            ("--mass", "1e-150", "--alpha", "1", "--bins", "4",
+             "--omega-max", repr(1e-150 * (1 - 2**-52))),
+        ],
+        ids=["state", "remnant"],
+    )
+    def test_zero_horizon_area_exits_3_naming_it(self, tmp_path, capsys, args):
+        assert run_cli("spectrum", *args, "--output-dir", str(tmp_path / "out")) == 3
+        assert "float64 horizon area is 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -192,6 +192,8 @@ class TestImportsPerCommand:
         assert result["code"] == 0
         assert result["loaded"] == ["bhspectra.blackholes", "bhspectra.cascade", *FRONT,
                                     "bhspectra.writers", "numpy"]
+        # The per-sample streams are computed without numpy.random.
+        assert [m for m in result["modules"] if m.startswith("numpy.random")] == []
 
     def test_spectrum_without_report_loads_no_other_command(self, tmp_path):
         result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--output-dir", str(tmp_path))

@@ -92,6 +92,19 @@ class TestEmissionLogWeight:
         with pytest.raises(FloatingPointError, match="float64 horizon area"):
             emission_log_weight(s, Emission(omega))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m,omega", [(1e-170, 1e-171), (1e-150, 1e-150 * (1 - 2**-52))],
+                             ids=["state", "remnant"])
+    def test_vector_route_at_a_zero_float64_area_is_a_numerical_failure(self, m, omega):
+        # The same channels through the vector route, beside a closed one
+        # (omega = M leaves no remnant); finite corrected weights still pass.
+        s = BlackHoleState(Family.SCHWARZSCHILD, m, alpha=1.0)
+        with pytest.raises(FloatingPointError, match="float64 horizon area is 0 at 1 open"):
+            emission_log_weights(s, np.array([m, omega]))
+        logw, valid = emission_log_weights(BlackHoleState(Family.SCHWARZSCHILD, 1.0, alpha=1.0),
+                                           np.array([0.5, 1.0]))
+        assert np.isfinite(logw[0]) and valid.tolist() == [True, False]
+
     @given(
         m=st.floats(1e-3, 1e3),
         w_frac=st.floats(1e-6, 1.0),
