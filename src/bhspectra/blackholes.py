@@ -330,15 +330,33 @@ def _entropy_block(family: Family, alpha: float, m, q, j):
     the hairs unbroadcast, so a term of one axis is computed once per axis
     value; the nan it makes of hairs such as M = inf is masked, unwarned."""
     ok = hairs_valid(family, m, q, j, 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(ok, _entropy(m, q, j, alpha, _ARRAY_OPS), np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        s = _entropy(m, q, j, alpha, _ARRAY_OPS)
+        bad = ok & ~np.isfinite(s)
+        if alpha != 0.0 and bad.any():  # undefined, not overflowed, at a zero area
+            bad &= _area_sq(m, q, j, _ARRAY_OPS) != 0.0
+    if bad.any():
+        raise _entropy_not_finite(*_at_first(bad, m, q, j, s))
+    return np.where(ok, s, np.nan)
+
+
+def _at_first(bad, *arrays) -> list[float]:
+    """The entries of arrays, broadcast together, at the first True of bad."""
+    i = np.flatnonzero(bad)[0]
+    return [float(x.flat[i]) for x in np.broadcast_arrays(*arrays)]
+
+
+def _entropy_not_finite(m, q, j, s) -> FloatingPointError:
+    return FloatingPointError(f"the entropy of (M, Q, J) = ({m!r}, {q!r}, {j!r}) is {s!r}, "
+                              "not finite in float64")
 
 
 def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
     """Elementwise corrected entropy over arrays of hairs, in float64, in
     their broadcast shape: nan off the macro-states of `family` (negative
     mass, super-extremal, nonzero hairs at M = 0) and at zero area with
-    alpha != 0. The arithmetic of bh_entropy, so the two agree bitwise."""
+    alpha != 0; FloatingPointError where a macro-state's entropy is not
+    finite otherwise. The arithmetic of bh_entropy, so the two agree bitwise."""
     hairs = (np.asarray(x, dtype=np.float64) for x in (m, q, j))
     return _blockwise(functools.partial(_entropy_block, family, alpha), *hairs)
 
@@ -410,10 +428,16 @@ def horizon_radius(state: BlackHoleState) -> float:
 
 
 def bh_entropy(state: BlackHoleState) -> float:
-    """Corrected horizon entropy pi R_H^2 + alpha ln(pi R_H^2), in nats."""
+    """Corrected horizon entropy pi R_H^2 + alpha ln(pi R_H^2), in nats.
+    DomainError at a zero float64 horizon area with alpha != 0, where it is
+    undefined; FloatingPointError where it is not finite in float64 (pi R_H^2
+    overflows from M ~ 3.8e153)."""
     s = _entropy(state.m, state.q, state.j, state.alpha, _FLOAT_OPS)
-    if math.isnan(s) and not horizon_radius(state) > 0.0:
-        raise DomainError("log-corrected entropy is undefined at zero horizon area (alpha != 0)")
+    if not math.isfinite(s):
+        if horizon_radius(state) == 0.0:
+            raise DomainError("log-corrected entropy is undefined at zero horizon area "
+                              "(alpha != 0)")
+        raise _entropy_not_finite(state.m, state.q, state.j, s)
     return float(s)
 
 

@@ -243,15 +243,16 @@ class _TransitionTable(dict):
         if not ok.all():
             channels = [x[ok] for x in channels]
         m2, q2, j2 = channels[3:]
-        logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
-        log_z = logsumexp(logw)
-        logp = logw - log_z
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
+            logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
+            log_z = logsumexp(logw)
+            logp = logw - log_z
+            cdf = np.cumsum(np.exp(logp))
         if not np.isfinite(logp).all():
             raise FloatingPointError(
                 f"the cascade's entropy arithmetic left float64 range at (M, Q, J) = {hairs}: "
                 f"log-sum-exp {log_z!r} over {logw.size} open channels"
             )
-        cdf = np.cumsum(np.exp(logp))
         if cdf.size:
             cdf[-1] = 1.0
         for a in (*channels, logw, logp, cdf):

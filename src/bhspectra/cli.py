@@ -286,12 +286,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _cli.check_report_size(state, spec)
     normalization = Normalization(cfg["normalization"])
     grid = _cli.build_spectrum(state, spec, normalization)
-    n_nonfinite = np.count_nonzero(~np.isfinite(grid.log_weight[grid.valid]))
-    if n_nonfinite or (grid.log_norm is not None and not np.isfinite(grid.log_norm)):
-        raise FloatingPointError(
-            f"{n_nonfinite} of {grid.n_valid} valid bins have a non-finite log_weight "
-            f"(log_norm {grid.log_norm!r}): the entropy arithmetic left float64 range"
-        )
     try:
         thermal = _cli.build_thermal_spectrum(state, spec, normalization)
     except DomainError:

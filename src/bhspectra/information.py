@@ -277,14 +277,11 @@ def build_info_report(spectrum: SpectrumGrid) -> InfoReport:
     The correlation summary runs over energy-only emission pairs (w_i, w_k),
     i <= k, on the grid's omega axis (subsampled to fewer than
     2 * _MAX_CORR_NODES nodes); pairs with a closed single or combined
-    channel are skipped. FloatingPointError if the source's entropy
-    overflows float64 (M beyond ~3.8e153), before any functional runs.
+    channel are skipped. Raises no error of its own: a number float64
+    cannot hold raises FloatingPointError where it is made (an emission
+    log-weight, a remnant's entropy). The source's own entropy is not read.
     """
     state, spec = spectrum.source_state, spectrum.grid_spec
-    s_bh = bh_entropy(state)
-    if not np.isfinite(s_bh):
-        raise FloatingPointError(f"the source's entropy S(M = {state.m!r}) = {s_bh!r} is "
-                                 "not finite in float64: no information report")
     spectrum = unit_sum(spectrum)
     s_r = radiation_entropy(spectrum)
     cond = conditional_entropy(spectrum)

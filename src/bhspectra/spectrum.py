@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blackholes import (
-    _ARRAY_OPS,
+    _FLOAT_OPS,
     BlackHoleState,
     Emission,
     Family,
     _area_sq,
+    _at_first,
     _blockwise,
     entropy_drop,
     hairs_valid,
@@ -45,16 +46,20 @@ from .grids import GridSpec, Normalization, SpectrumGrid
 def emission_log_weight(state: BlackHoleState, e: Emission) -> float:
     """log weight of one emission: corrected-entropy difference in nats,
     from the kernel blackholes.entropy_drop. RemnantInvalid where
-    emission_log_weights flags the channel closed; FloatingPointError at a
-    zero float64 horizon area (alpha != 0)."""
+    emission_log_weights flags the channel closed; FloatingPointError, as
+    emission_log_weights raises it, where the log-weight is not finite in
+    float64 (a zero horizon area at alpha != 0, or hairs too heavy)."""
     m, q, j, alpha = state.m, state.q, state.j, state.alpha
     if not hairs_valid(state.family, m - e.omega, q - e.q, j - e.j, alpha):
         raise RemnantInvalid(f"forbidden emission channel: {e} leaves no macro-state "
                              f"of {state.family.value} with alpha = {alpha}")
     try:
-        return float(entropy_drop(m, q, j, alpha, e.omega, e.q, e.j))
+        logw = float(entropy_drop(m, q, j, alpha, e.omega, e.q, e.j))
     except (ZeroDivisionError, ValueError):  # dR^2 / R^2 or log(R'^2 / R^2) at R^2 = 0
-        raise FloatingPointError(f"a float64 horizon area is 0 at {state} or after {e}") from None
+        logw = math.nan
+    if not math.isfinite(logw):
+        raise _not_finite(alpha, 1, m, q, j, e.omega, e.q, e.j)
+    return logw
 
 
 def emission_log_weights(
@@ -65,8 +70,8 @@ def emission_log_weights(
     Returns (log_weight, valid), both of the broadcast shape of the hairs;
     closed channels have valid False and log_weight nan. Same kernel and
     arithmetic as the scalar emission_log_weight, so the two agree bitwise
-    for alpha = 0; like it, FloatingPointError where an open channel meets a
-    zero float64 horizon area (alpha != 0).
+    for alpha = 0; like it, FloatingPointError where an open channel's
+    log-weight is not finite in float64.
     """
     return emission_log_weights_bulk(
         state.family, state.m, state.q, state.j, state.alpha, omega, q, j
@@ -80,8 +85,8 @@ def emission_log_weights_bulk(
 
     Elementwise equivalent of emission_log_weight over arrays of states
     (m, q, j) sharing one family and alpha. Entries with an invalid state or
-    a closed channel come back nan/False. FloatingPointError where alpha != 0
-    and a valid entry's state or remnant has a zero float64 horizon area.
+    a closed channel come back nan/False; every valid entry's log-weight is
+    finite, or FloatingPointError names the first that is not.
     The hairs reach the kernel unbroadcast, so hairs given as grid axes, e.g.
     of shapes (n, 1) and (1, m), have their one-axis terms computed once per
     axis value (per block of blackholes._blockwise: make the last axis the
@@ -97,38 +102,42 @@ def _log_weights_block(family: Family, alpha: float, m, q, j, omega, q_e, j_e):
         & hairs_valid(family, m - omega, q - q_e, j - j_e, alpha)
         & (omega >= 0.0)
     )
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         logw = entropy_drop(m, q, j, alpha, omega, q_e, j_e)
-    if alpha != 0.0 and not (np.isfinite(logw) | ~valid).all():  # logw may be unbroadcast
-        _check_areas(m, q, j, omega, q_e, j_e, valid)
+    bad = valid & ~np.isfinite(logw)  # logw may be unbroadcast
+    if bad.any():
+        first = _at_first(bad, m, q, j, omega, q_e, j_e)
+        raise _not_finite(alpha, np.count_nonzero(bad), *first)
     return np.where(valid, logw, np.nan), valid
 
 
-def _check_areas(m, q, j, omega, q_e, j_e, valid) -> None:
-    """FloatingPointError, as emission_log_weight raises it, when a valid
-    entry's state or remnant has a zero float64 horizon area: the
-    log-corrected entropy is undefined there."""
-    with np.errstate(all="ignore"):
-        zero = valid & ((_area_sq(m, q, j, _ARRAY_OPS) == 0.0)
-                        | (_area_sq(m - omega, q - q_e, j - j_e, _ARRAY_OPS) == 0.0))
-    if zero.any():
-        first = np.flatnonzero(zero)[0]
-        m, q, j, omega, q_e, j_e = (float(x.flat[first]) for x in
-                                    np.broadcast_arrays(m, q, j, omega, q_e, j_e))
-        raise FloatingPointError(
-            f"a float64 horizon area is 0 at {np.count_nonzero(zero)} open channels, the "
-            f"first at (M, Q, J) = ({m!r}, {q!r}, {j!r}) or after emitting "
-            f"(omega, q, j) = ({omega!r}, {q_e!r}, {j_e!r})"
-        )
+def _not_finite(alpha: float, n, m, q, j, omega, q_e, j_e) -> FloatingPointError:
+    """The error of n open channels whose log-weight is not finite in float64.
+    Its cause is named from the first, hairs (m, q, j) emitting (omega, q_e,
+    j_e), alone."""
+    at = f"{n} open channels, the first at (M, Q, J) = ({m!r}, {q!r}, {j!r})"
+    emitting = f"emitting (omega, q, j) = ({omega!r}, {q_e!r}, {j_e!r})"
+    areas = _area_sq(m, q, j, _FLOAT_OPS), _area_sq(m - omega, q - q_e, j - j_e, _FLOAT_OPS)
+    if alpha != 0.0 and 0.0 in areas:  # the log-corrected entropy is undefined
+        return FloatingPointError(f"a float64 horizon area is 0 at {at} or after {emitting}")
+    return FloatingPointError(f"the log-weight is not finite in float64 at {at} {emitting}")
 
 
 def _thermal(state: BlackHoleState, omega):
-    """-omega / T_H over a float or an array; -8 pi M omega when uncharged."""
-    if state.q == 0.0 and state.j == 0.0:
-        if state.m == 0.0:
-            raise DomainError("extremal state has zero temperature")
-        return -8.0 * math.pi * state.m * omega
-    return -omega / hawking_temperature(state)
+    """-omega / T_H over a float or an array; -8 pi M omega when uncharged.
+    FloatingPointError where it is not finite in float64."""
+    omega = np.asarray(omega)
+    with np.errstate(all="ignore"):
+        if state.q == 0.0 and state.j == 0.0 and state.m != 0.0:
+            logw = -8.0 * math.pi * state.m * omega
+        else:  # DomainError at an extremal state, M = 0 included
+            logw = -omega / hawking_temperature(state)
+    bad = ~np.isfinite(logw)
+    if bad.any():
+        raise FloatingPointError(f"the thermal log-weight of (M, Q, J) = ({state.m!r}, "
+                                 f"{state.q!r}, {state.j!r}) is not finite in float64 at "
+                                 f"omega = {_at_first(bad, omega)[0]!r}")
+    return logw
 
 
 def thermal_log_weight(state: BlackHoleState, omega: float) -> float:

@@ -229,6 +229,7 @@ def suite_identities(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
     logw, valid = emission_log_weights_bulk(Family.SCHWARZSCHILD, m, 0.0, 0.0, 0.0, w)
     pw = -8.0 * np.pi * w * (m - w / 2.0)
     resid = np.max(np.abs(logw - pw) / (1.0 + np.abs(pw)))
+    del pw  # 1.6 MB that would otherwise stay alive under the 1e6-bin grid below
     report.checks.append(
         _max_check("parikh_wilczek_match", resid, 1e-9, f"n={n}, scaled residual, valid={valid.all()}")
     )

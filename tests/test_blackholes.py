@@ -295,6 +295,38 @@ def test_entropy_grid_flags_invalid_as_nan(alpha):
     assert np.isnan(got).all()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "family,hairs,alpha",
+    [(Family.SCHWARZSCHILD, (1e154, 0.0, 0.0), 0.0),  # 4 pi M^2 is inf
+     (Family.SCHWARZSCHILD, (1e154, 0.0, 0.0), -2.0),  # inf - inf in the alpha term
+     (Family.REISSNER_NORDSTROM, (1e100, 5e99, 0.0), 0.0),  # D ~ M^4: the area is nan
+     (Family.KERR_NEWMAN, (1e100, 2.5e99, 2.5e99), 1.0)],
+    ids=["schw", "schw_alpha", "rn_disc", "kn_alpha"],
+)
+def test_an_entropy_float64_cannot_hold_is_a_numerical_failure(family, hairs, alpha):
+    from bhspectra.blackholes import entropy_grid
+
+    state = BlackHoleState(family, *hairs, alpha)
+    with pytest.raises(FloatingPointError, match=r"the entropy of \(M, Q, J\) = \(1e\+1"):
+        bh_entropy(state)
+    # The grid route names the first macro-state whose entropy is not finite.
+    m = np.array([-1.0, 2.0, hairs[0], hairs[0]])
+    with pytest.raises(FloatingPointError, match=r"\(M, Q, J\) = \(1e\+1.*not finite"):
+        entropy_grid(family, m, hairs[1], hairs[2], alpha)
+    assert math.isfinite(bh_entropy(BlackHoleState(family, 3.7e153, 0.0, 0.0, alpha)))
+
+
+def test_a_zero_area_with_alpha_is_undefined_not_a_numerical_failure():
+    from bhspectra.blackholes import entropy_grid
+
+    with pytest.raises(DomainError, match="zero horizon area"):
+        bh_entropy(BlackHoleState(Family.SCHWARZSCHILD, 1e-170, alpha=1.0))
+    got = entropy_grid(Family.SCHWARZSCHILD, np.array([1e-170, 1.0]), 0.0, 0.0, 1.0)
+    assert np.isnan(got[0]) and got[1] == bh_entropy(BlackHoleState(Family.SCHWARZSCHILD, 1.0,
+                                                                     alpha=1.0))
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_infinite_mass_is_no_macro_state(family):
     # BlackHoleState refuses M = inf; the array kernels agree with it, and

@@ -151,7 +151,7 @@ class TestSampling:
         assert chain.terminated is Termination.STOP_MASS
         assert not chain.is_complete
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_log_weights_raise_where_the_row_is_built(self):
         # omega (2M - omega) overflows at M = 1e200; a stuck row (above) has
         # no channels and a nan log-sum-exp, and is no failure.

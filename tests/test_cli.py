@@ -229,8 +229,9 @@ class TestSpectrumCommand:
         assert any(r[6] == "false" for r in rows)  # pure-energy channels closed
 
     # The entropy arithmetic overflows: M^4 in the charged discriminant above
-    # M ~ 1.16e77, and 4 pi M^2 above M ~ 1e154.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # M ~ 1.16e77, and 4 pi M^2 above M ~ 1e154. Refused where it is made,
+    # unwarned.
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "args",
         [
@@ -243,6 +244,19 @@ class TestSpectrumCommand:
         assert run_cli("spectrum", *args, "--output-dir", str(tmp_path / "out")) == 3
         assert "numerical failure" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_an_overflowing_thermal_baseline_exits_3_writing_nothing(self, tmp_path):
+        # -8 pi M omega overflows at the last node; the spectrum itself does not.
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bhspectra", "spectrum", "--mass", "5.5e153",
+             "--omega-max", "1.375e153", "--bins", "4", "--output-dir", str(out)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert "numerical failure: the thermal log-weight" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not out.exists()
 
     # The log-corrected entropy at a zero float64 horizon area: the state's
     # (4 M^2 underflows) or the last node's remnant (M' ~ 2.7e-166).
@@ -412,7 +426,7 @@ class TestCascadeCommand:
 
     # The log-weights leave float64 range: omega (2M - omega) at M = 1e200,
     # and the charged kernel's M^4 at M = 1e100, where S(M) is finite.
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
         "args",
         [
@@ -446,6 +460,57 @@ def test_an_overflowing_margin_exits_3_writing_nothing(tmp_path, command, args):
     assert "numerical failure" in proc.stderr and "sub-extremality margin" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not out.exists()
+
+
+def _reject_non_finite(constant: str):
+    raise AssertionError(f"{constant} in a data file")
+
+
+# The hairs (Q, J) of each family, as fractions of M.
+_FAMILIES = {"schwarzschild": (0.0, 0.0), "rn": (0.5, 0.0), "kn": (0.25, 0.25)}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "cascade"])
+@pytest.mark.parametrize("mass", [1e77, 1e154, 1e200])
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_heavy_holes_under_warnings_as_errors_exit_0_finite_or_3_empty(
+    tmp_path, family, mass, command
+):
+    # One float64 rule: a number float64 cannot hold is refused where it is
+    # made, unwarned, before any data file exists.
+    q, j = (f * mass for f in _FAMILIES[family])
+    args = ["--family", family, "--mass", repr(mass), "--charge", repr(q),
+            "--angular-momentum", repr(j)]
+    if command == "spectrum":
+        args += ["--bins", "4", "--report"]
+        if family != "schwarzschild":
+            args += ["--n-q", "3", "--q-step", repr(mass / 8)]
+    else:
+        args += ["--energy-quantum", repr(mass / 4), "--n-samples", "2"]
+        if family != "schwarzschild":
+            args += ["--charge-quantum", repr(mass / 8)]
+        if family == "kn":
+            args += ["--spin-quantum", repr(mass / 8)]
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bhspectra", command, *args,
+         "--output-dir", str(out)], capture_output=True, text=True,
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    if proc.returncode == 3:
+        assert "numerical failure" in proc.stderr
+        assert not out.exists() or list(out.iterdir()) == []
+        return
+    for path in out.iterdir():
+        if path.suffix == ".csv":
+            _, rows = read_csv(path)
+            assert all(math.isfinite(float(x)) for r in rows if r[6] == "true" for x in r[:6])
+        elif path.suffix == ".jsonl":
+            for line in path.read_text().splitlines():
+                json.loads(line, parse_constant=_reject_non_finite)
+        else:
+            json.loads(path.read_text(), parse_constant=_reject_non_finite)
 
 
 class TestVerifyCommand:

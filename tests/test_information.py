@@ -448,6 +448,24 @@ class TestInfoReport:
             tracemalloc.stop()
         assert peak <= 48 * spec.n_bins
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_source_entropy_float64_cannot_hold_is_read_by_nothing(self):
+        # S(M) overflows, but the report reads only the remnants' entropies,
+        # which float64 holds: every field is finite.
+        s = BlackHoleState(Family.SCHWARZSCHILD, 3.8e153)
+        with pytest.raises(FloatingPointError):
+            bh_entropy(s)
+        spec = GridSpec(omega_min=2e152, omega_max=3e152, n_omega=4)
+        report = build_info_report(build_spectrum(s, spec, Normalization.UNIT_SUM))
+        assert all(math.isfinite(v) for v in report.to_json_dict().values())
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_remnant_entropy_float64_cannot_hold_is_a_numerical_failure(self):
+        spectrum = build_spectrum(BlackHoleState(Family.SCHWARZSCHILD, 5e153),
+                                  GridSpec(omega_max=1e150, n_omega=4))
+        with pytest.raises(FloatingPointError, match="the entropy of .* not finite in float64"):
+            build_info_report(spectrum)
+
     def test_json_round_trip(self):
         import json
 

@@ -105,6 +105,28 @@ class TestEmissionLogWeight:
                                            np.array([0.5, 1.0]))
         assert np.isfinite(logw[0]) and valid.tolist() == [True, False]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "state,e",
+        [(BlackHoleState(Family.SCHWARZSCHILD, 1e200), Emission(1e199)),  # -inf
+         (BlackHoleState(Family.REISSNER_NORDSTROM, 1e100, 5e99), Emission(1e99, 1e98))],  # nan
+        ids=["schw", "rn_disc"],
+    )
+    def test_a_weight_float64_cannot_hold_is_a_numerical_failure(self, state, e):
+        # Both routes refuse it, naming the channel; neither warns.
+        with pytest.raises(FloatingPointError, match="log-weight is not finite in float64 at 1 "):
+            emission_log_weight(state, e)
+        with pytest.raises(FloatingPointError, match="log-weight is not finite in float64 at 2 "):
+            emission_log_weights(state, np.array([e.omega, e.omega]), e.q)
+
+    @pytest.mark.filterwarnings("error")
+    def test_vector_route_names_the_first_channel_float64_cannot_hold(self):
+        s = BlackHoleState(Family.SCHWARZSCHILD, 1e200)
+        with pytest.raises(FloatingPointError, match=r"at 3 open channels, the first at "
+                           r"\(M, Q, J\) = \(1e\+200, 0\.0, 0\.0\) emitting "
+                           r"\(omega, q, j\) = \(5e\+199, 0\.0, 0\.0\)"):
+            emission_log_weights(s, np.array([0.0, 1e100, 5e199, 1e200, 1e199]))
+
     @given(
         m=st.floats(1e-3, 1e3),
         w_frac=st.floats(1e-6, 1.0),
@@ -448,6 +470,19 @@ class TestThermal:
         assert thermal_log_weight(s, 0.3) == pytest.approx(
             -0.3 / hawking_temperature(s), rel=1e-12
         )
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_baseline_is_a_numerical_failure(self):
+        # -8 pi M omega overflows at the last node, where the spectrum's
+        # -4 pi omega (2M - omega) does not.
+        s = BlackHoleState(Family.SCHWARZSCHILD, 5.5e153)
+        spec = GridSpec(omega_max=1.375e153, n_omega=4)
+        assert np.isfinite(build_spectrum(s, spec).log_weight).all()
+        with pytest.raises(FloatingPointError, match=r"thermal .* at omega = 1\.375e\+153"):
+            build_thermal_spectrum(s, spec)
+        with pytest.raises(FloatingPointError, match="thermal log-weight"):
+            thermal_log_weight(s, 1.375e153)
+        assert math.isfinite(thermal_log_weight(s, 1e153))
 
 
 class TestCompareThermal:
