@@ -42,7 +42,6 @@ _EXPORTS = {
         "RemnantInvalid",
         "UsageError",
     ),
-    "grids": ("GridSpec", "Normalization", "SpectrumGrid"),
     "information": (
         "ChainInformationLedger",
         "ConditionalEntropyResult",
@@ -56,7 +55,10 @@ _EXPORTS = {
         "radiation_entropy",
     ),
     "spectrum": (
+        "GridSpec",
+        "Normalization",
         "SpectrumComparison",
+        "SpectrumGrid",
         "build_spectrum",
         "build_thermal_spectrum",
         "compare_thermal",

@@ -36,9 +36,8 @@ _LAZY = {name: module for module, names in (
     ("cascade", ("CascadePolicy", "_ensemble_table", "sample_ensemble",
                  # Not called here; kept because perfbench/tracer.py wraps them here.
                  "ensemble_stats_from_chains", "sample_cascade")),
-    ("grids", ("GridSpec",)),
     ("information", ("build_info_report", "check_report_size")),
-    ("spectrum", ("build_spectrum", "build_thermal_spectrum")),
+    ("spectrum", ("GridSpec", "build_spectrum", "build_thermal_spectrum")),
     ("typicality", ("typicality_lab",)),
     ("verify", ("run_suites",)),
     ("writers", ("_ChainsJsonl", "_write_spectrum_json", "_write_spectrum_jsonl",

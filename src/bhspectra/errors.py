@@ -1,5 +1,5 @@
 """The CLI's contract values, with no numpy: exception types, exit codes, and
-the normalization and suite names (re-exported by `grids` and `verify`)."""
+the normalization and suite names (re-exported by `spectrum` and `verify`)."""
 
 from enum import Enum
 

@@ -22,10 +22,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
-from .errors import DomainError, RemnantInvalid, UsageError
-from .grids import GridSpec, Normalization, SpectrumGrid
-from .spectrum import (_on_axes, emission_log_weight, emission_log_weights,
-                       emission_log_weights_bulk, unit_sum)
+from .errors import DomainError, Normalization, RemnantInvalid, UsageError
+from .spectrum import (GridSpec, SpectrumGrid, _on_axes, emission_log_weight,
+                       emission_log_weights, emission_log_weights_bulk, exp_weights, unit_sum)
 
 if TYPE_CHECKING:  # the annotation only: spectrum --report loads no sampler
     from .cascade import EmissionChain
@@ -45,8 +44,7 @@ def radiation_entropy(spectrum: SpectrumGrid) -> float:
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("radiation entropy needs a unit-sum spectrum")
     logp = spectrum.log_weight[spectrum.valid]
-    with np.errstate(under="ignore"):
-        p = np.exp(logp)
+    p = exp_weights(logp)
     return float(0.0 - np.sum(np.where(p > 0.0, p * logp, 0.0)))  # 0.0, not -0.0
 
 
@@ -76,8 +74,7 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
         raise UsageError("conditional entropy needs a unit-sum spectrum")
     state, spec, v = spectrum.source_state, spectrum.grid_spec, spectrum.valid
     logp = spectrum.log_weight[v]
-    with np.errstate(under="ignore"):
-        p = np.exp(logp)
+    p = exp_weights(logp)
     # The means of the valid bins' emitted hairs, one hair column at a time.
     axes = spec.omega_nodes(), spec.q_values(), spec.j_values()
     v = v.reshape(spec.n_omega, spec.n_q, spec.n_j)
@@ -95,8 +92,7 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
     s_rem = s_rem[v]
     # The raw weights, in place of the log-weights.
     logp += spectrum.log_norm if spectrum.log_norm is not None else 0.0
-    with np.errstate(under="ignore"):
-        raw = np.exp(logp, out=logp)
+    raw = exp_weights(logp, out=logp)
     excluded = 0.0
     if not np.isfinite(s_rem).all():
         defined = np.isfinite(s_rem)
@@ -171,8 +167,7 @@ def mutual_information(state: BlackHoleState, spec: GridSpec) -> MutualInformati
     logq += lw1[:, None]
     logq[~valid] = -np.inf
     logq -= logsumexp(logq[valid])
-    with np.errstate(under="ignore"):
-        q = np.exp(logq, out=logq)
+    q = exp_weights(logq, out=logq)
     q1, q2 = q.sum(axis=1), q.sum(axis=0)
     support = q > 0.0
     outer = np.outer(q1, q2)

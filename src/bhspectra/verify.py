@@ -24,8 +24,7 @@ from .cascade import (
     enumerate_chains,
     sample_cascade,
 )
-from .errors import SUITES, UsageError
-from .grids import GridSpec, Normalization
+from .errors import SUITES, Normalization, UsageError
 from .information import (
     chain_information_ledger,
     conditional_entropy,
@@ -33,9 +32,11 @@ from .information import (
     pairwise_correlation,
 )
 from .spectrum import (
+    GridSpec,
     build_spectrum,
     emission_log_weight,
     emission_log_weights_bulk,
+    exp_weights,
 )
 from .typicality import lab_ledger, typicality_lab
 
@@ -379,7 +380,7 @@ def suite_cascade(seed: int = 0, alpha: float = 0.0) -> SuiteReport:
     # A fixed seed: one p >= 0.01 test on fresh draws would fail a correct
     # sampler at 1% of seeds. The check sees a CDF that disagrees with its row.
     stats = cascade_ensemble_stats(state, policy, 200_000, 0, method="batch")
-    expected = np.exp(norms) * stats.n_samples
+    expected = exp_weights(norms) * stats.n_samples
     observed = np.array(
         [stats.identity_counts.get(chain_identity(chain, policy), 0) for chain, _, _ in chains],
         dtype=np.float64,

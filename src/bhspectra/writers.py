@@ -207,7 +207,7 @@ def _spectrum_boxes(grid: SpectrumGrid, thermal, convert=np.asarray):
     box takes whole is converted once. weight is computed per box, by the
     rule of SpectrumGrid.weights.
     """
-    from .grids import exp_weights  # not at the top: the cascade command loads no grids
+    from .spectrum import exp_weights  # not at the top: the cascade command loads no spectrum code
 
     spec = grid.grid_spec
     shape = (spec.n_omega, spec.n_q, spec.n_j)

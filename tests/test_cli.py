@@ -513,6 +513,31 @@ def test_heavy_holes_under_warnings_as_errors_exit_0_finite_or_3_empty(
             json.loads(path.read_text(), parse_constant=_reject_non_finite)
 
 
+# A raw weight above float64's range: log-weights of ~1190 nats at alpha =
+# -1000. The raw weights are refused, unwarned, before any output exists;
+# a unit-sum spectrum without a report makes no raw weight.
+@pytest.mark.parametrize("args,code", [
+    ((), 3),
+    (("--report",), 3),
+    (("--normalization", "unitsum", "--report"), 3),
+    (("--normalization", "unitsum"), 0),
+], ids=["raw", "raw-report", "unitsum-report", "unitsum"])
+def test_raw_weights_above_float64_range_exit_3_unwarned(tmp_path, args, code):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "bhspectra", "spectrum", "--mass", "1",
+         "--alpha", "-1000", "--bins", "4", "--omega-max", "0.9", *args,
+         "--output-dir", str(out)], capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 3:
+        assert proc.stderr.startswith("numerical failure: the weight exp(log_weight) overflows")
+        assert proc.stderr.count("\n") == 1  # that line alone: no warning
+        assert not out.exists()
+    else:
+        assert proc.stderr == ""
+
+
 class TestVerifyCommand:
     def test_single_suite_passes_and_writes_report(self, tmp_path):
         code = run_cli("verify", "--suite", "cascade", "--output-dir", str(tmp_path))
@@ -601,7 +626,7 @@ class TestTypicalityCommand:
     def test_caps_admit_the_largest_sizes(self):
         from bhspectra import typicality
         from bhspectra.errors import UsageError
-        from bhspectra.grids import _MAX_BINS, GridSpec
+        from bhspectra.spectrum import _MAX_BINS, GridSpec
 
         assert GridSpec(omega_max=1.0, n_omega=_MAX_BINS).n_bins == _MAX_BINS >= 10_000_000
         with pytest.raises(UsageError, match="bins"):

@@ -198,16 +198,15 @@ class TestImportsPerCommand:
     def test_spectrum_without_report_loads_no_other_command(self, tmp_path):
         result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--output-dir", str(tmp_path))
         assert result["code"] == 0
-        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
-                                    "bhspectra.spectrum", "bhspectra.writers", "numpy"]
+        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.spectrum",
+                                    "bhspectra.writers", "numpy"]
 
     def test_spectrum_report_loads_information_but_not_the_sampler(self, tmp_path):
         result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--report",
                            "--output-dir", str(tmp_path))
         assert result["code"] == 0
-        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.grids",
-                                    "bhspectra.information", "bhspectra.spectrum",
-                                    "bhspectra.writers", "numpy"]
+        assert result["loaded"] == ["bhspectra.blackholes", *FRONT, "bhspectra.information",
+                                    "bhspectra.spectrum", "bhspectra.writers", "numpy"]
 
 
 class TestHeapFreeze:

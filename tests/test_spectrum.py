@@ -3,6 +3,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from bhspectra import (
 from bhspectra import blackholes
 from bhspectra.spectrum import (
     emission_log_weights_bulk,
+    exp_weights,
     logsumexp,
 )
 
@@ -419,6 +424,80 @@ def test_weights_are_exp_log_weight_on_valid_bins_and_zero_elsewhere():
     weights = grid.weights()
     assert weights[0] == 0.0 and weights[1] == 0.0
     assert weights.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_weight_above_float64_range_is_a_numerical_failure():
+    state, spec = AXIS_CASES["rn"]
+    grid = build_spectrum(state, spec)
+    grid = dataclasses.replace(grid, log_weight=grid.log_weight.copy(), valid=grid.valid.copy())
+    # Huge and infinite log-weights on invalid bins weigh 0.
+    grid.log_weight[:2], grid.valid[:2] = (np.inf, 1e308), False
+    assert (grid.weights()[:2] == 0.0).all()
+    grid.log_weight[5], grid.valid[5] = 710.0, True
+    with pytest.raises(FloatingPointError, match=r"weight .* overflows float64 .* the first at "
+                                                 r"index 5, log_weight = 710\.0$"):
+        grid.weights()
+    # In place, the entry alone is named: its log-weight is overwritten.
+    logp = np.array([0.0, 1000.0, -1.0])
+    with pytest.raises(FloatingPointError, match=r"1 entries, the first at index 1$"):
+        exp_weights(logp, out=logp)
+
+
+def _masked_exp_mismatches(n_cases: int = 40) -> list[int]:
+    """The cases, of n_cases random ones, where exp_weights differs in a bit
+    from the gather form out[valid] = exp(log_weight[valid]), or, with no
+    mask or in place, from np.exp. Up to ~3e5 entries each; the valid values
+    straddle exp's underflow edge (about -745.2 to -708), and the invalid
+    ones are nan, +-inf and 1e308. The masks are random flags or runs, as a
+    grid's closed channels come."""
+    rng = np.random.default_rng(2024)
+    mismatches = []
+    for case in range(n_cases):
+        n = int(rng.integers(1, 300_000))
+        log_weight = np.where(rng.random(n) < 0.5, rng.uniform(-746.0, -707.0, n),
+                              rng.uniform(-800.0, 709.0, n))
+        if case % 2:
+            valid = rng.random(n) < rng.random()
+        else:
+            valid = np.resize(np.repeat([True, False], rng.integers(1, 5000, 2)), n)
+        log_weight[~valid] = rng.choice([np.nan, np.inf, -np.inf, 1e308], n - valid.sum())
+        gathered = log_weight[valid]
+        want = np.zeros(n)
+        with np.errstate(under="ignore"):
+            want[valid] = plain = np.exp(gathered)
+        if (exp_weights(log_weight, valid).tobytes() != want.tobytes()
+                or exp_weights(gathered).tobytes() != plain.tobytes()
+                or exp_weights(gathered, out=gathered).tobytes() != plain.tobytes()):
+            mismatches.append(case)
+    return mismatches
+
+
+def test_masked_exp_matches_the_gather_form_bit_for_bit():
+    assert _masked_exp_mismatches() == []
+
+
+def test_masked_exp_matches_the_gather_form_under_avx2_dispatch():
+    # numpy's AVX2 loops on an AVX-512 host: another masked loop, same bits.
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    if subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                      capture_output=True).returncode:
+        pytest.skip("numpy rejects NPY_DISABLE_CPU_FEATURES here")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_spectrum; print(test_spectrum._masked_exp_mismatches())"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+@pytest.mark.parametrize("axis", ["n_omega", "n_q", "n_j"])
+def test_grid_axis_sizes_are_whole_numbers(axis, value):
+    with pytest.raises(UsageError, match="grid axis sizes must be integers"):
+        GridSpec(**{"omega_max": 1.0, "n_omega": 4, axis: value})
 
 
 def test_spectrum_grid_is_its_spec_state_and_weights():
