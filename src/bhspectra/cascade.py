@@ -142,54 +142,6 @@ def _count_quanta(value: float, quantum: float, what: str) -> int:
     return int(k)
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Integer ledger of a cascade: total quanta of each conserved hair."""
-
-    n_quanta: int
-    n_charge: int   # signed
-    n_spin: int     # signed
-
-
-def _plan(state: BlackHoleState, policy: CascadePolicy) -> _Plan:
-    if state.alpha != 0.0 and policy.stop_mass <= 0.0:
-        raise UsageError("alpha != 0 requires stop_mass > 0 (entropy diverges at zero area)")
-    if policy.stop_mass > state.m:
-        raise UsageError("stop_mass exceeds the initial mass")
-    n = _count_quanta(state.m - policy.stop_mass, policy.energy_quantum, "M - stop_mass")
-    nq = _count_quanta(state.q, policy.charge_quantum, "Q") if policy.charge_quantum else 0
-    nj = _count_quanta(state.j, policy.spin_quantum, "J") if policy.spin_quantum else 0
-    if policy.max_steps is not None and policy.max_steps < n:
-        raise UsageError(f"max_steps={policy.max_steps} < {n} = (M - stop_mass)/energy_quantum")
-    channels = n * (abs(nq) + 1) * (abs(nj) + 1)
-    if channels > _MAX_CHANNELS:
-        raise UsageError(f"{n} energy quanta open {channels} channels, above {_MAX_CHANNELS}")
-    return _Plan(n, nq, nj)
-
-
-def _hairs_at(state, policy, plan, r, cq_left, cj_left):
-    """Canonical hairs at integer remaining counts, anchored at the initial
-    state (a single product each, so no cumulative drift along a chain):
-    float64 arrays at int arrays of one shape. The endpoints are pinned
-    exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
-    zero. A disabled channel leaves its hair untouched."""
-    m = np.where(r == 0, policy.stop_mass, state.m - (plan.n_quanta - r) * policy.energy_quantum)
-    if policy.charge_quantum is None:
-        q = np.full(r.shape, state.q)
-    else:
-        q = np.where(cq_left == 0, 0.0, state.q - (plan.n_charge - cq_left) * policy.charge_quantum)
-    if policy.spin_quantum is None:
-        j = np.full(r.shape, state.j)
-    else:
-        j = np.where(cj_left == 0, 0.0, state.j - (plan.n_spin - cj_left) * policy.spin_quantum)
-    return m, q, j
-
-
-def _sign_range(left: int) -> np.ndarray:
-    """Move counts 0..|left| carrying the sign of the remaining quanta."""
-    return np.arange(0, abs(left) + 1) * (1 if left >= 0 else -1)
-
-
 # (state, policy) transition tables kept alive at once. Checks that draw random
 # chains visit a few hundred pairs; a table holds only the rows its chains reach.
 _TABLE_CACHE_SIZE = 1024
@@ -214,29 +166,63 @@ class _Row:
 
 class _TransitionTable(dict):
     """Rows of one (state, policy) cascade keyed by (r, cq_left, cj_left),
-    each built on its first lookup."""
+    each built on its first lookup, and the cascade's integer ledger: the
+    total quanta of each conserved hair, n_quanta, n_charge and n_spin (the
+    last two signed)."""
 
     def __init__(self, state: BlackHoleState, policy: CascadePolicy) -> None:
         super().__init__()
         self.state = state
         self.policy = policy
-        self.plan = _plan(state, policy)
+        if state.alpha != 0.0 and policy.stop_mass <= 0.0:
+            raise UsageError("alpha != 0 requires stop_mass > 0 (entropy diverges at zero area)")
+        if policy.stop_mass > state.m:
+            raise UsageError("stop_mass exceeds the initial mass")
+        n = _count_quanta(state.m - policy.stop_mass, policy.energy_quantum, "M - stop_mass")
+        nq = _count_quanta(state.q, policy.charge_quantum, "Q") if policy.charge_quantum else 0
+        nj = _count_quanta(state.j, policy.spin_quantum, "J") if policy.spin_quantum else 0
+        if policy.max_steps is not None and policy.max_steps < n:
+            raise UsageError(f"max_steps={policy.max_steps} < {n} = (M - stop_mass)/energy_quantum")
+        channels = n * (abs(nq) + 1) * (abs(nj) + 1)
+        if channels > _MAX_CHANNELS:
+            raise UsageError(f"{n} energy quanta open {channels} channels, above {_MAX_CHANNELS}")
+        self.n_quanta, self.n_charge, self.n_spin = n, nq, nj
+
+    def _hairs_at(self, r, cq_left, cj_left):
+        """Canonical hairs at integer remaining counts, anchored at the initial
+        state (a single product each, so no cumulative drift along a chain):
+        float64 arrays at int arrays of one shape. The endpoints are pinned
+        exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
+        zero. A disabled channel leaves its hair untouched."""
+        s, p = self.state, self.policy
+        m = np.where(r == 0, p.stop_mass, s.m - (self.n_quanta - r) * p.energy_quantum)
+        if p.charge_quantum is None:
+            q = np.full(r.shape, s.q)
+        else:
+            q = np.where(cq_left == 0, 0.0, s.q - (self.n_charge - cq_left) * p.charge_quantum)
+        if p.spin_quantum is None:
+            j = np.full(r.shape, s.j)
+        else:
+            j = np.where(cj_left == 0, 0.0, s.j - (self.n_spin - cj_left) * p.spin_quantum)
+        return m, q, j
 
     def __missing__(self, key: tuple[int, int, int]) -> _Row:
         """The row of key = (r, cq_left, cj_left): each move of 1..r energy,
         0..|cq_left| charge and 0..|cj_left| spin quanta to a valid
         macro-state (none: stuck). FloatingPointError when an open channel's
         log-weight or the log-sum-exp is not finite."""
-        state, plan = self.state, self.plan
+        state = self.state
         r, cq_left, cj_left = key
         ks = np.arange(1, r + 1)
         if cq_left == 0 and cj_left == 0:
             r2, cq2, cj2 = r - ks, *[np.zeros(r, dtype=np.int64)] * 2
         else:
-            k, cq, cj = map(np.ravel, np.meshgrid(ks, *map(_sign_range, key[1:]), indexing="ij"))
+            # Move counts 0..|left| carrying the sign of the remaining quanta.
+            moves = (np.arange(abs(left) + 1) * (1 if left >= 0 else -1) for left in key[1:])
+            k, cq, cj = map(np.ravel, np.meshgrid(ks, *moves, indexing="ij"))
             r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
         prepended = (np.concatenate(([c], x)) for c, x in zip(key, (r2, cq2, cj2)))
-        m, q, j = _hairs_at(state, self.policy, plan, *prepended)  # entry 0: the state itself
+        m, q, j = self._hairs_at(*prepended)  # entry 0: the state itself
         m1, q1, j1 = hairs = (float(m[0]), float(q[0]), float(j[0]))
         channels = [r2, cq2, cj2, m[1:], q[1:], j[1:]]
         ok = hairs_valid(state.family, *channels[3:], state.alpha)
@@ -259,7 +245,7 @@ class _TransitionTable(dict):
             a.flags.writeable = False  # shared by every caller of the cached table
         # The initial row keeps the state's own hairs: _hairs_at pins a zero
         # count's hair to 0.0, which would drop the sign of Q = -0.0 or J = -0.0.
-        if key == (plan.n_quanta, plan.n_charge, plan.n_spin):
+        if key == (self.n_quanta, self.n_charge, self.n_spin):
             hairs = (state.m, state.q, state.j)
         row = self[key] = _Row(key, hairs, *channels, logw, logp, cdf)
         return row
@@ -289,13 +275,13 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
     pick) sees its step; a stuck group draws nothing. Returns per-chain
     lengths, first moves in quanta (where the length is > 0), raw and
     normalized log-probabilities (summed in step order) and stuck flags."""
-    plan = table.plan
-    r, cq, cj = np.array([[plan.n_quanta], [plan.n_charge], [plan.n_spin]]).repeat(n_chains, 1)
+    n, n_charge, n_spin = table.n_quanta, table.n_charge, table.n_spin
+    r, cq, cj = np.array([[n], [n_charge], [n_spin]]).repeat(n_chains, 1)
     lengths, first_k = np.zeros(n_chains, dtype=np.int64), np.zeros(n_chains, dtype=np.int64)
     raw, norm, stuck = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, dtype=bool)
     charged = not table.policy.energy_only
-    # Counts lie between 0 and their plan values: keys ascend with (r, cq_left, cj_left).
-    span_q, span_j = 2 * abs(plan.n_charge) + 1, 2 * abs(plan.n_spin) + 1
+    # Counts lie between 0 and their initial values: keys ascend with (r, cq_left, cj_left).
+    span_q, span_j = 2 * abs(n_charge) + 1, 2 * abs(n_spin) + 1
     live, t = np.flatnonzero(r), 0
     while live.size:
         groups = (live,)
@@ -320,7 +306,7 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
             if on_step is not None:
                 on_step(idx, row, pick)
         if t == 0:
-            first_k = plan.n_quanta - r
+            first_k = n - r
         live, t = live[r[live] > 0], t + 1
     return lengths, first_k, raw, norm, stuck
 
@@ -553,7 +539,7 @@ def sample_cascade(
     def take(idx, row, pick):
         steps.append(_step(state, steps[-1].state_after if steps else state, row, int(pick[0])))
 
-    draw = _per_sample_draw(seed, [sample_index], table.plan.n_quanta)
+    draw = _per_sample_draw(seed, [sample_index], table.n_quanta)
     stuck = bool(_walk(table, 1, draw, take)[4][0])
     terminated = Termination.STOP_MASS if stuck else _terminal(policy)
     return EmissionChain(state, tuple(steps), terminated, stuck)
@@ -596,7 +582,7 @@ def enumerate_chains(
     if not policy.energy_only:
         raise UsageError("enumeration covers energy-only cascades")
     table = _transition_table(state, policy)
-    n = table.plan.n_quanta
+    n = table.n_quanta
     if n > _CENSUS_MAX_QUANTA:
         raise UsageError(f"enumeration capped at {_CENSUS_MAX_QUANTA} quanta, got {n}")
     results: list[tuple[EmissionChain, float, float]] = []
@@ -701,7 +687,7 @@ _CHUNK_STEPS = 1 << 16
 
 def _ensemble_table(state, policy, n_samples: int, seed: int) -> _TransitionTable:
     """The transition table of an ensemble, after its checks: every usage
-    error an ensemble walk can raise is raised here, before it starts."""
+    error a per-sample ensemble walk can raise is raised here, before it starts."""
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
     if seed < 0:
@@ -709,22 +695,41 @@ def _ensemble_table(state, policy, n_samples: int, seed: int) -> _TransitionTabl
     return _transition_table(state, policy)
 
 
-def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, on_chunk=None):
-    """Walk n_samples chains on the batch or the per-sample streams and
-    return their summary.
+def cascade_ensemble_stats(
+    state: BlackHoleState,
+    policy: CascadePolicy,
+    n_samples: int,
+    seed: int,
+    method: str = "per-sample",
+    on_chunk=None,
+) -> CascadeEnsembleStats:
+    """Sample an ensemble of cascades and summarize it.
+
+    method "per-sample" draws each chain from its own (seed, index) stream,
+    so sample i is sample_cascade(..., seed, i); "batch" draws every chain
+    from one (seed, n_samples) stream, for energy-only cascades only. Both
+    are the one lockstep walk.
 
     The per-sample walk goes in chunks of consecutive samples (see
-    _CHUNK_STEPS), and on_chunk, when given, gets each chunk's chains.jsonl
-    steps (see _Steps.columns) as soon as the chunk is walked; only the
-    per-chain arrays and the census outlive a chunk. The batch walk shares
-    one stream, so it is one chunk.
+    _CHUNK_STEPS), and on_chunk, when given, gets each chunk's steps as
+    chains.jsonl rows (see _Steps.columns), by sample, then step, as soon as
+    the chunk is walked; only the per-chain arrays and the census outlive a
+    chunk. The batch walk shares one stream, so it takes no on_chunk.
 
     The census order fixes how identity_entropy is summed, so it is output:
     per-sample identities first seen first, batch ones fewest parts first,
     then lexicographically. A batch identity is kept as a cut mask, with bit
-    b set when a step leaves n - b quanta."""
+    b set when a step leaves n - b quanta.
+    """
+    if method not in ("batch", "per-sample"):
+        raise UsageError(f"unknown method {method!r}; choose batch or per-sample")
+    batch = method == "batch"
+    if batch and not policy.energy_only:
+        raise UsageError("batch sampling covers energy-only cascades")
+    if batch and on_chunk is not None:
+        raise UsageError("batch sampling walks one stream: it has no chunks to hand over")
     table = _ensemble_table(state, policy, n_samples, seed)
-    n = table.plan.n_quanta
+    n = table.n_quanta
     census = n <= _CENSUS_MAX_QUANTA
     identity_counts = None
     if batch:
@@ -767,38 +772,7 @@ def _walk_ensemble(state, policy, n_samples: int, seed: int, batch: bool, on_chu
     end, stop = _terminal(policy).value, Termination.STOP_MASS.value
     term_counts = {end: n_samples - n_stuck, stop: n_stuck} if end != stop else {end: n_samples}
     term_counts = {k: v for k, v in term_counts.items() if v or (batch and k == end)}
-    method = "batch" if batch else "per-sample"
     return _ensemble_stats(n_samples, seed, method, *walked, identity_counts, term_counts)
-
-
-def cascade_ensemble_stats(
-    state: BlackHoleState,
-    policy: CascadePolicy,
-    n_samples: int,
-    seed: int,
-    method: str = "per-sample",
-) -> CascadeEnsembleStats:
-    """Sample an ensemble of cascades and summarize it.
-
-    method "per-sample" draws each chain from its own (seed, index) stream;
-    "batch" draws every chain from one (seed, n_samples) stream, for
-    energy-only cascades only. Both are the one lockstep walk.
-    """
-    if method not in ("batch", "per-sample"):
-        raise UsageError(f"unknown method {method!r}; choose batch or per-sample")
-    if method == "batch" and not policy.energy_only:
-        raise UsageError("batch sampling covers energy-only cascades")
-    return _walk_ensemble(state, policy, n_samples, seed, batch=method == "batch")
-
-
-def sample_ensemble(
-    state: BlackHoleState, policy: CascadePolicy, n_samples: int, seed: int, on_chunk
-) -> CascadeEnsembleStats:
-    """A per-sample ensemble's summary. on_chunk gets its steps as
-    chains.jsonl rows (see _Steps.columns), one dict per chunk of consecutive
-    samples, by sample, then step: sample i's rows are
-    sample_cascade(..., seed, i)'s."""
-    return _walk_ensemble(state, policy, n_samples, seed, batch=False, on_chunk=on_chunk)
 
 
 def ensemble_stats_from_chains(
@@ -818,7 +792,7 @@ def ensemble_stats_from_chains(
     raw_tot, norm_tot, stuck = np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, bool)
     term_counts: dict[str, int] = {}
     for i, chain in enumerate(chains):
-        if i == 0 and _plan(chain.initial, policy).n_quanta > _CENSUS_MAX_QUANTA:
+        if i == 0 and _TransitionTable(chain.initial, policy).n_quanta > _CENSUS_MAX_QUANTA:
             identity_counts = None
         lengths[i] = chain.n_steps
         raw_tot[i], norm_tot[i] = chain_log_probability(chain)

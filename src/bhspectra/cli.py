@@ -33,7 +33,7 @@ from .errors import (EXIT_NUMERICAL, EXIT_OK, EXIT_PHYSICS, EXIT_USAGE, SUITES, 
 # a replaced attribute is the one called.
 _LAZY = {name: module for module, names in (
     ("blackholes", ("state_from_record", "state_to_record")),
-    ("cascade", ("CascadePolicy", "_ensemble_table", "sample_ensemble",
+    ("cascade", ("CascadePolicy", "_ensemble_table", "cascade_ensemble_stats",
                  # Not called here; kept because perfbench/tracer.py wraps them here.
                  "ensemble_stats_from_chains", "sample_cascade")),
     ("information", ("build_info_report", "check_report_size")),
@@ -285,11 +285,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         _cli.check_report_size(state, spec)
     normalization = Normalization(cfg["normalization"])
     grid = _cli.build_spectrum(state, spec, normalization)
+    report = _cli.build_info_report(grid) if cfg["report"] else None
+    # The baseline depends on omega alone: the writers take one value per
+    # node, and the grid is not held beside the report or the writers.
     try:
         thermal = _cli.build_thermal_spectrum(state, spec, normalization)
+        thermal = thermal.log_weight.reshape(spec.n_omega, -1)[:, 0].copy()
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
-    report = _cli.build_info_report(grid) if cfg["report"] else None
     health = {
         "n_bins": grid.n_bins,
         "n_invalid": grid.n_bins - grid.n_valid,
@@ -361,7 +364,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     # chain's stream is derived from (seed, index) alone. Each chunk's rows
     # are written as soon as it is walked.
     with _cli._ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
-        stats = _cli.sample_ensemble(state, policy, n_samples, seed, chains.write)
+        stats = _cli.cascade_ensemble_stats(state, policy, n_samples, seed, on_chunk=chains.write)
     # Summed over the chunks: the walks are compute, the row writing serialization.
     compute_s = time.perf_counter() - t0 - chains.seconds
     _write_json(outdir / "ensemble.json", dict(stats.to_json_dict(), manifest_hash=manifest_hash))

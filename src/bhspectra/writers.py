@@ -199,28 +199,21 @@ def _spectrum_boxes(grid: SpectrumGrid, thermal, convert=np.asarray):
 
     A box is whole omega nodes, about _ROW_CHUNK bins, cut along q (then j)
     where one node holds more, so its bins are consecutive rows. omega, q
-    and j are the GridSpec axes; thermal_log_weight is one value per omega
-    node when the baseline is that, bit for bit (always, when built by
-    spectrum.build_thermal_spectrum), one per bin otherwise, and nan per
-    node without a baseline. A column is cut to the box along the axes it
-    spans and kept whole along those it is broadcast over; one that every
-    box takes whole is converted once. weight is computed per box, by the
-    rule of SpectrumGrid.weights.
+    and j are the GridSpec axes; thermal is the baseline's float64 log-weight
+    at each omega node, shape (n_omega,), or None for nan on every row. A
+    column is cut to the box along the axes it spans and kept whole along
+    those it is broadcast over; one that every box takes whole is converted
+    once. weight is computed per box, by the rule of SpectrumGrid.weights.
     """
     from .spectrum import exp_weights  # not at the top: the cascade command loads no spectrum code
 
     spec = grid.grid_spec
     shape = (spec.n_omega, spec.n_q, spec.n_j)
     omega, q, j = spec.axes()
-    thermal_lw = np.full((spec.n_omega, 1, 1), np.nan)
-    if thermal is not None:
-        thermal_lw = np.ascontiguousarray(thermal.log_weight, np.float64).reshape(shape)
-        bits = thermal_lw.view(np.int64).reshape(spec.n_omega, -1)
-        if (bits == bits[:, :1]).all():
-            thermal_lw = thermal_lw[:, :1, :1]
+    thermal = np.full(spec.n_omega, np.nan) if thermal is None else thermal
     columns = dict(zip(_SPECTRUM_COLUMNS, (
-        omega, q[None], j[None, None], grid.log_weight.reshape(shape), None, thermal_lw,
-        grid.valid.reshape(shape))))
+        omega, q[None], j[None, None], grid.log_weight.reshape(shape), None,
+        thermal.reshape(spec.n_omega, 1, 1), grid.valid.reshape(shape))))
     # A box is indices lo:lo + k of `axis`, the whole axes after it and one
     # index of each axis before it.
     axis = next(a for a in range(3) if math.prod(shape[a + 1 :]) <= _ROW_CHUNK)
@@ -301,7 +294,8 @@ def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict)
 
 class _ChainsJsonl:
     """chains.jsonl, one row per step, written chunk by chunk from the steps
-    of cascade.sample_ensemble; seconds is the time spent in write.
+    cascade.cascade_ensemble_stats hands its on_chunk; seconds is the time
+    spent in write.
 
     The rows go to a temporary file, renamed into place when the with block
     ends without an error and removed when it ends with one, so a failed run

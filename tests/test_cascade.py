@@ -258,8 +258,7 @@ class TestRowHairs:
         from bhspectra.cascade import _transition_table
 
         table = _transition_table(state, policy)
-        plan = table.plan
-        todo, seen = [(plan.n_quanta, plan.n_charge, plan.n_spin)], set()
+        todo, seen = [(table.n_quanta, table.n_charge, table.n_spin)], set()
         while todo:
             row = table[todo.pop()]
             for i, key in enumerate(zip(*(x.tolist() for x in (row.r2, row.cq2, row.cj2)))):
@@ -392,6 +391,13 @@ class TestEnsembles:
     def test_negative_seed_is_usage_error(self, method, n_samples):
         with pytest.raises(UsageError, match="non-negative"):
             cascade_ensemble_stats(SCHW_HALF, POLICY_5, n_samples, -1, method=method)
+
+    def test_batch_takes_no_chunk_callback(self):
+        chunks = []
+        with pytest.raises(UsageError, match="batch"):
+            cascade_ensemble_stats(SCHW_HALF, POLICY_5, 10, 0, method="batch",
+                                   on_chunk=chunks.append)
+        assert chunks == []
 
     @pytest.mark.parametrize("method", ["bogus", "per_sample", "Batch"])
     def test_unknown_method_is_usage_error(self, method):

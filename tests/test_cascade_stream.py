@@ -90,7 +90,7 @@ def _samples_per_chunk(monkeypatch, k: int | None, n_quanta: int) -> None:
 @pytest.mark.parametrize("name", CONFIGS)
 def test_chunk_size_does_not_change_any_byte(tmp_path, monkeypatch, name):
     state, policy, n_samples, seed = CONFIGS[name]
-    n_quanta = cascade._plan(state, policy).n_quanta
+    n_quanta = cascade._TransitionTable(state, policy).n_quanta
     outputs, summaries = [], []
     for k in (None, 1, 7):  # None: the default chunk, which holds every sample here
         with monkeypatch.context() as m:
@@ -114,7 +114,7 @@ def test_chunk_size_does_not_change_any_byte(tmp_path, monkeypatch, name):
 
 def test_failure_after_the_first_chunk_leaves_no_chains_file(tmp_path, monkeypatch, capsys):
     state, policy, n_samples, seed = CONFIGS["census"]
-    _samples_per_chunk(monkeypatch, 7, cascade._plan(state, policy).n_quanta)
+    _samples_per_chunk(monkeypatch, 7, cascade._TransitionTable(state, policy).n_quanta)
     walk, calls = cascade._walk, []
 
     def failing_walk(*args):

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -189,6 +190,23 @@ class TestSpectrumCommand:
                        "--output-dir", str(tmp_path)) == 0
         s_r = json.loads((tmp_path / "info_report.json").read_text())["s_r"]
         assert s_r == 0.0 and math.copysign(1.0, s_r) == 1.0
+
+    def test_report_run_peak_memory_holds_no_thermal_grid(self, tmp_path):
+        # spectrum_rn_csv's grid, 125,000 bins. The thermal baseline is one
+        # value per omega node by the time the report is built: a thermal grid
+        # held beside the report stage would add 9 bytes per bin (~1.1 MB).
+        argv = ["spectrum", "--family", "rn", "--mass", "2", "--charge", "1",
+                "--omega-max", "1.5", "--bins", "31250", "--n-q", "4", "--q-step", "0.25",
+                "--normalization", "unitsum", "--report"]
+        # An untraced run first: the modules and caches the command loads are not counted.
+        assert main([*argv, "--output-dir", str(tmp_path / "warm")]) == 0
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.7e6
 
     def test_report_on_an_overflowing_entropy_exits_3_writing_nothing(self, tmp_path):
         # S(M) = 4 pi M^2 overflows float64 beyond M ~ 3.8e153.

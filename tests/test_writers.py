@@ -19,7 +19,7 @@ import pytest
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
 from bhspectra import writers
 from bhspectra.blackholes import state_to_record
-from bhspectra.cascade import sample_ensemble
+from bhspectra.cascade import cascade_ensemble_stats
 from bhspectra.spectrum import (GridSpec, Normalization, SpectrumGrid, build_spectrum,
                                 build_thermal_spectrum)
 
@@ -31,17 +31,18 @@ def _canonical(payload) -> str:
 
 
 def _oracle_rows(grid, thermal):
+    """One dict per bin; thermal is one value per omega node, or None."""
     spec = grid.grid_spec
     weights = grid.weights()
-    bins = itertools.product(spec.omega_nodes(), spec.q_values(), spec.j_values())
-    for i, (omega, q, j) in enumerate(bins):
+    bins = itertools.product(enumerate(spec.omega_nodes()), spec.q_values(), spec.j_values())
+    for i, ((node, omega), q, j) in enumerate(bins):
         yield {
             "omega": float(omega),
             "q": float(q),
             "j": float(j),
             "log_weight": float(grid.log_weight[i]),
             "weight": float(weights[i]),
-            "thermal_log_weight": float(thermal.log_weight[i]) if thermal else float("nan"),
+            "thermal_log_weight": float(thermal[node]) if thermal is not None else float("nan"),
             "valid": bool(grid.valid[i]),
         }
 
@@ -159,12 +160,26 @@ def _grid(rng, spec: GridSpec) -> SpectrumGrid:
     )
 
 
+def _thermal_column(rng, n_omega: int) -> np.ndarray:
+    """A random thermal log-weight per omega node, holding as many of the
+    SPECIAL values as fit, in random places."""
+    column = _column(rng, n_omega)
+    k = min(n_omega, SPECIAL.size)
+    column[rng.choice(n_omega, k, replace=False)] = SPECIAL[:k]
+    return column
+
+
+def _per_node(thermal: SpectrumGrid) -> np.ndarray:
+    """The column the CLI hands the writers: a thermal grid's value at each omega node."""
+    return thermal.log_weight.reshape(thermal.grid_spec.n_omega, -1)[:, 0].copy()
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=[str(spec.n_bins) for spec in SPECS])
 @pytest.mark.parametrize("with_thermal", [True, False])
 def test_spectrum_writers_match_per_row_oracle(tmp_path, spec, with_thermal):
     rng = np.random.default_rng(spec.n_bins)
     grid = _grid(rng, spec)
-    thermal = _grid(rng, spec) if with_thermal else None
+    thermal = _thermal_column(rng, spec.n_omega) if with_thermal else None
     writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
@@ -176,20 +191,20 @@ def test_spectrum_writers_match_per_row_oracle(tmp_path, spec, with_thermal):
 def test_spectrum_json_matches_whole_document_oracle(tmp_path, spec, with_thermal):
     rng = np.random.default_rng(spec.n_bins)
     grid = _grid(rng, spec)
-    thermal = _grid(rng, spec) if with_thermal else None
+    thermal = _thermal_column(rng, spec.n_omega) if with_thermal else None
     payload = _json_payload(grid)
     writers._write_spectrum_json(tmp_path / "s.json", grid, thermal, payload)
     assert (tmp_path / "s.json").read_text() == _oracle_spectrum_json(grid, thermal, payload)
 
 
 # The CSV writer holds one chunk of rows and the cells of its columns, plus
-# the axes and one flag per bin to check the thermal column's node pattern.
+# the axes.
 @pytest.mark.parametrize("n_omega", [1 << 15, 1 << 17], ids=["2^17-bins", "2^19-bins"])
 def test_csv_writer_peak_memory(tmp_path, n_omega):
     state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
     spec = GridSpec(omega_max=1.5, n_omega=n_omega, q_step=0.25, n_q=4)
     grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
-    thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM)
+    thermal = _per_node(build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
     tracemalloc.start()
     try:
         writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
@@ -208,7 +223,8 @@ def test_jsonl_writer_peak_memory(tmp_path, monkeypatch, with_thermal):
     state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
     spec = GridSpec(omega_max=1.5, n_omega=1 << 13, q_step=0.25, n_q=4)
     grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
-    thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM) if with_thermal else None
+    thermal = (_per_node(build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
+               if with_thermal else None)
     tracemalloc.start()
     try:
         writers._write_spectrum_jsonl(tmp_path / "s.jsonl", grid, thermal, "abc")
@@ -222,10 +238,10 @@ KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.1
 
 
 def _kn_grids():
-    """A Kerr-Newman spectrum and its thermal baseline, more rows than a chunk."""
+    """A Kerr-Newman spectrum and its thermal baseline per node, more rows than a chunk."""
     assert KN_SPEC.n_bins > writers._ROW_CHUNK
     return (build_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM),
-            build_thermal_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM))
+            _per_node(build_thermal_spectrum(KN, KN_SPEC, Normalization.UNIT_SUM)))
 
 
 # Chunk sizes around the 4 x 3 x 7 grid below: runs of j values (1, 5),
@@ -234,52 +250,11 @@ def _kn_grids():
 def test_csv_writer_chunks_are_boxes_of_the_grid(tmp_path, monkeypatch, chunk):
     spec = GridSpec(omega_max=1.5, n_omega=4, q_step=0.125, n_q=3, j_step=-0.125, n_j=7)
     grid = build_spectrum(KN, spec, Normalization.UNIT_SUM)
-    thermal = build_thermal_spectrum(KN, spec, Normalization.UNIT_SUM)
+    thermal = _per_node(build_thermal_spectrum(KN, spec, Normalization.UNIT_SUM))
     monkeypatch.setattr(writers, "_ROW_CHUNK", chunk)
     for t in (thermal, None):
         writers.write_spectrum_csv(tmp_path / "s.csv", grid, t, "abc")
         assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, t, "abc")
-
-
-PER_BIN = ("log_weight", "valid")
-
-
-def _permuted(grid, order):
-    return dataclasses.replace(grid, **{k: getattr(grid, k)[order] for k in PER_BIN})
-
-
-def _swap(n: int, a: int, b: int) -> np.ndarray:
-    order = np.arange(n)
-    order[[a, b]] = b, a
-    return order
-
-
-def _set(grid, field, index, value):
-    column = getattr(grid, field).copy()
-    column[index] = value
-    return dataclasses.replace(grid, **{field: column})
-
-
-# omega, q and j come from the grid's GridSpec, so the thermal baseline is
-# the one column that can break its axis pattern: each case breaks it, down
-# to one bit. Rows 0 and n_q * n_j are the first two of different omega.
-# -0.0 in a node of 0.0 (which == takes for the same value) and one nan in a
-# node must break it too, so the pattern is compared bit for bit.
-NODE = KN_SPEC.n_q * KN_SPEC.n_j
-BROKEN = {
-    "permuted": lambda g, t: (
-        _permuted(g, np.random.default_rng(5).permutation(g.n_bins)),
-        _permuted(t, np.random.default_rng(5).permutation(g.n_bins)),
-    ),
-    "rows-swapped": lambda g, t: (
-        _permuted(g, _swap(g.n_bins, 0, NODE)),
-        _permuted(t, _swap(g.n_bins, 0, NODE)),
-    ),
-    "thermal-ulp": lambda g, t: (g, _set(t, "log_weight", 1, np.nextafter(t.log_weight[1], 0))),
-    "thermal-signed-zero": lambda g, t: (
-        g, _set(_set(t, "log_weight", slice(NODE, 2 * NODE), 0.0), "log_weight", NODE + 1, -0.0)),
-    "thermal-nan": lambda g, t: (g, _set(t, "log_weight", -1, np.nan)),
-}
 
 
 def _count_formatted(monkeypatch):
@@ -301,16 +276,6 @@ def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     spec = grid.grid_spec
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
-
-
-@pytest.mark.parametrize("break_axes", BROKEN.values(), ids=BROKEN.keys())
-def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_axes):
-    grid, thermal = break_axes(*_kn_grids())
-    seen = _count_formatted(monkeypatch)
-    writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
-    assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
-    # At least one column went through the formatter row by row.
-    assert sum(seen) >= 3 * grid.n_bins
 
 
 def _fake_chain(rng, n_steps: int):
@@ -369,7 +334,7 @@ def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state,
     # The CLI's many-chain walk against 30 one-chain walks, row by row.
     chains = [sample_cascade(state, policy, 3, i) for i in range(30)]
     chunks = []
-    sample_ensemble(state, policy, 30, 3, chunks.append)
+    cascade_ensemble_stats(state, policy, 30, 3, on_chunk=chunks.append)
     _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 30, 3)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
 
@@ -380,8 +345,8 @@ def test_chains_writer_keeps_a_zero_hair_sign_after_its_twin_state(tmp_path):
     policy = CascadePolicy(energy_quantum=0.125, charge_quantum=0.125)
     for q in (0.0, -0.0, 0.0):
         chunks = []
-        sample_ensemble(BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, q), policy, 5, 1,
-                        chunks.append)
+        cascade_ensemble_stats(BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, q), policy, 5, 1,
+                               on_chunk=chunks.append)
         _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 5, 1)
         step0 = json.loads((tmp_path / "c.jsonl").read_text().splitlines()[1])
         assert np.signbit(step0["q"]) == np.signbit(q)
