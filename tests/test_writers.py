@@ -278,6 +278,54 @@ def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
 
 
+PER_BIN = ("log_weight", "valid")
+
+
+def _permuted(grid, order):
+    return dataclasses.replace(grid, **{k: getattr(grid, k)[order] for k in PER_BIN})
+
+
+def _swap(n: int, a: int, b: int) -> np.ndarray:
+    order = np.arange(n)
+    order[[a, b]] = b, a
+    return order
+
+
+def _set(column, index, value):
+    column = column.copy()
+    column[index] = value
+    return column
+
+
+# Each case breaks a pattern a writer could lean on, down to one bit: the
+# per-bin columns out of grid order, or neighbouring thermal nodes one ulp
+# apart, -0.0 beside 0.0 (which == takes for the same value) and a nan.
+# Rows 0 and n_q * n_j are the first two of different omega.
+NODE = KN_SPEC.n_q * KN_SPEC.n_j
+BROKEN = {
+    "permuted": lambda g, t: (
+        _permuted(g, np.random.default_rng(5).permutation(g.n_bins)),
+        t[np.random.default_rng(5).permutation(t.size)],
+    ),
+    "rows-swapped": lambda g, t: (_permuted(g, _swap(g.n_bins, 0, NODE)), t[_swap(t.size, 0, 1)]),
+    "thermal-ulp": lambda g, t: (g, _set(t, 1, np.nextafter(t[0], 0))),
+    "thermal-signed-zero": lambda g, t: (g, _set(_set(t, 1, 0.0), 2, -0.0)),
+    "thermal-nan": lambda g, t: (g, _set(t, -1, np.nan)),
+}
+
+
+@pytest.mark.parametrize("break_axes", BROKEN.values(), ids=BROKEN.keys())
+def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_axes):
+    grid, thermal = break_axes(*_kn_grids())
+    seen = _count_formatted(monkeypatch)
+    writers.write_spectrum_csv(tmp_path / "s.csv", grid, thermal, "abc")
+    assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
+    # However its nodes' bits are broken, the thermal column is formatted
+    # once per node, as the grid axes are.
+    spec = grid.grid_spec
+    assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
+
+
 def _fake_chain(rng, n_steps: int):
     values = _column(rng, 6 * n_steps + 1)
     steps = [
