@@ -48,7 +48,7 @@ import numpy as np
 from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
-from .errors import UsageError
+from .errors import UsageError, check_int
 
 
 class Termination(str, Enum):
@@ -271,8 +271,8 @@ def _cached_table(state: BlackHoleState, policy: CascadePolicy, *zero_signs) -> 
 def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
     """Walk n_chains chains from the table's initial state; round t takes
     step t of every live chain, grouped by transition state in ascending
-    order. draw(t, idx) gives group idx its uniforms and on_step(idx, row,
-    pick) sees its step; a stuck group draws nothing. Returns per-chain
+    order. draw(t, idx) gives group idx its uniforms and on_step(t, idx,
+    row, pick) sees its step; a stuck group draws nothing. Returns per-chain
     lengths, first moves in quanta (where the length is > 0), raw and
     normalized log-probabilities (summed in step order) and stuck flags."""
     n, n_charge, n_spin = table.n_quanta, table.n_charge, table.n_spin
@@ -304,7 +304,7 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
                 cq[idx], cj[idx] = row.cq2[pick], row.cj2[pick]
             lengths[idx] = t + 1
             if on_step is not None:
-                on_step(idx, row, pick)
+                on_step(t, idx, row, pick)
         if t == 0:
             first_k = n - r
         live, t = live[r[live] > 0], t + 1
@@ -366,7 +366,6 @@ def _mix_steps(n_words: int) -> tuple[list, list]:
 def _uint32_words(n: int) -> list[int]:
     """SeedSequence's uint32 words of a non-negative int, least significant
     first; [0] for 0."""
-    n = int(n)
     words = [n & _M32]
     while n > _M32:
         n >>= 32
@@ -453,30 +452,20 @@ def _pcg64_doubles(starts: list[tuple[int, int, int, int]], n_steps: int) -> np.
     return (x >> _U11) * 2.0 ** -53
 
 
-class _Steps(list):
-    """on_step for _walk that keeps every step's (idx, row, pick); ordered()
-    then sorts the steps by chain, then by step."""
+class _Steps:
+    """on_step for _walk that records step t of chain c as channel[c, t], -1
+    past the chain's end: an index into the channels of the rows reached,
+    laid end to end in the order the walk first reaches them."""
 
-    def __call__(self, idx: np.ndarray, row: _Row, pick: np.ndarray) -> None:
-        self.append((idx, row, pick))
+    def __init__(self, n_chains: int, n_steps: int) -> None:
+        self.channel = np.full((n_chains, n_steps), -1, dtype=np.int64)
+        self.first: dict[_Row, int] = {}  # each row's first channel
+        self.size = 0
 
-    def ordered(self, lengths: np.ndarray) -> "_Steps":
-        """Sort the steps, keeping per step only its chain, its step number and
-        its channel: an index into the channels of the rows laid end to end."""
-        offsets: dict[_Row, int] = {}
-        size = 0
-        for _, row, _ in self:
-            if row not in offsets:
-                offsets[row], size = size, size + row.r2.size
-        empty = [np.zeros(0, dtype=np.int64)]
-        chain = np.concatenate([idx for idx, _, _ in self] or empty)
-        order = np.argsort(chain, kind="stable")
-        self.chain = chain[order]
-        self.channel = np.concatenate([offsets[row] + pick for _, row, pick in self] or empty)[order]
-        self.rows = list(offsets)
-        self.step = np.arange(chain.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        self.clear()
-        return self
+    def __call__(self, t: int, idx: np.ndarray, row: _Row, pick: np.ndarray) -> None:
+        if row not in self.first:
+            self.first[row], self.size = self.size, self.size + row.r2.size
+        self.channel[idx, t] = self.first[row] + pick
 
     def columns(self, first: int) -> dict:
         """The chains.jsonl steps, chain c being sample first + c:
@@ -485,7 +474,7 @@ class _Steps(list):
         the emitted hairs are its state's hairs less its remnant's."""
         cells = {"j": [], "log_prob_norm": [], "log_weight_raw": [], "mass_before": [],
                  "omega": [], "q": []}
-        for row in self.rows:
+        for row in self.first:
             m, q, j = row.hairs
             cells["mass_before"].append(np.full(row.m2.size, m))
             cells["omega"].append(m - row.m2)
@@ -493,25 +482,23 @@ class _Steps(list):
             cells["j"].append(j - row.j2)
             cells["log_weight_raw"].append(row.logw)
             cells["log_prob_norm"].append(row.logp)
-        self.chain += first
-        return {"sample_index": self.chain, "step": self.step, "channel": self.channel,
+        taken = self.channel >= 0
+        chain, step = np.nonzero(taken)  # row-major: by chain, then step
+        return {"sample_index": chain + first, "step": step, "channel": self.channel[taken],
                 "cells": {k: np.concatenate(v or [[]]) for k, v in cells.items()}}
 
-    def census(self, policy: CascadePolicy, lengths, stuck) -> dict[tuple, int]:
+    def census(self, policy: CascadePolicy, stuck) -> dict[tuple, int]:
         """Identity counts (see chain_identity) of unstuck chains, first seen first."""
         moves = []  # each channel's move in quanta: its state's counts less its remnant's
-        for row in self.rows:
+        for row in self.first:
             r, cq, cj = row.key
             k = (r - row.r2).tolist()
             moves += k if policy.energy_only else zip(k, (cq - row.cq2).tolist(),
                                                       (cj - row.cj2).tolist())
-        moves = list(map(moves.__getitem__, self.channel.tolist()))
         census: dict[tuple, int] = {}
-        ends = np.cumsum(lengths).tolist()
-        for end, length, is_stuck in zip(ends, lengths.tolist(), stuck.tolist()):
-            if not is_stuck:
-                ident = tuple(moves[end - length:end])
-                census[ident] = census.get(ident, 0) + 1
+        for channels in self.channel[~stuck].tolist():
+            ident = tuple(moves[c] for c in channels if c >= 0)
+            census[ident] = census.get(ident, 0) + 1
         return census
 
 
@@ -531,12 +518,11 @@ def sample_cascade(
     one chain on the (seed, sample_index) stream, so it is sample
     sample_index of every per-sample ensemble with that seed.
     """
-    if sample_index < 0 or seed < 0:
-        raise UsageError("seed and sample_index must be non-negative")
+    seed, sample_index = check_int("seed", seed), check_int("sample_index", sample_index)
     table = _transition_table(state, policy)
     steps: list[CascadeStep] = []
 
-    def take(idx, row, pick):
+    def take(t, idx, row, pick):
         steps.append(_step(state, steps[-1].state_after if steps else state, row, int(pick[0])))
 
     draw = _per_sample_draw(seed, [sample_index], table.n_quanta)
@@ -685,14 +671,12 @@ def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot
 _CHUNK_STEPS = 1 << 16
 
 
-def _ensemble_table(state, policy, n_samples: int, seed: int) -> _TransitionTable:
-    """The transition table of an ensemble, after its checks: every usage
-    error a per-sample ensemble walk can raise is raised here, before it starts."""
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
-    if seed < 0:
-        raise UsageError("seed and sample_index must be non-negative")
-    return _transition_table(state, policy)
+def _ensemble_table(state, policy, n_samples: int, seed: int):
+    """The transition table of an ensemble, n_samples and seed as ints, after
+    their checks: every usage error a per-sample ensemble walk can raise is
+    raised here, before it starts."""
+    n_samples, seed = check_int("n_samples", n_samples, 1), check_int("seed", seed)
+    return _transition_table(state, policy), n_samples, seed
 
 
 def cascade_ensemble_stats(
@@ -728,7 +712,7 @@ def cascade_ensemble_stats(
         raise UsageError("batch sampling covers energy-only cascades")
     if batch and on_chunk is not None:
         raise UsageError("batch sampling walks one stream: it has no chunks to hand over")
-    table = _ensemble_table(state, policy, n_samples, seed)
+    table, n_samples, seed = _ensemble_table(state, policy, n_samples, seed)
     n = table.n_quanta
     census = n <= _CENSUS_MAX_QUANTA
     identity_counts = None
@@ -736,7 +720,7 @@ def cascade_ensemble_stats(
         rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
         cuts = np.zeros(n_samples, dtype=np.int64)
 
-        def cut(idx, row, pick):  # bit n, set by a chain's last step, is not a cut
+        def cut(t, idx, row, pick):  # bit n, set by a chain's last step, is not a cut
             cuts[idx] |= np.left_shift(1, n - row.r2[pick])
 
         walked = _walk(table, n_samples, lambda t, idx: rng.random(idx.size),
@@ -752,19 +736,19 @@ def cascade_ensemble_stats(
         size = max(1, _CHUNK_STEPS // max(1, n))
         for first in range(0, n_samples, size):
             last = min(first + size, n_samples)
-            steps = _Steps() if census or on_chunk is not None else None
             draw = _per_sample_draw(seed, range(first, last), n)
+            # After the draw, whose temporaries are then freed: a lower peak.
+            steps = _Steps(last - first, n) if census or on_chunk is not None else None
             chunk = _walk(table, last - first, draw, steps)
             for whole, part in zip(walked, chunk):
                 whole[first:last] = part
             if steps is None:
                 continue
-            steps.ordered(chunk[0])
             if census:  # chunks come in sample order, so this keeps first seen first
-                for ident, count in steps.census(policy, chunk[0], chunk[4]).items():
+                for ident, count in steps.census(policy, chunk[4]).items():
                     identity_counts[ident] = identity_counts.get(ident, 0) + count
             if on_chunk is not None:
-                columns, steps = steps.columns(first), None  # drop the step index first
+                columns, steps = steps.columns(first), None  # drop the step record first
                 on_chunk(columns)
     n_stuck = int(np.count_nonzero(walked[4]))
     # A stuck chain ends at a floor, as a stop-mass chain. Only the batch
@@ -784,6 +768,7 @@ def ensemble_stats_from_chains(
 ) -> CascadeEnsembleStats:
     """Aggregate an iterable of already-sampled chains, n_samples of them,
     into ensemble stats."""
+    n_samples = check_int("n_samples", n_samples, 1)
     chains = list(chains)
     if len(chains) != n_samples:
         raise UsageError(f"{len(chains)} chains given for n_samples={n_samples}")

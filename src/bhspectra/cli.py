@@ -352,9 +352,8 @@ def cmd_cascade(args: argparse.Namespace) -> int:
         max_steps=cfg["max_steps"], charge_quantum=cfg["charge_quantum"],
         spin_quantum=cfg["spin_quantum"],
     )
-    n_samples, seed = cfg["n_samples"], cfg["seed"]
     # Raises every usage error before anything is written.
-    table = _cli._ensemble_table(state, policy, n_samples, seed)
+    table, n_samples, seed = _cli._ensemble_table(state, policy, cfg["n_samples"], cfg["seed"])
 
     outdir = _output_dir(cfg["output_dir"])
     from dataclasses import asdict

@@ -1,6 +1,8 @@
-"""The CLI's contract values, with no numpy: exception types, exit codes, and
-the normalization and suite names (re-exported by `spectrum` and `verify`)."""
+"""The CLI's contract values, with no numpy: exception types, exit codes, the
+normalization and suite names (re-exported by `spectrum` and `verify`), and
+the one integer rule for seeds and counts."""
 
+import operator
 from enum import Enum
 
 EXIT_OK = 0
@@ -32,3 +34,16 @@ class DomainError(BhspectraError):
 
 class RemnantInvalid(DomainError):
     """An emission would leave a forbidden remnant: the channel is closed."""
+
+
+def check_int(name: str, value, floor: int = 0) -> int:
+    """value as an int (operator.index: no float, however whole), if it is
+    at least floor; UsageError otherwise."""
+    try:
+        n = operator.index(value)
+        if n >= floor:
+            return n
+    except TypeError:
+        pass
+    rule = "a non-negative integer" if floor == 0 else f"an integer >= {floor}"
+    raise UsageError(f"{name} must be {rule}, got {value!r}")

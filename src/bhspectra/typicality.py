@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, check_int
 
 # Largest dim_U: the sampler's Gamma shapes and traces are float64 (max ~2^1024),
 # and at this cap lab_ledger has dim_b <= ~2000, so rho stays under 64 MB.
@@ -97,8 +97,7 @@ def sample_reduced_density(ledger: EnergyLedger, seed: int) -> tuple[ReducedDens
     complex normals with E|z|^2 = 1 below the diagonal; the same shape covers
     n < g (rank n) and n = 0 (W = 0). Deterministic for fixed (ledger, seed).
     """
-    if seed < 0:
-        raise UsageError("seed must be a non-negative integer")
+    seed = check_int("seed", seed)
     dim_u = ledger.dim_u
     if dim_u == 0:
         raise DomainError("ledger has an empty shell: all sectors have zero states")
@@ -159,8 +158,7 @@ def concentration(ledger: EnergyLedger, n_seeds: int, seed: int) -> tuple[float,
         raise UsageError("n_seeds must be >= 1")
     if n_seeds > _MAX_SEEDS:
         raise UsageError(f"n_seeds = {n_seeds}, above {_MAX_SEEDS}")
-    if seed < 0:
-        raise UsageError("seed must be a non-negative integer")
+    seed = check_int("seed", seed)
     weights = microcanonical_weights(ledger)
     dim_u = ledger.dim_u
     l1, rms, raw = np.empty((3, n_seeds))

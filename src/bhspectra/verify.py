@@ -24,7 +24,7 @@ from .cascade import (
     enumerate_chains,
     sample_cascade,
 )
-from .errors import SUITES, Normalization, UsageError
+from .errors import SUITES, Normalization, UsageError, check_int
 from .information import (
     chain_information_ledger,
     conditional_entropy,
@@ -464,10 +464,9 @@ _SUITE_FUNCS = {
 def run_suites(suite: str, seed: int = 0, alpha: float = 0.0) -> list[SuiteReport]:
     """Run one suite by name, or all of them; validates the alpha hook."""
     # The probe state rejects corrupted physics input (e.g. alpha = NaN)
-    # before any suite runs; numpy seeds the suites and takes no negative seed.
+    # before any suite runs, and the seed is checked before any suite draws.
     BlackHoleState(Family.SCHWARZSCHILD, 1.0, alpha=alpha)
-    if seed < 0:
-        raise UsageError("seed must be a non-negative integer")
+    seed = check_int("seed", seed)
     if suite == "all":
         names = list(SUITES)
     elif suite in _SUITE_FUNCS:

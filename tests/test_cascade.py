@@ -1,5 +1,6 @@
 """Evaporation cascades: sampling, enumeration oracle, conservation, ensembles."""
 
+import json
 import math
 
 import numpy as np
@@ -391,6 +392,46 @@ class TestEnsembles:
     def test_negative_seed_is_usage_error(self, method, n_samples):
         with pytest.raises(UsageError, match="non-negative"):
             cascade_ensemble_stats(SCHW_HALF, POLICY_5, n_samples, -1, method=method)
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    @pytest.mark.parametrize("method", ["batch", "per-sample"])
+    def test_non_integer_seed_or_count_is_usage_error(self, method, value):
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            cascade_ensemble_stats(SCHW_HALF, POLICY_5, 10, value, method=method)
+        with pytest.raises(UsageError, match="n_samples must be an integer >= 1"):
+            cascade_ensemble_stats(SCHW_HALF, POLICY_5, value, 0, method=method)
+
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_non_integer_seed_or_index_of_one_chain_is_usage_error(self, value):
+        with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+            sample_cascade(SCHW_HALF, POLICY_5, value, 0)
+        with pytest.raises(UsageError, match="sample_index must be a non-negative integer"):
+            sample_cascade(SCHW_HALF, POLICY_5, 0, value)
+
+    @pytest.mark.parametrize("method", ["batch", "per-sample"])
+    def test_numpy_integer_seed_is_its_int(self, method):
+        state = BlackHoleState(Family.SCHWARZSCHILD, 2.0)
+        policy = CascadePolicy(energy_quantum=0.125)
+        runs = []
+        for seed, n_samples in ((2, 30), (np.int64(2), np.int32(30))):
+            chunks = [] if method == "per-sample" else None
+            stats = cascade_ensemble_stats(state, policy, n_samples, seed, method,
+                                           None if chunks is None else chunks.append)
+            assert type(stats.seed) is int and type(stats.n_samples) is int
+            runs.append((json.dumps(stats.to_json_dict()), chunks))
+        (text, chunks), (np_text, np_chunks) = runs
+        assert np_text == text
+        if chunks is not None:
+            assert len(np_chunks) == len(chunks) == 1
+            for key in ("sample_index", "step", "channel"):
+                assert np_chunks[0][key].tobytes() == chunks[0][key].tobytes()
+        assert sample_cascade(state, policy, np.int64(2), np.int64(7)) == sample_cascade(
+            state, policy, 2, 7)
+
+    @pytest.mark.filterwarnings("error")
+    def test_stats_from_no_chains_is_usage_error(self):
+        with pytest.raises(UsageError, match="n_samples must be an integer >= 1"):
+            ensemble_stats_from_chains([], POLICY_5, 0, 0)
 
     def test_batch_takes_no_chunk_callback(self):
         chunks = []

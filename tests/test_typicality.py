@@ -287,6 +287,12 @@ class TestTypicalityScaling:
         with pytest.raises(UsageError, match=named):
             concentration(lab_ledger(4, 16), n_seeds, seed)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_non_integer_seed_is_usage_error(self, seed):
+        for draw in (sample_reduced_density, lambda ledger, s: concentration(ledger, 1, s)):
+            with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+                draw(lab_ledger(4, 16), seed)
+
     def test_lab_shells_draw_disjoint_seeds(self, monkeypatch):
         from bhspectra import typicality
 

@@ -67,6 +67,13 @@ def test_unknown_suite_rejected():
         run_suites("bogus")
 
 
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+@pytest.mark.parametrize("suite", ["cascade", "all"])
+def test_non_integer_seed_is_usage_error(suite, seed):
+    with pytest.raises(UsageError, match="seed must be a non-negative integer"):
+        run_suites(suite, seed)
+
+
 def test_corrupted_alpha_rejected_before_running():
     with pytest.raises(DomainError):
         run_suites("cascade", alpha=float("nan"))
