@@ -45,7 +45,7 @@ from enum import Enum
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
+from .blackholes import _BLOCK, BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError, check_int
@@ -78,8 +78,8 @@ class CascadePolicy:
             raise UsageError("energy_quantum must be a positive finite number")
         if not (math.isfinite(self.stop_mass) and self.stop_mass >= 0.0):
             raise UsageError("stop_mass must be >= 0")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise UsageError("max_steps must be >= 1 when given")
+        if self.max_steps is not None:
+            object.__setattr__(self, "max_steps", check_int("max_steps", self.max_steps, floor=1))
         for name in ("charge_quantum", "spin_quantum"):
             v = getattr(self, name)
             if v is not None and not (math.isfinite(v) and v != 0.0):
@@ -149,7 +149,7 @@ _TABLE_CACHE_SIZE = 1024
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """Open channels out of one transition state, in __missing__'s order."""
+    """Open channels out of one transition state, in _build's order."""
 
     key: tuple[int, int, int]             # the state's (r, cq_left, cj_left)
     hairs: tuple[float, float, float]     # the state's (M, Q, J)
@@ -168,7 +168,9 @@ class _TransitionTable(dict):
     """Rows of one (state, policy) cascade keyed by (r, cq_left, cj_left),
     each built on its first lookup, and the cascade's integer ledger: the
     total quanta of each conserved hair, n_quanta, n_charge and n_spin (the
-    last two signed)."""
+    last two signed). An energy-only table computes the channels of a block
+    of consecutive r at once (see _block), so the dict holds exactly the
+    rows looked up."""
 
     def __init__(self, state: BlackHoleState, policy: CascadePolicy) -> None:
         super().__init__()
@@ -187,6 +189,9 @@ class _TransitionTable(dict):
         if channels > _MAX_CHANNELS:
             raise UsageError(f"{n} energy quanta open {channels} channels, above {_MAX_CHANNELS}")
         self.n_quanta, self.n_charge, self.n_spin = n, nq, nj
+        # Rows computed by _build and not yet looked up: key -> (hairs,
+        # block arrays, the row's slice of them).
+        self._built: dict[tuple[int, int, int], tuple] = {}
 
     def _hairs_at(self, r, cq_left, cj_left):
         """Canonical hairs at integer remaining counts, anchored at the initial
@@ -206,31 +211,76 @@ class _TransitionTable(dict):
             j = np.where(cj_left == 0, 0.0, s.j - (self.n_spin - cj_left) * p.spin_quantum)
         return m, q, j
 
-    def __missing__(self, key: tuple[int, int, int]) -> _Row:
-        """The row of key = (r, cq_left, cj_left): each move of 1..r energy,
-        0..|cq_left| charge and 0..|cj_left| spin quanta to a valid
-        macro-state (none: stuck). FloatingPointError when an open channel's
-        log-weight or the log-sum-exp is not finite."""
+    def _block(self, key: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+        """The keys whose channels are computed together with key's. In an
+        energy-only table, row r holds channels k = 1..r; laid end to end
+        from r = 1, the rows whose channels end in the same _BLOCK-channel
+        slice as row r's form its block (at most _BLOCK + r channels). Any
+        other key is a block of one."""
+        r = key[0]
+        if not (self.policy.energy_only and 0 < r <= self.n_quanta):
+            return [key]
+        k = (r * (r + 1) // 2 - 1) // _BLOCK
+        lo, hi = (_triangle_root(i * _BLOCK) for i in (k, k + 1))
+        return [(x, 0, 0) for x in range(lo + 1, min(hi, self.n_quanta) + 1)]
+
+    def _build(self, keys: list[tuple[int, int, int]]) -> None:
+        """The open channels of keys, each move of 1..r energy,
+        0..|cq_left| charge and 0..|cj_left| spin quanta out of its key to a
+        valid macro-state, laid end to end in one hairs_valid and one
+        entropy_drop call; kept in self._built per key until __missing__
+        finishes its row. The log-weights of closed channels and of
+        overflowing ones are not refused here: a row is refused only when it
+        is looked up."""
         state = self.state
-        r, cq_left, cj_left = key
-        ks = np.arange(1, r + 1)
-        if cq_left == 0 and cj_left == 0:
-            r2, cq2, cj2 = r - ks, *[np.zeros(r, dtype=np.int64)] * 2
-        else:
+        if len(keys) == 1 and (keys[0][1] or keys[0][2]):
+            r, cq_left, cj_left = keys[0]
             # Move counts 0..|left| carrying the sign of the remaining quanta.
-            moves = (np.arange(abs(left) + 1) * (1 if left >= 0 else -1) for left in key[1:])
-            k, cq, cj = map(np.ravel, np.meshgrid(ks, *moves, indexing="ij"))
+            moves = (np.arange(abs(left) + 1) * (1 if left >= 0 else -1)
+                     for left in (cq_left, cj_left))
+            k, cq, cj = map(np.ravel, np.meshgrid(np.arange(1, r + 1), *moves, indexing="ij"))
             r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
-        prepended = (np.concatenate(([c], x)) for c, x in zip(key, (r2, cq2, cj2)))
-        m, q, j = self._hairs_at(*prepended)  # entry 0: the state itself
-        m1, q1, j1 = hairs = (float(m[0]), float(q[0]), float(j[0]))
-        channels = [r2, cq2, cj2, m[1:], q[1:], j[1:]]
+            owner = np.zeros(r2.size, dtype=np.intp)
+        else:  # energy moves only: key i's channels are r2 = r_i - 1, ..., 0
+            counts = np.array([key[0] for key in keys])
+            ends = np.cumsum(counts)
+            owner = np.repeat(np.arange(len(keys)), counts)
+            size = int(ends[-1])
+            r2 = ends[owner] - 1 - np.arange(size)
+            cq2 = cj2 = np.zeros(size, dtype=np.int64)
+        # One _hairs_at call: the keys' own hairs, then each channel's remnant.
+        counts_at = (np.concatenate((c, x)) for c, x in zip(np.array(keys).T, (r2, cq2, cj2)))
+        m, q, j = self._hairs_at(*counts_at)
+        n_keys = len(keys)
+        channels = [r2, cq2, cj2, m[n_keys:], q[n_keys:], j[n_keys:]]
         ok = hairs_valid(state.family, *channels[3:], state.alpha)
         if not ok.all():
-            channels = [x[ok] for x in channels]
+            channels, owner = [x[ok] for x in channels], owner[ok]
+        hairs = [tuple(map(float, h)) for h in zip(*(x[:n_keys].tolist() for x in (m, q, j)))]
+        # A block of one passes its state's hairs as floats: entropy_drop then
+        # computes their terms once, in float arithmetic, to the same bits.
+        m1, q1, j1 = hairs[0] if n_keys == 1 else (x[:n_keys][owner] for x in (m, q, j))
         m2, q2, j2 = channels[3:]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused per row
+            channels.append(entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2))
+        for a in channels:
+            a.flags.writeable = False  # shared by every caller of the cached table
+        bounds = np.searchsorted(owner, np.arange(n_keys + 1)).tolist()
+        for key, h, lo, hi in zip(keys, hairs, bounds, bounds[1:]):
+            self._built[key] = (h, channels, lo, hi)
+
+    def __missing__(self, key: tuple[int, int, int]) -> _Row:
+        """The row of key = (r, cq_left, cj_left), built and cached on its
+        first lookup: its channels from _build (none: stuck), computed with
+        its block's on the block's first lookup, and their log-sum-exp,
+        log-probabilities and CDF. FloatingPointError when an open channel's
+        log-weight or the log-sum-exp is not finite."""
+        if key not in self._built:
+            self._build(self._block(key))
+        hairs, block, lo, hi = self._built[key]
+        channels = [x[lo:hi] for x in block]
+        logw = channels[-1]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-            logw = entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2)
             log_z = logsumexp(logw)
             logp = logw - log_z
             cdf = np.cumsum(np.exp(logp))
@@ -241,14 +291,19 @@ class _TransitionTable(dict):
             )
         if cdf.size:
             cdf[-1] = 1.0
-        for a in (*channels, logw, logp, cdf):
-            a.flags.writeable = False  # shared by every caller of the cached table
+        logp.flags.writeable = cdf.flags.writeable = False
         # The initial row keeps the state's own hairs: _hairs_at pins a zero
         # count's hair to 0.0, which would drop the sign of Q = -0.0 or J = -0.0.
         if key == (self.n_quanta, self.n_charge, self.n_spin):
-            hairs = (state.m, state.q, state.j)
-        row = self[key] = _Row(key, hairs, *channels, logw, logp, cdf)
+            hairs = (self.state.m, self.state.q, self.state.j)
+        row = self[key] = _Row(key, hairs, *channels, logp, cdf)
+        del self._built[key]
         return row
+
+
+def _triangle_root(x: int) -> int:
+    """The largest r >= 0 with r (r + 1) / 2 <= x, for x >= 0."""
+    return (math.isqrt(8 * x + 1) - 1) // 2
 
 
 def _transition_table(state: BlackHoleState, policy: CascadePolicy) -> _TransitionTable:
@@ -285,10 +340,11 @@ def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
     live, t = np.flatnonzero(r), 0
     while live.size:
         groups = (live,)
-        if live.size > 1:
+        if live.size > 1:  # slices of the live chains sorted by key, cut where the key changes
             key = (r[live] * span_q + cq[live]) * span_j + cj[live]
             order = np.argsort(key, kind="stable")
-            groups = np.split(live[order], np.flatnonzero(np.diff(key[order])) + 1)
+            ordered, cuts = live[order], (np.flatnonzero(np.diff(key[order])) + 1).tolist()
+            groups = (ordered[a:b] for a, b in zip([0, *cuts], [*cuts, live.size]))
         for idx in groups:
             c = idx[0]
             row = table[int(r[c]), int(cq[c]), int(cj[c])]

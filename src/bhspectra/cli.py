@@ -94,8 +94,42 @@ def _load(*modules: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    """The parser of the CLI or of one command. A command's option table is
+    added on its parser's first parse or help, so a run builds the flags of
+    its own command only, and --help none."""
+
+    options: dict | None = None  # the option table not added yet
+
     def error(self, message: str):  # argparse default exits with code 2
         raise UsageError(message)
+
+    def _add_options(self) -> None:
+        """Add --config and the option table's flags, each defaulting to None,
+        so that _merge can tell a flag that was not given."""
+        options, self.options = self.options, None
+        if options is None:
+            return
+        self.add_argument("--config", help="flat JSON config file; flags override it")
+        for key, (kind, _, help_text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                self.add_argument(flag, action="store_const", const=True, help=help_text)
+            elif isinstance(kind, tuple):
+                self.add_argument(flag, choices=kind, help=help_text)
+            else:
+                self.add_argument(flag, type=kind, help=help_text)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._add_options()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._add_options()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._add_options()
+        return super().format_help()
 
 
 def _utc_now() -> str:
@@ -459,16 +493,7 @@ def build_parser() -> _Parser:
         ("typicality", cmd_typicality, "Random-pure-state typicality lab.", _TYPICALITY_OPTIONS),
     ):
         p = sub.add_parser(name, description=description)
-        p.add_argument("--config", help="flat JSON config file; flags override it")
-        # Every flag defaults to None, so that _merge can tell it was not given.
-        for key, (kind, _, help_text) in options.items():
-            flag = "--" + key.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, action="store_const", const=True, help=help_text)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, help=help_text)
-            else:
-                p.add_argument(flag, type=kind, help=help_text)
+        p.options = options  # added by _Parser on the command's first parse or help
         p.set_defaults(func=func, options=options)
     return parser
 

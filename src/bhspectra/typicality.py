@@ -154,8 +154,7 @@ def concentration(ledger: EnergyLedger, n_seeds: int, seed: int) -> tuple[float,
     (seed, dim_U, i), so shells of different sizes never share a draw and
     the ratio of two sizes' estimates is itself an estimate.
     """
-    if n_seeds < 1:
-        raise UsageError("n_seeds must be >= 1")
+    n_seeds = check_int("n_seeds", n_seeds, floor=1)
     if n_seeds > _MAX_SEEDS:
         raise UsageError(f"n_seeds = {n_seeds}, above {_MAX_SEEDS}")
     seed = check_int("seed", seed)

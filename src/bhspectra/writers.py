@@ -1,8 +1,8 @@
 """The CLI's numpy writers of spectrum.csv, spectrum.jsonl, spectrum.json and
 chains.jsonl, imported only by the commands that write them: CSV floats are
 "%.16e" built as bytes, the spectrum's JSON row writers format each distinct
-value of a column once, and a chains.jsonl row is the text of its step's
-channel, dumped once per channel, and two integers."""
+value of a column once, and a chains.jsonl row is three texts looked up: its
+step's channel's, built once per channel, its sample index's and its step's."""
 
 from __future__ import annotations
 
@@ -317,24 +317,31 @@ class _ChainsJsonl:
         """Write one chunk's rows, steps being cascade._Steps.columns.
 
         Every float cell of a row is a function of its channel, and their keys
-        sort before "sample_index" and "step", so a row is its channel's text,
-        the float cells dumped once per channel the chunk uses, then the two
-        integers; _JSONL_BLOCK rows are joined per string.
+        sort before "sample_index" and "step", so a row is three texts: its
+        channel's, built from the columns' _json_texts for each channel the
+        chunk uses, its sample index's and its step's, each looked up in a
+        list made once per chunk; _JSONL_BLOCK rows are joined per string.
         """
         t = time.perf_counter()
         cells, channel = steps["cells"], steps["channel"]
+        sample, step = steps["sample_index"], steps["step"]
         used = np.zeros(len(cells["omega"]), dtype=bool)
         used[channel] = True
         texts = [None] * used.size
-        values = zip(*(column[used].tolist() for column in cells.values()))
-        for c, v in zip(np.flatnonzero(used).tolist(), values):
-            texts[c] = _canonical_json(dict(zip(cells, v)))[:-1] + ',"sample_index":'
+        names = sorted(cells)
+        template = "{" + ",".join(json.dumps(k) + ":%s" for k in names) + ',"sample_index":'
+        columns = (_json_texts(cells[k][used]) for k in names)
+        for c, values in zip(np.flatnonzero(used).tolist(), zip(*columns)):
+            texts[c] = template % values
+        lo, hi = (int(sample.min()), int(sample.max())) if sample.size else (0, -1)
+        samples = list(map(str, range(lo, hi + 1)))
+        tails = [',"step":%d}\n' % k for k in range(int(step.max()) + 1 if step.size else 0)]
         for start in range(0, channel.size, _JSONL_BLOCK):
             stop = start + _JSONL_BLOCK
-            parts = [None, None, ',"step":', None, "}\n"] * (min(stop, channel.size) - start)
-            parts[0::5] = map(texts.__getitem__, channel[start:stop].tolist())
-            parts[1::5] = map(str, steps["sample_index"][start:stop].tolist())
-            parts[3::5] = map(str, steps["step"][start:stop].tolist())
+            parts = [None] * (3 * (min(stop, channel.size) - start))
+            parts[0::3] = map(texts.__getitem__, channel[start:stop].tolist())
+            parts[1::3] = map(samples.__getitem__, (sample[start:stop] - lo).tolist())
+            parts[2::3] = map(tails.__getitem__, step[start:stop].tolist())
             self.file.write("".join(parts))
         self.seconds += time.perf_counter() - t
 

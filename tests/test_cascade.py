@@ -52,6 +52,11 @@ class TestPolicyValidation:
         with pytest.raises(UsageError):
             sample_cascade(s, CascadePolicy(energy_quantum=0.25), 0)
 
+    @pytest.mark.parametrize("value", [1.5, np.float64(2.0)], ids=["float", "np.float64"])
+    def test_non_integer_max_steps_is_usage_error(self, value):
+        with pytest.raises(UsageError, match="max_steps must be an integer >= 1"):
+            CascadePolicy(energy_quantum=0.1, max_steps=value)
+
     def test_max_steps_must_cover_quanta(self):
         with pytest.raises(UsageError):
             sample_cascade(SCHW_HALF, CascadePolicy(energy_quantum=0.1, max_steps=3), 0)
@@ -269,6 +274,87 @@ class TestRowHairs:
                     seen.add(key)
                     todo.append(key)
         assert seen
+
+
+class TestRowBlocks:
+    """An energy-only table computes the channels of a block of consecutive
+    r at once and finishes each row on its lookup: the rows are those of a
+    table that builds every key alone, bit for bit."""
+
+    @pytest.mark.parametrize("state,policy", [
+        (BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)),
+        # Closed channels, and a floor the chains stick at.
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 4.0, 0.875), CascadePolicy(energy_quantum=0.25)),
+        (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.75), CascadePolicy(energy_quantum=0.0625)),
+        (BlackHoleState(Family.SCHWARZSCHILD, 4.0, alpha=1.5),
+         CascadePolicy(energy_quantum=0.0625, stop_mass=0.5)),
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, -0.0), CascadePolicy(energy_quantum=0.125)),
+    ], ids=["schw", "rn-stuck", "kn", "alpha", "rn-minus-zero-q"])
+    def test_block_rows_equal_rows_built_alone(self, state, policy):
+        from bhspectra.cascade import _TransitionTable
+
+        blocks, alone = _TransitionTable(state, policy), _TransitionTable(state, policy)
+        alone._block = lambda key: [key]
+        assert len(blocks._block((blocks.n_quanta, 0, 0))) > 1
+        # Descending r: every key of the table, the first lookup of each block
+        # at its top row.
+        for r in range(blocks.n_quanta, -1, -1):
+            got, want = blocks[r, 0, 0], alone[r, 0, 0]
+            assert np.array(got.hairs).view(np.int64).tolist() == \
+                np.array(want.hairs).view(np.int64).tolist()
+            for name in ("r2", "cq2", "cj2", "m2", "q2", "j2", "logw", "logp", "cdf"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and not a.flags.writeable, name
+                assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), (r, name)
+        assert len(blocks) == len(alone) == blocks.n_quanta + 1
+
+    def test_blocks_cut_the_energy_rows_in_order(self):
+        from bhspectra.blackholes import _BLOCK
+        from bhspectra.cascade import _TransitionTable
+
+        table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 256.0),
+                                 CascadePolicy(energy_quantum=0.0625))
+        n, r, cuts = table.n_quanta, 1, []
+        while r <= n:
+            block = table._block((r, 0, 0))
+            assert [key[0] for key in block] == list(range(r, r + len(block)))
+            assert sum(key[0] for key in block) <= _BLOCK + block[-1][0]
+            assert all(table._block(key) == block for key in block)
+            cuts.append(r)
+            r += len(block)
+        assert r == n + 1 and len(cuts) > 1000  # 1024 blocks of 2 rows at the top
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_row_that_overflows_raises_only_when_looked_up(self):
+        from bhspectra.cascade import _TransitionTable
+
+        # omega (2M - omega) overflows on the top rows, not on the bottom ones.
+        table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 1e154),
+                                 CascadePolicy(energy_quantum=1e153))
+        assert len(table._block((1, 0, 0))) == table.n_quanta == 10
+        assert table[1, 0, 0].logp.tolist() == [0.0]
+        for _ in range(2):
+            with pytest.raises(FloatingPointError, match="open channels"):
+                table[10, 0, 0]
+        assert list(table) == [(1, 0, 0)]
+
+    def test_first_lookup_of_a_large_table_builds_one_block(self):
+        import tracemalloc
+
+        from bhspectra.blackholes import _BLOCK
+        from bhspectra.cascade import _TransitionTable
+
+        # 4096 quanta: all rows would hold ~8.4M channels, the top block 4096.
+        table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 256.0),
+                                 CascadePolicy(energy_quantum=0.0625))
+        tracemalloc.start()
+        try:
+            assert table[4096, 0, 0].logw.size == 4096
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # About two dozen 8-byte arrays of the largest block at once.
+        assert peak < 24 * 8 * (_BLOCK + 4096)
 
 
 class TestEnsembles:

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, manifests, determinism, exit codes."""
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -832,3 +833,63 @@ class TestUsage:
         proc = run_subprocess("--help")
         assert proc.returncode == 0
         assert "spectrum" in proc.stdout
+
+
+def _commands(parser) -> dict:
+    """The command parsers of the CLI parser, by name."""
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices
+
+
+def _parse_outcome(parser, argv, capsys) -> tuple:
+    """What parsing argv prints and raises: (stdout, stderr, exit or error)."""
+    try:
+        parser.parse_args(argv)
+        outcome = "parsed"
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    except cli.UsageError as exc:
+        outcome = ("usage error", str(exc))
+    out, err = capsys.readouterr()
+    return out, err, outcome
+
+
+class TestLazyOptions:
+    """A command's options are added on its parser's first parse or help: the
+    texts are those of a parser with every option table added up front."""
+
+    ARGVS = [
+        ["--help"], ["-h"], [], ["bogus"], ["--mass", "1"],
+        *([command, "--help"] for command in ("spectrum", "cascade", "verify", "typicality")),
+        ["spectrum", "--bins", "x"], ["spectrum", "--format", "xml"], ["spectrum", "--nope", "1"],
+        ["spectrum", "--report", "1"], ["cascade", "--m", "1"], ["cascade", "--family"],
+        ["cascade", "--max-steps", "2.5"], ["cascade", "--seed", "1", "extra"],
+        ["verify", "--suite", "nope"], ["typicality", "--seeds"], ["cascade", "--mass", "1"],
+    ]
+
+    @staticmethod
+    def _eager():
+        parser = cli.build_parser()
+        for command in _commands(parser).values():
+            command._add_options()
+        return parser
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_texts_equal_an_eagerly_built_parser(self, capsys, argv):
+        assert _parse_outcome(cli.build_parser(), argv, capsys) == \
+            _parse_outcome(self._eager(), argv, capsys)
+
+    def test_each_command_usage_and_help_equal_an_eagerly_built_parser(self):
+        lazy, eager = _commands(cli.build_parser()), _commands(self._eager())
+        for name in eager:
+            assert lazy[name].format_usage() == eager[name].format_usage()
+        lazy = _commands(cli.build_parser())
+        for name in eager:
+            assert lazy[name].format_help() == eager[name].format_help()
+
+    def test_a_run_adds_its_own_command_options_and_help_none(self):
+        parser = cli.build_parser()
+        parser.format_help()
+        assert all(p.options is not None for p in _commands(parser).values())
+        parser.parse_args(["cascade", "--mass", "2"])
+        assert [name for name, p in _commands(parser).items() if p.options is None] == ["cascade"]

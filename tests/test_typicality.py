@@ -279,10 +279,12 @@ class TestTypicalityScaling:
             typicality_lab(dim_b=4, dim_o=16, n_seeds=1, seed=-1)
 
     @pytest.mark.parametrize("n_seeds,seed,named", [
-        (0, 0, "n_seeds must be >= 1"),
+        (0, 0, "n_seeds must be an integer >= 1"),
+        (1.5, 0, "n_seeds must be an integer >= 1"),
+        (np.float64(2.0), 0, "n_seeds must be an integer >= 1"),
         ((1 << 20) + 1, 0, "above 1048576"),
         (1, -1, "seed must be"),
-    ], ids=["no-seeds", "over-cap", "negative-seed"])
+    ], ids=["no-seeds", "float-seeds", "np.float64-seeds", "over-cap", "negative-seed"])
     def test_concentration_rejects_bad_counts(self, n_seeds, seed, named):
         with pytest.raises(UsageError, match=named):
             concentration(lab_ledger(4, 16), n_seeds, seed)

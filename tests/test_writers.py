@@ -387,6 +387,18 @@ def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state,
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
 
 
+def test_chains_writer_matches_per_row_oracle_across_chunks(tmp_path):
+    # 64 quanta: a chunk walks 1024 samples, so 1030 samples make two chunks,
+    # each with its own channel texts and integer lists.
+    state, policy = BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)
+    chunks = []
+    cascade_ensemble_stats(state, policy, 1030, 11, on_chunk=chunks.append)
+    assert [c["sample_index"][0] for c in chunks] == [0, 1024]
+    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 1030, 11)
+    chains = [sample_cascade(state, policy, 11, i) for i in range(1030)]
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1030, 11)
+
+
 def test_chains_writer_keeps_a_zero_hair_sign_after_its_twin_state(tmp_path):
     # BlackHoleState(..., -0.0) == BlackHoleState(..., 0.0): the table cached
     # for one must not serve the other, whose initial row differs.
