@@ -8,9 +8,9 @@ A value the caller set wins.
 numpy.random imports hashlib (bit_generator -> secrets -> hmac), and hashlib
 maps OpenSSL's libcrypto through _hashlib: ~3.6 MB of resident memory that
 no command uses (the manifest hash takes the builtin sha256, see cli). Of the
-commands, verify and typicality import numpy.random (cascade computes its
-streams without it). So the CLI blocks _hashlib before numpy loads (a None
-entry in sys.modules makes its import fail), and hashlib and hmac take the
+commands, verify and typicality import numpy.random; cascade loads no numpy
+at all. So the CLI blocks _hashlib before numpy loads (a None entry in
+sys.modules makes its import fail), and hashlib and hmac take the
 interpreter's builtin hash modules instead. The block is set only where
 _hashlib is not loaded yet and every builtin module hashlib falls back to
 exists; where one is missing, hashlib would log an error for each hash it
@@ -19,15 +19,17 @@ and their OpenSSL hashes.
 
 When the command returns, the entry point freezes the heap (`gc.freeze()`).
 Interpreter exit runs forced passes of the cyclic collector over every live
-object, ~22k after numpy's import: 20-25 ms of finalization in a cascade or
-spectrum run, against 5-6 ms once they sit in the permanent generation
-(2 shared cores, Python 3.11). atexit handlers and the flushing of stdio
-still run. A collection of the two young generations (under 1.2 ms) first
-frees the command's last cyclic garbage, such as json's encoder closures;
-frozen with the rest, it raised a cascade run's peak RSS by ~0.12 MB. This
-relies on one rule: every output file is closed explicitly (a `with` block or
-`write_text`) before `main` returns, so no byte waits on a finalizer. Calling
-`bhspectra.cli.main` in process leaves the caller's collector alone.
+object, ~22k after numpy's import: 20-25 ms of finalization in a spectrum
+run, against 5-6 ms once they sit in the permanent generation (2 shared
+cores, Python 3.11). The commands that load numpy are spectrum, verify and
+typicality; a cascade run, which loads none, ends with ~14k objects. atexit
+handlers and the flushing of stdio still run. A collection of the two young
+generations (under 1.2 ms) first frees the command's last cyclic garbage,
+such as json's encoder closures; frozen with the rest, it raised a cascade
+run's peak RSS by ~0.12 MB. This relies on one rule: every output file is
+closed explicitly (a `with` block or `write_text`) before `main` returns, so
+no byte waits on a finalizer. Calling `bhspectra.cli.main` in process leaves
+the caller's collector alone.
 """
 
 import gc

@@ -28,7 +28,9 @@ few ulp of max(|dS|, S). Near extremality D cancels, so it is evaluated with
 exact float64 products (Dekker's two-product) and, for the remnant, at the
 exact hairs (M - omega, Q - q, J - j); that keeps the error a few ulp at any
 margin. Everything is float64, with the same arithmetic on Python floats and
-on numpy arrays; no extended precision type is used.
+on numpy arrays; no extended precision type is used. numpy is imported only
+by the array routes: an argument can be an ndarray only once numpy is in
+sys.modules, so the float routes run in a process that never loads it.
 
 A fully evaporated hole (M = Q = J = 0) is a legal terminal state with zero
 entropy when alpha = 0: complete evaporation cascades end on it.
@@ -38,10 +40,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from operator import add
 
 from .errors import DomainError, RemnantInvalid
 
@@ -153,10 +155,15 @@ def _pick(cond, a, b):
     return a if cond else b
 
 
-# (sqrt, log, log1p, maximum, where) on Python floats and on numpy arrays: the
-# kernels below are written once against these and run on either.
-_FLOAT_OPS = (math.sqrt, math.log, math.log1p, max, _pick)
-_ARRAY_OPS = (np.sqrt, np.log, np.log1p, np.maximum, np.where)
+# (sqrt, log, log1p, maximum, where, any) on Python floats and on numpy
+# arrays: the kernels below are written once against these and run on either.
+_FLOAT_OPS = (math.sqrt, math.log, math.log1p, max, _pick, bool)
+
+
+@functools.cache
+def _array_ops() -> tuple:
+    import numpy as np
+    return np.sqrt, np.log, np.log1p, np.maximum, np.where, np.any
 
 
 # Veltkamp's splitter 2^27 + 1: cuts a float64 into two halves whose
@@ -218,8 +225,8 @@ def _area_sq(m, q, j, ops, root=None):
     always routes through 4 M^2, so the family reductions RN(Q=0) ->
     Schwarzschild and KN(J=0) -> RN are bit-exact; D (~M^4) is computed only
     when some entry carries charge or spin."""
-    sqrt, _, _, maximum, where = ops
-    if not ((np.any(q) or np.any(j)) if ops is _ARRAY_OPS else (q or j)):
+    sqrt, _, _, maximum, where, any_ = ops
+    if not (any_(q) or any_(j)):
         return 4.0 * m * m
     if root is None:
         root = sqrt(maximum(_disc(m, q, j), 0.0))
@@ -244,13 +251,14 @@ def entropy_drop(m, q, j, alpha, omega, qe=0.0, je=0.0):
     arguments broadcast in numpy, with the same arithmetic. Unvalidated: the
     caller screens closed channels, whose values are meaningless.
     """
-    vector = isinstance(m, np.ndarray) or isinstance(omega, np.ndarray)
-    ops = _ARRAY_OPS if vector else _FLOAT_OPS
-    sqrt, log, log1p, maximum, where = ops
+    np = sys.modules.get("numpy")  # an argument can be an array only when it is loaded
+    vector = np is not None and (isinstance(m, np.ndarray) or isinstance(omega, np.ndarray))
+    ops = _array_ops() if vector else _FLOAT_OPS
+    sqrt, log, log1p, maximum, where, any_ = ops
     shrink = omega * (2.0 * m - omega)  # M^2 - M'^2
     darea = -4.0 * shrink
     # The charged route runs only when some entry carries charge or spin.
-    if (np.any(q) or np.any(j) or np.any(qe) or np.any(je)) if vector else (q or j or qe or je):
+    if (any_(q) or any_(j) or any_(qe) or any_(je)) if vector else (q or j or qe or je):
         charged = (q != 0.0) | (j != 0.0) | (qe != 0.0) | (je != 0.0)
         root = sqrt(maximum(_disc(m, q, j), 0.0))
         m2, q2, j2, disc2 = _remnant_disc(m, q, j, omega, qe, je)
@@ -294,6 +302,7 @@ def _blockwise(f, *args):
     blocks bound the kernel's temporaries, and numpy's inner loop runs along
     the last axis, which a caller should make the long one.
     """
+    import numpy as np
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     size = math.prod(shape)
     if size <= _BLOCK:
@@ -317,7 +326,7 @@ def _blockwise(f, *args):
 def _entropy(m, q, j, alpha, ops):
     """S = pi R_H^2 + alpha ln(pi R_H^2) of valid hairs, in nats; with
     alpha != 0, nan where the horizon area is zero."""
-    _, log, _, _, where = ops
+    _, log, _, _, where, _ = ops
     s = math.pi * _area_sq(m, q, j, ops)
     if alpha != 0.0:
         positive = s > 0.0
@@ -329,12 +338,13 @@ def _entropy_block(family: Family, alpha: float, m, q, j):
     """S of one block of hairs, nan off the macro-states. The kernel runs on
     the hairs unbroadcast, so a term of one axis is computed once per axis
     value; the nan it makes of hairs such as M = inf is masked, unwarned."""
+    import numpy as np
     ok = hairs_valid(family, m, q, j, 0.0)
     with np.errstate(invalid="ignore", over="ignore"):
-        s = _entropy(m, q, j, alpha, _ARRAY_OPS)
+        s = _entropy(m, q, j, alpha, _array_ops())
         bad = ok & ~np.isfinite(s)
         if alpha != 0.0 and bad.any():  # undefined, not overflowed, at a zero area
-            bad &= _area_sq(m, q, j, _ARRAY_OPS) != 0.0
+            bad &= _area_sq(m, q, j, _array_ops()) != 0.0
     if bad.any():
         raise _entropy_not_finite(*_at_first(bad, m, q, j, s))
     return np.where(ok, s, np.nan)
@@ -342,6 +352,7 @@ def _entropy_block(family: Family, alpha: float, m, q, j):
 
 def _at_first(bad, *arrays) -> list[float]:
     """The entries of arrays, broadcast together, at the first True of bad."""
+    import numpy as np
     i = np.flatnonzero(bad)[0]
     return [float(x.flat[i]) for x in np.broadcast_arrays(*arrays)]
 
@@ -351,12 +362,13 @@ def _entropy_not_finite(m, q, j, s) -> FloatingPointError:
                               "not finite in float64")
 
 
-def entropy_grid(family: Family, m, q, j, alpha: float) -> np.ndarray:
+def entropy_grid(family: Family, m, q, j, alpha: float):
     """Elementwise corrected entropy over arrays of hairs, in float64, in
     their broadcast shape: nan off the macro-states of `family` (negative
     mass, super-extremal, nonzero hairs at M = 0) and at zero area with
     alpha != 0; FloatingPointError where a macro-state's entropy is not
     finite otherwise. The arithmetic of bh_entropy, so the two agree bitwise."""
+    import numpy as np
     hairs = (np.asarray(x, dtype=np.float64) for x in (m, q, j))
     return _blockwise(functools.partial(_entropy_block, family, alpha), *hairs)
 
@@ -372,7 +384,9 @@ def hairs_valid(family: Family, m, q, j, alpha: float):
     given as grid axes are tested per axis; only the combined tests take the
     broadcast shape.
     """
-    if not (isinstance(m, np.ndarray) or isinstance(q, np.ndarray) or isinstance(j, np.ndarray)):
+    np = sys.modules.get("numpy")  # an argument can be an array only when it is loaded
+    if np is None or not (isinstance(m, np.ndarray) or isinstance(q, np.ndarray)
+                          or isinstance(j, np.ndarray)):
         if q == 0.0 and j == 0.0:  # every family; a nan mass fails both tests
             return 0.0 < m < math.inf or (m == 0.0 and alpha == 0.0)
         if family is Family.SCHWARZSCHILD or (family is Family.REISSNER_NORDSTROM and j != 0.0):
@@ -395,31 +409,91 @@ def hairs_valid(family: Family, m, q, j, alpha: float):
 
 
 def logsumexp(a) -> float:
-    """log(sum(exp(a))) over a 1-D real array, shifted by its maximum.
+    """log(sum(exp(a))) over a 1-D real array, or a sequence of floats,
+    shifted by its maximum.
 
     Reproduces scipy's logsumexp (1.17) bit for bit on 1-D real input: every
     element equal to the maximum is taken out of the shifted sum, which is
     divided by their count, so ties at the maximum cost no precision. A
     non-finite result (inf or nan in `a`, or all -inf) falls back to the
     direct log(sum(exp(a))), as scipy does; empty input gives -inf.
+
+    One body for both routes: an array takes numpy's exp, log and sum, a
+    sequence the math module's and _pairwise_sum, numpy's summation order.
+    The routes agree bit for bit where numpy's exp, log and log1p are libm's.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return float("-inf")
+    np = sys.modules.get("numpy")  # a can be an array only when it is loaded
+    if np is None or not isinstance(a, np.ndarray):
+        return _logsumexp(list(map(float, a)), _FLOAT_LSE_OPS)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _logsumexp(a.astype(np.float64, copy=False), _array_lse_ops())
+
+
+def _logsumexp(a, ops) -> float:
+    shifted, total, exp, log, log1p = ops
+    if len(a) == 0:
+        return -math.inf
+    hi, terms, count = shifted(a)
+    s = total(terms)
+    if s != 0.0:
+        s = s / count
+    out = log1p(s) + log(count) + hi
+    if not math.isfinite(out):
+        out = log(total(exp(a)))
+    return float(out)
+
+
+def _shifted_floats(a: list) -> tuple:
+    """(max, exp(a - max) with 0.0 at the maxima, their count) of a list.
+    No term can overflow: a - max is at most 0, or nan."""
+    hi = max(a)
+    return hi, [0.0 if x == hi else math.exp(x - hi) for x in a], float(a.count(hi))
+
+
+@functools.cache
+def _array_lse_ops() -> tuple:
+    import numpy as np
+
+    def shifted(a):
         hi = a.max()  # the methods: numpy's function wrappers cost ~1 us a call
         at_max = a == hi
         terms = a - hi
         np.exp(terms, out=terms)
         terms[at_max] = 0.0
-        s = terms.sum()
-        count = np.float64(np.count_nonzero(at_max))
-        if s != 0.0:
-            s = s / count
-        out = np.log1p(s) + np.log(count) + hi
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a)))
-    return float(out)
+        return hi, terms, np.float64(np.count_nonzero(at_max))
+
+    return shifted, np.add.reduce, np.exp, np.log, np.log1p  # as _FLOAT_LSE_OPS
+
+
+def _pairwise_sum(a: list) -> float:
+    """The sum of a list of floats in numpy's order for a contiguous float64
+    array (pairwise_sum in its loops): under 8 values one by one from -0.0;
+    up to 128 in 8 interleaved running sums, then the rest one by one; more
+    split in two at a multiple of 8 below the middle."""
+    n = len(a)
+    if n < 8:
+        return functools.reduce(add, a, -0.0)
+    if n <= 128:
+        end = n - n % 8
+        r = [functools.reduce(add, a[k:end:8]) for k in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return functools.reduce(add, a[end:], total)
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp, but inf where it overflows, as numpy's exp."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+# (shifted, total, exp, log, log1p) of logsumexp's float route. math.log
+# raises at 0, where numpy's log is -inf; only a sum of exps reaches it.
+_FLOAT_LSE_OPS = (_shifted_floats, _pairwise_sum, lambda a: list(map(_exp_or_inf, a)),
+                  lambda x: math.log(x) if x != 0.0 else -math.inf, math.log1p)
 
 
 def horizon_radius(state: BlackHoleState) -> float:

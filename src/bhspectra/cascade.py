@@ -24,28 +24,30 @@ conservation matters as well.
 Transition table: the open channels out of a transition state
 (r, cq_left, cj_left) depend only on the integer counts, so each state's
 channels, raw log-weights, log-probabilities and CDF are built once per
-(state, policy) and looked up afterwards. The one sampler, a lockstep walk
-over all live chains of an ensemble, and the enumeration oracle read it.
+(state, policy), as Python floats, and looked up afterwards. The samplers
+and the enumeration oracle read it.
 
 Randomness: each per-sample chain draws from its own stream, numpy's
-PCG64(SeedSequence((seed, sample_index))).random() reproduced bit for bit
-without numpy.random, so a sample is reproducible on its own and does not
-depend on the chains walked beside it. The batch method for very
-large energy-only ensembles draws every chain from one
-(seed, n_samples)-deterministic stream instead; both are exact samplers of
-the same per-step distributions.
+PCG64(SeedSequence((seed, sample_index))).random() reproduced bit for bit in
+Python ints, so a sample is reproducible on its own and does not depend on
+the chains walked beside it. Each such chain is walked alone, in Python ints
+and floats, so a per-sample ensemble loads no numpy. The batch method for very large energy-only ensembles walks every
+chain in lockstep on one (seed, n_samples)-deterministic numpy stream
+instead; both are exact samplers of the same per-step distributions.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
-import numpy as np
-
-from .blackholes import _BLOCK, BlackHoleState, Emission, entropy_drop, hairs_valid, logsumexp
+from .blackholes import (BlackHoleState, Emission, _pairwise_sum, entropy_drop, hairs_valid,
+                         logsumexp)
 # Not called here; kept importable because perfbench/tracer.py wraps it here.
 from .blackholes import entropy_grid  # noqa: F401
 from .errors import UsageError, check_int
@@ -147,30 +149,27 @@ def _count_quanta(value: float, quantum: float, what: str) -> int:
 _TABLE_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class _Row:
-    """Open channels out of one transition state, in _build's order."""
+    """Open channels out of one transition state, as tuples of Python ints
+    and floats, channel by channel in the order __missing__ builds them."""
 
     key: tuple[int, int, int]             # the state's (r, cq_left, cj_left)
     hairs: tuple[float, float, float]     # the state's (M, Q, J)
-    r2: np.ndarray      # remaining energy / charge / spin quanta after each channel
-    cq2: np.ndarray
-    cj2: np.ndarray
-    m2: np.ndarray      # remnant hairs after each channel
-    q2: np.ndarray
-    j2: np.ndarray
-    logw: np.ndarray    # raw log-weights
-    logp: np.ndarray    # the same minus their log-sum-exp: the unit-sum log-probabilities
-    cdf: np.ndarray     # unit-sum CDF, last entry pinned to 1.0; empty when stuck
+    after: tuple    # the remnant's key after each channel
+    m2: tuple       # remnant hairs after each channel
+    q2: tuple
+    j2: tuple
+    logw: tuple     # raw log-weights
+    logp: tuple     # the same minus their log-sum-exp: the unit-sum log-probabilities
+    cdf: tuple      # unit-sum CDF, last entry pinned to 1.0; empty when stuck
 
 
 class _TransitionTable(dict):
     """Rows of one (state, policy) cascade keyed by (r, cq_left, cj_left),
-    each built on its first lookup, and the cascade's integer ledger: the
-    total quanta of each conserved hair, n_quanta, n_charge and n_spin (the
-    last two signed). An energy-only table computes the channels of a block
-    of consecutive r at once (see _block), so the dict holds exactly the
-    rows looked up."""
+    each built on its first lookup, so the dict holds exactly the rows looked
+    up; and the cascade's integer ledger: the total quanta of each conserved
+    hair, n_quanta, n_charge and n_spin (the last two signed)."""
 
     def __init__(self, state: BlackHoleState, policy: CascadePolicy) -> None:
         super().__init__()
@@ -189,121 +188,73 @@ class _TransitionTable(dict):
         if channels > _MAX_CHANNELS:
             raise UsageError(f"{n} energy quanta open {channels} channels, above {_MAX_CHANNELS}")
         self.n_quanta, self.n_charge, self.n_spin = n, nq, nj
-        # Rows computed by _build and not yet looked up: key -> (hairs,
-        # block arrays, the row's slice of them).
-        self._built: dict[tuple[int, int, int], tuple] = {}
-
-    def _hairs_at(self, r, cq_left, cj_left):
-        """Canonical hairs at integer remaining counts, anchored at the initial
-        state (a single product each, so no cumulative drift along a chain):
-        float64 arrays at int arrays of one shape. The endpoints are pinned
-        exactly: r = 0 is the stop mass, a fully shed charge or spin is exactly
-        zero. A disabled channel leaves its hair untouched."""
-        s, p = self.state, self.policy
-        m = np.where(r == 0, p.stop_mass, s.m - (self.n_quanta - r) * p.energy_quantum)
-        if p.charge_quantum is None:
-            q = np.full(r.shape, s.q)
-        else:
-            q = np.where(cq_left == 0, 0.0, s.q - (self.n_charge - cq_left) * p.charge_quantum)
-        if p.spin_quantum is None:
-            j = np.full(r.shape, s.j)
-        else:
-            j = np.where(cj_left == 0, 0.0, s.j - (self.n_spin - cj_left) * p.spin_quantum)
-        return m, q, j
-
-    def _block(self, key: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-        """The keys whose channels are computed together with key's. In an
-        energy-only table, row r holds channels k = 1..r; laid end to end
-        from r = 1, the rows whose channels end in the same _BLOCK-channel
-        slice as row r's form its block (at most _BLOCK + r channels). Any
-        other key is a block of one."""
-        r = key[0]
-        if not (self.policy.energy_only and 0 < r <= self.n_quanta):
-            return [key]
-        k = (r * (r + 1) // 2 - 1) // _BLOCK
-        lo, hi = (_triangle_root(i * _BLOCK) for i in (k, k + 1))
-        return [(x, 0, 0) for x in range(lo + 1, min(hi, self.n_quanta) + 1)]
-
-    def _build(self, keys: list[tuple[int, int, int]]) -> None:
-        """The open channels of keys, each move of 1..r energy,
-        0..|cq_left| charge and 0..|cj_left| spin quanta out of its key to a
-        valid macro-state, laid end to end in one hairs_valid and one
-        entropy_drop call; kept in self._built per key until __missing__
-        finishes its row. The log-weights of closed channels and of
-        overflowing ones are not refused here: a row is refused only when it
-        is looked up."""
-        state = self.state
-        if len(keys) == 1 and (keys[0][1] or keys[0][2]):
-            r, cq_left, cj_left = keys[0]
-            # Move counts 0..|left| carrying the sign of the remaining quanta.
-            moves = (np.arange(abs(left) + 1) * (1 if left >= 0 else -1)
-                     for left in (cq_left, cj_left))
-            k, cq, cj = map(np.ravel, np.meshgrid(np.arange(1, r + 1), *moves, indexing="ij"))
-            r2, cq2, cj2 = r - k, cq_left - cq, cj_left - cj
-            owner = np.zeros(r2.size, dtype=np.intp)
-        else:  # energy moves only: key i's channels are r2 = r_i - 1, ..., 0
-            counts = np.array([key[0] for key in keys])
-            ends = np.cumsum(counts)
-            owner = np.repeat(np.arange(len(keys)), counts)
-            size = int(ends[-1])
-            r2 = ends[owner] - 1 - np.arange(size)
-            cq2 = cj2 = np.zeros(size, dtype=np.int64)
-        # One _hairs_at call: the keys' own hairs, then each channel's remnant.
-        counts_at = (np.concatenate((c, x)) for c, x in zip(np.array(keys).T, (r2, cq2, cj2)))
-        m, q, j = self._hairs_at(*counts_at)
-        n_keys = len(keys)
-        channels = [r2, cq2, cj2, m[n_keys:], q[n_keys:], j[n_keys:]]
-        ok = hairs_valid(state.family, *channels[3:], state.alpha)
-        if not ok.all():
-            channels, owner = [x[ok] for x in channels], owner[ok]
-        hairs = [tuple(map(float, h)) for h in zip(*(x[:n_keys].tolist() for x in (m, q, j)))]
-        # A block of one passes its state's hairs as floats: entropy_drop then
-        # computes their terms once, in float arithmetic, to the same bits.
-        m1, q1, j1 = hairs[0] if n_keys == 1 else (x[:n_keys][owner] for x in (m, q, j))
-        m2, q2, j2 = channels[3:]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused per row
-            channels.append(entropy_drop(m1, q1, j1, state.alpha, m1 - m2, q1 - q2, j1 - j2))
-        for a in channels:
-            a.flags.writeable = False  # shared by every caller of the cached table
-        bounds = np.searchsorted(owner, np.arange(n_keys + 1)).tolist()
-        for key, h, lo, hi in zip(keys, hairs, bounds, bounds[1:]):
-            self._built[key] = (h, channels, lo, hi)
+        # The canonical hairs at each remaining count, anchored at the initial
+        # state (one product each, so no cumulative drift along a chain). A
+        # count lies between 0 and its initial value, so |count| indexes it.
+        # The endpoints are pinned: r = 0 is the stop mass, a fully shed
+        # charge or spin is exactly zero; a disabled channel keeps its hair.
+        self._m = _anchored(state.m, n, policy.energy_quantum, policy.stop_mass)
+        self._q, self._j = ([hair] if quantum is None else _anchored(hair, total, quantum)
+                            for hair, total, quantum in ((state.q, nq, policy.charge_quantum),
+                                                         (state.j, nj, policy.spin_quantum)))
 
     def __missing__(self, key: tuple[int, int, int]) -> _Row:
         """The row of key = (r, cq_left, cj_left), built and cached on its
-        first lookup: its channels from _build (none: stuck), computed with
-        its block's on the block's first lookup, and their log-sum-exp,
-        log-probabilities and CDF. FloatingPointError when an open channel's
-        log-weight or the log-sum-exp is not finite."""
-        if key not in self._built:
-            self._build(self._block(key))
-        hairs, block, lo, hi = self._built[key]
-        channels = [x[lo:hi] for x in block]
-        logw = channels[-1]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # refused below
-            log_z = logsumexp(logw)
-            logp = logw - log_z
-            cdf = np.cumsum(np.exp(logp))
-        if not np.isfinite(logp).all():
+        first lookup: each move of 1..r energy, 0..|cq_left| charge and
+        0..|cj_left| spin quanta out of key to a valid macro-state, with its
+        raw log-weight from entropy_drop on floats; then their log-sum-exp,
+        log-probabilities and CDF; none open is a stuck state. FloatingPointError
+        when an open channel's log-weight or the log-sum-exp is not finite."""
+        r, cq_left, cj_left = key
+        state = self.state
+        family, alpha = state.family, state.alpha
+        # The initial row keeps the state's own hairs: the pinned zero of a
+        # zero count would drop the sign of Q = -0.0 or J = -0.0.
+        if key == (self.n_quanta, self.n_charge, self.n_spin):
+            hairs = (state.m, state.q, state.j)
+        else:
+            hairs = (self._m[r], self._q[abs(cq_left)], self._j[abs(cj_left)])
+        m, q, j = hairs
+        # Remaining counts after a move of 0, 1, ... quanta: left, ..., 0.
+        charges, spins = (range(left, -1, -1) if left >= 0 else range(left, 1)
+                          for left in (cq_left, cj_left))
+        after, m2s, q2s, j2s, logw = [], [], [], [], []
+        for r2 in range(r - 1, -1, -1):
+            m2 = self._m[r2]
+            for cq2 in charges:
+                q2 = self._q[abs(cq2)]
+                for cj2 in spins:
+                    j2 = self._j[abs(cj2)]
+                    if not hairs_valid(family, m2, q2, j2, alpha):
+                        continue
+                    try:
+                        w = entropy_drop(m, q, j, alpha, m - m2, q - q2, j - j2)
+                    except (ArithmeticError, ValueError):  # where numpy gives inf or nan
+                        w = math.nan
+                    after.append((r2, cq2, cj2))
+                    m2s.append(m2)
+                    q2s.append(q2)
+                    j2s.append(j2)
+                    logw.append(w)
+        log_z = logsumexp(logw)
+        logp = [w - log_z for w in logw]
+        if not all(map(math.isfinite, logp)):
             raise FloatingPointError(
                 f"the cascade's entropy arithmetic left float64 range at (M, Q, J) = {hairs}: "
-                f"log-sum-exp {log_z!r} over {logw.size} open channels"
+                f"log-sum-exp {log_z!r} over {len(logw)} open channels"
             )
-        if cdf.size:
+        cdf = list(accumulate(map(math.exp, logp)))
+        if cdf:
             cdf[-1] = 1.0
-        logp.flags.writeable = cdf.flags.writeable = False
-        # The initial row keeps the state's own hairs: _hairs_at pins a zero
-        # count's hair to 0.0, which would drop the sign of Q = -0.0 or J = -0.0.
-        if key == (self.n_quanta, self.n_charge, self.n_spin):
-            hairs = (self.state.m, self.state.q, self.state.j)
-        row = self[key] = _Row(key, hairs, *channels, logp, cdf)
-        del self._built[key]
+        row = self[key] = _Row(key, hairs, *map(tuple, (after, m2s, q2s, j2s, logw, logp, cdf)))
         return row
 
 
-def _triangle_root(x: int) -> int:
-    """The largest r >= 0 with r (r + 1) / 2 <= x, for x >= 0."""
-    return (math.isqrt(8 * x + 1) - 1) // 2
+def _anchored(hair: float, total: int, quantum: float, end: float = 0.0) -> list[float]:
+    """The hair at each count of quanta left, from 0 to total (signed),
+    indexed by |count|: end at 0, else hair less the quanta shed."""
+    sign = -1 if total < 0 else 1
+    return [end] + [hair - (total - sign * a) * quantum for a in range(1, abs(total) + 1)]
 
 
 def _transition_table(state: BlackHoleState, policy: CascadePolicy) -> _TransitionTable:
@@ -319,76 +270,41 @@ def _cached_table(state: BlackHoleState, policy: CascadePolicy, *zero_signs) -> 
 
 
 # ---------------------------------------------------------------------------
-# Sampling: one lockstep walk
+# Sampling: one chain at a time on its own stream; the batch walk
 # ---------------------------------------------------------------------------
 
 
-def _walk(table: _TransitionTable, n_chains: int, draw, on_step=None):
-    """Walk n_chains chains from the table's initial state; round t takes
-    step t of every live chain, grouped by transition state in ascending
-    order. draw(t, idx) gives group idx its uniforms and on_step(t, idx,
-    row, pick) sees its step; a stuck group draws nothing. Returns per-chain
-    lengths, first moves in quanta (where the length is > 0), raw and
-    normalized log-probabilities (summed in step order) and stuck flags."""
-    n, n_charge, n_spin = table.n_quanta, table.n_charge, table.n_spin
-    r, cq, cj = np.array([[n], [n_charge], [n_spin]]).repeat(n_chains, 1)
-    lengths, first_k = np.zeros(n_chains, dtype=np.int64), np.zeros(n_chains, dtype=np.int64)
-    raw, norm, stuck = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, dtype=bool)
-    charged = not table.policy.energy_only
-    # Counts lie between 0 and their initial values: keys ascend with (r, cq_left, cj_left).
-    span_q, span_j = 2 * abs(n_charge) + 1, 2 * abs(n_spin) + 1
-    live, t = np.flatnonzero(r), 0
-    while live.size:
-        groups = (live,)
-        if live.size > 1:  # slices of the live chains sorted by key, cut where the key changes
-            key = (r[live] * span_q + cq[live]) * span_j + cj[live]
-            order = np.argsort(key, kind="stable")
-            ordered, cuts = live[order], (np.flatnonzero(np.diff(key[order])) + 1).tolist()
-            groups = (ordered[a:b] for a, b in zip([0, *cuts], [*cuts, live.size]))
-        for idx in groups:
-            c = idx[0]
-            row = table[int(r[c]), int(cq[c]), int(cj[c])]
-            if row.cdf.size == 0:
-                stuck[idx], r[idx] = True, 0  # r = 0 ends the chain
-                continue
-            # The uniforms are < 1.0 = cdf[-1], so every pick is a channel.
-            pick = row.cdf.searchsorted(draw(t, idx), side="right")
-            raw[idx] += row.logw[pick]
-            norm[idx] += row.logp[pick]
-            r[idx] = row.r2[pick]
-            if charged:
-                cq[idx], cj[idx] = row.cq2[pick], row.cj2[pick]
-            lengths[idx] = t + 1
-            if on_step is not None:
-                on_step(t, idx, row, pick)
-        if t == 0:
-            first_k = n - r
-        live, t = live[r[live] > 0], t + 1
-    return lengths, first_k, raw, norm, stuck
-
-
-def _per_sample_draw(seed: int, sample_indices, n_steps: int):
-    """draw for _walk: value t of the (seed, sample_indices[c]) stream at step t
-    of chain c. Each stream's first n_steps values, one per step a chain can
-    take, are drawn up front, in blocks of about _DRAW_BLOCK_STEPS values; the
-    values a chain does not reach are drawn from its own stream only."""
-    seed_words = _uint32_words(seed)
-    starts = [_pcg64_start(seed_words + _uint32_words(i)) for i in sample_indices]
-    uniforms = np.empty((len(starts), n_steps))
-    block = max(1, _DRAW_BLOCK_STEPS // max(1, n_steps))
-    for first in range(0, len(starts), block):
-        uniforms[first:first + block] = _pcg64_doubles(starts[first:first + block], n_steps)
-    return lambda t, idx: uniforms[idx, t]
+def _chain(table: _TransitionTable, s: int, inc: int):
+    """Walk one chain from the table's initial state on the PCG64 stream of
+    state s and increment inc (see _pcg64_start): at each step one 128-bit
+    LCG step, its XSL-RR output as a double in [0, 1) (PCG64's random()),
+    and the channel the row's CDF puts it in; a stuck row draws nothing.
+    Returns the steps as (row, channel) pairs, the raw and normalized
+    log-probabilities summed in step order, and whether the chain got stuck."""
+    mult, m64, m128 = _PCG64_MULT, _M64, _M128  # locals: read at every step
+    key = (table.n_quanta, table.n_charge, table.n_spin)
+    steps, raw, norm = [], 0.0, 0.0
+    while key[0]:
+        row = table[key]
+        cdf = row.cdf
+        if not cdf:
+            return steps, raw, norm, True
+        s = (s * mult + inc) & m128
+        # XSL-RR: the xor of the state's halves, rotated right by its top 6
+        # bits; random() keeps the top 53 bits of that.
+        x = ((s >> 64) ^ s) & m64
+        c = bisect_right(cdf, (((x | x << 64) >> (s >> 122) & m64) >> 11) * 2.0**-53)
+        raw += row.logw[c]  # the uniform is < 1.0 = cdf[-1]: c is a channel
+        norm += row.logp[c]
+        steps.append((row, c))
+        key = row.after[c]
+    return steps, raw, norm, False
 
 
 # ---------------------------------------------------------------------------
 # The per-sample stream: numpy's PCG64(SeedSequence((seed, i))).random(),
-# reproduced bit for bit without numpy.random
+# reproduced bit for bit in Python ints
 # ---------------------------------------------------------------------------
-
-# Values one block of _per_sample_draw computes at once: its temporaries are
-# about a dozen uint64 arrays of twice this size.
-_DRAW_BLOCK_STEPS = 1 << 13
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit LCG multiplier
@@ -429,11 +345,10 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _pcg64_start(words: list[int]) -> tuple[int, int, int, int]:
+def _pcg64_start(words: list[int]) -> tuple[int, int]:
     """PCG64(SeedSequence(entropy)), the entropy's uint32 words being words:
-    the low 64-bit words of its state and its increment, then their high
-    words. SeedSequence's mix_entropy and generate_state(4, uint64), then
-    PCG64's srandom, in Python ints."""
+    its 128-bit state and increment. SeedSequence's mix_entropy and
+    generate_state(4, uint64), then PCG64's srandom, in Python ints."""
     pool = words + [0] * (_POOL_SIZE - len(words))
     first, steps = _mix_steps(len(pool))
     m32, mix_l, mix_r = _M32, _MIX_MULT_L, _MIX_MULT_R  # locals: ~10% of the call
@@ -453,116 +368,63 @@ def _pcg64_start(words: list[int]) -> tuple[int, int, int, int]:
         w.append((lo ^ lo >> 16) | (hi ^ hi >> 16) << 32)
     # The seed is words (0, 1) and the stream words (2, 3), high word first.
     inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
-    s = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128
-    return s & _M64, inc & _M64, s >> 64, inc >> 64
+    return ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128, inc
 
 
-# uint64 scalars: a Python int operand costs a conversion on every array operation.
-_U1, _U11, _U32, _U58, _U63 = map(np.uint64, (1, 11, 32, 58, 63))
-_LOW32 = np.uint64(_M32)
+def _walk(table: _TransitionTable, n_chains: int, rng, census: bool):
+    """The batch walk: n_chains energy-only chains from the table's initial
+    state, all drawing from rng, a numpy Generator. Round t takes step t of
+    every live chain, grouped by r in ascending order, each group drawing its
+    uniforms in one call; a stuck group draws nothing. The rows are read as
+    arrays made once per row in the call. Returns per-chain lengths, first
+    moves in quanta (where the length is > 0), raw and normalized
+    log-probabilities (summed in step order), stuck flags and, with census,
+    cut masks: bit b set when a step leaves n - b quanta (bit n, set by the
+    last step, is not a cut)."""
+    import numpy as np
 
-
-@functools.lru_cache(maxsize=64)
-def _jump_ahead(n_steps: int) -> np.ndarray:
-    """The state after t + 1 steps is A_t s + C_t inc mod 2^128, with
-    A_t = MULT^(t+1) and C_t = MULT^0 + ... + MULT^t: (A_t, C_t) for
-    t < n_steps as four (2, 1, n_steps) arrays, of their low and high 64-bit
-    words and of the low words' low and high 32-bit halves."""
-    a, c, jumps = 1, 0, []
-    for _ in range(n_steps):
-        c = (c + a) & _M128
-        a = a * _PCG64_MULT & _M128
-        jumps += [a & _M64, c & _M64, a >> 64, c >> 64]
-    lo, hi = np.array(jumps, dtype=np.uint64).reshape(-1, 2, 2).transpose(1, 2, 0)
-    out = np.stack([lo, hi, lo & _LOW32, lo >> _U32])[:, :, None, :]  # contiguous: faster
-    out.flags.writeable = False
-    return out
-
-
-def _pcg64_doubles(starts: list[tuple[int, int, int, int]], n_steps: int) -> np.ndarray:
-    """The first n_steps values of PCG64's random() from each start of
-    _pcg64_start, as a (len(starts), n_steps) array: every state by
-    jump-ahead, in one uint64 pass over (chain, step), then XSL-RR output and
-    next_double. Array arithmetic wraps mod 2^64 silently, as the C code does."""
-    x0, x1, a0, a1 = _jump_ahead(n_steps)
-    y0, y1 = np.array(list(zip(*starts)), dtype=np.uint64).reshape(2, 2, -1, 1)  # (s, inc)
-    b0, b1 = y0 & _LOW32, y0 >> _U32
-    # Both products A_t s and C_t inc mod 2^128 at once, as (2, chains, steps)
-    # arrays. The carry of x0 y0 into the high word comes from 32-bit limbs
-    # (Hacker's Delight's mulhu), whose sums stay below 2^64.
-    low = a0 * b0
-    mid = a1 * b0 + (low >> _U32)
-    cross = a0 * b1 + (mid & _LOW32)
-    hi = a1 * b1 + (mid >> _U32) + (cross >> _U32) + x0 * y1 + x1 * y0
-    lo = x0 * y0
-    # The carry out of lo[0] + lo[1] is the top bit of their halved sum: a
-    # uint64 comparison would page in its own code, ~0.1 MB of a verify run's
-    # peak RSS.
-    state_lo = lo[0] + lo[1]
-    state_hi = hi[0] + hi[1]
-    state_hi += ((lo[0] >> _U1) + (lo[1] >> _U1) + (lo[0] & lo[1] & _U1)) >> _U63
-    # XSL-RR: the xor of the halves rotated right by rot, their top 6 bits.
-    # The left shift by 64 - rot goes as 1, then 63 - rot: no count reaches 64.
-    x, rot = state_hi ^ state_lo, state_hi >> _U58
-    x = (x >> rot) | ((x << _U1) << (rot ^ _U63))
-    return (x >> _U11) * 2.0 ** -53
-
-
-class _Steps:
-    """on_step for _walk that records step t of chain c as channel[c, t], -1
-    past the chain's end: an index into the channels of the rows reached,
-    laid end to end in the order the walk first reaches them."""
-
-    def __init__(self, n_chains: int, n_steps: int) -> None:
-        self.channel = np.full((n_chains, n_steps), -1, dtype=np.int64)
-        self.first: dict[_Row, int] = {}  # each row's first channel
-        self.size = 0
-
-    def __call__(self, t: int, idx: np.ndarray, row: _Row, pick: np.ndarray) -> None:
-        if row not in self.first:
-            self.first[row], self.size = self.size, self.size + row.r2.size
-        self.channel[idx, t] = self.first[row] + pick
-
-    def columns(self, first: int) -> dict:
-        """The chains.jsonl steps, chain c being sample first + c:
-        "sample_index", "step" and "channel" per step, and "cells", the float
-        cells of a row per channel. Each cell is a function of the channel:
-        the emitted hairs are its state's hairs less its remnant's."""
-        cells = {"j": [], "log_prob_norm": [], "log_weight_raw": [], "mass_before": [],
-                 "omega": [], "q": []}
-        for row in self.first:
-            m, q, j = row.hairs
-            cells["mass_before"].append(np.full(row.m2.size, m))
-            cells["omega"].append(m - row.m2)
-            cells["q"].append(q - row.q2)
-            cells["j"].append(j - row.j2)
-            cells["log_weight_raw"].append(row.logw)
-            cells["log_prob_norm"].append(row.logp)
-        taken = self.channel >= 0
-        chain, step = np.nonzero(taken)  # row-major: by chain, then step
-        return {"sample_index": chain + first, "step": step, "channel": self.channel[taken],
-                "cells": {k: np.concatenate(v or [[]]) for k, v in cells.items()}}
-
-    def census(self, policy: CascadePolicy, stuck) -> dict[tuple, int]:
-        """Identity counts (see chain_identity) of unstuck chains, first seen first."""
-        moves = []  # each channel's move in quanta: its state's counts less its remnant's
-        for row in self.first:
-            r, cq, cj = row.key
-            k = (r - row.r2).tolist()
-            moves += k if policy.energy_only else zip(k, (cq - row.cq2).tolist(),
-                                                      (cj - row.cj2).tolist())
-        census: dict[tuple, int] = {}
-        for channels in self.channel[~stuck].tolist():
-            ident = tuple(moves[c] for c in channels if c >= 0)
-            census[ident] = census.get(ident, 0) + 1
-        return census
+    n = table.n_quanta
+    r = np.full(n_chains, n)
+    lengths, first_k = np.zeros(n_chains, dtype=np.int64), np.zeros(n_chains, dtype=np.int64)
+    raw, norm, stuck = np.zeros(n_chains), np.zeros(n_chains), np.zeros(n_chains, dtype=bool)
+    cuts = np.zeros(n_chains, dtype=np.int64)
+    arrays: dict[int, tuple] = {}  # r -> the row's cdf, logw, logp and remnant r
+    live, t = np.flatnonzero(r), 0
+    while live.size:
+        groups = (live,)
+        if live.size > 1:  # slices of the live chains sorted by r, cut where r changes
+            order = np.argsort(r[live], kind="stable")
+            ordered = live[order]
+            cut_at = (np.flatnonzero(np.diff(r[ordered])) + 1).tolist()
+            groups = (ordered[a:b] for a, b in zip([0, *cut_at], [*cut_at, live.size]))
+        for idx in groups:
+            key = int(r[idx[0]])
+            if key not in arrays:
+                row = table[key, 0, 0]
+                arrays[key] = tuple(map(np.array, (row.cdf, row.logw, row.logp,
+                                                   [a[0] for a in row.after])))
+            cdf, logw, logp, r2 = arrays[key]
+            if cdf.size == 0:
+                stuck[idx], r[idx] = True, 0  # r = 0 ends the chain
+                continue
+            pick = cdf.searchsorted(rng.random(idx.size), side="right")
+            raw[idx] += logw[pick]
+            norm[idx] += logp[pick]
+            r[idx] = r2[pick]
+            lengths[idx] = t + 1
+            if census:
+                cuts[idx] |= np.left_shift(1, n - r[idx])
+        if t == 0:
+            first_k = n - r
+        live, t = live[r[live] > 0], t + 1
+    return lengths, first_k, raw, norm, stuck, cuts
 
 
 def _step(state: BlackHoleState, before: BlackHoleState, row: _Row, i: int) -> CascadeStep:
     """Channel i of row, taken from before, a state of the cascade of state."""
-    after = state.with_hairs(float(row.m2[i]), float(row.q2[i]), float(row.j2[i]))
+    after = state.with_hairs(row.m2[i], row.q2[i], row.j2[i])
     emission = Emission(before.m - after.m, before.q - after.q, before.j - after.j)
-    return CascadeStep(emission, after, float(row.logw[i]), float(row.logp[i]))
+    return CascadeStep(emission, after, row.logw[i], row.logp[i])
 
 
 def sample_cascade(
@@ -570,19 +432,17 @@ def sample_cascade(
 ) -> EmissionChain:
     """Sample one complete evaporation chain.
 
-    Deterministic for fixed (seed, sample_index): it is the lockstep walk of
-    one chain on the (seed, sample_index) stream, so it is sample
-    sample_index of every per-sample ensemble with that seed.
+    Deterministic for fixed (seed, sample_index): it is the walk of one chain
+    on the (seed, sample_index) stream, so it is sample sample_index of every
+    per-sample ensemble with that seed.
     """
     seed, sample_index = check_int("seed", seed), check_int("sample_index", sample_index)
     table = _transition_table(state, policy)
+    walked, _, _, stuck = _chain(table, *_pcg64_start(_uint32_words(seed)
+                                                      + _uint32_words(sample_index)))
     steps: list[CascadeStep] = []
-
-    def take(t, idx, row, pick):
-        steps.append(_step(state, steps[-1].state_after if steps else state, row, int(pick[0])))
-
-    draw = _per_sample_draw(seed, [sample_index], table.n_quanta)
-    stuck = bool(_walk(table, 1, draw, take)[4][0])
+    for row, c in walked:
+        steps.append(_step(state, steps[-1].state_after if steps else state, row, c))
     terminated = Termination.STOP_MASS if stuck else _terminal(policy)
     return EmissionChain(state, tuple(steps), terminated, stuck)
 
@@ -634,10 +494,9 @@ def enumerate_chains(
             results.append((EmissionChain(state, steps, _terminal(policy)), raw, norm))
             return
         row = table[r, 0, 0]
-        for i in range(row.r2.size):
+        for i, (r2, _, _) in enumerate(row.after):
             step = _step(state, current, row, i)
-            walk(step.state_after, int(row.r2[i]), (*steps, step), raw + step.log_weight,
-                 norm + step.log_prob)
+            walk(step.state_after, r2, (*steps, step), raw + step.log_weight, norm + step.log_prob)
 
     walk(state, n, (), 0.0, 0.0)
     return results
@@ -659,7 +518,7 @@ class CascadeEnsembleStats:
     n_samples: int
     seed: int
     method: str
-    lengths: np.ndarray
+    length_counts: dict[int, int]
     first_emission_counts: dict[int, int]
     identity_counts: dict[tuple, int] | None
     identity_entropy: float | None
@@ -668,17 +527,14 @@ class CascadeEnsembleStats:
     n_stuck: int
     terminated_counts: dict[str, int]
 
-    def length_counts(self) -> dict[int, int]:
-        values, counts = np.unique(self.lengths, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
-
     def to_json_dict(self) -> dict:
+        steps = sum(k * c for k, c in self.length_counts.items())
         return {
             "n_samples": self.n_samples,
             "seed": self.seed,
             "method": self.method,
-            "mean_length": float(np.mean(self.lengths)) if self.lengths.size else 0.0,
-            "length_counts": {str(k): v for k, v in sorted(self.length_counts().items())},
+            "mean_length": steps / self.n_samples,
+            "length_counts": {str(k): v for k, v in sorted(self.length_counts.items())},
             "first_emission_counts": {
                 str(k): v for k, v in sorted(self.first_emission_counts.items())
             },
@@ -699,38 +555,58 @@ def _composition(cuts: int, n: int) -> tuple[int, ...]:
     return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]) if hi > lo)
 
 
-def _ensemble_stats(n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
-                    identity_counts, terminated_counts) -> CascadeEnsembleStats:
-    """The one summary of an ensemble, from per-sample arrays (lengths, first
-    move in quanta, raw and normalized chain log-probs, stuck flags) plus the
-    identity census and termination counts. first_k is ignored where lengths
-    is 0."""
-    first_counts = {
-        int(k): int(c) for k, c in zip(*np.unique(first_k[lengths > 0], return_counts=True))
-    }
+def _ensemble_stats(n_samples, seed, method, length_counts, first_counts, raw_sum, norm_sum,
+                    n_stuck, identity_counts, terminated_counts) -> CascadeEnsembleStats:
+    """The one summary of an ensemble, from its tallies: chain lengths and
+    first moves in quanta (of chains with a step) with their counts, the
+    raw and normalized chain log-probs summed in numpy's pairwise order over
+    the samples in order, the stuck chains' count, the identity census and
+    the termination counts."""
     identity_entropy = None
     if identity_counts:
-        freqs = np.array(list(identity_counts.values()), dtype=np.float64) / n_samples
-        identity_entropy = float(0.0 - np.sum(freqs * np.log(freqs)))  # 0.0, not -0.0
+        freqs = [c / n_samples for c in identity_counts.values()]
+        identity_entropy = 0.0 - _pairwise_sum([f * math.log(f) for f in freqs])  # 0.0, not -0.0
     return CascadeEnsembleStats(
-        n_samples=n_samples, seed=seed, method=method, lengths=lengths,
-        first_emission_counts=first_counts, identity_counts=identity_counts,
-        identity_entropy=identity_entropy, mean_raw_log_prob=float(np.mean(raw_tot)),
-        mean_norm_log_prob=float(np.mean(norm_tot)), n_stuck=int(np.count_nonzero(stuck)),
+        n_samples=n_samples, seed=seed, method=method,
+        length_counts=dict(sorted(length_counts.items())),
+        first_emission_counts=dict(sorted(first_counts.items())), identity_counts=identity_counts,
+        identity_entropy=identity_entropy, mean_raw_log_prob=raw_sum / n_samples,
+        mean_norm_log_prob=norm_sum / n_samples, n_stuck=n_stuck,
         terminated_counts=terminated_counts,
     )
 
 
-# Steps one chunk of a per-sample walk holds at most: a chunk walks
+class _Tally:
+    """The tallies of _ensemble_stats, added chain by chain."""
+
+    def __init__(self) -> None:
+        self.lengths, self.first = Counter(), Counter()
+        self.raw, self.norm, self.n_stuck = [], [], 0
+
+    def add(self, length: int, first_k: int, raw: float, norm: float, stuck: bool) -> None:
+        self.lengths[length] += 1
+        if length:
+            self.first[first_k] += 1
+        self.raw.append(raw)
+        self.norm.append(norm)
+        self.n_stuck += stuck
+
+    def sums(self) -> tuple:
+        """(length counts, first-move counts, raw sum, normalized sum, stuck count)."""
+        return (self.lengths, self.first, _pairwise_sum(self.raw), _pairwise_sum(self.norm),
+                self.n_stuck)
+
+
+# Steps one chunk of a per-sample ensemble holds at most: a chunk is
 # max(1, _CHUNK_STEPS // n_quanta) samples, and no chain takes more than
-# n_quanta steps. At 64 quanta that is 1024 samples; much smaller chunks walk slower.
+# n_quanta steps. At 64 quanta that is 1024 samples.
 _CHUNK_STEPS = 1 << 16
 
 
 def _ensemble_table(state, policy, n_samples: int, seed: int):
     """The transition table of an ensemble, n_samples and seed as ints, after
-    their checks: every usage error a per-sample ensemble walk can raise is
-    raised here, before it starts."""
+    their checks: every usage error a per-sample ensemble can raise is raised
+    here, before it starts."""
     n_samples, seed = check_int("n_samples", n_samples, 1), check_int("seed", seed)
     return _transition_table(state, policy), n_samples, seed
 
@@ -745,16 +621,16 @@ def cascade_ensemble_stats(
 ) -> CascadeEnsembleStats:
     """Sample an ensemble of cascades and summarize it.
 
-    method "per-sample" draws each chain from its own (seed, index) stream,
-    so sample i is sample_cascade(..., seed, i); "batch" draws every chain
-    from one (seed, n_samples) stream, for energy-only cascades only. Both
-    are the one lockstep walk.
+    method "per-sample" walks each chain on its own (seed, index) stream, one
+    chain at a time in Python, so sample i is sample_cascade(..., seed, i);
+    "batch" walks every chain in lockstep on one numpy (seed, n_samples)
+    stream, for energy-only cascades only (see _walk).
 
-    The per-sample walk goes in chunks of consecutive samples (see
-    _CHUNK_STEPS), and on_chunk, when given, gets each chunk's steps as
-    chains.jsonl rows (see _Steps.columns), by sample, then step, as soon as
-    the chunk is walked; only the per-chain arrays and the census outlive a
-    chunk. The batch walk shares one stream, so it takes no on_chunk.
+    on_chunk, when given, gets the per-sample chains in chunks of consecutive
+    samples (see _CHUNK_STEPS) as soon as they are walked: a list of
+    (sample index, steps) per chain, the steps being (row, channel) pairs
+    (see _chain). Only the tallies and the census outlive a chunk.
+    The batch walk shares one stream, so it takes no on_chunk.
 
     The census order fixes how identity_entropy is summed, so it is output:
     per-sample identities first seen first, batch ones fewest parts first,
@@ -769,50 +645,53 @@ def cascade_ensemble_stats(
     if batch and on_chunk is not None:
         raise UsageError("batch sampling walks one stream: it has no chunks to hand over")
     table, n_samples, seed = _ensemble_table(state, policy, n_samples, seed)
-    n = table.n_quanta
+    n, charged = table.n_quanta, not policy.energy_only
     census = n <= _CENSUS_MAX_QUANTA
     identity_counts = None
     if batch:
+        import numpy as np
+
         rng = np.random.default_rng(np.random.SeedSequence((seed, n_samples)))
-        cuts = np.zeros(n_samples, dtype=np.int64)
-
-        def cut(t, idx, row, pick):  # bit n, set by a chain's last step, is not a cut
-            cuts[idx] |= np.left_shift(1, n - row.r2[pick])
-
-        walked = _walk(table, n_samples, lambda t, idx: rng.random(idx.size),
-                       cut if census else None)
+        lengths, first_k, raw, norm, stuck, cuts = _walk(table, n_samples, rng, census)
+        hists = (dict(zip(*(x.tolist() for x in np.unique(a, return_counts=True))))
+                 for a in (lengths, first_k[lengths > 0]))
+        sums = (*hists, float(np.add.reduce(raw)), float(np.add.reduce(norm)),
+                int(np.count_nonzero(stuck)))
         if census:
-            masks, counts = np.unique(cuts[~walked[4]], return_counts=True)
+            masks, counts = np.unique(cuts[~stuck], return_counts=True)
             found = {_composition(m, n): c for m, c in zip(masks.tolist(), counts.tolist())}
             identity_counts = dict(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
     else:
-        walked = (np.zeros(n_samples, dtype=np.int64), np.zeros(n_samples, dtype=np.int64),
-                  np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, dtype=bool))
+        tally = _Tally()
         identity_counts = {} if census else None
-        size = max(1, _CHUNK_STEPS // max(1, n))
-        for first in range(0, n_samples, size):
-            last = min(first + size, n_samples)
-            draw = _per_sample_draw(seed, range(first, last), n)
-            # After the draw, whose temporaries are then freed: a lower peak.
-            steps = _Steps(last - first, n) if census or on_chunk is not None else None
-            chunk = _walk(table, last - first, draw, steps)
-            for whole, part in zip(walked, chunk):
-                whole[first:last] = part
-            if steps is None:
-                continue
-            if census:  # chunks come in sample order, so this keeps first seen first
-                for ident, count in steps.census(policy, chunk[4]).items():
-                    identity_counts[ident] = identity_counts.get(ident, 0) + count
+        seed_words, size, chunk = _uint32_words(seed), max(1, _CHUNK_STEPS // max(1, n)), []
+        for i in range(n_samples):
+            steps, raw, norm, stuck = _chain(table, *_pcg64_start(seed_words + _uint32_words(i)))
+            tally.add(len(steps), _move(*steps[0])[0] if steps else 0, raw, norm, stuck)
+            if census and not stuck:  # chains come in sample order: first seen first
+                moves = (_move(row, c) for row, c in steps)
+                ident = tuple(moves) if charged else tuple(k for k, _, _ in moves)
+                identity_counts[ident] = identity_counts.get(ident, 0) + 1
             if on_chunk is not None:
-                columns, steps = steps.columns(first), None  # drop the step record first
-                on_chunk(columns)
-    n_stuck = int(np.count_nonzero(walked[4]))
+                chunk.append((i, steps))
+                if len(chunk) == size or i == n_samples - 1:
+                    on_chunk(chunk)
+                    chunk = []
+        sums = tally.sums()
+    n_stuck = sums[-1]
     # A stuck chain ends at a floor, as a stop-mass chain. Only the batch
     # summary lists its terminal ending when no chain has it.
     end, stop = _terminal(policy).value, Termination.STOP_MASS.value
     term_counts = {end: n_samples - n_stuck, stop: n_stuck} if end != stop else {end: n_samples}
     term_counts = {k: v for k, v in term_counts.items() if v or (batch and k == end)}
-    return _ensemble_stats(n_samples, seed, method, *walked, identity_counts, term_counts)
+    return _ensemble_stats(n_samples, seed, method, *sums, identity_counts, term_counts)
+
+
+def _move(row: _Row, c: int) -> tuple[int, int, int]:
+    """Channel c's move in energy, charge and spin quanta: the row's counts
+    less the remnant's."""
+    (r, cq, cj), (r2, cq2, cj2) = row.key, row.after[c]
+    return r - r2, cq - cq2, cj - cj2
 
 
 def ensemble_stats_from_chains(
@@ -829,22 +708,14 @@ def ensemble_stats_from_chains(
     if len(chains) != n_samples:
         raise UsageError(f"{len(chains)} chains given for n_samples={n_samples}")
     identity_counts: dict[tuple, int] | None = {}
-    lengths, first_k = np.zeros(n_samples, dtype=np.int64), np.zeros(n_samples, dtype=np.int64)
-    raw_tot, norm_tot, stuck = np.zeros(n_samples), np.zeros(n_samples), np.zeros(n_samples, bool)
-    term_counts: dict[str, int] = {}
+    tally, term_counts = _Tally(), {}
     for i, chain in enumerate(chains):
         if i == 0 and _TransitionTable(chain.initial, policy).n_quanta > _CENSUS_MAX_QUANTA:
             identity_counts = None
-        lengths[i] = chain.n_steps
-        raw_tot[i], norm_tot[i] = chain_log_probability(chain)
-        if chain.steps:
-            first_k[i] = round(chain.steps[0].emission.omega / policy.energy_quantum)
+        first_k = round(chain.steps[0].emission.omega / policy.energy_quantum) if chain.steps else 0
+        tally.add(chain.n_steps, first_k, *chain_log_probability(chain), chain.stuck)
         if identity_counts is not None and not chain.stuck:
             ident = chain_identity(chain, policy)
             identity_counts[ident] = identity_counts.get(ident, 0) + 1
-        stuck[i] = chain.stuck
         term_counts[chain.terminated.value] = term_counts.get(chain.terminated.value, 0) + 1
-    return _ensemble_stats(
-        n_samples, seed, method, lengths, first_k, raw_tot, norm_tot, stuck,
-        identity_counts, term_counts,
-    )
+    return _ensemble_stats(n_samples, seed, method, *tally.sums(), identity_counts, term_counts)

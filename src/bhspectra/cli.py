@@ -40,8 +40,7 @@ _LAZY = {name: module for module, names in (
     ("spectrum", ("GridSpec", "build_spectrum", "build_thermal_spectrum")),
     ("typicality", ("typicality_lab",)),
     ("verify", ("run_suites",)),
-    ("writers", ("_ChainsJsonl", "_write_spectrum_json", "_write_spectrum_jsonl",
-                 "write_spectrum_csv")),
+    ("writers", ("_write_spectrum_json", "_write_spectrum_jsonl", "write_spectrum_csv")),
 ) for name in names}
 
 
@@ -61,7 +60,7 @@ _import_s = 0.0
 
 
 # The stdlib modules the front defers and every command uses. _load imports them,
-# then the sha256 module, ahead of the package modules and numpy, in the order of
+# then the sha256 module, ahead of the package modules (and numpy), in the order of
 # a front that imports them at module level: a command's peak RSS moves by up to
 # ~0.1 MB with the layout of its heap, which follows the order of its allocations.
 _DEFERRED = ("dataclasses", "json", "datetime", "pathlib")
@@ -82,7 +81,8 @@ def _builtin_sha256():
 
 def _load(*modules: str) -> None:
     """A command's first stage, import_s: the deferred stdlib modules and
-    sha256, then the package modules the command runs (and numpy with them)."""
+    sha256, then the package modules the command runs (and numpy with all
+    but the cascade's)."""
     global _import_s
     t = time.perf_counter()
     for module in _DEFERRED:
@@ -374,12 +374,88 @@ _CASCADE_OPTIONS = {
     "output_dir": (str, ".", None),
 }
 
+# json.dumps's text of the floats whose repr is not JSON's.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+# Rows joined into one string at a time by the JSON row writers.
+_JSONL_BLOCK = 2048
+
+
+# The start of a chains.jsonl row: its float cells, keys sorted.
+_ROW_START = ('{"j":%s,"log_prob_norm":%s,"log_weight_raw":%s,"mass_before":%s,"omega":%s,'
+              '"q":%s,"sample_index":')
+
+
+def _channel_text(row, c: int) -> str:
+    """The start of the chains.jsonl row of a step through channel c of a
+    cascade row (cascade._Row), its float cells as json.dumps gives them.
+    Each is a function of the channel: the emitted hairs are the row's
+    hairs less its remnant's."""
+    m, q, j = row.hairs
+    cells = (j - row.j2[c], row.logp[c], row.logw[c], m, m - row.m2[c], q - row.q2[c])
+    return _ROW_START % tuple(_JSON_NONFINITE.get(t, t) for t in map(repr, cells))
+
+
+class _ChainsJsonl:
+    """chains.jsonl, one row per step, written chunk by chunk from the chains
+    cascade.cascade_ensemble_stats hands its on_chunk; seconds is the time
+    spent in write.
+
+    The rows go to a temporary file, renamed into place when the with block
+    ends without an error and removed when it ends with one, so a failed run
+    leaves no partial chains.jsonl.
+    """
+
+    def __init__(self, path: Path, manifest_hash: str, n_samples: int, seed: int) -> None:
+        self.path, self.part = path, path.with_name(path.name + ".part")
+        self.header = {"type": "header", "manifest_hash": manifest_hash,
+                       "n_samples": n_samples, "seed": seed}
+        self.seconds = 0.0
+        self.texts: dict = {}  # (cascade row, channel) -> _channel_text of it
+        self.tails: list[str] = []  # the end of a row at each step
+
+    def __enter__(self) -> "_ChainsJsonl":
+        self.file = self.part.open("w", encoding="utf-8")
+        self.file.write(_canonical_json(self.header) + "\n")
+        return self
+
+    def write(self, chains: list) -> None:
+        """Write one chunk's rows, chains being (sample index, steps) pairs,
+        each step a (cascade row, channel) pair.
+
+        The float cells' keys sort before "sample_index" and "step", so a row
+        is three texts: its channel's, built on the channel's first step, its
+        sample index's and its step's; _JSONL_BLOCK rows are joined per string.
+        """
+        t = time.perf_counter()
+        texts, tails, parts = self.texts, self.tails, []
+        for sample, steps in chains:
+            tails += (',"step":%d}\n' % k for k in range(len(tails), len(steps)))
+            index = str(sample)
+            for step, tail in zip(steps, tails):
+                text = texts.get(step)
+                if text is None:
+                    text = texts[step] = _channel_text(*step)
+                parts += (text, index, tail)
+            if len(parts) >= 3 * _JSONL_BLOCK:
+                self.file.write("".join(parts))
+                parts = []
+        self.file.write("".join(parts))
+        self.seconds += time.perf_counter() - t
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            self.file.close()
+            if exc_type is None:
+                self.part.replace(self.path)
+        finally:
+            self.part.unlink(missing_ok=True)
 
 
 def cmd_cascade(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
-    _load("cascade", "writers")
+    _load("cascade")
     state = _state_from_config(cfg)
     policy = _cli.CascadePolicy(
         energy_quantum=cfg["energy_quantum"], stop_mass=cfg["stop_mass"],
@@ -396,7 +472,7 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     # "workers" is only echoed: sampling runs in this process, and each
     # chain's stream is derived from (seed, index) alone. Each chunk's rows
     # are written as soon as it is walked.
-    with _cli._ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
+    with _ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
         stats = _cli.cascade_ensemble_stats(state, policy, n_samples, seed, on_chunk=chains.write)
     # Summed over the chunks: the walks are compute, the row writing serialization.
     compute_s = time.perf_counter() - t0 - chains.seconds

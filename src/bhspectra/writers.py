@@ -1,28 +1,22 @@
-"""The CLI's numpy writers of spectrum.csv, spectrum.jsonl, spectrum.json and
-chains.jsonl, imported only by the commands that write them: CSV floats are
-"%.16e" built as bytes, the spectrum's JSON row writers format each distinct
-value of a column once, and a chains.jsonl row is three texts looked up: its
-step's channel's, built once per channel, its sample index's and its step's."""
+"""The CLI's numpy writers of spectrum.csv, spectrum.jsonl and spectrum.json,
+imported only by the spectrum command: CSV floats are "%.16e" built as bytes,
+and the JSON row writers format each distinct value of a column once. (The
+cascade command's chains.jsonl writer, cli._ChainsJsonl, loads no numpy.)"""
 
 from __future__ import annotations
 
 import functools
 import json
 import math
-import time
 from pathlib import Path
 
 import numpy as np
 
 from .blackholes import _two_prod
-from .cli import _canonical_json
+from .cli import _JSON_NONFINITE, _JSONL_BLOCK, _canonical_json
 
 # Rows formatted and written at a time: bounds the memory a writer holds.
 _ROW_CHUNK = 8192
-
-
-# json.encoder's text of the floats whose float.__repr__ is not JSON's.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
@@ -157,9 +151,6 @@ def _format_e16(values: np.ndarray):
     return cells, fallback
 
 
-# Rows joined into one string at a time by the JSON row writers.
-_JSONL_BLOCK = 2048
-
 # The pieces of a row around its values: (before the first key, between a
 # value and the next key, between a key and its value, after the last value).
 # A spectrum.jsonl row is compact, one per line; a spectrum.json
@@ -290,66 +281,3 @@ def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict)
         f.write(next(rows)[1:])  # no separator before the first bin
         f.writelines(rows)
         f.write(tail + "\n")
-
-
-class _ChainsJsonl:
-    """chains.jsonl, one row per step, written chunk by chunk from the steps
-    cascade.cascade_ensemble_stats hands its on_chunk; seconds is the time
-    spent in write.
-
-    The rows go to a temporary file, renamed into place when the with block
-    ends without an error and removed when it ends with one, so a failed run
-    leaves no partial chains.jsonl.
-    """
-
-    def __init__(self, path: Path, manifest_hash: str, n_samples: int, seed: int) -> None:
-        self.path, self.part = path, path.with_name(path.name + ".part")
-        self.header = {"type": "header", "manifest_hash": manifest_hash,
-                       "n_samples": n_samples, "seed": seed}
-        self.seconds = 0.0
-
-    def __enter__(self) -> "_ChainsJsonl":
-        self.file = self.part.open("w", encoding="utf-8")
-        self.file.write(_canonical_json(self.header) + "\n")
-        return self
-
-    def write(self, steps: dict) -> None:
-        """Write one chunk's rows, steps being cascade._Steps.columns.
-
-        Every float cell of a row is a function of its channel, and their keys
-        sort before "sample_index" and "step", so a row is three texts: its
-        channel's, built from the columns' _json_texts for each channel the
-        chunk uses, its sample index's and its step's, each looked up in a
-        list made once per chunk; _JSONL_BLOCK rows are joined per string.
-        """
-        t = time.perf_counter()
-        cells, channel = steps["cells"], steps["channel"]
-        sample, step = steps["sample_index"], steps["step"]
-        used = np.zeros(len(cells["omega"]), dtype=bool)
-        used[channel] = True
-        texts = [None] * used.size
-        names = sorted(cells)
-        template = "{" + ",".join(json.dumps(k) + ":%s" for k in names) + ',"sample_index":'
-        columns = (_json_texts(cells[k][used]) for k in names)
-        for c, values in zip(np.flatnonzero(used).tolist(), zip(*columns)):
-            texts[c] = template % values
-        lo, hi = (int(sample.min()), int(sample.max())) if sample.size else (0, -1)
-        samples = list(map(str, range(lo, hi + 1)))
-        tails = [',"step":%d}\n' % k for k in range(int(step.max()) + 1 if step.size else 0)]
-        for start in range(0, channel.size, _JSONL_BLOCK):
-            stop = start + _JSONL_BLOCK
-            parts = [None] * (3 * (min(stop, channel.size) - start))
-            parts[0::3] = map(texts.__getitem__, channel[start:stop].tolist())
-            parts[1::3] = map(samples.__getitem__, (sample[start:stop] - lo).tolist())
-            parts[2::3] = map(tails.__getitem__, step[start:stop].tolist())
-            self.file.write("".join(parts))
-        self.seconds += time.perf_counter() - t
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        try:
-            self.file.close()
-            if exc_type is None:
-                self.part.replace(self.path)
-        finally:
-            self.part.unlink(missing_ok=True)
-

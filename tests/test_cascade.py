@@ -267,7 +267,7 @@ class TestRowHairs:
         todo, seen = [(table.n_quanta, table.n_charge, table.n_spin)], set()
         while todo:
             row = table[todo.pop()]
-            for i, key in enumerate(zip(*(x.tolist() for x in (row.r2, row.cq2, row.cj2)))):
+            for i, key in enumerate(row.after):
                 remnant = np.array([row.m2[i], row.q2[i], row.j2[i]])
                 assert remnant.tobytes() == np.array(table[key].hairs).tobytes(), key
                 if key not in seen:
@@ -276,53 +276,71 @@ class TestRowHairs:
         assert seen
 
 
-class TestRowBlocks:
-    """An energy-only table computes the channels of a block of consecutive
-    r at once and finishes each row on its lookup: the rows are those of a
-    table that builds every key alone, bit for bit."""
+# Tables whose rows are checked against the array kernel: closed channels and
+# a floor the chains stick at, spin, alpha with a stop mass, and Q = -0.0.
+ROW_CONFIGS = {
+    "schw": (BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)),
+    "rn-stuck": (BlackHoleState(Family.REISSNER_NORDSTROM, 4.0, 0.875),
+                 CascadePolicy(energy_quantum=0.25)),
+    "kn": (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.75),
+           CascadePolicy(energy_quantum=0.0625)),
+    "kn-both": (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.75),
+                CascadePolicy(energy_quantum=0.25, charge_quantum=0.25, spin_quantum=0.25)),
+    "alpha": (BlackHoleState(Family.SCHWARZSCHILD, 4.0, alpha=1.5),
+              CascadePolicy(energy_quantum=0.0625, stop_mass=0.5)),
+    "rn-minus-zero-q": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, -0.0),
+                        CascadePolicy(energy_quantum=0.125)),
+}
 
-    @pytest.mark.parametrize("state,policy", [
-        (BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)),
-        # Closed channels, and a floor the chains stick at.
-        (BlackHoleState(Family.REISSNER_NORDSTROM, 4.0, 0.875), CascadePolicy(energy_quantum=0.25)),
-        (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.75), CascadePolicy(energy_quantum=0.0625)),
-        (BlackHoleState(Family.SCHWARZSCHILD, 4.0, alpha=1.5),
-         CascadePolicy(energy_quantum=0.0625, stop_mass=0.5)),
-        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, -0.0), CascadePolicy(energy_quantum=0.125)),
-    ], ids=["schw", "rn-stuck", "kn", "alpha", "rn-minus-zero-q"])
-    def test_block_rows_equal_rows_built_alone(self, state, policy):
-        from bhspectra.cascade import _TransitionTable
 
-        blocks, alone = _TransitionTable(state, policy), _TransitionTable(state, policy)
-        alone._block = lambda key: [key]
-        assert len(blocks._block((blocks.n_quanta, 0, 0))) > 1
-        # Descending r: every key of the table, the first lookup of each block
-        # at its top row.
-        for r in range(blocks.n_quanta, -1, -1):
-            got, want = blocks[r, 0, 0], alone[r, 0, 0]
-            assert np.array(got.hairs).view(np.int64).tolist() == \
-                np.array(want.hairs).view(np.int64).tolist()
-            for name in ("r2", "cq2", "cj2", "m2", "q2", "j2", "logw", "logp", "cdf"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and not a.flags.writeable, name
-                assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), (r, name)
-        assert len(blocks) == len(alone) == blocks.n_quanta + 1
+def rows_against_array_kernel(state, policy, libm: bool = False) -> int:
+    """Check every row a walk can reach against the array routes of
+    hairs_valid and entropy_drop, bit for bit, and return the rows' count.
+    Without alpha the kernel's routes share their arithmetic; with it they
+    agree where numpy's log and log1p are libm's. libm: numpy's exp, log
+    and log1p are libm's, so alpha may be set, and the log-probabilities and
+    CDF are checked against logsumexp's array route and numpy's exp too."""
+    from bhspectra.blackholes import entropy_drop, hairs_valid, logsumexp
+    from bhspectra.cascade import _TransitionTable
 
-    def test_blocks_cut_the_energy_rows_in_order(self):
-        from bhspectra.blackholes import _BLOCK
-        from bhspectra.cascade import _TransitionTable
+    table = _TransitionTable(state, policy)
+    todo, seen = [(table.n_quanta, table.n_charge, table.n_spin)], set()
+    while todo:
+        row = table[todo.pop()]
+        fields = (row.after, row.m2, row.q2, row.j2, row.logw, row.logp, row.cdf)
+        assert all(type(x) is tuple for x in fields)  # shared by every caller of the cached table
+        assert len({len(x) for x in fields}) == 1
+        m2, q2, j2, logw = (np.array(x, dtype=np.float64) for x in fields[1:5])
+        if m2.size:
+            assert hairs_valid(state.family, m2, q2, j2, state.alpha).all()
+            m, q, j = row.hairs
+            want = entropy_drop(m, q, j, state.alpha, m - m2, q - q2, j - j2)
+            assert want.tobytes() == logw.tobytes(), row.key
+        if not libm:
+            assert state.alpha == 0.0
+        else:
+            logp = logw - logsumexp(logw)
+            assert np.array(row.logp).tobytes() == logp.tobytes(), row.key
+        if libm and row.cdf:
+            cdf = np.cumsum(np.exp(logp))
+            cdf[-1] = 1.0
+            assert np.array(row.cdf).tobytes() == cdf.tobytes(), row.key
+        for key in row.after:
+            if key not in seen:
+                seen.add(key)
+                todo.append(key)
+    # The table holds exactly the rows looked up.
+    assert len(table) == len(seen | {(table.n_quanta, table.n_charge, table.n_spin)})
+    return len(table)
 
-        table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 256.0),
-                                 CascadePolicy(energy_quantum=0.0625))
-        n, r, cuts = table.n_quanta, 1, []
-        while r <= n:
-            block = table._block((r, 0, 0))
-            assert [key[0] for key in block] == list(range(r, r + len(block)))
-            assert sum(key[0] for key in block) <= _BLOCK + block[-1][0]
-            assert all(table._block(key) == block for key in block)
-            cuts.append(r)
-            r += len(block)
-        assert r == n + 1 and len(cuts) > 1000  # 1024 blocks of 2 rows at the top
+
+class TestFloatRows:
+    """A row is built on its lookup as Python floats, channel by channel,
+    through the kernel's float routes."""
+
+    @pytest.mark.parametrize("name", [n for n in ROW_CONFIGS if n != "alpha"])
+    def test_float_rows_equal_the_array_kernel(self, name):
+        assert rows_against_array_kernel(*ROW_CONFIGS[name]) > 1
 
     @pytest.mark.filterwarnings("error")
     def test_a_row_that_overflows_raises_only_when_looked_up(self):
@@ -331,37 +349,45 @@ class TestRowBlocks:
         # omega (2M - omega) overflows on the top rows, not on the bottom ones.
         table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 1e154),
                                  CascadePolicy(energy_quantum=1e153))
-        assert len(table._block((1, 0, 0))) == table.n_quanta == 10
-        assert table[1, 0, 0].logp.tolist() == [0.0]
+        assert table.n_quanta == 10
+        assert table[1, 0, 0].logp == (0.0,)
         for _ in range(2):
             with pytest.raises(FloatingPointError, match="open channels"):
                 table[10, 0, 0]
         assert list(table) == [(1, 0, 0)]
 
-    def test_first_lookup_of_a_large_table_builds_one_block(self):
+    def test_math_errors_of_a_row_are_refused_as_numpy_nan(self):
+        # 4 M^2 underflows to 0 at M = 1e-170: the alpha term divides by the
+        # zero area, which raises in float arithmetic and is nan in numpy.
+        s = BlackHoleState(Family.SCHWARZSCHILD, 4e-170, alpha=1.0)
+        policy = CascadePolicy(energy_quantum=1e-170, stop_mass=1e-170)
+        with pytest.raises(FloatingPointError, match="log-sum-exp nan over 3 open channels"):
+            sample_cascade(s, policy, seed=0)
+
+    def test_first_lookup_of_a_large_table_builds_one_row(self):
         import tracemalloc
 
-        from bhspectra.blackholes import _BLOCK
         from bhspectra.cascade import _TransitionTable
 
-        # 4096 quanta: all rows would hold ~8.4M channels, the top block 4096.
+        # 4096 quanta: all rows would hold ~8.4M channels, the top row 4096.
         table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 256.0),
                                  CascadePolicy(energy_quantum=0.0625))
         tracemalloc.start()
         try:
-            assert table[4096, 0, 0].logw.size == 4096
+            assert len(table[4096, 0, 0].logw) == 4096
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # About two dozen 8-byte arrays of the largest block at once.
-        assert peak < 24 * 8 * (_BLOCK + 4096)
+        assert len(table) == 1
+        # About 300 bytes per channel: a remnant key, floats and tuple slots.
+        assert peak < 300 * 4096
 
 
 class TestEnsembles:
     def test_single_sample_stats(self):
         stats = cascade_ensemble_stats(SCHW_HALF, POLICY_5, 1, seed=12)
         chain = sample_cascade(SCHW_HALF, POLICY_5, 12, 0)
-        assert stats.lengths.tolist() == [chain.n_steps]
+        assert stats.length_counts == {chain.n_steps: 1}
         assert stats.mean_raw_log_prob == pytest.approx(chain_log_probability(chain)[0])
 
     def test_first_emission_marginal_matches_step_distribution(self):
@@ -460,7 +486,7 @@ class TestEnsembles:
         for ident, count in stats.identity_counts.items():
             assert sum(ident) == n and min(ident) >= 1
             by_length[len(ident)] = by_length.get(len(ident), 0) + count
-        assert by_length == stats.length_counts()
+        assert by_length == stats.length_counts
 
     def test_batch_zero_quanta_identity_is_empty(self):
         s = BlackHoleState(Family.SCHWARZSCHILD, 0.25)
@@ -509,8 +535,8 @@ class TestEnsembles:
         assert np_text == text
         if chunks is not None:
             assert len(np_chunks) == len(chunks) == 1
-            for key in ("sample_index", "step", "channel"):
-                assert np_chunks[0][key].tobytes() == chunks[0][key].tobytes()
+            assert [type(i) for i, _ in np_chunks[0]] == [int] * 30
+            assert np_chunks == chunks  # the same samples, rows and channels
         assert sample_cascade(state, policy, np.int64(2), np.int64(7)) == sample_cascade(
             state, policy, 2, 7)
 

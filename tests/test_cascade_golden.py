@@ -2,7 +2,9 @@
 
 The digests pin `chains.jsonl` and `ensemble.json` exactly, so any change to
 sampling order, arithmetic or serialization shows up here. They do not
-depend on `--workers`: each config is checked with 1 and with 2.
+depend on `--workers`: each config is checked with 1 and with 2. The cascade
+command computes with the math module (glibc's libm on x86-64), not numpy,
+so they do not depend on numpy's CPU dispatch either (see test_entry.py).
 """
 
 import hashlib
@@ -15,20 +17,20 @@ from bhspectra.cli import main
 GOLDEN = [
     (
         ("--mass", "4.0", "--energy-quantum", "0.0625", "--n-samples", "250", "--seed", "0"),
-        "f57e5ad03f3669f2fd5a26174feaa0174f951124a73bcee003d416bd7a647f3e",
+        "5c9e53929a796da776475f6023c71c18a628a6381b29a7a22150ec4cfa6a6e3c",
         "f8396a3c3d7adbf86ad33dda04f2aa3e9c90734713f02e8b5c05952ca6e4785b",
     ),
     (
         ("--family", "rn", "--mass", "2.0", "--charge", "1.0", "--energy-quantum", "0.125",
          "--charge-quantum", "0.125", "--n-samples", "200", "--seed", "3"),
-        "e2ae7296193b44638a1f280a1c67292e0a4232b84b5bde410e3d97d613c52795",
+        "8046f83e4e39799326c083c87d92e6de316f014c066d777324ad8ecf3714f9d9",
         "f18ddbc9a8567ca3d3eabd5debfc368f88ccb49917c9a170ad4134b7093281b6",
     ),
     (
         ("--family", "kn", "--mass", "2.0", "--charge", "0.5", "--angular-momentum", "0.5",
          "--energy-quantum", "0.125", "--charge-quantum", "0.125", "--spin-quantum", "0.125",
          "--n-samples", "100", "--seed", "5"),
-        "578ee43af3ef1a0419fefdaab613eb3885053d22eb89589eb5eaf0097403b6e5",
+        "96488e2aff3127bb79913cba98c5dcc49e64946d89b932d2545f2fff435e1880",
         "55043c67556056e960db15c3fe13863d8c2ffa885e018a89fc63a930572035b9",
     ),
 ]

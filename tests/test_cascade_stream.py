@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,25 +44,52 @@ STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**100 + 5]
 STREAM_INDICES = [0, 1, 2**31, 2**32 - 1, 2**32, 2**40]
 
 
-@pytest.mark.parametrize("block", [None, 1], ids=["default-blocks", "one-value-blocks"])
+class _Uniforms:
+    """A one-channel CDF that records each uniform bisect compares with it."""
+
+    def __init__(self) -> None:
+        self.seen: list[float] = []
+
+    def __len__(self) -> int:
+        return 1
+
+    def __getitem__(self, i: int) -> "_Uniforms":
+        return self
+
+    def __gt__(self, u: float) -> bool:
+        self.seen.append(u)
+        return True  # u < cdf[0]: channel 0
+
+
+class _RecordingTable(dict):
+    """A table of n_steps one-channel rows, each one quantum down, whose CDF
+    records the uniforms a chain walked on it draws."""
+
+    def __init__(self, n_steps: int) -> None:
+        super().__init__()
+        self.n_quanta, self.n_charge, self.n_spin = n_steps, 0, 0
+        self.cdf = _Uniforms()
+
+    def __missing__(self, key):
+        return SimpleNamespace(cdf=self.cdf, logw=(0.0,), logp=(0.0,), after=((key[0] - 1, 0, 0),))
+
+
+@pytest.mark.parametrize("index", STREAM_INDICES, ids=hex)
 @pytest.mark.parametrize("n_steps", [0, 1, 16, 64, 129])
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=hex)
-def test_stream_is_numpys_pcg64_bit_for_bit(monkeypatch, seed, n_steps, block):
-    if block is not None:
-        monkeypatch.setattr(cascade, "_DRAW_BLOCK_STEPS", block)
-    draw = cascade._per_sample_draw(seed, STREAM_INDICES, n_steps)
-    idx = np.arange(len(STREAM_INDICES))
-    got = np.zeros((idx.size, n_steps))
-    for t in range(n_steps):
-        got[:, t] = draw(t, idx)
-    for c, i in enumerate(STREAM_INDICES):
-        want = np.random.default_rng(np.random.SeedSequence((seed, i))).random(n_steps)
-        assert got[c].view(np.uint64).tolist() == want.view(np.uint64).tolist(), i
+def test_stream_is_numpys_pcg64_bit_for_bit(seed, n_steps, index):
+    # The walk of one chain: _pcg64_start, then one 128-bit step per draw.
+    table = _RecordingTable(n_steps)
+    words = cascade._uint32_words(seed) + cascade._uint32_words(index)
+    steps, _, _, stuck = cascade._chain(table, *cascade._pcg64_start(words))
+    assert len(steps) == n_steps and not stuck
+    got = np.array(table.cdf.seen, dtype=np.float64)
+    want = np.random.default_rng(np.random.SeedSequence((seed, index))).random(n_steps)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_cascade_command_runs_with_warnings_as_errors(tmp_path):
-    """The stream's arithmetic wraps mod 2^64 on arrays only: numpy warns on
-    an overflowing uint64 scalar operation."""
+    """A run at the largest 64-bit seed warns about nothing."""
     state, policy, n_samples, seed = CONFIGS["kn"]
     argv = [sys.executable, "-W", "error", "-m", "bhspectra",
             *_argv(state, policy, n_samples, 2**64 - 1, tmp_path)]
@@ -115,19 +143,19 @@ def test_chunk_size_does_not_change_any_byte(tmp_path, monkeypatch, name):
 def test_failure_after_the_first_chunk_leaves_no_chains_file(tmp_path, monkeypatch, capsys):
     state, policy, n_samples, seed = CONFIGS["census"]
     _samples_per_chunk(monkeypatch, 7, cascade._TransitionTable(state, policy).n_quanta)
-    walk, calls = cascade._walk, []
+    chain, calls = cascade._chain, []
 
-    def failing_walk(*args):
+    def failing_chain(*args):
         calls.append(args)
-        if len(calls) == 2:
+        if len(calls) == 8:  # the first chain of the second chunk
             raise FloatingPointError("injected in the second chunk")
-        return walk(*args)
+        return chain(*args)
 
-    monkeypatch.setattr(cascade, "_walk", failing_walk)
+    monkeypatch.setattr(cascade, "_chain", failing_chain)
     outdir = tmp_path / "out"
     assert main(_argv(state, policy, n_samples, seed, outdir)) == 3
     assert "injected in the second chunk" in capsys.readouterr().err
-    assert len(calls) == 2
+    assert len(calls) == 8
     assert list(outdir.iterdir()) == []
 
 

@@ -214,3 +214,30 @@ def test_oracle_matches_closed_forms():
     r0 = 2.0 + math.sqrt(4.0 - 1.0)
     ds, _ = oracle(2.0, 1.0, 0.0, 0.0, 0.25, 0.25)
     assert ds == pytest.approx(math.pi * (rp * rp - r0 * r0), rel=1e-14)
+
+
+# A cascade row's log-probabilities against the oracle, in ulp of the row's
+# exact log-sum-exp, over every row of the cascade_schw benchmark's table
+# (Schwarzschild M = 4 in quanta of 1/16: 64 rows, 2,080 channels). Measured:
+# at most 54.3 ulp, 6.04 on average (6.02 when the rows were built in numpy).
+ROW_BOUND, ROW_MEAN_BOUND = 60.0, 6.5
+
+
+def test_cascade_row_log_probabilities_match_oracle():
+    from bhspectra import CascadePolicy
+    from bhspectra.cascade import _TransitionTable
+
+    table = _TransitionTable(BlackHoleState(Family.SCHWARZSCHILD, 4.0),
+                             CascadePolicy(energy_quantum=0.0625))
+    errors = []
+    for r in range(1, table.n_quanta + 1):
+        row = table[r, 0, 0]
+        m = mpmath.mpf(row.hairs[0])
+        s, _ = _mp_entropy(m, 0, 0, 0)
+        exact = [_mp_entropy(mpmath.mpf(m2), 0, 0, 0)[0] - s for m2 in row.m2]
+        log_z = mpmath.log(mpmath.fsum(mpmath.exp(w) for w in exact))
+        ulp = math.ulp(float(log_z))
+        errors += [float(abs(p - (w - log_z))) / ulp for p, w in zip(row.logp, exact)]
+    assert len(errors) == 2080
+    assert max(errors) <= ROW_BOUND
+    assert sum(errors) / len(errors) <= ROW_MEAN_BOUND

@@ -146,6 +146,9 @@ FRONT = ["bhspectra.cli", "bhspectra.errors"]
 USAGE_ERRORS = [("cascade", "--n-samples", "abc"), ("spectrum", "--normalization", "x"),
                 ("no-such-command",)]
 SMALL_CASCADE = ("cascade", "--mass", "1", "--energy-quantum", "0.25", "--n-samples", "5")
+CHARGED_CASCADE = ("cascade", "--family", "kn", "--mass", "1", "--charge", "0.25",
+                   "--angular-momentum", "0.25", "--energy-quantum", "0.25", "--charge-quantum",
+                   "0.125", "--spin-quantum", "0.125", "--n-samples", "5")
 
 
 # The modules a bare interpreter loads in this environment: a site .pth file
@@ -187,13 +190,13 @@ class TestImportsPerCommand:
         assert result["loaded"] == FRONT
         assert sorted(DEFERRED & (set(result["modules"]) - bare_modules)) == []
 
-    def test_cascade_loads_only_the_sampler_and_writers(self, tmp_path):
-        result = run_child(RUN_AS_MAIN, *SMALL_CASCADE, "--output-dir", str(tmp_path))
+    @pytest.mark.parametrize("argv", [SMALL_CASCADE, CHARGED_CASCADE],
+                             ids=["energy-only", "charged"])
+    def test_cascade_loads_only_the_sampler_and_no_numpy(self, argv, tmp_path):
+        result = run_child(RUN_AS_MAIN, *argv, "--output-dir", str(tmp_path))
         assert result["code"] == 0
-        assert result["loaded"] == ["bhspectra.blackholes", "bhspectra.cascade", *FRONT,
-                                    "bhspectra.writers", "numpy"]
-        # The per-sample streams are computed without numpy.random.
-        assert [m for m in result["modules"] if m.startswith("numpy.random")] == []
+        assert result["loaded"] == ["bhspectra.blackholes", "bhspectra.cascade", *FRONT]
+        assert [m for m in result["modules"] if m.startswith("numpy")] == []
 
     def test_spectrum_without_report_loads_no_other_command(self, tmp_path):
         result = run_child(RUN_AS_MAIN, "spectrum", "--bins", "4", "--output-dir", str(tmp_path))
@@ -236,10 +239,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_cli(*args: str) -> None:
-    """`python -m bhspectra <args>` in its own process, through the exit path."""
+def run_cli(*args: str, env: dict | None = None) -> None:
+    """`python -m bhspectra <args>` in its own process, through the exit path,
+    with env added to the environment."""
     proc = subprocess.run([sys.executable, "-m", "bhspectra", *args], capture_output=True,
-                          text=True)
+                          text=True, env=dict(os.environ, **(env or {})))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -260,6 +264,47 @@ class TestExitPathKeepsBytes:
         run_cli("spectrum", *args, "--output-dir", str(tmp_path))
         for name, sha in digests.items():
             assert _sha256(tmp_path / name) == sha, name
+
+
+# numpy's exp, log and log1p on float64 are then glibc's (no AVX-512 loops).
+PINNED = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+
+
+class TestCpuIndependence:
+    """The cascade command computes with the math module, so its bytes do not
+    follow numpy's CPU dispatch; under a dispatch whose exp, log and log1p
+    are libm's, numpy's array routes give the float routes' bits."""
+
+    @pytest.mark.parametrize("args,chains_sha,ensemble_sha", CASCADE_GOLDEN,
+                             ids=["schw", "rn", "kn"])
+    def test_cascade_goldens_under_pinned_dispatch(self, tmp_path, args, chains_sha,
+                                                   ensemble_sha):
+        run_cli("cascade", *args, "--output-dir", str(tmp_path), env=PINNED)
+        assert _sha256(tmp_path / "chains.jsonl") == chains_sha
+        assert _sha256(tmp_path / "ensemble.json") == ensemble_sha
+
+    def test_float_and_array_routes_agree_under_pinned_dispatch(self):
+        code = """
+import sys
+import numpy as np
+from bhspectra.blackholes import logsumexp
+sys.path.insert(0, sys.argv[1])
+from test_cascade import ROW_CONFIGS, rows_against_array_kernel
+rng = np.random.default_rng(5)
+for trial in range(600):
+    a = rng.normal(scale=rng.choice([1e-3, 1.0, 30.0, 1e3]), size=rng.integers(1, 301))
+    if trial % 2:  # ties at the maximum
+        a[rng.integers(0, a.size, size=rng.integers(1, 4))] = a.max()
+    assert logsumexp(a.tolist()) == logsumexp(a), (trial, a.size)
+for name, config in ROW_CONFIGS.items():
+    assert rows_against_array_kernel(*config, libm=True) > 1, name
+print("ok")
+"""
+        env = dict(os.environ, **PINNED)
+        proc = subprocess.run([sys.executable, "-c", code, str(ROOT / "tests")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "ok\n"
 
 
 def test_console_script_is_the_module_entry_function():

@@ -655,3 +655,24 @@ class TestLogSumExp:
         self.assert_same(np.array([-np.inf, -np.inf, 0.5]))
         self.assert_same(np.array([np.nan, np.inf]))
         self.assert_same(np.array([]))
+
+    def test_pairwise_sum_is_numpys(self):
+        # The float route sums in numpy's order: a change of that order
+        # in numpy fails here.
+        from bhspectra.blackholes import _pairwise_sum
+
+        rng = np.random.default_rng(3)
+        sizes = [*range(1, 301), *rng.integers(301, 20_001, size=40).tolist()]
+        for n in sizes:
+            a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+            assert _pairwise_sum(a.tolist()) == np.sum(a), n
+
+    @pytest.mark.parametrize("row", [[np.inf, -np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0],
+                                     [1.0, np.nan], [np.inf, 800.0], [-np.inf, 0.5], [],
+                                     [710.0], [-0.0]])
+    def test_float_route_on_non_finite_single_and_empty(self, row):
+        # exp and log of 0, 1 and non-finite values: no rounding for the
+        # routes' exp, log and log1p to differ in.
+        ours, ref = logsumexp(row), logsumexp(np.array(row, dtype=np.float64))
+        assert type(ours) is float
+        assert np.float64(ours).tobytes() == np.float64(ref).tobytes()

@@ -105,9 +105,8 @@ def test_sampler_chisquare_fails_a_cdf_that_disagrees_with_its_row(monkeypatch):
 
     def swapped(self, key):
         row = build(self, key)
-        if row.cdf.size > 1:
-            cdf = row.cdf.copy()
-            cdf[0] = row.cdf[1] - row.cdf[0]
+        if len(row.cdf) > 1:
+            cdf = (row.cdf[1] - row.cdf[0], *row.cdf[1:])
             row = self[key] = dataclasses.replace(row, cdf=cdf)
         return row
 

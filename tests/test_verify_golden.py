@@ -10,7 +10,7 @@ import json
 
 from bhspectra.cli import main
 
-GOLDEN = "c86b0ae136e1dcb72106f845405c10aed419ae0774d2c9a5f5b1723541243e6b"
+GOLDEN = "ffc092867c9ada65570b47eafcbb3aa053deb0d93f99a56387ade75f5d0eeffa"
 
 
 def test_verify_all_seed_0_report(tmp_path):

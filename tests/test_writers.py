@@ -11,15 +11,14 @@ import dataclasses
 import itertools
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from bhspectra import BlackHoleState, CascadePolicy, Family, sample_cascade
-from bhspectra import writers
+from bhspectra import cli, writers
 from bhspectra.blackholes import state_to_record
-from bhspectra.cascade import cascade_ensemble_stats
+from bhspectra.cascade import _Row, cascade_ensemble_stats
 from bhspectra.spectrum import (GridSpec, Normalization, SpectrumGrid, build_spectrum,
                                 build_thermal_spectrum)
 
@@ -101,26 +100,20 @@ def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
     return "".join(out)
 
 
-def _chain_columns(chains) -> dict:
-    """The writer's input, cascade._Steps.columns, from chain objects step by
-    step: steps whose float cells are the same bits share one channel."""
-    names = ("j", "log_prob_norm", "log_weight_raw", "mass_before", "omega", "q")
-    channels: dict[bytes, int] = {}
-    cells, steps = [], []
-    for index, chain in enumerate(chains):
-        mass_before = chain.initial.m
-        for step_no, step in enumerate(chain.steps):
-            e = step.emission
-            row = np.array([e.j, step.log_prob, step.log_weight, mass_before, e.omega, e.q])
-            channel = channels.setdefault(row.tobytes(), len(channels))
-            if channel == len(cells):
-                cells.append(row)
-            steps.append((index, step_no, channel))
-            mass_before = step.state_after.m
-    columns = np.array(steps, dtype=np.int64).reshape(-1, 3).T
-    cells = np.array(cells).reshape(-1, len(names)).T
-    return {"sample_index": columns[0], "step": columns[1], "channel": columns[2],
-            "cells": dict(zip(names, cells))}
+def _oracle_steps_jsonl(chunks, manifest_hash, n_samples, seed) -> str:
+    """chains.jsonl of the writer's input, one json.dumps per row: each step
+    a (cascade row, channel) pair, the emitted hairs the row's hairs less
+    the channel's remnant's."""
+    header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
+    out = [_canonical(header) + "\n"]
+    for index, steps in itertools.chain.from_iterable(chunks):
+        for step_no, (row, c) in enumerate(steps):
+            m, q, j = row.hairs
+            out.append(_canonical({
+                "sample_index": index, "step": step_no, "omega": m - row.m2[c],
+                "q": q - row.q2[c], "j": j - row.j2[c], "mass_before": m,
+                "log_weight_raw": row.logw[c], "log_prob_norm": row.logp[c]}) + "\n")
+    return "".join(out)
 
 
 def _column(rng, n: int) -> np.ndarray:
@@ -326,32 +319,35 @@ def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_ax
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
 
 
-def _fake_chain(rng, n_steps: int):
-    values = _column(rng, 6 * n_steps + 1)
-    steps = [
-        SimpleNamespace(
-            emission=SimpleNamespace(omega=values[6 * k], q=values[6 * k + 1], j=values[6 * k + 2]),
-            state_after=SimpleNamespace(m=values[6 * k + 3]),
-            log_weight=values[6 * k + 4],
-            log_prob=values[6 * k + 5],
-        )
-        for k in range(n_steps)
-    ]
-    return SimpleNamespace(initial=SimpleNamespace(m=values[-1]), steps=steps)
+def _fake_chunks(rng, n_chains: int, per_chunk: int) -> list:
+    """The writer's input over 20 cascade rows of one to three channels full
+    of special values: (sample index, steps) per chain, in chunks of
+    per_chunk chains, the steps sharing rows and channels."""
+    rows = []
+    for _ in range(20):
+        k = int(rng.integers(1, 4))
+        values = _column(rng, 3 + 5 * k).tolist()  # Python floats, as a cascade row holds
+        cells = (tuple(values[3 + i * k:3 + (i + 1) * k]) for i in range(5))
+        rows.append(_Row((k, 0, 0), tuple(values[:3]), ((0, 0, 0),) * k, *cells, ()))
+    chains = []
+    for index, n_steps in enumerate(rng.integers(0, 40, size=n_chains).tolist()):
+        picks = rng.integers(0, len(rows), size=n_steps).tolist()
+        chains.append((index, [(rows[r], int(rng.integers(0, rows[r].key[0]))) for r in picks]))
+    return [chains[i:i + per_chunk] for i in range(0, n_chains, per_chunk)]
 
 
 def _write_chains_jsonl(path, chunks, manifest_hash, n_samples, seed) -> None:
-    with writers._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
-        for columns in chunks:
-            out.write(columns)
+    with cli._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
+        for chains in chunks:
+            out.write(chains)
 
 
-def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
-    rng = np.random.default_rng(1)
-    chains = [_fake_chain(rng, int(k)) for k in rng.integers(0, 40, size=900)]
-    assert sum(len(c.steps) for c in chains) > writers._ROW_CHUNK
-    _write_chains_jsonl(tmp_path / "c.jsonl", [_chain_columns(chains)], "abc", len(chains), 7)
-    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", len(chains), 7)
+@pytest.mark.parametrize("per_chunk", [900, 7])
+def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path, per_chunk):
+    chunks = _fake_chunks(np.random.default_rng(1), 900, per_chunk)
+    assert sum(len(steps) for chunk in chunks for _, steps in chunk) > 3 * cli._JSONL_BLOCK
+    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 900, 7)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl(chunks, "abc", 900, 7)
 
 
 @pytest.mark.parametrize(
@@ -393,7 +389,7 @@ def test_chains_writer_matches_per_row_oracle_across_chunks(tmp_path):
     state, policy = BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)
     chunks = []
     cascade_ensemble_stats(state, policy, 1030, 11, on_chunk=chunks.append)
-    assert [c["sample_index"][0] for c in chunks] == [0, 1024]
+    assert [c[0][0] for c in chunks] == [0, 1024]
     _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 1030, 11)
     chains = [sample_cascade(state, policy, 11, i) for i in range(1030)]
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1030, 11)
@@ -413,9 +409,8 @@ def test_chains_writer_keeps_a_zero_hair_sign_after_its_twin_state(tmp_path):
 
 
 def test_chains_writer_with_no_steps(tmp_path):
-    chains = [SimpleNamespace(initial=SimpleNamespace(m=1.0), steps=[])]
-    _write_chains_jsonl(tmp_path / "c.jsonl", [_chain_columns(chains)], "abc", 1, 0)
-    assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1, 0)
+    _write_chains_jsonl(tmp_path / "c.jsonl", [[(0, [])]], "abc", 1, 0)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl([[(0, [])]], "abc", 1, 0)
 
 
 def test_format_column_keeps_signed_zero_and_order():
