@@ -300,7 +300,9 @@ def _blockwise(f, *args):
 
     Elementwise, so every block returns the bits the whole call would; the
     blocks bound the kernel's temporaries, and numpy's inner loop runs along
-    the last axis, which a caller should make the long one.
+    the last axis, which a caller should make the long one. The outputs are
+    laid out with the cut axis outermost, so each block fills one stretch
+    of memory.
     """
     import numpy as np
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
@@ -317,7 +319,9 @@ def _blockwise(f, *args):
                    for a in args))
         parts = part if isinstance(part, tuple) else (part,)
         if out is None:
-            out = tuple(np.empty(shape, dtype=r.dtype) for r in parts)
+            rest = shape[:axis] + shape[axis + 1 :]
+            out = tuple(np.moveaxis(np.empty((shape[axis], *rest), dtype=r.dtype), 0, axis)
+                        for r in parts)
         for o, r in zip(out, parts):
             o[cut] = r
     return out if isinstance(part, tuple) else out[0]
@@ -408,9 +412,10 @@ def hairs_valid(family: Family, m, q, j, alpha: float):
     return ok
 
 
-def logsumexp(a) -> float:
+def logsumexp(a, where=None) -> float:
     """log(sum(exp(a))) over a 1-D real array, or a sequence of floats,
-    shifted by its maximum.
+    shifted by its maximum; over the array's entries where `where` (a bool
+    array of a's shape) is True, when given.
 
     Reproduces scipy's logsumexp (1.17) bit for bit on 1-D real input: every
     element equal to the maximum is taken out of the shifted sum, which is
@@ -418,58 +423,67 @@ def logsumexp(a) -> float:
     non-finite result (inf or nan in `a`, or all -inf) falls back to the
     direct log(sum(exp(a))), as scipy does; empty input gives -inf.
 
-    One body for both routes: an array takes numpy's exp, log and sum, a
-    sequence the math module's and _pairwise_sum, numpy's summation order.
-    The routes agree bit for bit where numpy's exp, log and log1p are libm's.
+    One body for both routes: a sequence takes the math module's exp, log
+    and _pairwise_sum, an array numpy's exp, log and _pairwise_leaves, which
+    reads the entries leaf by leaf, so that `where` costs no gather: the
+    result has the bits of logsumexp(a[where]) with no temporary larger than
+    a leaf. The routes agree bit for bit where numpy's exp, log and log1p
+    are libm's.
     """
     np = sys.modules.get("numpy")  # a can be an array only when it is loaded
     if np is None or not isinstance(a, np.ndarray):
-        return _logsumexp(list(map(float, a)), _FLOAT_LSE_OPS)
+        a = list(map(float, a))
+        hi = max(a, default=-math.inf)
+        return _logsumexp(
+            len(a), hi, float(a.count(hi)),
+            lambda: _pairwise_sum([0.0 if x == hi else math.exp(x - hi) for x in a]),
+            lambda: _pairwise_sum(list(map(_exp_or_inf, a))),
+            lambda x: math.log(x) if x != 0.0 else -math.inf, math.log1p)  # numpy's log(0)
+    a = a.astype(np.float64, copy=False)
+    n, at = (len(a), slice) if where is None else _ranked(where)
+    where = True if where is None else where
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _logsumexp(a.astype(np.float64, copy=False), _array_lse_ops())
+        hi = np.maximum.reduce(a, initial=-np.inf, where=where)
+        count = np.float64(np.add.reduce(a == hi, where=where, dtype=np.intp))
+
+        def shifted(start, stop):  # no term can overflow: a - hi is at most 0, or nan
+            x = a[at(start, stop)]
+            terms = x - hi
+            np.exp(terms, out=terms)
+            terms[x == hi] = 0.0
+            return terms
+
+        return _logsumexp(n, hi, count, lambda: _pairwise_leaves(n, shifted),
+                          lambda: _pairwise_leaves(n, lambda start, stop: np.exp(a[at(start, stop)])),
+                          np.log, np.log1p)
 
 
-def _logsumexp(a, ops) -> float:
-    shifted, total, exp, log, log1p = ops
-    if len(a) == 0:
+def _logsumexp(n: int, hi, count, shifted_sum, exp_sum, log, log1p) -> float:
+    """The body of logsumexp on n values of maximum hi, held count times:
+    shifted_sum() sums exp(x - hi), with 0.0 at the maxima, and exp_sum()
+    exp(x), each in numpy's pairwise order."""
+    if n == 0:
         return -math.inf
-    hi, terms, count = shifted(a)
-    s = total(terms)
+    s = shifted_sum()
     if s != 0.0:
         s = s / count
     out = log1p(s) + log(count) + hi
     if not math.isfinite(out):
-        out = log(total(exp(a)))
+        out = log(exp_sum())
     return float(out)
 
 
-def _shifted_floats(a: list) -> tuple:
-    """(max, exp(a - max) with 0.0 at the maxima, their count) of a list.
-    No term can overflow: a - max is at most 0, or nan."""
-    hi = max(a)
-    return hi, [0.0 if x == hi else math.exp(x - hi) for x in a], float(a.count(hi))
-
-
-@functools.cache
-def _array_lse_ops() -> tuple:
-    import numpy as np
-
-    def shifted(a):
-        hi = a.max()  # the methods: numpy's function wrappers cost ~1 us a call
-        at_max = a == hi
-        terms = a - hi
-        np.exp(terms, out=terms)
-        terms[at_max] = 0.0
-        return hi, terms, np.float64(np.count_nonzero(at_max))
-
-    return shifted, np.add.reduce, np.exp, np.log, np.log1p  # as _FLOAT_LSE_OPS
+def _half(n: int) -> int:
+    """Where numpy's pairwise sum cuts n > 128 values in two: at the
+    multiple of 8 below the middle."""
+    return n // 2 - n // 2 % 8
 
 
 def _pairwise_sum(a: list) -> float:
     """The sum of a list of floats in numpy's order for a contiguous float64
     array (pairwise_sum in its loops): under 8 values one by one from -0.0;
     up to 128 in 8 interleaved running sums, then the rest one by one; more
-    split in two at a multiple of 8 below the middle."""
+    cut in two by _half."""
     n = len(a)
     if n < 8:
         return functools.reduce(add, a, -0.0)
@@ -478,8 +492,55 @@ def _pairwise_sum(a: list) -> float:
         r = [functools.reduce(add, a[k:end:8]) for k in range(8)]
         total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
         return functools.reduce(add, a[end:], total)
-    half = n // 2 - n // 2 % 8
+    half = _half(n)
     return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+
+
+# Most values a leaf of _pairwise_leaves holds, and entries per block of
+# a _ranked mask.
+_LEAF = 8192
+
+
+def _pairwise_leaves(n: int, leaf, lo: int = 0):
+    """np.add.reduce of n float64 values laid end to end, read leaf by leaf:
+    leaf(start, stop) returns values start..stop-1 (of lo..lo+n-1) as an
+    array, or as the rows of a 2-D array to sum several quantities at once.
+
+    The values are cut as _pairwise_sum cuts them, down to leaves of at
+    most _LEAF, and np.add.reduce sums each leaf along its last axis. That
+    is numpy's own order for one contiguous array, so the sum has its bits
+    (tests/test_spectrum.py::TestPairwiseLeaves fails if numpy's order
+    changes), while no temporary is larger than a leaf. The walk recurses
+    at module level: a nested function that calls itself would be a
+    reference cycle, keeping what its leaves read alive until a collection.
+    """
+    if n <= _LEAF:
+        import numpy as np
+        return np.add.reduce(leaf(lo, lo + n), axis=-1)
+    half = _half(n)
+    return _pairwise_leaves(half, leaf, lo) + _pairwise_leaves(n - half, leaf, lo + half)
+
+
+def _ranked(mask) -> tuple:
+    """(n, at) of a 1-D bool array: n, its True entries, and at(start,
+    stop), the indices of those of ranks start..stop-1, in order.
+
+    at reads only the _LEAF-entry blocks of mask that hold them, found from
+    the count of True entries per block, so no array of n indices exists.
+    """
+    import numpy as np
+    counts = [np.count_nonzero(mask[i : i + _LEAF]) for i in range(0, mask.size, _LEAF)]
+    first = np.zeros(len(counts) + 1, dtype=np.intp)  # the rank of each block's first
+    np.cumsum(counts, out=first[1:])
+
+    def at(start, stop):
+        b = int(first.searchsorted(start, "right")) - 1  # the block of rank start
+        e = int(first.searchsorted(stop, "left"))  # past the block of rank stop - 1
+        index = np.flatnonzero(mask[b * _LEAF : e * _LEAF])[start - first[b] : stop - first[b]]
+        index += b * _LEAF
+        return index
+
+    return int(first[-1]), at
 
 
 def _exp_or_inf(x: float) -> float:
@@ -488,12 +549,6 @@ def _exp_or_inf(x: float) -> float:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-# (shifted, total, exp, log, log1p) of logsumexp's float route. math.log
-# raises at 0, where numpy's log is -inf; only a sum of exps reaches it.
-_FLOAT_LSE_OPS = (_shifted_floats, _pairwise_sum, lambda a: list(map(_exp_or_inf, a)),
-                  lambda x: math.log(x) if x != 0.0 else -math.inf, math.log1p)
 
 
 def horizon_radius(state: BlackHoleState) -> float:

@@ -307,7 +307,6 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
     _load("spectrum", "writers", *(["information"] if cfg["report"] else []))
-    import numpy as np
     state = _state_from_config(cfg)
     if cfg["omega_max"] is None:
         cfg["omega_max"] = state.m
@@ -330,7 +329,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     health = {
         "n_bins": grid.n_bins,
         "n_invalid": grid.n_bins - grid.n_valid,
-        "n_underflow": int(np.count_nonzero(grid.valid & (grid.weights() == 0.0))),
+        "n_underflow": grid.n_underflow(),
         "log_norm": grid.log_norm,
     }
     compute_s = time.perf_counter() - t0

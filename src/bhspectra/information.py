@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .blackholes import BlackHoleState, Emission, Family, bh_entropy, entropy_grid, logsumexp
+from .blackholes import (_BLOCK, BlackHoleState, Emission, Family, _pairwise_leaves, _ranked,
+                         bh_entropy, entropy_grid, logsumexp)
 from .errors import DomainError, Normalization, RemnantInvalid, UsageError
 from .spectrum import (GridSpec, SpectrumGrid, _on_axes, emission_log_weight,
                        emission_log_weights, emission_log_weights_bulk, exp_weights, unit_sum)
@@ -40,12 +41,19 @@ _MAX_MI_NODES = 1 << 12
 
 
 def radiation_entropy(spectrum: SpectrumGrid) -> float:
-    """Shannon entropy -sum p ln p of a unit-sum spectrum's valid bins."""
+    """Shannon entropy -sum p ln p of a unit-sum spectrum's valid bins,
+    summed leaf by leaf over them (blackholes._pairwise_leaves)."""
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("radiation entropy needs a unit-sum spectrum")
-    logp = spectrum.log_weight[spectrum.valid]
-    p = exp_weights(logp)
-    return float(0.0 - np.sum(np.where(p > 0.0, p * logp, 0.0)))  # 0.0, not -0.0
+    logw = spectrum.log_weight
+    n, at = _ranked(spectrum.valid)
+
+    def terms(start, stop):
+        logp = logw[at(start, stop)]
+        p = exp_weights(logp)
+        return np.where(p > 0.0, np.multiply(p, logp, out=p), 0.0)
+
+    return float(0.0 - _pairwise_leaves(n, terms))  # 0.0, not -0.0
 
 
 @dataclass(frozen=True)
@@ -69,37 +77,65 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
     evaluates the entropy once at the mean remnant hairs
     (M - <omega>, Q - <q>, J - <j>). Bins whose remnant entropy is undefined
     are excluded and their probability mass reported.
+
+    Each sum runs over the valid bins leaf by leaf (blackholes._pairwise_leaves),
+    reading the log-weights and hairs of a leaf from the grid: the one array
+    of the valid bins' size is their remnant entropies.
     """
     if spectrum.normalization is not Normalization.UNIT_SUM:
         raise UsageError("conditional entropy needs a unit-sum spectrum")
-    state, spec, v = spectrum.source_state, spectrum.grid_spec, spectrum.valid
-    logp = spectrum.log_weight[v]
-    p = exp_weights(logp)
-    # The means of the valid bins' emitted hairs, one hair column at a time.
+    state, spec, logw, valid = (spectrum.source_state, spectrum.grid_spec,
+                                spectrum.log_weight, spectrum.valid)
     axes = spec.omega_nodes(), spec.q_values(), spec.j_values()
-    v = v.reshape(spec.n_omega, spec.n_q, spec.n_j)
-    means = []
-    for x in _on_axes(np.broadcast_arrays, *axes):
-        x = x[v]
-        means.append(float(np.sum(np.multiply(p, x, out=x))))
-    e_r, mean_q, mean_j = means
+    shape = (spec.n_omega, spec.n_q, spec.n_j)
+    n, at = _ranked(valid)
 
-    # The remnant entropies on the axes, then those of the valid bins.
+    def hair_terms(start, stop):  # p times each emitted hair
+        bins = at(start, stop)
+        p = exp_weights(logw[bins])
+        out = np.empty((3, p.size))
+        for row, x, i in zip(out, axes, np.unravel_index(bins, shape)):
+            np.multiply(p, x[i], out=row)
+        return out
+
+    e_r, mean_q, mean_j = _pairwise_leaves(n, hair_terms).tolist()
+
+    # The remnant entropies of the valid bins, a block of omega nodes at a time.
     def remnant_entropy(w, q, j):
         return (entropy_grid(state.family, state.m - w, state.q - q, state.j - j, state.alpha),)
 
-    (s_rem,) = _on_axes(remnant_entropy, *axes)
-    s_rem = s_rem[v]
-    # The raw weights, in place of the log-weights.
-    logp += spectrum.log_norm if spectrum.log_norm is not None else 0.0
-    raw = exp_weights(logp, out=logp)
+    s_rem = np.empty(n)
+    nodes = max(1, _BLOCK // (spec.n_q * spec.n_j))
+    v = valid.reshape(shape)
+    rank = 0
+    for lo in range(0, spec.n_omega, nodes):
+        (s,) = _on_axes(remnant_entropy, axes[0][lo : lo + nodes], *axes[1:])
+        s = s[v[lo : lo + nodes]]
+        s_rem[rank : rank + s.size] = s
+        rank += s.size
+    log_norm = spectrum.log_norm if spectrum.log_norm is not None else 0.0
     excluded = 0.0
-    if not np.isfinite(s_rem).all():
-        defined = np.isfinite(s_rem)
-        excluded = float(np.sum(p[~defined]))
-        p, raw, s_rem = p[defined], raw[defined], s_rem[defined]
-    raw_weighted = float(np.sum(np.multiply(raw, s_rem, out=raw)))
-    exact = float(np.sum(np.multiply(p, s_rem, out=p)))
+    defined = np.isfinite(s_rem)
+    if not defined.all():
+        undefined = np.zeros_like(valid)
+        undefined[valid] = ~defined
+        n_out, at_out = _ranked(undefined)
+        excluded = float(_pairwise_leaves(n_out, lambda start, stop: exp_weights(
+            logw[at_out(start, stop)])))
+        valid = valid & ~undefined
+        s_rem = s_rem[defined]
+        n, at = _ranked(valid)
+    del defined
+
+    def entropy_terms(start, stop):  # the raw weight and p, times S(remnant)
+        logp = logw[at(start, stop)]
+        out = np.empty((2, logp.size))
+        exp_weights(logp + log_norm, out=out[0])
+        exp_weights(logp, out=out[1])
+        out *= s_rem[start:stop]
+        return out
+
+    raw_weighted, exact = _pairwise_leaves(n, entropy_terms).tolist()
     lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
     return ConditionalEntropyResult(
         exact=exact,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,11 @@ from .errors import DomainError, Normalization, RemnantInvalid, UsageError
 
 # Most bins n_omega * n_q * n_j of a grid, checked before any array exists.
 _MAX_BINS = 1 << 24
+
+# exp's edges in float64: the log of the least subnormal (exp rounds to 0.0
+# from ln 2 below it) and of the largest float (exp overflows above it).
+_EXP_UNDER = math.log(math.ulp(0.0))
+_EXP_OVER = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,20 @@ class SpectrumGrid:
     def weights(self) -> np.ndarray:
         """exp_weights of the grid's bins, computed on each call."""
         return exp_weights(self.log_weight, self.valid)
+
+    def n_underflow(self) -> int:
+        """The valid bins whose entry of weights() is 0.0, and its
+        FloatingPointError where a valid weight overflows. Only the bins
+        within a nat of exp's underflow or overflow edge are exponentiated:
+        the rest are counted, or passed, by comparison."""
+        logw, valid = self.log_weight, self.valid
+        high = valid & (logw > _EXP_OVER - 1.0)
+        if high.any():
+            exp_weights(logw, high)  # raises where one overflows
+        del high
+        low = valid & (logw < _EXP_UNDER + 1.0)
+        edge = logw[low & (logw > _EXP_UNDER - 1.0)]
+        return int(np.count_nonzero(low)) - int(np.count_nonzero(exp_weights(edge)))
 
 
 def emission_log_weight(state: BlackHoleState, e: Emission) -> float:
@@ -293,9 +313,10 @@ def exp_weights(log_weight: np.ndarray, valid=True, out: np.ndarray | None = Non
 
 
 def _normalize(logw: np.ndarray, valid: np.ndarray) -> float:
-    """Subtract the valid entries' log-sum-exp from them, in place; return it."""
-    log_norm = float(logsumexp(logw[valid]))
-    logw[valid] -= log_norm
+    """Subtract the valid entries' log-sum-exp from them, in place; return it.
+    Neither step gathers the valid entries."""
+    log_norm = float(logsumexp(logw, valid))
+    np.subtract(logw, log_norm, out=logw, where=valid)
     return log_norm
 
 
@@ -325,6 +346,8 @@ def build_spectrum(
     stays rectangular). Raises DomainError when every bin is invalid.
     The kernel runs on the three axes broadcast against each other, so its
     terms in omega alone (or q, or j alone) cost one evaluation per node.
+    Its blocks along omega fill arrays laid out in bin order, which the
+    grid takes without a copy.
     """
     kernel = functools.partial(emission_log_weights, state)
     logw, valid = (x.ravel() for x in _on_axes(kernel, *_grid_axes(state, spec)))

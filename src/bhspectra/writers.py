@@ -16,7 +16,7 @@ from .blackholes import _two_prod
 from .cli import _JSON_NONFINITE, _JSONL_BLOCK, _canonical_json
 
 # Rows formatted and written at a time: bounds the memory a writer holds.
-_ROW_CHUNK = 8192
+_ROW_CHUNK = 4096
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
@@ -59,20 +59,37 @@ _E16_SPECIAL = (b"nan,", b"inf,", b"-inf,")
 
 @functools.cache
 def _e16_tables():
-    """(hi, lo) of 10^s for s in [_POW_MIN, _POW_MAX], with hi + lo = 10^s to
-    ~2^-106 relative, from exact integers, and the 4-digit text of 0..9999,
-    one uint32 of 4 bytes each. Built on the first CSV write."""
+    """(hi, lo) of 10^s for s in [_POW_MIN, _POW_MAX], with hi the float64
+    nearest 10^s and lo the one nearest 10^s - hi, and the 4-digit text of
+    0..9999, one uint32 of 4 bytes each. Built on the first CSV write.
+
+    With p = 10^|s| an exact integer, each rounding is one of Python's
+    correctly rounded int-to-float conversions or int / int divisions:
+    10^s = p and its residual p - hi for s >= 0, 10^s = 1 / p for s < 0,
+    whose residual 1 / p - hi is (d - m p) / (p d) for hi = m / d, d = 2^e,
+    divided by p before the exact scaling by 2^-e. The walk reuses p from
+    one s to the next.
+    """
     hi, lo = [], []
-    for s in range(_POW_MIN, _POW_MAX + 1):
-        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
-        h = num / den  # int / int rounds correctly
-        h_num, h_den = h.as_integer_ratio()
+    p = 10 ** -_POW_MIN
+    for _ in range(_POW_MIN, 0):
+        h = 1 / p
+        m, d = h.as_integer_ratio()
         hi.append(h)
-        lo.append((num * h_den - h_num * den) / (den * h_den))
-    # Row i holds the 4 ASCII digits of i, read as one uint32.
-    text = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    digits = text.astype(np.uint8).view(np.uint32).ravel()
-    return np.array(hi), np.array(lo), digits
+        lo.append(math.ldexp((d - m * p) / p, 1 - d.bit_length()))
+        p //= 10
+    p = 1
+    for _ in range(_POW_MAX + 1):
+        h = float(p)
+        hi.append(h)
+        lo.append(float(p - int(h)))
+        p *= 10
+    # Entry (a, b, c, d) holds the ASCII digits a, b, c, d: read as one uint32, entry abcd.
+    text = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    ascii_digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for k in range(4):
+        text[..., k] = ascii_digits.reshape((10,) + (1,) * (3 - k))
+    return np.array(hi), np.array(lo), text.view(np.uint32).ravel()
 
 
 def _format_e16(values: np.ndarray):

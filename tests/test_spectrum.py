@@ -426,6 +426,54 @@ def test_weights_are_exp_log_weight_on_valid_bins_and_zero_elsewhere():
     assert weights.tobytes() == want.tobytes()
 
 
+def _n_underflow_by_weights(grid: SpectrumGrid) -> int:
+    return int(np.count_nonzero(grid.valid & (grid.weights() == 0.0)))
+
+
+def test_n_underflow_counts_the_zero_weights_across_the_edge():
+    # Log-weights from 3 nats below exp's underflow edge (ln 2^-1075 ~
+    # -745.133) to 3 nats above, an ulp apart around it, every third bin
+    # invalid; then the grid shifted by whole nats, so that the edge falls
+    # outside the band of exponentiated bins too.
+    spec = GridSpec(omega_max=1.0, n_omega=6003)
+    edge = math.log(math.ulp(0.0)) - math.log(2.0)
+    logw = np.concatenate([np.linspace(edge - 3.0, edge + 3.0, 5981),
+                           edge + np.arange(-11, 11) * math.ulp(edge)])
+    valid = np.arange(spec.n_bins) % 3 != 0
+    state = BlackHoleState(Family.SCHWARZSCHILD, 1.0)
+    for shift in (0.0, -2.0, 2.0, -700.0, 745.0):
+        grid = SpectrumGrid(log_weight=logw + shift, valid=valid, normalization=Normalization.RAW,
+                            source_state=state, grid_spec=spec)
+        n_underflow = grid.n_underflow()
+        assert n_underflow == _n_underflow_by_weights(grid), shift
+        if shift == 0.0:
+            assert 0 < n_underflow < grid.n_valid
+
+
+@pytest.mark.parametrize("normalization", [Normalization.RAW, Normalization.UNIT_SUM])
+def test_n_underflow_on_the_underflow_golden_config(normalization):
+    # tests/test_spectrum_golden.py's schw_underflow: M = 700, 2000 bins.
+    grid = build_spectrum(BlackHoleState(Family.SCHWARZSCHILD, 700.0),
+                          GridSpec(omega_max=700.0, n_omega=2000), normalization)
+    assert grid.n_underflow() == _n_underflow_by_weights(grid) > 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_n_underflow_raises_where_a_weight_overflows():
+    state, spec = AXIS_CASES["rn"]
+    grid = build_spectrum(state, spec)
+    grid = dataclasses.replace(grid, log_weight=grid.log_weight.copy(), valid=grid.valid.copy())
+    grid.log_weight[:2], grid.valid[:2] = (np.inf, 1e308), False
+    grid.log_weight[3], grid.valid[3] = 709.5, True  # within a nat of the edge, finite
+    assert grid.n_underflow() == _n_underflow_by_weights(grid)
+    grid.log_weight[5], grid.valid[5] = 710.0, True
+    with pytest.raises(FloatingPointError) as by_count:
+        grid.n_underflow()
+    with pytest.raises(FloatingPointError) as by_weights:
+        grid.weights()
+    assert str(by_count.value) == str(by_weights.value)
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_weight_above_float64_range_is_a_numerical_failure():
     state, spec = AXIS_CASES["rn"]
@@ -676,3 +724,126 @@ class TestLogSumExp:
         ours, ref = logsumexp(row), logsumexp(np.array(row, dtype=np.float64))
         assert type(ours) is float
         assert np.float64(ours).tobytes() == np.float64(ref).tobytes()
+
+
+class TestPairwiseLeaves:
+    """blackholes._pairwise_leaves and _ranked against numpy's own sums.
+
+    The leaf walk reproduces np.add.reduce's pairwise order for a
+    contiguous float64 array (numpy's pairwise_sum: cut at a multiple of 8
+    below the middle down to 128 values). The spectrum's normalization and
+    the information report rely on it for their bits: if numpy's order
+    changes, these tests fail.
+    """
+
+    # Log-uniform sizes up to 3e6, and the sizes around the cuts.
+    SIZES = sorted({*range(0, 20), 127, 128, 129, 8191, 8192, 8193, 16384, 16385, 24577,
+                    3_000_000, *np.exp(np.random.default_rng(11).uniform(
+                        math.log(20), math.log(3e6), size=190)).astype(int).tolist()})
+
+    @staticmethod
+    def values(rng, n):
+        """Normal values across 16 decades, some -inf, ties at the maximum."""
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        a[rng.random(n) < 0.01] = -np.inf
+        if n:
+            a[rng.integers(0, n, size=1 + n // 1000)] = a.max()
+        return a
+
+    def test_leaves_sum_as_numpy(self):
+        from bhspectra.blackholes import _pairwise_leaves, _ranked
+
+        assert len(self.SIZES) >= 200
+        rng = np.random.default_rng(12)
+        a = self.values(rng, self.SIZES[-1])
+        finite = np.where(np.isfinite(a), a, 1.0)
+        mask = rng.random(a.size) < 0.8
+        for n in self.SIZES:
+            got = _pairwise_leaves(n, lambda lo, hi: finite[lo:hi])
+            assert got.tobytes() == np.sum(finite[:n]).tobytes(), (
+                f"numpy's pairwise summation order changed: {n} values")
+            m, at = _ranked(mask[:n])
+            want = finite[:n][mask[:n]]
+            assert m == want.size
+            got = _pairwise_leaves(m, lambda lo, hi: finite[at(lo, hi)])
+            assert got.tobytes() == np.sum(want).tobytes(), (
+                f"numpy's pairwise summation order changed: {m} of {n} values")
+            rows = _pairwise_leaves(m, lambda lo, hi: np.stack([finite[at(lo, hi)], want[lo:hi]]))
+            assert rows.tobytes() == np.sum(np.stack([want, want]), axis=-1).tobytes(), n
+
+    def test_masked_logsumexp_is_the_gathered_one(self):
+        rng = np.random.default_rng(13)
+        a = self.values(rng, self.SIZES[-1])
+        mask = rng.random(a.size) < 0.7
+        for n in self.SIZES[::3]:
+            want = logsumexp(a[:n][mask[:n]])
+            for got in (logsumexp(a[:n], mask[:n]), logsumexp(a[:n])
+                        if mask[:n].all() else want):
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), n
+        # The masked-out entries are never read: nan, inf, ties above the maximum.
+        junk = np.where(mask, a, np.array([np.nan, np.inf, 1e300])[np.arange(a.size) % 3])
+        got = logsumexp(junk[:100_000], mask[:100_000])
+        assert np.float64(got).tobytes() == np.float64(logsumexp(a[:100_000][mask[:100_000]])).tobytes()
+
+    def test_ranked_indices(self):
+        from bhspectra.blackholes import _LEAF, _ranked
+
+        rng = np.random.default_rng(14)
+        for n, density in [(0, 0.5), (1, 1.0), (5 * _LEAF + 3, 0.5), (3 * _LEAF, 0.001),
+                           (3 * _LEAF, 1.0), (4 * _LEAF + 1, 0.0)]:
+            mask = rng.random(n) < density
+            m, at = _ranked(mask)
+            index = np.flatnonzero(mask)
+            assert m == index.size
+            cuts = sorted({0, m, *rng.integers(0, m + 1, size=20).tolist()})
+            for lo, hi in itertools.combinations(cuts, 2):
+                assert at(lo, hi).tolist() == index[lo:hi].tolist(), (n, lo, hi)
+            assert at(m, m).size == 0
+
+
+def test_unit_sum_normalization_is_the_gathered_one_on_many_leaves():
+    # 125,000 bins: the valid bins' log-sum-exp and the subtraction are read
+    # from the grid leaf by leaf, with the bits of the gather.
+    state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+    spec = GridSpec(omega_max=1.5, n_omega=31_250, q_step=0.25, n_q=4)
+    raw = build_spectrum(state, spec)
+    unit = build_spectrum(state, spec, Normalization.UNIT_SUM)
+    log_norm = logsumexp(raw.log_weight[raw.valid])
+    assert np.float64(unit.log_norm).tobytes() == np.float64(log_norm).tobytes()
+    want = np.where(raw.valid, raw.log_weight - log_norm, raw.log_weight)
+    assert unit.log_weight.tobytes() == want.tobytes()
+    thermal = build_thermal_spectrum(state, spec, Normalization.UNIT_SUM)
+    t_raw = build_thermal_spectrum(state, spec).log_weight
+    assert thermal.log_weight.tobytes() == (t_raw - logsumexp(t_raw)).tobytes()
+
+
+def test_the_grid_takes_the_kernel_output_without_a_copy():
+    state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+    grid = build_spectrum(state, GridSpec(omega_max=1.5, n_omega=4096, q_step=0.25, n_q=4))
+    for x in (grid.log_weight, grid.valid):
+        assert x.base is not None and x.base.size == x.size and x.base.flags.c_contiguous
+
+
+# Stage peaks on spectrum_rn_csv's grid, 125,000 bins: the grid itself
+# (9 B per bin, 1.13 MB) plus the stage's temporaries.
+STAGE_STATE = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+STAGE_SPEC = GridSpec(omega_max=1.5, n_omega=31_250, q_step=0.25, n_q=4)
+
+
+@pytest.mark.parametrize("build,bound", [
+    # The grid and the kernel's temporaries on one block of 8192 bins: 2.40 MB measured.
+    (build_spectrum, 2.8e6),
+    # The repeated per-node baseline beside its nodes: 1.57 MB measured.
+    (build_thermal_spectrum, 1.9e6),
+], ids=["build_spectrum", "thermal"])
+def test_unit_sum_build_peak_memory(build, bound):
+    import tracemalloc
+
+    build(STAGE_STATE, STAGE_SPEC, Normalization.UNIT_SUM)  # warm: caches are not counted
+    tracemalloc.start()
+    try:
+        build(STAGE_STATE, STAGE_SPEC, Normalization.UNIT_SUM)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

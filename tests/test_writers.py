@@ -191,7 +191,7 @@ def test_spectrum_json_matches_whole_document_oracle(tmp_path, spec, with_therma
 
 
 # The CSV writer holds one chunk of rows and the cells of its columns, plus
-# the axes.
+# the axes. Measured: 1.63 MB at 2^17 bins, 2.44 MB at 2^19.
 @pytest.mark.parametrize("n_omega", [1 << 15, 1 << 17], ids=["2^17-bins", "2^19-bins"])
 def test_csv_writer_peak_memory(tmp_path, n_omega):
     state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
@@ -204,7 +204,7 @@ def test_csv_writer_peak_memory(tmp_path, n_omega):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5e6
+    assert peak <= 2.9e6
 
 
 # The JSONL writer holds one chunk of rows and their cells' texts, plus the
@@ -433,6 +433,22 @@ def test_json_texts_match_json_dumps_on_every_kind_of_value(dtype):
                           np.finfo(np.float64).max, 1.0, 0.1, 1e16, 1e-5])
         values = np.concatenate([edges, bits.view(np.float64)])
     assert writers._json_texts(values) == [json.dumps(v) for v in values.tolist()]
+
+
+def test_e16_power_tables_match_the_exact_construction():
+    # The construction the tables were first built with: 10^s as an exact
+    # ratio of integers, each float an int / int division.
+    hi, lo = [], []
+    for s in range(writers._POW_MIN, writers._POW_MAX + 1):
+        num, den = 10 ** max(s, 0), 10 ** max(-s, 0)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * h_den - h_num * den) / (den * h_den))
+    got_hi, got_lo, _ = writers._e16_tables()
+    assert got_hi.dtype == got_lo.dtype == np.float64
+    assert got_hi.tobytes() == np.array(hi).tobytes()
+    assert got_lo.tobytes() == np.array(lo).tobytes()
 
 
 def test_e16_digit_table_matches_the_string_built_table():
