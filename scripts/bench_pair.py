@@ -14,10 +14,11 @@ pairs the change read lower in, the seeds, both commits and both sides'
 perfbench `env` blocks. It refuses to start if that file already exists, so
 no earlier set of runs is overwritten.
 
-The parent is exported with `git archive` to <tmp>/parent and the working
-tree's src/, perfbench/ and BENCHMARK.json are copied to <tmp>/change, in a
-temporary directory removed at the end. The two sides' paths are of equal
-length (a path's length alone can move a run's peak RSS by ~0.1 MB), and the
+The parent is exported with `git archive` to <tmp1>/tree and the working
+tree's src/, perfbench/ and BENCHMARK.json are copied to <tmp2>/tree, in two
+temporary directories removed at the end. Both sides run from a directory of
+the same name, in roots whose paths are of equal length: the name alone has
+moved a run's peak RSS by 0.4-0.9 MB, and a path's length by ~0.1 MB. The
 copy leaves out bytecode and perfbench's outputs, so no `.pyc` compiled in
 another checkout is run. Both sides' packages are compiled to bytecode before
 the first run, as an installed package is, so neither side compiles its
@@ -110,6 +111,9 @@ def export(rev: str, dest: Path) -> None:
 # What a perfbench run takes from the working tree.
 MEASURED = ("src", "perfbench", "BENCHMARK.json")
 
+# The name of each side's directory, the same for both.
+SIDE = "tree"
+
 
 def copy_working_tree(dest: Path) -> None:
     """The working tree's MEASURED files under dest, without bytecode
@@ -148,8 +152,9 @@ def main(argv: list[str] | None = None) -> int:
     change = {"commit": git("rev-parse", "HEAD"),
               "dirty": bool(git("status", "--porcelain", "--", "src", "perfbench"))}
     pairs = []
-    with tempfile.TemporaryDirectory(prefix="bench_pair_") as tmp:
-        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+    with (tempfile.TemporaryDirectory(prefix="bench_pair_") as parent_root,
+          tempfile.TemporaryDirectory(prefix="bench_pair_") as change_root):
+        sides = {"parent": Path(parent_root, SIDE), "change": Path(change_root, SIDE)}
         sides["parent"].mkdir()
         export(parent_commit, sides["parent"])
         copy_working_tree(sides["change"])

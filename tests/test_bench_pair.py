@@ -117,5 +117,7 @@ def test_main_runs_both_sides_from_equal_length_paths_without_stale_bytecode(mon
     monkeypatch.setattr(bench_pair, "run_side", run_side)
     assert bench_pair.main(["--label", "x", "--parent", "HEAD", "--seeds", "1"]) == 0
     parent, change = sides
-    assert len(str(parent)) == len(str(change)) and parent != change
+    # One directory name in two roots whose paths are of equal length.
+    assert parent.name == change.name == bench_pair.SIDE
+    assert len(str(parent)) == len(str(change)) and parent.parent != change.parent
     assert sides[change] == ["BENCHMARK.json", "perfbench/run.py", "src/bhspectra/cli.py"]
