@@ -307,6 +307,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _merge(args)
     _load("spectrum", "writers", *(["information"] if cfg["report"] else []))
+    import numpy as np
     state = _state_from_config(cfg)
     if cfg["omega_max"] is None:
         cfg["omega_max"] = state.m
@@ -323,7 +324,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     # node, and the grid is not held beside the report or the writers.
     try:
         thermal = _cli.build_thermal_spectrum(state, spec, normalization)
-        thermal = thermal.log_weight.reshape(spec.n_omega, -1)[:, 0].copy()
+        # A copy of the node column, or the grid's own array at one bin per node.
+        thermal = np.ascontiguousarray(thermal.log_weight.reshape(spec.n_omega, -1)[:, 0])
     except DomainError:
         thermal = None  # extremal source: no thermal baseline
     health = {

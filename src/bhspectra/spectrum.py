@@ -100,7 +100,9 @@ class GridSpec:
 
     def omega_nodes(self) -> np.ndarray:
         step = (self.omega_max - self.omega_min) / self.n_omega
-        nodes = self.omega_min + step * np.arange(1, self.n_omega + 1, dtype=np.float64)
+        nodes = np.arange(1, self.n_omega + 1, dtype=np.float64)
+        nodes *= step  # in place: omega_min + step * i, one array
+        nodes += self.omega_min
         nodes[-1] = self.omega_max  # pin the endpoint exactly
         return nodes
 
@@ -367,8 +369,9 @@ def build_thermal_spectrum(
     to quantify how far the entropy-difference spectrum departs from thermal.
     It depends on omega alone: evaluated once per node, repeated over q and j.
     """
-    w, _, _ = _grid_axes(state, spec)
-    logw = np.repeat(_thermal(state, w), spec.n_q * spec.n_j)
+    logw = _thermal(state, _grid_axes(state, spec)[0])  # the nodes are freed here
+    if spec.n_q * spec.n_j > 1:
+        logw = np.repeat(logw, spec.n_q * spec.n_j)
     valid = np.ones(spec.n_bins, dtype=bool)
     return _spectrum(state, spec, logw, valid, normalization)
 
