@@ -90,16 +90,6 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
     shape = (spec.n_omega, spec.n_q, spec.n_j)
     n, at = _ranked(valid)
 
-    def hair_terms(start, stop):  # p times each emitted hair
-        bins = at(start, stop)
-        p = exp_weights(logw[bins])
-        out = np.empty((3, p.size))
-        for row, x, i in zip(out, axes, np.unravel_index(bins, shape)):
-            np.multiply(p, x[i], out=row)
-        return out
-
-    e_r, mean_q, mean_j = _pairwise_leaves(n, hair_terms).tolist()
-
     # The remnant entropies of the valid bins, a block of omega nodes at a time.
     def remnant_entropy(w, q, j):
         return (entropy_grid(state.family, state.m - w, state.q - q, state.j - j, state.alpha),)
@@ -114,28 +104,34 @@ def conditional_entropy(spectrum: SpectrumGrid) -> ConditionalEntropyResult:
         s_rem[rank : rank + s.size] = s
         rank += s.size
     log_norm = spectrum.log_norm if spectrum.log_norm is not None else 0.0
+
+    def terms(at, s_rem):
+        """The leaves of the sums over the bins at(start, stop): p times
+        each emitted hair, then the raw weight and p times the remnant
+        entropy s_rem[start:stop]."""
+        def leaf(start, stop):
+            bins = at(start, stop)
+            logp = logw[bins]
+            out = np.empty((5, bins.size))
+            exp_weights(logp + log_norm, out=out[3])
+            p = exp_weights(logp, out=out[4])
+            for row, x, i in zip(out, axes, np.unravel_index(bins, shape)):
+                np.multiply(p, x[i] if x.size > 1 else x[0], out=row)
+            out[3:] *= s_rem[start:stop]
+            return out
+        return leaf
+
+    e_r, mean_q, mean_j, raw_weighted, exact = _pairwise_leaves(n, terms(at, s_rem)).tolist()
     excluded = 0.0
     defined = np.isfinite(s_rem)
-    if not defined.all():
+    if not defined.all():  # the entropy sums run over the bins whose remnant entropy is defined
         undefined = np.zeros_like(valid)
         undefined[valid] = ~defined
         n_out, at_out = _ranked(undefined)
         excluded = float(_pairwise_leaves(n_out, lambda start, stop: exp_weights(
             logw[at_out(start, stop)])))
-        valid = valid & ~undefined
-        s_rem = s_rem[defined]
-        n, at = _ranked(valid)
-    del defined
-
-    def entropy_terms(start, stop):  # the raw weight and p, times S(remnant)
-        logp = logw[at(start, stop)]
-        out = np.empty((2, logp.size))
-        exp_weights(logp + log_norm, out=out[0])
-        exp_weights(logp, out=out[1])
-        out *= s_rem[start:stop]
-        return out
-
-    raw_weighted, exact = _pairwise_leaves(n, entropy_terms).tolist()
+        n_def, at_def = _ranked(valid & ~undefined)
+        raw_weighted, exact = _pairwise_leaves(n_def, terms(at_def, s_rem[defined]))[3:].tolist()
     lowenergy = bh_entropy(state.with_hairs(state.m - e_r, state.q - mean_q, state.j - mean_j))
     return ConditionalEntropyResult(
         exact=exact,
