@@ -440,6 +440,7 @@ def logsumexp(a, where=None) -> float:
             lambda: _pairwise_sum(list(map(_exp_or_inf, a))),
             lambda x: math.log(x) if x != 0.0 else -math.inf, math.log1p)  # numpy's log(0)
     a = a.astype(np.float64, copy=False)
+    # at(start, stop) indexes the values of ranks start..stop-1: a run of a, or of a[where].
     n, at = (len(a), slice) if where is None else _ranked(where)
     where = True if where is None else where
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
