@@ -14,13 +14,14 @@ pairs the change read lower in, the seeds, both commits and both sides'
 perfbench `env` blocks. It refuses to start if that file already exists, so
 no earlier set of runs is overwritten.
 
-The parent is exported with `git archive` to <tmp1>/tree and the working
-tree's src/, perfbench/ and BENCHMARK.json are copied to <tmp2>/tree, in two
-temporary directories removed at the end. Both sides run from a directory of
-the same name, in roots whose paths are of equal length: the name alone has
-moved a run's peak RSS by 0.4-0.9 MB, and a path's length by ~0.1 MB. The
-copy leaves out bytecode and perfbench's outputs, so no `.pyc` compiled in
-another checkout is run. Both sides' packages are compiled to bytecode before
+Each side is src/, perfbench/ and BENCHMARK.json, copied to <tmp>/tree in a
+temporary directory of its own, removed at the end: the parent's from a
+`git archive` export of the commit, the change's from the working tree. So
+the two sides differ in the contents of those files only. Both run from a
+directory of the same name, in roots whose paths are of equal length: the
+name alone has moved a run's peak RSS by 0.4-0.9 MB, and a path's length by
+~0.1 MB. The copy leaves out bytecode and perfbench's outputs, so no `.pyc`
+compiled in another checkout is run. Both sides' packages are compiled to bytecode before
 the first run, as an installed package is, so neither side compiles its
 modules on every run.
 
@@ -115,16 +116,16 @@ MEASURED = ("src", "perfbench", "BENCHMARK.json")
 SIDE = "tree"
 
 
-def copy_working_tree(dest: Path) -> None:
-    """The working tree's MEASURED files under dest, without bytecode
-    (__pycache__) or perfbench's outputs (perfbench/out)."""
+def copy_measured(source: Path, dest: Path) -> None:
+    """source's MEASURED files under dest, without bytecode (__pycache__) or
+    perfbench's outputs (perfbench/out)."""
     skip = shutil.ignore_patterns("__pycache__", "out")
     dest.mkdir()
     for name in MEASURED:
-        if (ROOT / name).is_dir():
-            shutil.copytree(ROOT / name, dest / name, ignore=skip)
+        if (source / name).is_dir():
+            shutil.copytree(source / name, dest / name, ignore=skip)
         else:
-            shutil.copy2(ROOT / name, dest / name)
+            shutil.copy2(source / name, dest / name)
 
 
 def run_side(side: Path, seed: int, seconds: float) -> dict:
@@ -155,9 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     with (tempfile.TemporaryDirectory(prefix="bench_pair_") as parent_root,
           tempfile.TemporaryDirectory(prefix="bench_pair_") as change_root):
         sides = {"parent": Path(parent_root, SIDE), "change": Path(change_root, SIDE)}
-        sides["parent"].mkdir()
-        export(parent_commit, sides["parent"])
-        copy_working_tree(sides["change"])
+        with tempfile.TemporaryDirectory(prefix="bench_pair_export_") as tree:
+            export(parent_commit, Path(tree))
+            copy_measured(Path(tree), sides["parent"])
+        copy_measured(ROOT, sides["change"])
         for side in sides.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src/bhspectra"],
                            cwd=side, check=True)

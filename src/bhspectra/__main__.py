@@ -23,13 +23,10 @@ object, ~22k after numpy's import: 20-25 ms of finalization in a spectrum
 run, against 5-6 ms once they sit in the permanent generation (2 shared
 cores, Python 3.11). The commands that load numpy are spectrum, verify and
 typicality; a cascade run, which loads none, ends with ~14k objects. atexit
-handlers and the flushing of stdio still run. A collection of the two young
-generations (under 1.2 ms) first frees the command's last cyclic garbage,
-such as json's encoder closures; frozen with the rest, it raised a cascade
-run's peak RSS by ~0.12 MB. This relies on one rule: every output file is
-closed explicitly (a `with` block or `write_text`) before `main` returns, so
-no byte waits on a finalizer. Calling `bhspectra.cli.main` in process leaves
-the caller's collector alone.
+handlers and the flushing of stdio still run. This relies on one rule: every
+output file is closed explicitly (a `with` block or `write_text`) before
+`main` returns, so no byte waits on a finalizer. Calling `bhspectra.cli.main`
+in process leaves the caller's collector alone.
 """
 
 import gc
@@ -52,7 +49,6 @@ def main() -> int:
     try:
         return cli_main()
     finally:
-        gc.collect(1)
         gc.freeze()
 
 

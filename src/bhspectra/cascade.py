@@ -597,12 +597,6 @@ class _Tally:
                 self.n_stuck)
 
 
-# Steps one chunk of a per-sample ensemble holds at most: a chunk is
-# max(1, _CHUNK_STEPS // n_quanta) samples, and no chain takes more than
-# n_quanta steps. At 64 quanta that is 1024 samples.
-_CHUNK_STEPS = 1 << 16
-
-
 def _ensemble_table(state, policy, n_samples: int, seed: int):
     """The transition table of an ensemble, n_samples and seed as ints, after
     their checks: every usage error a per-sample ensemble can raise is raised
@@ -617,7 +611,7 @@ def cascade_ensemble_stats(
     n_samples: int,
     seed: int,
     method: str = "per-sample",
-    on_chunk=None,
+    on_chain=None,
 ) -> CascadeEnsembleStats:
     """Sample an ensemble of cascades and summarize it.
 
@@ -626,11 +620,10 @@ def cascade_ensemble_stats(
     "batch" walks every chain in lockstep on one numpy (seed, n_samples)
     stream, for energy-only cascades only (see _walk).
 
-    on_chunk, when given, gets the per-sample chains in chunks of consecutive
-    samples (see _CHUNK_STEPS) as soon as they are walked: a list of
-    (sample index, steps) per chain, the steps being (row, channel) pairs
-    (see _chain). Only the tallies and the census outlive a chunk.
-    The batch walk shares one stream, so it takes no on_chunk.
+    on_chain, when given, is called as on_chain(i, steps) after sample i is
+    walked, steps being its (row, channel) pairs (see _chain). Only the
+    tallies and the census outlive a chain. The batch walk shares one
+    stream, so it takes no on_chain.
 
     The census order fixes how identity_entropy is summed, so it is output:
     per-sample identities first seen first, batch ones fewest parts first,
@@ -642,8 +635,8 @@ def cascade_ensemble_stats(
     batch = method == "batch"
     if batch and not policy.energy_only:
         raise UsageError("batch sampling covers energy-only cascades")
-    if batch and on_chunk is not None:
-        raise UsageError("batch sampling walks one stream: it has no chunks to hand over")
+    if batch and on_chain is not None:
+        raise UsageError("batch sampling walks one stream: it has no chains to hand over")
     table, n_samples, seed = _ensemble_table(state, policy, n_samples, seed)
     n, charged = table.n_quanta, not policy.energy_only
     census = n <= _CENSUS_MAX_QUANTA
@@ -664,7 +657,7 @@ def cascade_ensemble_stats(
     else:
         tally = _Tally()
         identity_counts = {} if census else None
-        seed_words, size, chunk = _uint32_words(seed), max(1, _CHUNK_STEPS // max(1, n)), []
+        seed_words = _uint32_words(seed)
         for i in range(n_samples):
             steps, raw, norm, stuck = _chain(table, *_pcg64_start(seed_words + _uint32_words(i)))
             tally.add(len(steps), _move(*steps[0])[0] if steps else 0, raw, norm, stuck)
@@ -672,11 +665,8 @@ def cascade_ensemble_stats(
                 moves = (_move(row, c) for row, c in steps)
                 ident = tuple(moves) if charged else tuple(k for k, _, _ in moves)
                 identity_counts[ident] = identity_counts.get(ident, 0) + 1
-            if on_chunk is not None:
-                chunk.append((i, steps))
-                if len(chunk) == size or i == n_samples - 1:
-                    on_chunk(chunk)
-                    chunk = []
+            if on_chain is not None:
+                on_chain(i, steps)
         sums = tally.sums()
     n_stuck = sums[-1]
     # A stuck chain ends at a floor, as a stop-mass chain. Only the batch

@@ -94,42 +94,8 @@ def _load(*modules: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """The parser of the CLI or of one command. A command's option table is
-    added on its parser's first parse or help, so a run builds the flags of
-    its own command only, and --help none."""
-
-    options: dict | None = None  # the option table not added yet
-
     def error(self, message: str):  # argparse default exits with code 2
         raise UsageError(message)
-
-    def _add_options(self) -> None:
-        """Add --config and the option table's flags, each defaulting to None,
-        so that _merge can tell a flag that was not given."""
-        options, self.options = self.options, None
-        if options is None:
-            return
-        self.add_argument("--config", help="flat JSON config file; flags override it")
-        for key, (kind, _, help_text) in options.items():
-            flag = "--" + key.replace("_", "-")
-            if kind is bool:
-                self.add_argument(flag, action="store_const", const=True, help=help_text)
-            elif isinstance(kind, tuple):
-                self.add_argument(flag, choices=kind, help=help_text)
-            else:
-                self.add_argument(flag, type=kind, help=help_text)
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._add_options()
-        return super().parse_known_args(args, namespace)
-
-    def format_usage(self) -> str:
-        self._add_options()
-        return super().format_usage()
-
-    def format_help(self) -> str:
-        self._add_options()
-        return super().format_help()
 
 
 def _utc_now() -> str:
@@ -398,9 +364,9 @@ def _channel_text(row, c: int) -> str:
 
 
 class _ChainsJsonl:
-    """chains.jsonl, one row per step, written chunk by chunk from the chains
-    cascade.cascade_ensemble_stats hands its on_chunk; seconds is the time
-    spent in write.
+    """chains.jsonl, one row per step, written from the chains
+    cascade.cascade_ensemble_stats hands its on_chain, one at a time; seconds
+    is the time spent writing.
 
     The rows go to a temporary file, renamed into place when the with block
     ends without an error and removed when it ends with one, so a failed run
@@ -414,42 +380,45 @@ class _ChainsJsonl:
         self.seconds = 0.0
         self.texts: dict = {}  # (cascade row, channel) -> _channel_text of it
         self.tails: list[str] = []  # the end of a row at each step
+        self.parts: list[str] = []  # the texts of the rows not written yet
 
     def __enter__(self) -> "_ChainsJsonl":
         self.file = self.part.open("w", encoding="utf-8")
         self.file.write(_canonical_json(self.header) + "\n")
         return self
 
-    def write(self, chains: list) -> None:
-        """Write one chunk's rows, chains being (sample index, steps) pairs,
-        each step a (cascade row, channel) pair.
+    def write(self, sample: int, steps: list) -> None:
+        """Queue the rows of one chain, steps being its (cascade row, channel)
+        pairs, and write the queue once it holds _JSONL_BLOCK rows.
 
         The float cells' keys sort before "sample_index" and "step", so a row
         is three texts: its channel's, built on the channel's first step, its
-        sample index's and its step's; _JSONL_BLOCK rows are joined per string.
+        sample index's and its step's.
         """
         t = time.perf_counter()
-        texts, tails, parts = self.texts, self.tails, []
-        for sample, steps in chains:
-            tails += (',"step":%d}\n' % k for k in range(len(tails), len(steps)))
-            index = str(sample)
-            for step, tail in zip(steps, tails):
-                text = texts.get(step)
-                if text is None:
-                    text = texts[step] = _channel_text(*step)
-                parts += (text, index, tail)
-            if len(parts) >= 3 * _JSONL_BLOCK:
-                self.file.write("".join(parts))
-                parts = []
-        self.file.write("".join(parts))
+        texts, tails, parts = self.texts, self.tails, self.parts
+        tails += (',"step":%d}\n' % k for k in range(len(tails), len(steps)))
+        index = str(sample)
+        for step, tail in zip(steps, tails):
+            text = texts.get(step)
+            if text is None:
+                text = texts[step] = _channel_text(*step)
+            parts += (text, index, tail)
+        if len(parts) >= 3 * _JSONL_BLOCK:
+            self.file.write("".join(parts))
+            parts.clear()
         self.seconds += time.perf_counter() - t
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            self.file.close()
             if exc_type is None:
+                t = time.perf_counter()
+                self.file.write("".join(self.parts))
+                self.seconds += time.perf_counter() - t
+                self.file.close()
                 self.part.replace(self.path)
         finally:
+            self.file.close()
             self.part.unlink(missing_ok=True)
 
 
@@ -471,11 +440,11 @@ def cmd_cascade(args: argparse.Namespace) -> int:
     manifest_cfg = dict(cfg, state=_cli.state_to_record(state), policy=asdict(policy))
     manifest_hash = _manifest_hash("cascade", manifest_cfg)
     # "workers" is only echoed: sampling runs in this process, and each
-    # chain's stream is derived from (seed, index) alone. Each chunk's rows
-    # are written as soon as it is walked.
+    # chain's stream is derived from (seed, index) alone. Each chain's rows
+    # are queued as soon as it is walked.
     with _ChainsJsonl(outdir / "chains.jsonl", manifest_hash, n_samples, seed) as chains:
-        stats = _cli.cascade_ensemble_stats(state, policy, n_samples, seed, on_chunk=chains.write)
-    # Summed over the chunks: the walks are compute, the row writing serialization.
+        stats = _cli.cascade_ensemble_stats(state, policy, n_samples, seed, on_chain=chains.write)
+    # Summed over the chains: the walks are compute, the row writing serialization.
     compute_s = time.perf_counter() - t0 - chains.seconds
     _write_json(outdir / "ensemble.json", dict(stats.to_json_dict(), manifest_hash=manifest_hash))
     # The table is cached: after the walk it holds every state the walk reached.
@@ -570,7 +539,16 @@ def build_parser() -> _Parser:
         ("typicality", cmd_typicality, "Random-pure-state typicality lab.", _TYPICALITY_OPTIONS),
     ):
         p = sub.add_parser(name, description=description)
-        p.options = options  # added by _Parser on the command's first parse or help
+        # Each flag defaults to None, so that _merge can tell a flag that was not given.
+        p.add_argument("--config", help="flat JSON config file; flags override it")
+        for key, (kind, _, help_text) in options.items():
+            flag = "--" + key.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_const", const=True, help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, help=help_text)
+            else:
+                p.add_argument(flag, type=kind, help=help_text)
         p.set_defaults(func=func, options=options)
     return parser
 

@@ -183,12 +183,11 @@ def lab_ledger(dim_b: int, dim_o: int) -> EnergyLedger:
     makes the microcanonical weights nontrivial. dim_o must be divisible by
     2^(levels - 1).
     """
-    if dim_b < 1:
-        raise DomainError("dim_b must be >= 1")
+    dim_b, dim_o = check_int("dim_b", dim_b, floor=1), check_int("dim_o", dim_o, floor=1)
     n_levels = (dim_b + 1) // 2
     # Past dim_o's bit length 2^(n_levels - 1) exceeds dim_o: reject before
     # building that power or the levels.
-    if dim_o < 1 or n_levels > int(dim_o).bit_length() or dim_o % (1 << (n_levels - 1)) != 0:
+    if n_levels > dim_o.bit_length() or dim_o % (1 << (n_levels - 1)) != 0:
         raise UsageError(f"dim_o must be a positive multiple of 2^{n_levels - 1}")
     gs = [2] * (dim_b // 2) + ([1] if dim_b % 2 else [])
     return EnergyLedger(tuple((g, dim_o >> i) for i, g in enumerate(gs)))
@@ -228,8 +227,8 @@ def typicality_lab(
     seed-averaged L1 distance of the per-level diagonal from the
     microcanonical weights and the off-diagonal RMS at both sizes.
     """
-    if scale_factor < 1:
-        raise UsageError("scale_factor must be >= 1")
+    dim_b, dim_o = check_int("dim_b", dim_b, floor=1), check_int("dim_o", dim_o, floor=1)
+    scale_factor = check_int("scale_factor", scale_factor, floor=1)
     base, scaled = lab_ledger(dim_b, dim_o), lab_ledger(dim_b, scale_factor * dim_o)
     # The larger shell first: its first draw rejects a dim_U over the cap.
     l1_scaled, rms_scaled, _ = concentration(scaled, n_seeds, seed)

@@ -96,20 +96,25 @@ def test_main_refuses_to_overwrite_a_bench_file(monkeypatch, tmp_path, capsys):
 
 def test_main_runs_both_sides_from_equal_length_paths_without_stale_bytecode(monkeypatch,
                                                                             tmp_path):
+    def tree(root: Path) -> None:
+        for name in ("src/bhspectra/cli.py", "src/bhspectra/__pycache__/cli.cpython-311.pyc",
+                     "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc",
+                     "perfbench/out/result.json", "tests/test_cli.py", "README.md"):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text("")
+        (root / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+
     root = tmp_path / "repo"
-    for name in ("src/bhspectra/cli.py", "src/bhspectra/__pycache__/cli.cpython-311.pyc",
-                 "perfbench/run.py", "perfbench/__pycache__/run.cpython-311.pyc",
-                 "perfbench/out/result.json", "tests/test_cli.py"):
-        (root / name).parent.mkdir(parents=True, exist_ok=True)
-        (root / name).write_text("")
-    (root / "BENCHMARK.json").write_text('{"run_seconds": 1}')
+    tree(root)
     monkeypatch.setattr(bench_pair, "ROOT", root)
     monkeypatch.setattr(bench_pair, "git", lambda *args: "abc")
-    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: (dest / "src").mkdir())
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: tree(dest))
     monkeypatch.setattr(bench_pair.subprocess, "run", lambda *args, **kwargs: None)  # compileall
     sides = {}
 
     def run_side(side, seed, seconds):
+        # Each root holds its side's directory alone.
+        assert [p.name for p in side.parent.iterdir()] == [bench_pair.SIDE]
         sides[side] = sorted(p.relative_to(side).as_posix() for p in side.rglob("*")
                              if p.is_file())
         return bench_pair.parse_run(perfbench_stdout({"cascade_schw": 0.2}))
@@ -120,4 +125,6 @@ def test_main_runs_both_sides_from_equal_length_paths_without_stale_bytecode(mon
     # One directory name in two roots whose paths are of equal length.
     assert parent.name == change.name == bench_pair.SIDE
     assert len(str(parent)) == len(str(change)) and parent.parent != change.parent
-    assert sides[change] == ["BENCHMARK.json", "perfbench/run.py", "src/bhspectra/cli.py"]
+    # Both sides hold the same measured files, built the same way.
+    assert sides[parent] == sides[change] == [
+        "BENCHMARK.json", "perfbench/run.py", "src/bhspectra/cli.py"]

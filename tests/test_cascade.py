@@ -526,17 +526,17 @@ class TestEnsembles:
         policy = CascadePolicy(energy_quantum=0.125)
         runs = []
         for seed, n_samples in ((2, 30), (np.int64(2), np.int32(30))):
-            chunks = [] if method == "per-sample" else None
+            chains = [] if method == "per-sample" else None
             stats = cascade_ensemble_stats(state, policy, n_samples, seed, method,
-                                           None if chunks is None else chunks.append)
+                                           None if chains is None else
+                                           lambda i, steps: chains.append((i, steps)))
             assert type(stats.seed) is int and type(stats.n_samples) is int
-            runs.append((json.dumps(stats.to_json_dict()), chunks))
-        (text, chunks), (np_text, np_chunks) = runs
+            runs.append((json.dumps(stats.to_json_dict()), chains))
+        (text, chains), (np_text, np_chains) = runs
         assert np_text == text
-        if chunks is not None:
-            assert len(np_chunks) == len(chunks) == 1
-            assert [type(i) for i, _ in np_chunks[0]] == [int] * 30
-            assert np_chunks == chunks  # the same samples, rows and channels
+        if chains is not None:
+            assert [type(i) for i, _ in np_chains] == [int] * 30
+            assert np_chains == chains  # the same samples, rows and channels
         assert sample_cascade(state, policy, np.int64(2), np.int64(7)) == sample_cascade(
             state, policy, 2, 7)
 
@@ -545,12 +545,12 @@ class TestEnsembles:
         with pytest.raises(UsageError, match="n_samples must be an integer >= 1"):
             ensemble_stats_from_chains([], POLICY_5, 0, 0)
 
-    def test_batch_takes_no_chunk_callback(self):
-        chunks = []
+    def test_batch_takes_no_chain_callback(self):
+        chains = []
         with pytest.raises(UsageError, match="batch"):
             cascade_ensemble_stats(SCHW_HALF, POLICY_5, 10, 0, method="batch",
-                                   on_chunk=chunks.append)
-        assert chunks == []
+                                   on_chain=lambda i, steps: chains.append(i))
+        assert chains == []
 
     @pytest.mark.parametrize("method", ["bogus", "per_sample", "Batch"])
     def test_unknown_method_is_usage_error(self, method):

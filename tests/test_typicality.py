@@ -255,8 +255,14 @@ class TestTypicalityScaling:
         assert 0.35 <= lab.rms_ratio <= 0.7
 
     def test_lab_ledger_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError, match="dim_b must be an integer >= 1, got 0"):
             lab_ledger(0, 16)
+        with pytest.raises(UsageError, match="dim_o must be an integer >= 1, got 0"):
+            lab_ledger(4, 0)
+        with pytest.raises(UsageError, match="dim_b must be an integer >= 1, got 4.0"):
+            lab_ledger(4.0, 16)
+        with pytest.raises(UsageError, match="dim_o must be an integer >= 1, got 16.0"):
+            lab_ledger(4, 16.0)
         with pytest.raises(UsageError):
             lab_ledger(4, 15)  # needs a multiple of 2
         lab_ledger(26, 4096)  # 13 levels: 2^12 divides 4096
@@ -273,6 +279,21 @@ class TestTypicalityScaling:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("sizes,named", [
+        ({"dim_b": 4.0}, "dim_b must be an integer >= 1, got 4.0"),
+        ({"dim_o": 4096.0}, "dim_o must be an integer >= 1, got 4096.0"),
+        ({"scale_factor": 2.5}, "scale_factor must be an integer >= 1, got 2.5"),
+        ({"scale_factor": 0}, "scale_factor must be an integer >= 1, got 0"),
+    ], ids=["float-dim-b", "float-dim-o", "float-scale-factor", "zero-scale-factor"])
+    def test_lab_sizes_take_the_integer_rule(self, sizes, named):
+        with pytest.raises(UsageError, match=named):
+            typicality_lab(**{"dim_b": 4, "dim_o": 4096, **sizes}, n_seeds=2)
+
+    def test_lab_report_holds_sizes_as_ints(self):
+        lab = typicality_lab(np.int64(2), np.int32(16), n_seeds=1, scale_factor=np.int64(2))
+        assert [type(v) for v in (lab.dim_b, lab.dim_o, lab.scale_factor)] == [int] * 3
+        assert lab == typicality_lab(2, 16, n_seeds=1, scale_factor=2)
 
     def test_negative_seed_is_usage_error(self):
         with pytest.raises(UsageError):

@@ -100,13 +100,13 @@ def _oracle_chains_jsonl(chains, manifest_hash, n_samples, seed) -> str:
     return "".join(out)
 
 
-def _oracle_steps_jsonl(chunks, manifest_hash, n_samples, seed) -> str:
+def _oracle_steps_jsonl(chains, manifest_hash, n_samples, seed) -> str:
     """chains.jsonl of the writer's input, one json.dumps per row: each step
     a (cascade row, channel) pair, the emitted hairs the row's hairs less
     the channel's remnant's."""
     header = {"type": "header", "manifest_hash": manifest_hash, "n_samples": n_samples, "seed": seed}
     out = [_canonical(header) + "\n"]
-    for index, steps in itertools.chain.from_iterable(chunks):
+    for index, steps in chains:
         for step_no, (row, c) in enumerate(steps):
             m, q, j = row.hairs
             out.append(_canonical({
@@ -319,10 +319,10 @@ def test_csv_writer_checks_each_axis_bit_for_bit(tmp_path, monkeypatch, break_ax
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
 
 
-def _fake_chunks(rng, n_chains: int, per_chunk: int) -> list:
+def _fake_chains(rng, n_chains: int) -> list:
     """The writer's input over 20 cascade rows of one to three channels full
-    of special values: (sample index, steps) per chain, in chunks of
-    per_chunk chains, the steps sharing rows and channels."""
+    of special values: (sample index, steps) per chain, the steps sharing
+    rows and channels."""
     rows = []
     for _ in range(20):
         k = int(rng.integers(1, 4))
@@ -333,21 +333,27 @@ def _fake_chunks(rng, n_chains: int, per_chunk: int) -> list:
     for index, n_steps in enumerate(rng.integers(0, 40, size=n_chains).tolist()):
         picks = rng.integers(0, len(rows), size=n_steps).tolist()
         chains.append((index, [(rows[r], int(rng.integers(0, rows[r].key[0]))) for r in picks]))
-    return [chains[i:i + per_chunk] for i in range(0, n_chains, per_chunk)]
+    return chains
 
 
-def _write_chains_jsonl(path, chunks, manifest_hash, n_samples, seed) -> None:
+def _write_chains_jsonl(path, chains, manifest_hash, n_samples, seed) -> None:
     with cli._ChainsJsonl(path, manifest_hash, n_samples, seed) as out:
-        for chains in chunks:
-            out.write(chains)
+        for index, steps in chains:
+            out.write(index, steps)
 
 
-@pytest.mark.parametrize("per_chunk", [900, 7])
-def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path, per_chunk):
-    chunks = _fake_chunks(np.random.default_rng(1), 900, per_chunk)
-    assert sum(len(steps) for chunk in chunks for _, steps in chunk) > 3 * cli._JSONL_BLOCK
-    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 900, 7)
-    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl(chunks, "abc", 900, 7)
+def _write_ensemble_chains(path, state, policy, n_samples, seed) -> None:
+    """chains.jsonl of a per-sample ensemble, each chain handed to the writer
+    as the CLI hands it."""
+    with cli._ChainsJsonl(path, "abc", n_samples, seed) as out:
+        cascade_ensemble_stats(state, policy, n_samples, seed, on_chain=out.write)
+
+
+def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path):
+    chains = _fake_chains(np.random.default_rng(1), 900)
+    assert sum(len(steps) for _, steps in chains) > 3 * cli._JSONL_BLOCK
+    _write_chains_jsonl(tmp_path / "c.jsonl", chains, "abc", 900, 7)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl(chains, "abc", 900, 7)
 
 
 @pytest.mark.parametrize(
@@ -377,21 +383,16 @@ def test_chains_writer_matches_per_row_oracle_on_special_values(tmp_path, per_ch
 def test_chains_writer_matches_per_row_oracle_on_sampled_chains(tmp_path, state, policy):
     # The CLI's many-chain walk against 30 one-chain walks, row by row.
     chains = [sample_cascade(state, policy, 3, i) for i in range(30)]
-    chunks = []
-    cascade_ensemble_stats(state, policy, 30, 3, on_chunk=chunks.append)
-    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 30, 3)
+    _write_ensemble_chains(tmp_path / "c.jsonl", state, policy, 30, 3)
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 30, 3)
 
 
-def test_chains_writer_matches_per_row_oracle_across_chunks(tmp_path):
-    # 64 quanta: a chunk walks 1024 samples, so 1030 samples make two chunks,
-    # each with its own channel texts and integer lists.
+def test_chains_writer_matches_per_row_oracle_across_blocks(tmp_path):
+    # 64 quanta and 1030 samples: the rows fill several of the writer's blocks.
     state, policy = BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625)
-    chunks = []
-    cascade_ensemble_stats(state, policy, 1030, 11, on_chunk=chunks.append)
-    assert [c[0][0] for c in chunks] == [0, 1024]
-    _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 1030, 11)
+    _write_ensemble_chains(tmp_path / "c.jsonl", state, policy, 1030, 11)
     chains = [sample_cascade(state, policy, 11, i) for i in range(1030)]
+    assert sum(chain.n_steps for chain in chains) > 2 * cli._JSONL_BLOCK
     assert (tmp_path / "c.jsonl").read_text() == _oracle_chains_jsonl(chains, "abc", 1030, 11)
 
 
@@ -400,17 +401,15 @@ def test_chains_writer_keeps_a_zero_hair_sign_after_its_twin_state(tmp_path):
     # for one must not serve the other, whose initial row differs.
     policy = CascadePolicy(energy_quantum=0.125, charge_quantum=0.125)
     for q in (0.0, -0.0, 0.0):
-        chunks = []
-        cascade_ensemble_stats(BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, q), policy, 5, 1,
-                               on_chunk=chunks.append)
-        _write_chains_jsonl(tmp_path / "c.jsonl", chunks, "abc", 5, 1)
+        _write_ensemble_chains(tmp_path / "c.jsonl",
+                               BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, q), policy, 5, 1)
         step0 = json.loads((tmp_path / "c.jsonl").read_text().splitlines()[1])
         assert np.signbit(step0["q"]) == np.signbit(q)
 
 
 def test_chains_writer_with_no_steps(tmp_path):
-    _write_chains_jsonl(tmp_path / "c.jsonl", [[(0, [])]], "abc", 1, 0)
-    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl([[(0, [])]], "abc", 1, 0)
+    _write_chains_jsonl(tmp_path / "c.jsonl", [(0, [])], "abc", 1, 0)
+    assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl([(0, [])], "abc", 1, 0)
 
 
 def test_format_column_keeps_signed_zero_and_order():
