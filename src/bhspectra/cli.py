@@ -94,6 +94,8 @@ def _load(*modules: str) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
+    """The CLI's parser and, as its subparser class, each command's."""
+
     def error(self, message: str):  # argparse default exits with code 2
         raise UsageError(message)
 
