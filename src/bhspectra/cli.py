@@ -556,9 +556,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return int(args.func(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
