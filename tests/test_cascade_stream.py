@@ -21,19 +21,13 @@ from bhspectra.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# (state, policy, n_samples, seed): the three golden configs, one with an
-# identity census (10 quanta) and one whose chains get stuck.
+# (state, policy, n_samples, seed): two of the golden configs, a 64-quantum
+# Schwarzschild one and a charged and spinning one.
 CONFIGS = {
     "schw": (BlackHoleState(Family.SCHWARZSCHILD, 4.0), CascadePolicy(energy_quantum=0.0625),
              250, 0),
-    "rn": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0),
-           CascadePolicy(energy_quantum=0.125, charge_quantum=0.125), 200, 3),
     "kn": (BlackHoleState(Family.KERR_NEWMAN, 2.0, 0.5, 0.5),
            CascadePolicy(energy_quantum=0.125, charge_quantum=0.125, spin_quantum=0.125), 100, 5),
-    "census": (BlackHoleState(Family.SCHWARZSCHILD, 1.25), CascadePolicy(energy_quantum=0.125),
-               300, 4),
-    "rn-stuck": (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 0.875),
-                 CascadePolicy(energy_quantum=0.25), 40, 0),
 }
 
 
