@@ -346,7 +346,7 @@ _CASCADE_OPTIONS = {
 # json.dumps's text of the floats whose repr is not JSON's.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Rows joined into one string at a time by the JSON row writers.
+# chains.jsonl rows joined into one string at a time.
 _JSONL_BLOCK = 2048
 
 

@@ -276,8 +276,8 @@ class InfoReport:
     s_cond_raw_weighted: float
     e_r: float
     e_bprime: float
-    correlation_mean: float
-    correlation_max: float
+    correlation_mean: float | None
+    correlation_max: float | None
     mi_numeric: float | None
     mi_paper_form: float | None
     mi_moment_form: float | None
@@ -304,9 +304,10 @@ def build_info_report(spectrum: SpectrumGrid) -> InfoReport:
     The correlation summary runs over energy-only emission pairs (w_i, w_k),
     i <= k, on the grid's omega axis (subsampled to fewer than
     2 * _MAX_CORR_NODES nodes); pairs with a closed single or combined
-    channel are skipped. Raises no error of its own: a number float64
-    cannot hold raises FloatingPointError where it is made (an emission
-    log-weight, a remnant's entropy). The source's own entropy is not read.
+    channel are skipped, and where every pair is, the summary's two fields
+    are None. Raises no error of its own: a number float64 cannot hold
+    raises FloatingPointError where it is made (an emission log-weight, a
+    remnant's entropy). The source's own entropy is not read.
     """
     state, spec = spectrum.source_state, spectrum.grid_spec
     spectrum = unit_sum(spectrum)
@@ -320,8 +321,6 @@ def build_info_report(spectrum: SpectrumGrid) -> InfoReport:
     lw_pair, v_pair = emission_log_weights(state, nodes[:, None] + nodes[None, :])
     open_pairs = np.triu(v_pair & v_single[:, None] & v_single[None, :])
     corr_arr = (lw_pair - lw_single[:, None] - lw_single[None, :])[open_pairs]
-    if not corr_arr.size:
-        corr_arr = np.zeros(1)
 
     mi = None
     if state.family is Family.SCHWARZSCHILD and spec.n_omega >= 2:
@@ -336,8 +335,8 @@ def build_info_report(spectrum: SpectrumGrid) -> InfoReport:
         s_cond_raw_weighted=cond.raw_weighted,
         e_r=cond.e_r,
         e_bprime=state.m - cond.e_r,
-        correlation_mean=float(np.mean(corr_arr)),
-        correlation_max=float(np.max(corr_arr)),
+        correlation_mean=float(np.mean(corr_arr)) if corr_arr.size else None,
+        correlation_max=float(np.max(corr_arr)) if corr_arr.size else None,
         mi_numeric=mi.mi_numeric if mi else None,
         mi_paper_form=mi.mi_paper_form if mi else None,
         mi_moment_form=mi.mi_moment_form if mi else None,

@@ -1,7 +1,8 @@
 """The CLI's numpy writers of spectrum.csv, spectrum.jsonl and spectrum.json,
-imported only by the spectrum command: CSV floats are "%.16e" built as bytes,
-and the JSON row writers format each distinct value of a column once. (The
-cascade command's chains.jsonl writer, cli._ChainsJsonl, loads no numpy.)"""
+imported only by the spectrum command. A file's rows are one layout of
+byte cells, assembled box by box by _spectrum_bytes: CSV floats are
+"%.16e" built as bytes, JSON floats float.__repr__'s text. (The cascade
+command's chains.jsonl writer, cli._ChainsJsonl, loads no numpy.)"""
 
 from __future__ import annotations
 
@@ -13,37 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .blackholes import _two_prod
-from .cli import _JSON_NONFINITE, _JSONL_BLOCK, _canonical_json
+from .cli import _JSON_NONFINITE, _canonical_json
 
 # Rows formatted and written at a time: bounds the memory a writer holds.
 _ROW_CHUNK = 4096
-
-
-def _json_texts(values: np.ndarray) -> list[str]:
-    """json.dumps's text of each value of a 1-D array. A float64 takes the
-    text json.encoder gives a float, with no call per value: float.__repr__,
-    or NaN, Infinity and -Infinity."""
-    if values.dtype != np.float64:
-        return list(map(json.dumps, values.tolist()))
-    texts = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-    return texts
-
-
-def _format_column(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """(texts, index) of a 1-D column for the JSON row writers: the JSON
-    text of each distinct value, formatted once, and each entry's index
-    into texts.
-
-    Floats are keyed on their bit patterns, so -0.0 and 0.0 (and distinct nan
-    payloads) stay apart and each entry gets exactly the text json.dumps gives it.
-    """
-    keys = values.view(np.int64) if values.dtype == np.float64 else values
-    distinct, index = np.unique(keys, return_inverse=True)
-    # The narrowest index type: a writer holds one index per entry of every column.
-    index = index.astype(np.min_scalar_type(distinct.size), copy=False)
-    return _json_texts(distinct.view(values.dtype)), index
 
 
 # "%.16e" as bytes: a cell is "-d.dddddddddddddddde-ddd" (24 bytes at most) and a comma.
@@ -168,40 +142,11 @@ def _format_e16(values: np.ndarray):
     return cells, fallback
 
 
-# The pieces of a row around its values: (before the first key, between a
-# value and the next key, between a key and its value, after the last value).
-# A spectrum.jsonl row is compact, one per line; a spectrum.json
-# bin is json.dumps's indent-2 object at depth 2, after the separator from
-# the bin before it.
-_JSONL_ROW = ("{", ",", ":", "}\n")
-_JSON_BIN = (",\n    {\n      ", ",\n      ", ": ", "\n    }")
-
-
-def _json_rows(columns: dict, template: tuple[str, str, str, str] = _JSONL_ROW):
-    """JSON rows of named columns, keys sorted, in the row template,
-    _JSONL_BLOCK rows per string. Each column's distinct values are
-    formatted once over all the rows given."""
-    first, between, colon, last = template
-    keys = sorted(columns)
-    cells = [_format_column(columns[k]) for k in keys]
-    # A row is the key pieces with its cells between them: {"a":1,"b":2}.
-    row = [None] * (2 * len(keys) + 1)
-    row[0::2] = [first + json.dumps(keys[0]) + colon,
-                 *(between + json.dumps(k) + colon for k in keys[1:]), last]
-    n_rows = len(cells[0][1])
-    for start in range(0, n_rows, _JSONL_BLOCK):
-        stop = min(start + _JSONL_BLOCK, n_rows)
-        parts = row * (stop - start)
-        for k, (texts, index) in enumerate(cells):
-            parts[2 * k + 1 :: len(row)] = map(texts.__getitem__, index[start:stop].tolist())
-        yield "".join(parts)
-
-
 # The columns of a spectrum row, in CSV order.
 _SPECTRUM_COLUMNS = ("omega", "q", "j", "log_weight", "weight", "thermal_log_weight", "valid")
 
 
-def _spectrum_boxes(grid: SpectrumGrid, thermal, convert=np.asarray):
+def _spectrum_boxes(grid: SpectrumGrid, thermal, convert):
     """The spectrum's columns box by box: (shape, {name: convert(column)})
     per box of the (omega, q, j) grid, each column broadcast against shape.
 
@@ -239,49 +184,87 @@ def _spectrum_boxes(grid: SpectrumGrid, thermal, convert=np.asarray):
                 name: whole[name] if name in whole else convert(cut[name]) for name in columns}
 
 
+# The cells of a flag: CSV's end its row, JSON's are json.dumps's.
+_CSV_FLAGS = np.array([b"false\n", b"true\n"]).view(np.uint8).reshape(2, -1)
+_JSON_FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, -1)
+
+
+def _csv_cells(values: np.ndarray) -> np.ndarray:
+    """The CSV cells of a column: "%.16e," per float, or a flag and the newline."""
+    if values.dtype == np.bool_:
+        return _CSV_FLAGS[values.astype(np.intp)]
+    return _format_e16(values)[0]
+
+
+def _json_cells(values: np.ndarray) -> np.ndarray:
+    """json.dumps's text of every value of a float64 or bool array, as byte
+    cells of shape values.shape + (width,), NUL-padded to the widest text.
+    A float takes the text json.encoder gives it, with no call per value:
+    float.__repr__, or NaN, Infinity and -Infinity."""
+    if values.dtype == np.bool_:
+        return _JSON_FLAGS[values.astype(np.intp)]
+    texts = list(map(float.__repr__, values.ravel().tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return np.array(texts, dtype="S").view(np.uint8).reshape(values.shape + (-1,))
+
+
+def _json_layout(start: str, between: str, colon: str, end: str) -> list:
+    """The layout of a JSON object of the spectrum's columns, keys sorted:
+    start, each key, colon and cell, between after each cell but the last,
+    then end."""
+    layout = []
+    for name in sorted(_SPECTRUM_COLUMNS):
+        layout += [f'{between if layout else start}"{name}"{colon}'.encode(), name]
+    return [*layout, end.encode()]
+
+
+# A row's layout: column names, whose cells the converter makes, and the
+# constant byte pieces between them, in file order. A CSV row is
+# _SPECTRUM_COLUMNS, whose cells carry their separators; a spectrum.jsonl row is
+# compact, one per line; a spectrum.json bin is json.dumps's indent-2 object
+# at depth 2, after the separator from the bin before it.
+_JSONL_LAYOUT = _json_layout("{", ",", ":", "}\n")
+_JSON_LAYOUT = _json_layout(",\n    {\n      ", ",\n      ", ": ", "\n    }")
+
+
+def _spectrum_bytes(grid: SpectrumGrid, thermal, layout: list, convert):
+    """The bytes of the spectrum's rows in layout, one bytearray per box of
+    _spectrum_boxes, each column converted to byte cells once per box.
+
+    The cells and pieces are broadcast into the box's rows, one byte array
+    of the box's shape, NUL where a text is shorter than its cell; the NULs
+    are dropped. The array is the box's size: a JSON row's width changes
+    from box to box with its cells'.
+    """
+    layout = [p if isinstance(p, str) else np.frombuffer(p, np.uint8) for p in layout]
+    for shape, box in _spectrum_boxes(grid, thermal, convert):
+        parts = [box[p] if isinstance(p, str) else p for p in layout]
+        width = sum(part.shape[-1] for part in parts)
+        buffer = bytearray(math.prod(shape) * width)
+        rows = np.frombuffer(buffer, np.uint8).reshape(shape + (width,))
+        at = 0
+        for part in parts:
+            rows[..., at : at + part.shape[-1]] = part
+            at += part.shape[-1]
+        # Neither the cells nor the rows are held while the next box is converted.
+        del box, parts, rows
+        yield buffer.translate(None, b"\0")
+        del buffer
+
+
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
     """spectrum.csv: floats as "%.16e" (17 significant digits, round-trip
-    exact), assembled as bytes box by box (see _spectrum_boxes). Each
-    column's cells are broadcast into the box's rows, one byte array of the
-    box's shape, so a grid axis is formatted once per value in the box."""
-    flag_text = np.array([b"false\n", b"true\n"], dtype="S6").view(np.uint8).reshape(2, 6)
-
-    def cells(values: np.ndarray) -> np.ndarray:
-        if values.dtype == np.bool_:
-            return flag_text[values.astype(np.intp)]
-        return _format_e16(values)[0]
-
-    width = (len(_SPECTRUM_COLUMNS) - 1) * _E16_WIDTH + flag_text.shape[1]
-    # One row of cells per row of the file, NUL where a text is shorter than
-    # its cell; sized by the first box, the largest, and reused by the rest.
-    buffer = bytearray()
+    exact), flags as false and true."""
     with path.open("wb") as f:
         f.write(f"# manifest_hash={manifest_hash}\n{','.join(_SPECTRUM_COLUMNS)}\n".encode())
-        for shape, box in _spectrum_boxes(grid, thermal, cells):
-            n_bytes = math.prod(shape) * width
-            if n_bytes > len(buffer):
-                buffer = bytearray(n_bytes)
-            rows = np.frombuffer(buffer, np.uint8, n_bytes).reshape(shape + (width,))
-            at = 0
-            for column in box.values():
-                rows[..., at : at + column.shape[-1]] = column
-                at += column.shape[-1]
-            del box  # not held while the next box is formatted
-            text = buffer if n_bytes == len(buffer) else buffer[:n_bytes]
-            f.write(text.translate(None, b"\0"))
-
-
-def _spectrum_rows(grid: SpectrumGrid, thermal, template=_JSONL_ROW):
-    """The spectrum's rows in the row template, box by box (see _spectrum_boxes)."""
-    for shape, box in _spectrum_boxes(grid, thermal):
-        yield from _json_rows({name: np.broadcast_to(values, shape).ravel()
-                               for name, values in box.items()}, template)
+        f.writelines(_spectrum_bytes(grid, thermal, _SPECTRUM_COLUMNS, _csv_cells))
 
 
 def _write_spectrum_jsonl(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:
-    with path.open("w", encoding="utf-8") as f:
-        f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}) + "\n")
-        f.writelines(_spectrum_rows(grid, thermal))
+    with path.open("wb") as f:
+        f.write(_canonical_json({"type": "header", "manifest_hash": manifest_hash}).encode() + b"\n")
+        f.writelines(_spectrum_bytes(grid, thermal, _JSONL_LAYOUT, _json_cells))
 
 
 def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict) -> None:
@@ -292,9 +275,9 @@ def _write_spectrum_json(path: Path, grid: SpectrumGrid, thermal, payload: dict)
     mark = "bins go here"
     text = json.dumps(dict(payload, bins=[mark]), sort_keys=True, indent=2)
     head, _, tail = text.partition("\n    " + json.dumps(mark))
-    rows = _spectrum_rows(grid, thermal, _JSON_BIN)
-    with path.open("w", encoding="utf-8") as f:
-        f.write(head)
-        f.write(next(rows)[1:])  # no separator before the first bin
+    rows = _spectrum_bytes(grid, thermal, _JSON_LAYOUT, _json_cells)
+    with path.open("wb") as f:
+        f.write(head.encode())
+        f.write(memoryview(next(rows))[1:])  # no separator before the first bin
         f.writelines(rows)
-        f.write(tail + "\n")
+        f.write(tail.encode() + b"\n")

@@ -482,10 +482,19 @@ class TestInfoReport:
         with pytest.raises(FloatingPointError, match="the entropy of .* not finite in float64"):
             build_info_report(spectrum)
 
-    def test_json_round_trip(self):
+    # Where every energy-only pair is closed (an extremal hole's, or one
+    # node holding the whole mass), the correlation summary is null, not 0.0.
+    @pytest.mark.parametrize("state,spec,pairs_open", [
+        (SCHW1, GridSpec(omega_max=0.5, n_omega=8), True),
+        (BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 2.0),
+         GridSpec(omega_max=2.0, n_omega=500, q_step=0.25, n_q=5), False),
+        (SCHW1, GridSpec(omega_max=1.0, n_omega=1), False),
+    ], ids=["schw", "rn-extremal", "one-node"])
+    def test_json_round_trip(self, state, spec, pairs_open):
         import json
 
-        spectrum = build_spectrum(SCHW1, GridSpec(omega_max=0.5, n_omega=8), Normalization.UNIT_SUM)
-        report = build_info_report(spectrum)
+        report = build_info_report(build_spectrum(state, spec, Normalization.UNIT_SUM))
         payload = json.loads(json.dumps(report.to_json_dict()))
-        assert payload["e_r"] == report.e_r
+        assert payload == report.to_json_dict()
+        summary = [payload["correlation_mean"], payload["correlation_max"]]
+        assert (None not in summary) if pairs_open else summary == [None, None]

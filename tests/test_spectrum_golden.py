@@ -47,7 +47,7 @@ GOLDEN = {
          "--n-q", "5", "--report"),
         {
             "spectrum.csv": "cb67bd835ab159b733de6acb2c6f387f1bc16a8f3a5b644e0ddf9d970633f691",
-            "info_report.json": "0d04f9da52e7fd777fb9e65ef9420a3f441356dfdcd7739505f0e25252b73a00",
+            "info_report.json": "5644a8c45a0a069ce0ecd709ec9c22d3e569c720ac3016312d57028ed0ca9d24",
         },
     ),
     "schw_underflow": (

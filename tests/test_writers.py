@@ -1,10 +1,11 @@
 """Column-formatting row writers against the per-row code they replaced.
 
 The oracles below are the old writers, one `%`/`json.dumps` call per value
-per row. The new writers format each distinct value of a column (or, for
-chains.jsonl, each channel) once, so the grids here are full of the values
-that could trip that up: repeats, -0.0 next to 0.0, nan, +-inf, and columns
-longer than one write chunk.
+per row. The new writers format a grid axis once per box of rows (or, for
+chains.jsonl, each channel once) and assemble the rows as byte cells, so
+the grids here are full of the values that could trip that up: repeats,
+-0.0 next to 0.0, nan, +-inf, the widest texts, and columns longer than one
+write chunk.
 """
 
 import dataclasses
@@ -227,6 +228,27 @@ def test_jsonl_writer_peak_memory(tmp_path, monkeypatch, with_thermal):
     assert peak <= 1.1e6
 
 
+# The JSON writer holds one box of its indented rows, their cells and the
+# box's bytes, plus the omega axis, at the box size the CLI writes. Measured
+# at 2^17 bins: 2.22 MB with the thermal column, 2.35 MB without; the bound
+# is that and ~20%.
+@pytest.mark.parametrize("with_thermal", [True, False], ids=["thermal", "no-thermal"])
+def test_json_writer_peak_memory(tmp_path, with_thermal):
+    state = BlackHoleState(Family.REISSNER_NORDSTROM, 2.0, 1.0)
+    spec = GridSpec(omega_max=1.5, n_omega=1 << 15, q_step=0.25, n_q=4)
+    grid = build_spectrum(state, spec, Normalization.UNIT_SUM)
+    thermal = (_per_node(build_thermal_spectrum(state, spec, Normalization.UNIT_SUM))
+               if with_thermal else None)
+    payload = _json_payload(grid)
+    tracemalloc.start()
+    try:
+        writers._write_spectrum_json(tmp_path / "s.json", grid, thermal, payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8e6
+
+
 KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
 
 
@@ -250,15 +272,15 @@ def test_csv_writer_chunks_are_boxes_of_the_grid(tmp_path, monkeypatch, chunk):
         assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, t, "abc")
 
 
-def _count_formatted(monkeypatch):
+def _count_formatted(monkeypatch, converter="_format_e16"):
     seen = []
-    format_e16 = writers._format_e16
+    convert = getattr(writers, converter)
 
     def counted(values):
         seen.append(np.size(values))
-        return format_e16(values)
+        return convert(values)
 
-    monkeypatch.setattr(writers, "_format_e16", counted)
+    monkeypatch.setattr(writers, converter, counted)
     return seen
 
 
@@ -269,6 +291,24 @@ def test_csv_writer_formats_grid_axes_once(tmp_path, monkeypatch):
     assert (tmp_path / "s.csv").read_text() == _oracle_csv(grid, thermal, "abc")
     spec = grid.grid_spec
     assert sum(seen) == 2 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
+
+
+@pytest.mark.parametrize("suffix", ["jsonl", "json"])
+def test_json_writers_format_grid_axes_once(tmp_path, monkeypatch, suffix):
+    # As the CSV writer's, and the flags too: log_weight, weight and valid
+    # row by row, omega and thermal once per node, q and j once per file.
+    grid, thermal = _kn_grids()
+    seen = _count_formatted(monkeypatch, "_json_cells")
+    path = tmp_path / f"s.{suffix}"
+    if suffix == "jsonl":
+        writers._write_spectrum_jsonl(path, grid, thermal, "abc")
+        want = _oracle_spectrum_jsonl(grid, thermal, "abc")
+    else:
+        writers._write_spectrum_json(path, grid, thermal, _json_payload(grid))
+        want = _oracle_spectrum_json(grid, thermal, _json_payload(grid))
+    assert path.read_text() == want
+    spec = grid.grid_spec
+    assert sum(seen) == 3 * grid.n_bins + 2 * spec.n_omega + spec.n_q + spec.n_j
 
 
 PER_BIN = ("log_weight", "valid")
@@ -412,26 +452,29 @@ def test_chains_writer_with_no_steps(tmp_path):
     assert (tmp_path / "c.jsonl").read_text() == _oracle_steps_jsonl([(0, [])], "abc", 1, 0)
 
 
-def test_format_column_keeps_signed_zero_and_order():
-    values = np.array([0.0, -0.0, np.nan, 0.0, -np.nan, -0.0, np.inf])
-    texts, index = writers._format_column(values)
-    assert [texts[i] for i in index.tolist()] == [json.dumps(v) for v in values.tolist()]
-    assert len(texts) == 5  # 0.0, -0.0, nan, -nan, inf
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.bool_])
-def test_json_texts_match_json_dumps_on_every_kind_of_value(dtype):
+def test_json_cells_match_json_dumps_on_every_kind_of_value(dtype):
     rng = np.random.default_rng(12)
     if dtype is np.bool_:
         values = np.array([True, False])
     else:
-        # Random bit patterns cover every exponent, subnormals, nan payloads and infinities.
+        # Random bit patterns cover every exponent, subnormals, nan payloads
+        # and infinities; the edges hold the widest texts, which a cell too
+        # narrow would cut.
         bits = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 20_000,
                             dtype=np.int64, endpoint=True)
         edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-                          np.finfo(np.float64).max, 1.0, 0.1, 1e16, 1e-5])
+                          np.finfo(np.float64).max, 1.0, 0.1, 1e16, 1e-5,
+                          -1.2345678901234567e-308, -2.2250738585072014e-308])
         values = np.concatenate([edges, bits.view(np.float64)])
-    assert writers._json_texts(values) == [json.dumps(v) for v in values.tolist()]
+    want = [json.dumps(v) for v in values.tolist()]
+    cells = writers._json_cells(values)
+    assert cells.dtype == np.uint8 and cells.shape[:-1] == values.shape
+    assert [cell.tobytes().rstrip(b"\0").decode() for cell in cells] == want
+    # A column shaped as a grid axis keeps its shape, each cell as wide as its widest text.
+    column = writers._json_cells(values[:2].reshape(2, 1, 1))
+    assert column.shape == (2, 1, 1, max(map(len, want[:2])))
+    assert [cell.tobytes().rstrip(b"\0").decode() for cell in column.reshape(2, -1)] == want[:2]
 
 
 def test_e16_power_tables_match_the_exact_construction():
