@@ -234,23 +234,25 @@ def _spectrum_bytes(grid: SpectrumGrid, thermal, layout: list, convert):
 
     The cells and pieces are broadcast into the box's rows, one byte array
     of the box's shape, NUL where a text is shorter than its cell; the NULs
-    are dropped. The array is the box's size: a JSON row's width changes
-    from box to box with its cells'.
+    are dropped. The array is reused while the boxes' sizes agree (a CSV
+    row's width is fixed, a JSON row's changes with its cells'), and
+    replaced by one of the box's size when they do not.
     """
     layout = [p if isinstance(p, str) else np.frombuffer(p, np.uint8) for p in layout]
+    buffer = bytearray()
     for shape, box in _spectrum_boxes(grid, thermal, convert):
         parts = [box[p] if isinstance(p, str) else p for p in layout]
         width = sum(part.shape[-1] for part in parts)
-        buffer = bytearray(math.prod(shape) * width)
+        n_bytes = math.prod(shape) * width
+        if n_bytes != len(buffer):
+            buffer = bytearray(n_bytes)
         rows = np.frombuffer(buffer, np.uint8).reshape(shape + (width,))
         at = 0
         for part in parts:
             rows[..., at : at + part.shape[-1]] = part
             at += part.shape[-1]
-        # Neither the cells nor the rows are held while the next box is converted.
-        del box, parts, rows
+        del box, parts, rows  # not held while the next box is converted
         yield buffer.translate(None, b"\0")
-        del buffer
 
 
 def write_spectrum_csv(path: Path, grid: SpectrumGrid, thermal, manifest_hash: str) -> None:

@@ -230,7 +230,7 @@ def test_jsonl_writer_peak_memory(tmp_path, monkeypatch, with_thermal):
 
 # The JSON writer holds one box of its indented rows, their cells and the
 # box's bytes, plus the omega axis, at the box size the CLI writes. Measured
-# at 2^17 bins: 2.22 MB with the thermal column, 2.35 MB without; the bound
+# at 2^17 bins: 2.44 MB with the thermal column, 2.35 MB without; the bound
 # is that and ~20%.
 @pytest.mark.parametrize("with_thermal", [True, False], ids=["thermal", "no-thermal"])
 def test_json_writer_peak_memory(tmp_path, with_thermal):
@@ -246,7 +246,7 @@ def test_json_writer_peak_memory(tmp_path, with_thermal):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8e6
+    assert peak <= 2.9e6
 
 
 KN_SPEC = GridSpec(omega_max=1.5, n_omega=2000, q_step=0.125, n_q=3, j_step=-0.125, n_j=3)
